@@ -104,7 +104,7 @@ inline constexpr const char* kScenarioUsage =
     "[--topo clique|bclique|chain|ring|internet|asgraph|relfile] "
     "[--size N] [--rel-file PATH] [--event tdown|tlong|tup|flap] "
     "[--proto bgp|ssld|wrate|assertion|ghost] [--mrai SECONDS] [--seed S] "
-    "[--policy] [--prefixes P]";
+    "[--policy] [--prefixes P] [--max-sim-time SECONDS]";
 
 /// Try the current flag against the shared scenario flags; true when it
 /// was one of them (operand consumed, `s` updated). --file replaces the
@@ -155,6 +155,8 @@ inline bool apply_scenario_flag(Args& a, core::Scenario& s) {
   } else if (arg == "--prefixes") {
     s.prefixes = a.value_size();
     if (s.prefixes == 0) a.fail();
+  } else if (arg == "--max-sim-time") {
+    s.max_sim_time = sim::SimTime::seconds(a.value_double());
   } else {
     return false;
   }

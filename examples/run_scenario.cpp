@@ -112,9 +112,10 @@ int main(int argc, char** argv) {
   core::TrialSet set;
   try {
     set = core::run_trials(s, core::RunOptions{.trials = trials, .jobs = jobs});
-  } catch (const std::invalid_argument& e) {
-    // A stale or mismatched --load-state file is a user error, not a crash:
-    // the snapshot's driver/topology/config/seed meta must match the flags.
+  } catch (const std::exception& e) {
+    // A stale or mismatched --load-state file (the snapshot's meta must
+    // match the flags) or a scenario that does not converge within
+    // max_sim_time is a failed run, not a crash.
     std::fprintf(stderr, "run_scenario: %s\n", e.what());
     return 1;
   }

@@ -160,8 +160,6 @@ ExperimentOutcome run_dv_experiment(const DvScenario& scenario) {
 
   metrics::LoopDetector detector{topo.node_count()};
   detector.attach(simulator, network.fibs(), kPrefix);
-  // After attach: the detector replaces all FIB observers, the oracle
-  // subscribes alongside it.
   if (oracle) oracle->observe_fibs(simulator, network.fibs());
 
   // DV has no Loc-RIB paths, so the view exposes only forwarding state;

@@ -268,23 +268,17 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
                        std::move(plane_options)};
   plane.set_fate_sink(&collector);
 
-  // One loop detector per prefix: detector 0 attaches first (replacing any
-  // stale FIB observers), the rest subscribe alongside it.
+  // One loop detector per prefix. FIB observers accumulate, so the plane
+  // (subscribed at construction), the detectors and the oracle all see
+  // every change.
   std::vector<std::unique_ptr<metrics::LoopDetector>> detectors;
-  detectors.push_back(
-      std::make_unique<metrics::LoopDetector>(topo.node_count()));
-  detectors.front()->attach(simulator, network.fibs(), kPrefix);
-  if (multi) {
-    for (std::size_t p = 1; p < prefix_count; ++p) {
-      detectors.push_back(
-          std::make_unique<metrics::LoopDetector>(topo.node_count()));
-      detectors.back()->attach_alongside(simulator, network.fibs(),
-                                         static_cast<net::Prefix>(p));
-    }
+  for (std::size_t p = 0; p < prefix_count; ++p) {
+    detectors.push_back(
+        std::make_unique<metrics::LoopDetector>(topo.node_count()));
+    detectors.back()->attach(simulator, network.fibs(),
+                             static_cast<net::Prefix>(p));
   }
   metrics::LoopDetector& detector = *detectors.front();
-  // After attach: the detectors replace/extend the FIB observers, the
-  // oracle subscribes alongside them.
   if (oracle) oracle->observe_fibs(simulator, network.fibs());
   if (trace) {
     detector.set_observer([trace](const metrics::LoopRecord& r, bool formed) {

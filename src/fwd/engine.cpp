@@ -32,21 +32,13 @@ PlaneBackend default_plane_backend() {
 
 namespace {
 
-/// Adapter behind the deprecated set_fate_handler: unrolls each batch
-/// into the legacy per-packet callback.
-class LegacyFateAdapter final : public FateSink {
- public:
-  explicit LegacyFateAdapter(DataPlane::FateHandler handler)
-      : handler_{std::move(handler)} {}
-  void on_fates(std::span<const FateRecord> batch) override {
-    for (const FateRecord& r : batch) {
-      handler_(r.packet, r.fate, r.where, r.when);
-    }
-  }
+/// A packet that is not speculative yet tries to become so every this
+/// many hops (a power of two): delivered paths shorter than that never
+/// pay for a walk, loop-trapped packets wait a few hops at most.
+constexpr int kSpeculateEvery = 8;
 
- private:
-  DataPlane::FateHandler handler_;
-};
+/// Walk arena size (nodes) past which the next walk reclaims it.
+constexpr std::size_t kWalkArenaLimit = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -56,63 +48,36 @@ DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
       topo_{topology},
       fibs_{fibs},
       destinations_{std::move(options.destinations)},
-      backend_{options.backend} {
+      backend_{options.backend},
+      cache_(topology.node_count() * destinations_.size()),
+      prefix_epoch_(destinations_.size(), 1),
+      spec_per_prefix_(destinations_.size(), 0) {
   assert(fibs_.size() == topo_.node_count());
   assert(!destinations_.empty());
-  sim_.set_external_handler([this] {
-    bridge_armed_ = false;
-    drain_due();
-    rearm();
-    flush_fates();
-  });
-}
-
-DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
-                     std::vector<Fib>& fibs, net::NodeId destination,
-                     net::Prefix prefix)
-    : DataPlane{simulator, topology, fibs, [&] {
-                  DataPlaneOptions o;
-                  o.destinations.assign(prefix + 1, net::kInvalidNode);
-                  o.destinations[prefix] = destination;
-                  return o;
-                }()} {
-  legacy_primary_ = prefix;
-}
-
-void DataPlane::register_destination(net::Prefix prefix, net::NodeId node) {
-  if (prefix >= destinations_.size()) {
-    destinations_.resize(prefix + 1, net::kInvalidNode);
+  sim_.set_external_handler([this] { on_bridge(); });
+  for (net::NodeId node = 0; node < fibs_.size(); ++node) {
+    fibs_[node].add_observer(
+        [this, node](net::Prefix prefix, std::optional<net::NodeId>,
+                     std::optional<net::NodeId>) {
+          on_fib_change(node, prefix);
+        });
   }
-  destinations_[prefix] = node;
-  // The destination table has no version counter; drop the whole decision
-  // cache instead (registration happens at setup, never per hop).
-  cache_.clear();
-  cache_stride_ = 0;
-}
-
-void DataPlane::set_fate_handler(FateHandler h) {
-  legacy_adapter_ = std::make_unique<LegacyFateAdapter>(std::move(h));
-  sink_ = legacy_adapter_.get();
 }
 
 std::uint64_t DataPlane::inject(const Injection& injection) {
-  return inject_impl(injection.prefix, injection.source, injection.ttl);
-}
-
-std::uint64_t DataPlane::inject_impl(net::Prefix prefix, net::NodeId source,
-                                     int ttl) {
-  assert(prefix < destinations_.size() &&
-         destinations_[prefix] != net::kInvalidNode);
+  assert(injection.prefix < destinations_.size() &&
+         destinations_[injection.prefix] != net::kInvalidNode);
+  sync_topology();
   Packet p;
   p.id = next_packet_id_++;
-  p.source = source;
-  p.prefix = prefix;
-  p.ttl = ttl;
+  p.source = injection.source;
+  p.prefix = injection.prefix;
+  p.ttl = injection.ttl;
   p.sent_at = sim_.now();
   ++counters_.injected;
   ++in_flight_;
   // The packet "arrives" at its own source with no delay.
-  arrive(source, p);
+  arrive(injection.source, p, /*spec=*/false);
   flush_fates();
   return p.id;
 }
@@ -142,11 +107,7 @@ DataPlane::Decision DataPlane::decide(net::NodeId node,
 
 const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
                                                     net::Prefix prefix) const {
-  if (cache_stride_ != destinations_.size()) {
-    cache_stride_ = destinations_.size();
-    cache_.assign(topo_.node_count() * cache_stride_, CachedDecision{});
-  }
-  CachedDecision& e = cache_[node * cache_stride_ + prefix];
+  CachedDecision& e = cache_[node * destinations_.size() + prefix];
   const std::uint64_t fib_now = fibs_[node].version();
   const std::uint64_t topo_now = topo_.state_version();
   if (e.fib_stamp != fib_now || e.topo_stamp != topo_now) {
@@ -157,35 +118,41 @@ const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
   return e.d;
 }
 
-void DataPlane::arrive(net::NodeId node, Packet packet) {
+void DataPlane::arrive(net::NodeId node, Packet packet, bool spec) {
   const Decision& d = cached_decide(node, packet.prefix);
 
   switch (d.kind) {
     case Decision::Kind::kDeliver:
-      finish(packet, PacketFate::kDelivered, node);
+      finish(packet, PacketFate::kDelivered, node, spec, sim_.now());
       return;
     case Decision::Kind::kNoRoute:
-      finish(packet, PacketFate::kNoRoute, node);
+      finish(packet, PacketFate::kNoRoute, node, spec, sim_.now());
       return;
     case Decision::Kind::kLinkDown:
-      finish(packet, PacketFate::kLinkDown, node);
+      finish(packet, PacketFate::kLinkDown, node, spec, sim_.now());
       return;
     case Decision::Kind::kForward:
       break;
   }
   // One TTL decrement per AS hop (the study's loop indicator).
   if (--packet.ttl <= 0) {
-    finish(packet, PacketFate::kTtlExhausted, node);
+    finish(packet, PacketFate::kTtlExhausted, node, spec, sim_.now());
     return;
   }
   ++packet.hops_taken;
   ++counters_.hops;
-  push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet));
+  if (!spec && (packet.hops_taken & (kSpeculateEvery - 1)) == 0 &&
+      backend_ == PlaneBackend::kRings) {
+    spec = speculate(d.next_hop, packet.prefix);
+  }
+  push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet), spec);
 }
 
-void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where) {
+void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where,
+                       bool spec, sim::SimTime when) {
   assert(in_flight_ > 0);
   --in_flight_;
+  if (spec) count_spec(p.prefix, false);
   switch (fate) {
     case PacketFate::kDelivered:
       ++counters_.delivered;
@@ -201,7 +168,7 @@ void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where) {
       break;
   }
   if (sink_ != nullptr) {
-    batch_.push_back(FateRecord{p, fate, where, sim_.now()});
+    batch_.push_back(FateRecord{p, fate, where, when});
   }
 }
 
@@ -238,13 +205,16 @@ void DataPlane::save_state(snap::Writer& w) const {
   if (backend_ == PlaneBackend::kRings) {
     // Rings are already ascending by (at, seq): tick cohorts are sorted
     // and each cohort holds its packets in seq order — the same canonical
-    // bytes the heap path writes.
+    // bytes the heap path writes. Skipped cohorts are written settled.
     std::uint64_t n = 0;
-    for (const TickRing& r : rings_) n += r.items.size() - r.head;
+    for (std::size_t t = 0; t < rings_.size(); ++t) {
+      n += rings_[t].items.size() - rings_[t].head;
+    }
     w.u64(n);
-    for (const TickRing& r : rings_) {
+    for (std::size_t t = 0; t < rings_.size(); ++t) {
+      const TickRing& r = rings_[t];
       for (std::size_t i = r.head; i < r.items.size(); ++i) {
-        write_event(r.items[i]);
+        write_event(settled(r, i));
       }
     }
   } else {
@@ -271,6 +241,8 @@ void DataPlane::restore_state(snap::Reader& r) {
   bridge_time_ = r.time();
   heap_ = {};
   rings_.clear();
+  spec_items_ = 0;
+  std::ranges::fill(spec_per_prefix_, 0);
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     HopEvent ev;
@@ -284,86 +256,122 @@ void DataPlane::restore_state(snap::Reader& r) {
     ev.packet.sent_at = r.time();
     ev.packet.hops_taken = static_cast<int>(r.i64());
     if (backend_ == PlaneBackend::kRings) {
-      ring_insert(std::move(ev));
+      enqueue(std::move(ev));
     } else {
       heap_.push(std::move(ev));
     }
   }
 }
 
-void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet) {
+void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet,
+                         bool spec) {
   if (backend_ == PlaneBackend::kRings) {
-    // Steady-state fast path: construct the HopEvent once, directly in
-    // its final cohort slot.
-    std::vector<HopEvent>* items;
-    if (!rings_.empty() && at == rings_.back().at) {
-      items = &rings_.back().items;
-    } else if (rings_.empty() || at > rings_.back().at) {
-      rings_.push_back(TickRing{at, 0, pooled_items()});
-      items = &rings_.back().items;
-    } else {
-      ring_insert(HopEvent{at, next_seq_++, node, std::move(packet)});
-      rearm();
-      return;
-    }
-    items->push_back(HopEvent{at, next_seq_++, node, std::move(packet)});
+    enqueue(HopEvent{at, next_seq_++, node, spec, std::move(packet)});
   } else {
-    heap_.push(HopEvent{at, next_seq_++, node, std::move(packet)});
+    heap_.push(HopEvent{at, next_seq_++, node, false, std::move(packet)});
   }
   rearm();
 }
 
-std::vector<DataPlane::HopEvent> DataPlane::pooled_items() {
-  if (ring_pool_.empty()) return {};
-  std::vector<HopEvent> v = std::move(ring_pool_.back());
-  ring_pool_.pop_back();
-  return v;
-}
-
-void DataPlane::ring_insert(HopEvent ev) {
+void DataPlane::enqueue(HopEvent ev) {
   // Uniform link delays make the back cohort the overwhelmingly common
   // target; anything else walks back from the end (heterogeneous delays
   // stay correct, they just pay a short scan).
+  TickRing* ring;
   if (!rings_.empty() && ev.at == rings_.back().at) {
-    rings_.back().items.push_back(std::move(ev));
-    return;
+    ring = &rings_.back();
+  } else {
+    std::size_t i = rings_.size();
+    while (i != 0 && rings_[i - 1].at > ev.at) --i;
+    ring = i != 0 && rings_[i - 1].at == ev.at ? &rings_[i - 1]
+                                                : &rings_.open(i, ev.at);
   }
-  if (rings_.empty() || ev.at > rings_.back().at) {
-    rings_.push_back(TickRing{ev.at, 0, pooled_items()});
-    rings_.back().items.push_back(std::move(ev));
-    return;
+  admit(*ring, ev.spec);
+  ring->items.push_back(std::move(ev));
+}
+
+void DataPlane::admit(TickRing& ring, bool spec) {
+  if (ring.lag != 0) settle(ring);
+  ring.skips = false;
+  ring.spec_count += spec ? 1 : 0;
+}
+
+DataPlane::TickRing& DataPlane::TickQueue::open(std::size_t i,
+                                                sim::SimTime at) {
+  if (count_ == order_.size()) {
+    std::vector<std::uint32_t> grown(std::max<std::size_t>(16, 2 * count_));
+    for (std::size_t j = 0; j < count_; ++j) {
+      grown[j] = order_[(first_ + j) & mask()];
+    }
+    order_ = std::move(grown);
+    first_ = 0;
   }
-  auto it = rings_.end();
-  while (it != rings_.begin() && std::prev(it)->at > ev.at) --it;
-  if (it != rings_.begin() && std::prev(it)->at == ev.at) {
-    std::prev(it)->items.push_back(std::move(ev));
-    return;
+  if (free_.empty()) {
+    free_.push_back(static_cast<std::uint32_t>(slab_.size()));
+    slab_.emplace_back();
   }
-  TickRing fresh{ev.at, 0, pooled_items()};
-  fresh.items.push_back(std::move(ev));
-  rings_.insert(it, std::move(fresh));
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  TickRing& fresh = slab_[slot];
+  std::vector<HopEvent> items = std::move(fresh.items);
+  items.clear();
+  fresh = TickRing{};
+  fresh.at = at;
+  fresh.items = std::move(items);
+  order_[(first_ + count_++) & mask()] = slot;
+  for (std::size_t j = count_ - 1; j > i; --j) {
+    std::swap(order_[(first_ + j) & mask()], order_[(first_ + j - 1) & mask()]);
+  }
+  return fresh;
+}
+
+void DataPlane::TickQueue::pop_front() {
+  free_.push_back(order_[first_]);
+  first_ = (first_ + 1) & mask();
+  --count_;
+}
+
+void DataPlane::TickQueue::sink_front(std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j) {
+    std::swap(order_[(first_ + j) & mask()], order_[(first_ + j + 1) & mask()]);
+  }
+}
+
+void DataPlane::TickQueue::clear() {
+  while (count_ != 0) pop_front();
 }
 
 const sim::SimTime* DataPlane::next_pending_at() const {
   if (backend_ == PlaneBackend::kRings) {
     // Only the front cohort can be part-drained; skip it once exhausted.
-    for (const TickRing& r : rings_) {
-      if (r.head < r.items.size()) return &r.at;
+    for (std::size_t t = 0; t < rings_.size(); ++t) {
+      if (rings_[t].head < rings_[t].items.size()) return &rings_[t].at;
     }
     return nullptr;
   }
   return heap_.empty() ? nullptr : &heap_.top().at;
 }
 
-void DataPlane::rearm() {
-  const sim::SimTime* next = next_pending_at();
-  if (next == nullptr) return;
-  if (bridge_armed_ && bridge_time_ <= *next) return;  // armed early enough
+void DataPlane::arm_at(sim::SimTime at) {
+  if (bridge_armed_ && bridge_time_ <= at) return;  // armed early enough
   // arm_external replaces any previous arming with a fresh tie-break seq
   // — exactly the ordering the old cancel-and-reschedule produced.
   bridge_armed_ = true;
-  bridge_time_ = *next;
-  sim_.arm_external(*next);
+  bridge_time_ = at;
+  sim_.arm_external(at);
+}
+
+void DataPlane::rearm() {
+  if (const sim::SimTime* next = next_pending_at()) arm_at(*next);
+}
+
+void DataPlane::on_bridge() {
+  bridge_armed_ = false;
+  sync_topology();
+  drain_due();
+  rearm();
+  flush_fates();
+  if (spec_items_ != 0) skip_ahead();
 }
 
 void DataPlane::drain_due() {
@@ -372,16 +380,20 @@ void DataPlane::drain_due() {
     while (!rings_.empty() && rings_.front().at <= now) {
       TickRing& front = rings_.front();
       if (front.head >= front.items.size()) {
-        // Recycle the cohort's storage before retiring it.
-        front.items.clear();
-        ring_pool_.push_back(std::move(front.items));
         rings_.pop_front();
         continue;
       }
+      if (front.head == 0 && front.spec_count != 0 && skippable(front)) {
+        // Hop by hop, the first of several forwarding packets would re-arm
+        // the bridge at now; the skipped cohort arms it the same way.
+        if (skip_hop() > 1) arm_at(now);
+        continue;
+      }
+      if (front.lag != 0) settle(front);
       // Copy out before advancing; arrive() may grow this cohort's vector
       // (zero-delay links) or insert new cohorts.
       HopEvent ev = std::move(front.items[front.head++]);
-      arrive(ev.node, std::move(ev.packet));
+      arrive(ev.node, std::move(ev.packet), ev.spec);
     }
     return;
   }
@@ -389,7 +401,276 @@ void DataPlane::drain_due() {
     // Copy out before pop; arrive() may push new hops.
     HopEvent ev = heap_.top();
     heap_.pop();
-    arrive(ev.node, std::move(ev.packet));
+    arrive(ev.node, std::move(ev.packet), /*spec=*/false);
+  }
+}
+
+// ---- speculative cycle delivery -------------------------------------------
+
+const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
+                                           net::Prefix prefix) {
+  const std::size_t stride = destinations_.size();
+  if (walks_.empty()) {
+    walks_.resize(topo_.node_count() * stride);
+    visit_stamp_.assign(topo_.node_count(), 0);
+    visit_index_.assign(topo_.node_count(), 0);
+  }
+  const std::uint64_t epoch = prefix_epoch_[prefix];
+  const std::uint64_t topo = topo_.state_version();
+  if (const Walk& w = walks_[node * stride + prefix];
+      w.epoch == epoch && w.topo == topo) {
+    return w;
+  }
+  if (walk_nodes_.size() > kWalkArenaLimit && spec_items_ == 0) {
+    // Stale paths pile up as epochs pass; reclaim the arena once no
+    // speculative packet reads from it.
+    walk_nodes_.clear();
+    for (Walk& w : walks_) w.epoch = 0;
+  }
+  if (++visit_epoch_ == 0) {
+    std::ranges::fill(visit_stamp_, 0);
+    visit_epoch_ = 1;
+  }
+  // Follow the forwarding graph until it repeats a node (a cycle) or
+  // stops forwarding; a change of link delay also ends speculation.
+  const auto path = static_cast<std::uint32_t>(walk_nodes_.size());
+  std::uint32_t len = 0;
+  std::uint32_t tail = 0;
+  std::uint32_t cycle = 0;
+  sim::SimTime delay;
+  for (net::NodeId v = node;; ++len) {
+    if (visit_stamp_[v] == visit_epoch_) {
+      tail = visit_index_[v];
+      cycle = len - tail;
+      break;
+    }
+    const Decision& d = cached_decide(v, prefix);
+    if (d.kind != Decision::Kind::kForward || d.delay <= sim::SimTime::zero() ||
+        (len != 0 && d.delay != delay)) {
+      break;
+    }
+    delay = d.delay;
+    visit_stamp_[v] = visit_epoch_;
+    visit_index_[v] = len;
+    walk_nodes_.push_back(v);
+    v = d.next_hop;
+  }
+  // Every node on the path shares the verdict: each one's own walk is the
+  // rest of this path. (An empty path is a start node that does not
+  // forward.)
+  walks_[node * stride + prefix] = Walk{epoch, topo, path, 0, 0, 0, delay};
+  for (std::uint32_t i = 0; i < len; ++i) {
+    walks_[walk_nodes_[path + i] * stride + prefix] =
+        Walk{epoch, topo, path, i, tail, cycle, delay};
+  }
+  if (cycle == 0) walk_nodes_.resize(path);
+  return walks_[node * stride + prefix];
+}
+
+net::NodeId DataPlane::walk_node(const Walk& w, std::uint32_t steps) const {
+  std::uint32_t i = w.start + steps;
+  if (i >= w.tail) i = w.tail + (i - w.tail) % w.cycle;
+  return walk_nodes_[w.path + i];
+}
+
+bool DataPlane::walk_touches(const Walk& w, net::NodeId node) const {
+  for (std::uint32_t i = std::min(w.start, w.tail); i < w.tail + w.cycle;
+       ++i) {
+    if (walk_nodes_[w.path + i] == node) return true;
+  }
+  return false;
+}
+
+bool DataPlane::speculate(net::NodeId node, net::Prefix prefix) {
+  if (walk_for(node, prefix).cycle == 0) return false;
+  count_spec(prefix, true);
+  return true;
+}
+
+void DataPlane::count_spec(net::Prefix prefix, bool added) {
+  if (added) {
+    if (spec_items_ == 0) spec_topo_ = topo_.state_version();
+    ++spec_items_;
+    ++spec_per_prefix_[prefix];
+  } else {
+    --spec_items_;
+    --spec_per_prefix_[prefix];
+  }
+}
+
+DataPlane::HopEvent DataPlane::settled(const TickRing& ring,
+                                       std::size_t i) const {
+  HopEvent ev = ring.items[i];
+  if (ring.lag == 0) return ev;
+  const Walk& w = walks_[ev.node * destinations_.size() + ev.packet.prefix];
+  ev.at = ring.at;
+  ev.seq = ring.seq_base + (i - ring.head);
+  ev.node = walk_node(w, ring.lag);
+  ev.packet.ttl -= static_cast<int>(ring.lag);
+  ev.packet.hops_taken += static_cast<int>(ring.lag);
+  return ev;
+}
+
+void DataPlane::settle(TickRing& ring) {
+  for (std::size_t i = ring.head; i < ring.items.size(); ++i) {
+    ring.items[i] = settled(ring, i);
+  }
+  ring.min_ttl -= static_cast<int>(ring.lag);
+  ring.lag = 0;
+}
+
+bool DataPlane::promote(TickRing& ring) {
+  // The cohort's packets must all circle walks of one common delay;
+  // promote the ones that do not speculate yet.
+  if (ring.spec_count == 0) return false;
+  assert(ring.lag == 0 && ring.head == 0);
+  const std::size_t stride = destinations_.size();
+  int min_ttl = ring.items.front().packet.ttl;
+  sim::SimTime delay;
+  for (HopEvent& ev : ring.items) {
+    if (!ev.spec) {
+      if (!speculate(ev.node, ev.packet.prefix)) return false;
+      ev.spec = true;
+      ++ring.spec_count;
+    }
+    const sim::SimTime d = walks_[ev.node * stride + ev.packet.prefix].delay;
+    if (&ev != &ring.items.front() && d != delay) return false;
+    delay = d;
+    min_ttl = std::min(min_ttl, ev.packet.ttl);
+  }
+  ring.skips = true;
+  ring.delay = delay;
+  ring.min_ttl = min_ttl;
+  return true;
+}
+
+void DataPlane::relocate_front() {
+  TickRing& ring = rings_.front();
+  std::size_t i = rings_.size();
+  while (rings_[i - 1].at > ring.at) --i;  // stops at the front itself
+  if (i == 1 || rings_[i - 1].at != ring.at) {
+    rings_.sink_front(i - 1);
+    return;
+  }
+  // Packets already due at that tick were pushed earlier: they keep their
+  // lower seqs, and the moved cohort queues behind them.
+  TickRing& host = rings_[i - 1];
+  settle(ring);
+  for (HopEvent& ev : ring.items) {
+    admit(host, ev.spec);
+    host.items.push_back(std::move(ev));
+  }
+  rings_.pop_front();
+}
+
+bool DataPlane::retire_dying(sim::SimTime when) {
+  TickRing& ring = rings_.front();
+  settle(ring);
+  // Hop by hop, the first forwarding packet of the cohort re-arms the
+  // bridge at now unless it is the cohort's last packet.
+  bool twice = false;
+  std::size_t kept = 0;
+  int min_ttl = 0;
+  for (std::size_t i = 0; i < ring.items.size(); ++i) {
+    HopEvent& ev = ring.items[i];
+    if (ev.packet.ttl == 1) {
+      ev.packet.ttl = 0;
+      finish(ev.packet, PacketFate::kTtlExhausted, ev.node, /*spec=*/true,
+             when);
+      continue;
+    }
+    twice = twice || i + 1 < ring.items.size();
+    min_ttl = kept == 0 ? ev.packet.ttl : std::min(min_ttl, ev.packet.ttl);
+    ring.items[kept++] = std::move(ev);
+  }
+  ring.items.resize(kept);
+  ring.spec_count = static_cast<std::uint32_t>(kept);
+  ring.min_ttl = min_ttl;
+  if (kept == 0) {
+    rings_.pop_front();
+  } else {
+    skip_hop();
+  }
+  return twice;
+}
+
+void DataPlane::skip_ahead() {
+  // Replay the bridge's firings up to the next control event without
+  // returning to the simulator: each one moves a cohort that forwards
+  // whole, retires a speculative cohort's dying packets and moves the
+  // rest, or is the re-armed second firing of a tick.
+  sim::SimTime horizon = sim_.external_horizon();
+  std::uint64_t firings = 0;
+  sim::SimTime last;
+  while (bridge_armed_ && bridge_time_ < horizon) {
+    TickRing& front = rings_.front();
+    const sim::SimTime tick = bridge_time_;
+    if (front.at != tick) {
+      ++firings;  // the re-armed firing finds nothing due
+    } else if (skippable(front)) {
+      // Several forwarding packets make the tick fire twice: the first of
+      // them re-arms the bridge at now.
+      firings += skip_hop() > 1 ? 2 : 1;
+    } else if (front.skips && rings_.size() > 1) {
+      // Packets die here. Their fates go out with the clock at this tick
+      // and the bridge re-armed, exactly as the firing would leave them.
+      ++firings;
+      bridge_time_ = retire_dying(tick) ? tick : rings_.front().at;
+      sim_.credit_external(firings, tick, bridge_time_);
+      firings = 0;
+      flush_fates();
+      horizon = sim_.external_horizon();
+      continue;
+    } else {
+      break;  // a tick to drain hop by hop: fire for real
+    }
+    last = tick;
+    bridge_time_ = rings_.front().at;
+  }
+  if (firings != 0) sim_.credit_external(firings, last, bridge_time_);
+}
+
+void DataPlane::on_fib_change(net::NodeId node, net::Prefix prefix) {
+  if (prefix >= prefix_epoch_.size()) return;
+  ++prefix_epoch_[prefix];
+  if (spec_per_prefix_[prefix] == 0) return;
+  // Packets whose walk passes `node` go back to hop by hop at their exact
+  // current hop; the rest keep walks this change does not touch.
+  const std::size_t stride = destinations_.size();
+  despeculate_if([&](const HopEvent& ev) {
+    return ev.spec && ev.packet.prefix == prefix &&
+           walk_touches(walks_[ev.node * stride + prefix], node);
+  });
+}
+
+template <typename Touched>
+void DataPlane::despeculate_if(const Touched& touched) {
+  for (std::size_t t = 0; t < rings_.size(); ++t) {
+    TickRing& ring = rings_[t];
+    const auto first = ring.items.begin() + static_cast<std::ptrdiff_t>(ring.head);
+    if (ring.spec_count == 0 || std::none_of(first, ring.items.end(), touched)) {
+      continue;
+    }
+    // Settled, a cohort's items sit at their exact current hop. Re-testing
+    // them from there is exact: a walk that misses the changed node from
+    // the cohort's last settle point also misses it from any later one.
+    settle(ring);
+    for (std::size_t i = ring.head; i < ring.items.size(); ++i) {
+      HopEvent& ev = ring.items[i];
+      if (!touched(ev)) continue;
+      ev.spec = false;
+      --ring.spec_count;
+      ring.skips = false;
+      count_spec(ev.packet.prefix, false);
+    }
+  }
+}
+
+void DataPlane::sync_topology() {
+  // Topology changes carry no observer: any bump since the speculative
+  // packets' walks were taken sends them all back to hop by hop.
+  if (spec_items_ != 0 && spec_topo_ != topo_.state_version()) {
+    despeculate_if([](const HopEvent& ev) { return ev.spec; });
   }
 }
 

@@ -16,8 +16,9 @@ namespace bgpsim::fwd {
 /// One node's next-hop table, written by the routing protocol and read by
 /// the data plane on every packet hop.
 ///
-/// An observer hook reports changes; the metrics loop detector uses it to
-/// maintain the global next-hop graph.
+/// Observer hooks report changes: the metrics loop detector maintains the
+/// global next-hop graph from them, the data plane retires speculative
+/// packets whose path changed, and the oracle cross-checks routes.
 class Fib {
  public:
   using Observer = std::function<void(net::Prefix prefix,
@@ -41,14 +42,8 @@ class Fib {
   /// serialized.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Replace every observer with `obs` (the historical single-observer
-  /// behaviour — metrics::LoopDetector::attach relies on it).
-  void set_observer(Observer obs) {
-    observers_.clear();
-    observers_.push_back(std::move(obs));
-  }
-
-  /// Subscribe in addition to the observers already installed.
+  /// Subscribe in addition to the observers already installed; every
+  /// observer sees every change, in registration order.
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
 
   /// Checkpoint the route table (sorted by prefix for determinism).

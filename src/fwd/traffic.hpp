@@ -39,28 +39,11 @@ class TrafficGenerator {
   /// prefix-aware hook: single-prefix runs always report prefix 0.
   using SendHook = std::function<void(net::NodeId source, net::Prefix prefix,
                                       sim::SimTime when)>;
-  /// Legacy prefix-blind hook signature (see the deprecated overload).
-  using LegacySendHook =
-      std::function<void(net::NodeId source, sim::SimTime when)>;
-
   TrafficGenerator(sim::Simulator& simulator, DataPlane& plane,
                    TrafficConfig config, sim::Rng rng)
       : sim_{simulator}, plane_{plane}, config_{config}, rng_{std::move(rng)} {}
 
   void set_send_hook(SendHook h) { on_send_ = std::move(h); }
-
-  [[deprecated("the send hook is prefix-aware now — take (source, prefix, "
-               "when); single-prefix runs report prefix 0")]] void
-  set_send_hook(LegacySendHook h) {
-    on_send_ = [h = std::move(h)](net::NodeId source, net::Prefix,
-                                  sim::SimTime when) { h(source, when); };
-  }
-
-  [[deprecated("use set_send_hook — the one hook carries the prefix "
-               "now")]] void
-  set_prefix_send_hook(SendHook h) {
-    on_send_ = std::move(h);
-  }
 
   /// Begin sending from every node in `sources` at time `start`.
   void start(const std::vector<net::NodeId>& sources, sim::SimTime start);

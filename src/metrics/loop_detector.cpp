@@ -26,20 +26,6 @@ LoopDetector::LoopDetector(std::size_t node_count)
 void LoopDetector::attach(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
                           net::Prefix prefix) {
   for (net::NodeId node = 0; node < fibs.size(); ++node) {
-    fibs[node].set_observer(
-        [this, node, prefix, &simulator](net::Prefix p,
-                                         std::optional<net::NodeId> /*old*/,
-                                         std::optional<net::NodeId> now) {
-          if (p != prefix) return;
-          on_next_hop_change(node, now, simulator.now());
-        });
-  }
-}
-
-void LoopDetector::attach_alongside(sim::Simulator& simulator,
-                                    std::vector<fwd::Fib>& fibs,
-                                    net::Prefix prefix) {
-  for (net::NodeId node = 0; node < fibs.size(); ++node) {
     fibs[node].add_observer(
         [this, node, prefix, &simulator](net::Prefix p,
                                          std::optional<net::NodeId> /*old*/,

@@ -50,17 +50,12 @@ class LoopDetector {
 
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  /// Install FIB observers on every node's Fib, watching `prefix`.
-  /// Replaces any observer previously installed on those FIBs.
+  /// Install FIB observers on every node's Fib, watching `prefix`. They
+  /// subscribe alongside the observers already installed (the data plane,
+  /// the oracle, one detector per prefix in multi-prefix runs), so the
+  /// order of attachment does not matter.
   void attach(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
               net::Prefix prefix);
-
-  /// Like attach, but subscribes *alongside* the observers already
-  /// installed — for multi-prefix runs, where one detector per prefix
-  /// shares the same FIBs (the first detector attaches, the rest attach
-  /// alongside it).
-  void attach_alongside(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
-                        net::Prefix prefix);
 
   /// Manual feed (for tests / custom wiring): node's next hop changed.
   void on_next_hop_change(net::NodeId node, std::optional<net::NodeId> now,

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -39,13 +40,34 @@ void Simulator::arm_external(SimTime when) {
   ext_armed_ = true;
 }
 
+SimTime Simulator::external_horizon() const {
+  if (queue_.empty()) return bulk_end_;
+  return std::min(bulk_end_, queue_.next_time());
+}
+
+void Simulator::credit_external(std::uint64_t firings, SimTime last,
+                                SimTime rearm_at) {
+  if (firings == 0 || last < now_ || rearm_at < last ||
+      !(last < external_horizon())) {
+    throw std::invalid_argument{
+        "Simulator::credit_external: firings outside the handler's horizon"};
+  }
+  fired_ += firings;
+  now_ = last;
+  // One seq per re-arm; the last one is the slot's live tie-break.
+  queue_.set_next_seq(queue_.next_seq() + firings - 1);
+  ext_time_ = rearm_at;
+  ext_seq_ = queue_.take_seq();
+  ext_armed_ = true;
+}
+
 std::uint64_t Simulator::run_until(SimTime limit) {
-  std::uint64_t n = 0;
+  const std::uint64_t fired_before = fired_;
+  bulk_end_ = limit.is_infinite() ? limit : limit + SimTime::micros(1);
   for (;;) {
     if (queue_.empty()) {
       if (!ext_armed_ || ext_time_ > limit) break;
       fire_external();
-      ++n;
       continue;
     }
     // One front observation per iteration: the merge against the external
@@ -58,17 +80,16 @@ std::uint64_t Simulator::run_until(SimTime limit) {
                        (ext_time_ == front_time && ext_seq_ < front.seq))) {
       if (ext_time_ > limit) break;
       fire_external();
-      ++n;
       continue;
     }
     if (front_time > limit) break;
     auto fired = queue_.pop();
     now_ = fired.time;
     ++fired_;
-    ++n;
     fired.callback();
   }
-  return n;
+  // Counted from the ledger: external handlers may credit bulk firings.
+  return fired_ - fired_before;
 }
 
 std::optional<EventId> Simulator::next_coincident_event() const {
@@ -95,6 +116,7 @@ void Simulator::consume_coincident(EventId id) {
 }
 
 bool Simulator::step() {
+  bulk_end_ = now_;  // exactly one event: no bulk external firings
   const bool has_queue = !queue_.empty();
   if (ext_armed_ && (!has_queue || external_first())) {
     fire_external();

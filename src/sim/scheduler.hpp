@@ -111,6 +111,24 @@ class Simulator {
   /// Disarm without firing. No-op if not armed.
   void disarm_external() { ext_armed_ = false; }
 
+  /// Exclusive time bound on firings the slot's owner may account for in
+  /// bulk from inside its running handler (credit_external): the next
+  /// queued event's time, or just past the current run_until limit,
+  /// whichever is earlier. Every seq drawn while the handler runs is larger
+  /// than any queued event's, so a slot firing at exactly the queued
+  /// event's time would come after it — hence the strict bound. Under
+  /// step() nothing may be skipped: the bound is now().
+  [[nodiscard]] SimTime external_horizon() const;
+
+  /// Account for `firings` further firings of the external slot that its
+  /// owner performed inline, from inside the running handler, all before
+  /// external_horizon(): each counts as fired and each re-armed the slot
+  /// once (one tie-break seq apiece). The last fired at `last`, which
+  /// becomes now(), and re-armed the slot at `rearm_at`. events_fired(),
+  /// event_seq() and the slot end up exactly as if the firings had gone
+  /// through the run loop one by one.
+  void credit_external(std::uint64_t firings, SimTime last, SimTime rearm_at);
+
   [[nodiscard]] bool external_armed() const { return ext_armed_; }
 
   /// Number of pending (live) events, counting an armed external slot.
@@ -176,6 +194,9 @@ class Simulator {
   SimTime ext_time_ = SimTime::zero();
   std::uint64_t ext_seq_ = 0;
   bool ext_armed_ = false;
+  /// Exclusive run limit seen by external_horizon(); set by run_until and
+  /// step.
+  SimTime bulk_end_ = SimTime::zero();
 };
 
 }  // namespace bgpsim::sim

@@ -46,6 +46,34 @@ Scenario clique_multiprefix() {
   return s;
 }
 
+/// bgpsim_bench's headline-tdown trial: the paper's 110-node Internet
+/// Tdown, graph 3, destination 65, MRAI 30 s, seed 3.
+Scenario bench_headline_tdown() {
+  Scenario s;
+  s.topology.kind = TopologyKind::kInternet;
+  s.topology.size = 110;
+  s.topology.topo_seed = 3;
+  s.event = EventKind::kTdown;
+  s.bgp.mrai = sim::SimTime::seconds(30);
+  s.seed = 3;
+  s.destination = 65;
+  return s;
+}
+
+/// campaign-fig8's heaviest loop unit: standard BGP on the 16-clique at
+/// seed 1 (its traced scenario, trial 0).
+Scenario bench_fig8_clique16() {
+  Scenario s;
+  s.topology.kind = TopologyKind::kClique;
+  s.topology.size = 16;
+  s.topology.topo_seed = 1;
+  s.event = EventKind::kTdown;
+  s.bgp = s.bgp.with(bgp::Enhancement::kStandard);
+  s.bgp.mrai = sim::SimTime::seconds(30);
+  s.seed = 1;
+  return s;
+}
+
 /// The dimensions whose hot paths the ring store reorders internally:
 /// heavy looping traffic under each enhancement, flap re-arming, policy
 /// routing, and multi-prefix cohorts sharing one drain.
@@ -114,6 +142,35 @@ TEST(DataPlaneDigestEquivTest, RunOptionsLeverIsOutputInvariant) {
     const std::uint64_t heap = digest(
         s, RunOptions{.trials = 2, .jobs = 1, .dataplane_rings = false});
     EXPECT_EQ(rings, heap);
+  }
+}
+
+TEST(DataPlaneDigestEquivTest, BenchInputsArePinnedOnBothBackends) {
+  // The benchmark's own inputs, pinned here so that any drift in the
+  // exactness ledger (skipped hops credited to events_fired, the bridge's
+  // seq order, fate order) fails ctest before anyone runs the bench. The
+  // headline is where speculative cycle delivery does nearly all the work.
+  struct Pin {
+    const char* name;
+    Scenario scenario;
+    std::uint64_t digest;
+    std::uint64_t events_fired;
+  };
+  const Pin pins[] = {
+      {"headline-tdown", bench_headline_tdown(), 0x7fa21cc2dc0305feULL,
+       34'576'585},
+      {"campaign-fig8 clique-16 bgp", bench_fig8_clique16(),
+       0x189063b154df1e0bULL, 3'678'335},
+  };
+  for (const Pin& pin : pins) {
+    for (const bool rings : {true, false}) {
+      SCOPED_TRACE(std::string{pin.name} + (rings ? " rings" : " heap"));
+      const TrialSet set = run_trials(
+          pin.scenario,
+          RunOptions{.trials = 1, .jobs = 1, .dataplane_rings = rings});
+      EXPECT_EQ(svc::trialset_digest(set), pin.digest);
+      EXPECT_EQ(set.runs.front().events_fired, pin.events_fired);
+    }
   }
 }
 

@@ -2,7 +2,11 @@
 // backends replay identical scripted histories — injections, FIB edits,
 // link flaps, same-tick bursts — and must agree on every observable: the
 // ordered fate stream, the counters, the bridge-fire count (events_fired
-// feeds the trial digests), and the serialized hop-store bytes.
+// feeds the trial digests), and the serialized hop-store bytes. The ring
+// store delivers loop-trapped cohorts speculatively, so the suite also
+// checks the ledger at every control event: events fired, the
+// simulator's seq counter (which orders the bridge against control
+// events at the same microsecond), hop counts and the hop-store bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,54 +56,98 @@ struct Op {
   net::Prefix prefix = 0;
   int ttl = kDefaultTtl;
   bool up = true;
+  /// Non-zero: the op is scheduled by a control event `defer` before
+  /// `at`, so its tie-break seq is drawn then — after the bridge's arming
+  /// for a tick at `at` when that arming happened earlier still.
+  sim::SimTime defer;
+};
+
+/// The replay ledger at one control event.
+struct Ledger {
+  std::uint64_t events_fired = 0;
+  std::uint64_t event_seq = 0;
+  std::uint64_t hops = 0;
+  std::size_t in_flight = 0;
+  std::uint64_t bytes_hash = 0;  // FNV-1a of the hop-store save_state
+  bool operator==(const Ledger&) const = default;
 };
 
 struct Observed {
   std::vector<FateRow> fates;
   DataPlane::Counters counters;
   std::uint64_t events_fired = 0;
+  std::uint64_t event_seq = 0;
   std::size_t in_flight = 0;
   std::vector<std::uint8_t> bytes;  // save_state payload at probe_at
+  std::vector<Ledger> ledger;       // one entry per applied op
+  std::uint64_t speculative_hops = 0;
 };
 
 constexpr std::size_t kNodes = 6;
 
-/// Replay `script` on a fresh 6-ring under the given backend. At
-/// `probe_at` the hop store is serialized (and, when `roundtrip` is set,
-/// restored in place and re-serialized — the round-trip must be invisible
-/// downstream).
-Observed execute(PlaneBackend backend, const std::vector<Op>& script,
-                 sim::SimTime probe_at, bool roundtrip = false) {
-  sim::Simulator sim;
+/// The graph and destination table a script runs on.
+struct Graph {
   net::Topology topo = topo::make_ring(kNodes);
+  std::vector<net::NodeId> destinations = {0, 1};  // prefix 0 at 0, 1 at 1
+};
+
+std::uint64_t fnv(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Replay `script` under the given backend. At `probe_at` the hop store
+/// is serialized (and, when `roundtrip` is set, restored in place and
+/// re-serialized — the round-trip must be invisible downstream).
+Observed execute(PlaneBackend backend, const std::vector<Op>& script,
+                 sim::SimTime probe_at, bool roundtrip = false,
+                 Graph setup = {}) {
+  sim::Simulator sim;
+  net::Topology& topo = setup.topo;
   std::vector<Fib> fibs(topo.node_count());
   DataPlaneOptions options;
-  options.destinations = {0, 1};  // prefix 0 lives at node 0, prefix 1 at 1
+  options.destinations = setup.destinations;
   options.backend = backend;
   DataPlane plane{sim, topo, fibs, std::move(options)};
   FateRecorder recorder;
   plane.set_fate_sink(&recorder);
+  Observed out;
 
+  const auto apply = [&](const Op& op) {
+    switch (op.kind) {
+      case Op::Kind::kInject:
+        plane.inject(Injection{op.a, op.prefix, op.ttl});
+        break;
+      case Op::Kind::kSetRoute:
+        fibs[op.a].set_next_hop(op.prefix, op.b);
+        break;
+      case Op::Kind::kClearRoute:
+        fibs[op.a].clear_route(op.prefix);
+        break;
+      case Op::Kind::kLinkToggle:
+        topo.set_link_state(*topo.link_between(op.a, op.b), op.up);
+        break;
+    }
+    snap::Writer w;
+    plane.save_state(w);
+    out.ledger.push_back(Ledger{sim.events_fired(), sim.event_seq(),
+                                plane.counters().hops, plane.in_flight(),
+                                fnv(std::move(w).take())});
+  };
   for (const Op& op : script) {
-    sim.schedule_at(op.at, [&, op] {
-      switch (op.kind) {
-        case Op::Kind::kInject:
-          plane.inject(Injection{op.a, op.prefix, op.ttl});
-          break;
-        case Op::Kind::kSetRoute:
-          fibs[op.a].set_next_hop(op.prefix, op.b);
-          break;
-        case Op::Kind::kClearRoute:
-          fibs[op.a].clear_route(op.prefix);
-          break;
-        case Op::Kind::kLinkToggle:
-          topo.set_link_state(*topo.link_between(op.a, op.b), op.up);
-          break;
-      }
-    });
+    if (op.defer == sim::SimTime::zero()) {
+      sim.schedule_at(op.at, [&apply, op] { apply(op); });
+    } else {
+      sim.schedule_at(op.at - op.defer, [&sim, &apply, op] {
+        sim.schedule_at(op.at, [&apply, op] { apply(op); });
+      });
+    }
   }
 
-  Observed out;
   sim.schedule_at(probe_at, [&] {
     snap::Writer w;
     plane.save_state(w);
@@ -118,7 +166,9 @@ Observed execute(PlaneBackend backend, const std::vector<Op>& script,
   out.fates = recorder.rows;
   out.counters = plane.counters();
   out.events_fired = sim.events_fired();
+  out.event_seq = sim.event_seq();
   out.in_flight = plane.in_flight();
+  out.speculative_hops = plane.speculative_hops();
   return out;
 }
 
@@ -131,8 +181,26 @@ void expect_equal(const Observed& heap, const Observed& rings) {
   EXPECT_EQ(heap.counters.link_down, rings.counters.link_down);
   EXPECT_EQ(heap.counters.hops, rings.counters.hops);
   EXPECT_EQ(heap.events_fired, rings.events_fired);
+  EXPECT_EQ(heap.event_seq, rings.event_seq);
   EXPECT_EQ(heap.in_flight, rings.in_flight);
   EXPECT_EQ(heap.bytes, rings.bytes);
+  ASSERT_EQ(heap.ledger.size(), rings.ledger.size());
+  for (std::size_t i = 0; i < heap.ledger.size(); ++i) {
+    EXPECT_EQ(heap.ledger[i], rings.ledger[i]) << "at control event " << i;
+  }
+  EXPECT_EQ(heap.speculative_hops, 0u);
+}
+
+/// Run `script` on both backends, require every observable to agree, and
+/// return the ring run.
+Observed differential(const std::vector<Op>& script, sim::SimTime probe,
+                      const Graph& setup = {}, bool roundtrip = false) {
+  const Observed heap =
+      execute(PlaneBackend::kHeap, script, probe, roundtrip, setup);
+  Observed rings =
+      execute(PlaneBackend::kRings, script, probe, roundtrip, setup);
+  expect_equal(heap, rings);
+  return rings;
 }
 
 /// Routes every node around the ring toward node 0 on both prefixes
@@ -317,6 +385,295 @@ TEST(DataPlaneBackendTest, SerializedBytesAreBackendInvariantWhileLooping) {
   // 89-byte fixed prologue plus 60 bytes per serialized hop event.
   EXPECT_GE(heap.bytes.size(), 89u + 60u);
   EXPECT_EQ(heap.counters.ttl_exhausted, 8u);
+}
+
+// ---- speculative cycle delivery edge cases ---------------------------------
+
+sim::SimTime ms(std::int64_t v) { return sim::SimTime::millis(v); }
+
+Op inject_at(sim::SimTime at, net::NodeId source, net::Prefix prefix = 0,
+             int ttl = kDefaultTtl) {
+  return Op{.kind = Op::Kind::kInject,
+            .at = at,
+            .a = source,
+            .prefix = prefix,
+            .ttl = ttl};
+}
+
+Op route_at(sim::SimTime at, net::NodeId node, net::NodeId next,
+            net::Prefix prefix = 0) {
+  return Op{.kind = Op::Kind::kSetRoute,
+            .at = at,
+            .a = node,
+            .b = next,
+            .prefix = prefix};
+}
+
+Op link_at(sim::SimTime at, net::NodeId a, net::NodeId b, bool up) {
+  return Op{.kind = Op::Kind::kLinkToggle, .at = at, .a = a, .b = b, .up = up};
+}
+
+/// Route `cycle[i]` to `cycle[i + 1]` (wrapping) for `prefix` at time 0.
+void add_cycle(std::vector<Op>& ops, const std::vector<net::NodeId>& cycle,
+               net::Prefix prefix = 0) {
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    ops.push_back(route_at(sim::SimTime::zero(), cycle[i],
+                           cycle[(i + 1) % cycle.size()], prefix));
+  }
+}
+
+/// Ring routes plus a 3 <-> 4 loop on prefix 0, fed by a source at node 4
+/// every 40 ms from t = 1 ms (so its packets share the odd-ms lattice).
+std::vector<Op> two_loop_traffic(int packets = 8) {
+  std::vector<Op> ops = ring_routes();
+  ops.push_back(route_at(sim::SimTime::zero(), 3, 4));
+  ops.push_back(route_at(sim::SimTime::zero(), 4, 3));
+  for (int j = 0; j < packets; ++j) ops.push_back(inject_at(ms(1 + 40 * j), 4));
+  return ops;
+}
+
+TEST(DataPlaneBackendTest, CycleLengthsTwoToEight) {
+  // Every cycle length from 2 to 8 on a clique, with TTLs that are and
+  // are not multiples of the cycle length; packets from one source share
+  // a lattice, so their cohort moves as one block between deaths.
+  for (std::size_t len = 2; len <= 8; ++len) {
+    SCOPED_TRACE("cycle length " + std::to_string(len));
+    Graph setup{topo::make_clique(10), {0}};
+    std::vector<Op> script;
+    std::vector<net::NodeId> cycle;
+    for (std::size_t i = 1; i <= len; ++i) {
+      cycle.push_back(static_cast<net::NodeId>(i));
+    }
+    add_cycle(script, cycle);
+    const int ttls[] = {kDefaultTtl, kDefaultTtl - 1,
+                        static_cast<int>(4 * len + 1), 61};
+    for (int j = 0; j < 12; ++j) {
+      script.push_back(
+          inject_at(ms(1 + 20 * j), 1, 0, ttls[static_cast<std::size_t>(j) % 4]));
+    }
+    const Observed rings = differential(script, ms(97), setup);
+    EXPECT_EQ(rings.counters.ttl_exhausted, 12u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+}
+
+TEST(DataPlaneBackendTest, TailIntoCycle) {
+  // 7 -> 6 -> 5 -> 4 feeds the 1 -> 2 -> 3 cycle; some TTLs run out on
+  // the tail, the rest circle until they die.
+  Graph setup{topo::make_clique(10), {0}};
+  std::vector<Op> script;
+  add_cycle(script, {1, 2, 3});
+  script.push_back(route_at(sim::SimTime::zero(), 7, 6));
+  script.push_back(route_at(sim::SimTime::zero(), 6, 5));
+  script.push_back(route_at(sim::SimTime::zero(), 5, 4));
+  script.push_back(route_at(sim::SimTime::zero(), 4, 1));
+  for (int j = 0; j < 10; ++j) {
+    script.push_back(inject_at(ms(1 + 30 * j), 7, 0, j % 3 == 0 ? 3 : 100 + j));
+    script.push_back(inject_at(ms(1 + 30 * j), 5));
+  }
+  const Observed rings = differential(script, ms(151), setup);
+  EXPECT_EQ(rings.counters.ttl_exhausted, 20u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, FibChangeAtSkippedTickUnderBothSeqOrders) {
+  // Node 4 loses its route exactly at 81 ms, a tick the cohort would skip
+  // and at which its packets arrive at node 4: once ordered before the
+  // bridge's firing at that tick, once after its first firing there.
+  const Op cut{.kind = Op::Kind::kClearRoute, .at = ms(81), .a = 4};
+  std::vector<Op> before = two_loop_traffic();
+  before.push_back(cut);
+  std::vector<Op> after = two_loop_traffic();
+  Op late = cut;
+  late.defer = ms(1);
+  after.push_back(late);
+  const Observed first = differential(before, ms(80));
+  const Observed second = differential(after, ms(80));
+  EXPECT_GT(first.speculative_hops, 0u);
+  EXPECT_GT(second.speculative_hops, 0u);
+  // The two orders really are different histories.
+  EXPECT_NE(first.fates, second.fates);
+  EXPECT_GT(first.counters.no_route, 0u);
+}
+
+TEST(DataPlaneBackendTest, ControlEventAtATickSchedulesTwoMsLater) {
+  // Control events at lattice ticks schedule work for the next tick: an
+  // injection into the loop and a FIB flip, both drawn after the bridge.
+  std::vector<Op> script = two_loop_traffic();
+  Op join = inject_at(ms(123), 3);
+  join.defer = ms(2);
+  script.push_back(join);
+  Op flip = route_at(ms(203), 4, 5);
+  flip.defer = ms(2);
+  script.push_back(flip);
+  Op back = route_at(ms(243), 4, 3);
+  back.defer = ms(2);
+  script.push_back(back);
+  const Observed rings = differential(script, ms(200));
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, LinkFlapOnACycleLink) {
+  // The 3 - 4 link fails at a skipped tick and comes back 20 ms later:
+  // the speculating cohort must drop at its exact hop (kLinkDown) and the
+  // packets injected after the repair must loop again.
+  std::vector<Op> script = two_loop_traffic(10);
+  script.push_back(link_at(ms(101), 3, 4, false));
+  script.push_back(link_at(ms(121), 3, 4, true));
+  const Observed rings = differential(script, ms(110));
+  EXPECT_GT(rings.counters.link_down, 0u);
+  EXPECT_GT(rings.counters.ttl_exhausted, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, SaveRestoreMidSpeculation) {
+  // Serialize while a cohort is mid-speculation: the bytes must be the
+  // heap's, and restoring them in place must leave the run unchanged.
+  const std::vector<Op> script = two_loop_traffic();
+  const sim::SimTime probe = ms(100) + sim::SimTime::micros(1);
+  const Observed plain = differential(script, probe);
+  const Observed cycled = differential(script, probe, Graph{}, true);
+  EXPECT_EQ(plain.fates, cycled.fates);
+  EXPECT_EQ(plain.bytes, cycled.bytes);
+  EXPECT_EQ(plain.events_fired, cycled.events_fired);
+  EXPECT_GT(plain.speculative_hops, 0u);
+  // A probe mid-flight holds packets: more than the fixed prologue.
+  EXPECT_GE(plain.bytes.size(), 89u + 60u);
+}
+
+TEST(DataPlaneBackendTest, SourcesCollidingModTwoMsShareACohort) {
+  // Sources 2 and 5 (5 feeds the 2 -> 3 -> 4 cycle) inject on the same
+  // 2 ms lattice — sometimes at the same microsecond — so their packets
+  // share cohorts in every arrangement of seq order.
+  Graph setup{topo::make_clique(8), {0}};
+  std::vector<Op> script;
+  add_cycle(script, {2, 3, 4});
+  script.push_back(route_at(sim::SimTime::zero(), 5, 2));
+  for (int j = 0; j < 8; ++j) {
+    script.push_back(inject_at(ms(1 + 30 * j), 2));
+    script.push_back(inject_at(ms(1 + 30 * j + 2 * (j % 3)), 5));
+  }
+  const Observed rings = differential(script, ms(121), setup);
+  EXPECT_EQ(rings.counters.ttl_exhausted, 16u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, MultiPrefixStreams) {
+  // Both prefixes loop over 3 <-> 4 and share cohorts; a FIB change on
+  // prefix 1 must leave prefix 0's packets speculating.
+  std::vector<Op> script = ring_routes();
+  for (net::Prefix p = 0; p < 2; ++p) {
+    script.push_back(route_at(sim::SimTime::zero(), 3, 4, p));
+    script.push_back(route_at(sim::SimTime::zero(), 4, 3, p));
+  }
+  for (int j = 0; j < 8; ++j) {
+    script.push_back(inject_at(ms(1 + 40 * j), 4, 0));
+    script.push_back(inject_at(ms(1 + 40 * j), 4, 1));
+  }
+  script.push_back(route_at(ms(141), 3, 2, 1));
+  script.push_back(route_at(ms(201), 3, 4, 1));
+  const Observed rings = differential(script, ms(150));
+  EXPECT_GT(rings.counters.delivered, 0u);
+  EXPECT_GT(rings.counters.ttl_exhausted, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, HeterogeneousLinkDelays) {
+  // A uniform 3 ms cycle, a uniform 2 ms cycle and a mixed-delay cycle,
+  // all fed from node 9: cohorts of different delays collide at shared
+  // ticks, and the mixed cycle never speculates.
+  net::Topology topo{10};
+  topo.add_link(0, 1, ms(2));
+  topo.add_link(1, 2, ms(3));
+  topo.add_link(2, 3, ms(3));
+  topo.add_link(3, 1, ms(3));
+  topo.add_link(4, 5, ms(2));
+  topo.add_link(6, 7, ms(1));
+  topo.add_link(7, 8, ms(2));
+  topo.add_link(8, 6, ms(2));
+  topo.add_link(9, 1, ms(3));
+  topo.add_link(9, 4, ms(2));
+  topo.add_link(9, 6, ms(1));
+  topo.add_link(1, 4, ms(5));
+  Graph setup{std::move(topo), {0}};
+  std::vector<Op> script;
+  add_cycle(script, {1, 2, 3});
+  add_cycle(script, {4, 5});
+  add_cycle(script, {6, 7, 8});
+  script.push_back(route_at(sim::SimTime::zero(), 9, 1));
+  for (int j = 0; j < 6; ++j) {
+    script.push_back(inject_at(ms(1 + 6 * j), 1));
+    script.push_back(inject_at(ms(1 + 6 * j), 4));
+    script.push_back(inject_at(ms(1 + 6 * j), 6));
+    script.push_back(inject_at(ms(2 + 6 * j), 9));
+  }
+  script.push_back(route_at(ms(20), 9, 4));
+  script.push_back(route_at(ms(40), 9, 6));
+  script.push_back(route_at(ms(301), 2, 1));  // cycle shrinks to 1 <-> 2
+  script.push_back(route_at(ms(333), 5, 9));  // 4 -> 5 -> 9 -> 6 (mixed)
+  script.push_back(route_at(ms(401), 1, 0));  // the 1-cycle delivers
+  const Observed rings = differential(script, ms(250), setup);
+  EXPECT_GT(rings.counters.ttl_exhausted, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, RandomLoopingHistoriesAgree) {
+  // Seed-derived stress: an 8-clique with mixed link delays, random
+  // forwarding graphs on two prefixes (so loops of every length), CBR
+  // sources on random phases, and FIB flips, route clears and link flaps
+  // landing at arbitrary microseconds — some deferred behind the bridge.
+  std::uint64_t speculated = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng{seed};
+    constexpr std::size_t kClique = 8;
+    net::Topology topo{kClique};
+    for (net::NodeId a = 0; a < kClique; ++a) {
+      for (net::NodeId b = a + 1; b < kClique; ++b) {
+        topo.add_link(a, b, ms(rng.chance(0.8) ? 2 : rng.uniform_int(1, 3)));
+      }
+    }
+    const auto other = [&](net::NodeId v) {
+      return static_cast<net::NodeId>(
+          (v + 1 + rng.next_below(kClique - 1)) % kClique);
+    };
+    std::vector<Op> script;
+    for (net::NodeId v = 0; v < kClique; ++v) {
+      for (net::Prefix p = 0; p < 2; ++p) {
+        if (v != p) script.push_back(route_at(sim::SimTime::zero(), v, other(v), p));
+      }
+    }
+    for (net::NodeId v = 2; v < kClique; ++v) {
+      const auto phase = static_cast<std::int64_t>(rng.next_below(20'000));
+      for (int j = 0; j < 15; ++j) {
+        script.push_back(inject_at(sim::SimTime::micros(phase + 20'000 * j), v,
+                                   static_cast<net::Prefix>(j % 2)));
+      }
+    }
+    for (int i = 0; i < 40; ++i) {
+      const auto at = sim::SimTime::micros(
+          static_cast<std::int64_t>(1 + rng.next_below(400'000)));
+      const auto v = static_cast<net::NodeId>(rng.next_below(kClique));
+      const auto p = static_cast<net::Prefix>(rng.next_below(2));
+      Op op = rng.chance(0.15)
+                  ? link_at(at, v, other(v), rng.chance(0.5))
+                  : (rng.chance(0.2) ? Op{.kind = Op::Kind::kClearRoute,
+                                          .at = at, .a = v, .prefix = p}
+                                     : route_at(at, v, other(v), p));
+      if (rng.chance(0.3)) {
+        op.defer = sim::SimTime::micros(
+            static_cast<std::int64_t>(1 + rng.next_below(3'000)));
+        if (op.defer > op.at) op.defer = op.at;
+      }
+      script.push_back(op);
+    }
+    const sim::SimTime probe = sim::SimTime::micros(
+        static_cast<std::int64_t>(1 + rng.next_below(300'000)));
+    const Observed rings = differential(script, probe, Graph{std::move(topo), {0, 1}},
+                                        seed % 2 == 0);
+    speculated += rings.speculative_hops;
+  }
+  EXPECT_GT(speculated, 0u);
 }
 
 }  // namespace

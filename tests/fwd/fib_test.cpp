@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "metrics/loop_detector.hpp"
+#include "sim/scheduler.hpp"
+
 namespace bgpsim::fwd {
 namespace {
 
@@ -55,7 +58,7 @@ struct Change {
 TEST(Fib, ObserverSeesTransitions) {
   Fib fib;
   std::vector<Change> changes;
-  fib.set_observer([&](net::Prefix p, std::optional<net::NodeId> prev,
+  fib.add_observer([&](net::Prefix p, std::optional<net::NodeId> prev,
                        std::optional<net::NodeId> now) {
     changes.push_back(Change{p, prev, now});
   });
@@ -72,6 +75,41 @@ TEST(Fib, ObserverSeesTransitions) {
   EXPECT_EQ(changes[1].current, 6u);
   EXPECT_EQ(changes[2].previous, 6u);
   EXPECT_EQ(changes[2].current, std::nullopt);
+}
+
+TEST(Fib, ObserverRegisteredBeforeDetectorAttachSeesEveryChange) {
+  // The data plane subscribes when it is constructed, before the loop
+  // detector attaches: attaching must add to the observers, not replace
+  // them.
+  sim::Simulator sim;
+  std::vector<Fib> fibs(3);
+  std::vector<std::pair<std::size_t, Change>> early;
+  for (std::size_t node = 0; node < fibs.size(); ++node) {
+    fibs[node].add_observer([&early, node](net::Prefix p,
+                                           std::optional<net::NodeId> prev,
+                                           std::optional<net::NodeId> now) {
+      early.emplace_back(node, Change{p, prev, now});
+    });
+  }
+  metrics::LoopDetector detector{fibs.size()};
+  detector.attach(sim, fibs, 0);
+
+  fibs[1].set_next_hop(0, 2);
+  fibs[2].set_next_hop(0, 1);  // closes a 1 <-> 2 loop
+  fibs[2].set_next_hop(1, 0);  // another prefix: the detector ignores it
+  fibs[1].clear_route(0);      // resolves the loop
+
+  ASSERT_EQ(early.size(), 4u);
+  EXPECT_EQ(early[0].first, 1u);
+  EXPECT_EQ(early[1].first, 2u);
+  EXPECT_EQ(early[2].second.prefix, 1u);
+  EXPECT_EQ(early[3].first, 1u);
+  EXPECT_EQ(early[3].second.previous, 2u);
+  EXPECT_EQ(early[3].second.current, std::nullopt);
+  // ...and the detector, attached second, saw the loop form and resolve.
+  detector.finalize(sim.now());
+  ASSERT_EQ(detector.records().size(), 1u);
+  EXPECT_TRUE(detector.records()[0].resolved_at.has_value());
 }
 
 }  // namespace

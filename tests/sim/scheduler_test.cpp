@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace bgpsim::sim {
@@ -135,6 +137,52 @@ TEST(Simulator, RunUntilReturnsFiredCount) {
   }
   EXPECT_EQ(sim.run_until(SimTime::millis(4)), 4u);
   EXPECT_EQ(sim.run_until(SimTime::millis(100)), 6u);
+}
+
+TEST(Simulator, CreditExternalAccountsBulkFirings) {
+  // The slot's owner replays three firings inline (the last at 5 us,
+  // re-armed at 7 us): the ledger must read as if the run loop had fired
+  // them one by one — fired count, clock, one seq per re-arm.
+  Simulator sim;
+  std::vector<std::pair<std::int64_t, std::string>> order;
+  int calls = 0;
+  sim.set_external_handler([&] {
+    order.emplace_back(sim.now().as_micros(), "slot");
+    if (++calls == 1) {
+      EXPECT_EQ(sim.external_horizon(), SimTime::micros(10));
+      // Bulk firings may not reach the queued event's time.
+      EXPECT_THROW(sim.credit_external(1, SimTime::micros(10),
+                                       SimTime::micros(10)),
+                   std::invalid_argument);
+      sim.credit_external(3, SimTime::micros(5), SimTime::micros(7));
+      EXPECT_EQ(sim.now(), SimTime::micros(5));
+    }
+  });
+  sim.schedule_at(SimTime::micros(10),
+                  [&] { order.emplace_back(sim.now().as_micros(), "event"); });
+  sim.arm_external(SimTime::micros(1));
+  const std::uint64_t seq_before = sim.event_seq();
+  EXPECT_EQ(sim.run(), 6u);  // 1 + 3 credited + the re-armed slot + event
+  EXPECT_EQ(sim.events_fired(), 6u);
+  // Three re-arms drawn by the credited firings; the slot's second real
+  // firing does not re-arm.
+  EXPECT_EQ(sim.event_seq(), seq_before + 3);
+  const std::vector<std::pair<std::int64_t, std::string>> expected = {
+      {1, "slot"}, {7, "slot"}, {10, "event"}};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Simulator, ExternalHorizonFollowsTheRunLimitAndStep) {
+  Simulator sim;
+  std::vector<SimTime> horizons;
+  sim.set_external_handler([&] { horizons.push_back(sim.external_horizon()); });
+  sim.arm_external(SimTime::micros(3));
+  sim.run_until(SimTime::micros(8));  // empty queue: just past the limit
+  sim.arm_external(SimTime::micros(9));
+  EXPECT_TRUE(sim.step());  // step(): nothing may be replayed inline
+  ASSERT_EQ(horizons.size(), 2u);
+  EXPECT_EQ(horizons[0], SimTime::micros(9));
+  EXPECT_EQ(horizons[1], SimTime::micros(3));
 }
 
 }  // namespace
