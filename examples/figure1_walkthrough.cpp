@@ -35,7 +35,7 @@ int main() {
                           sim::Rng{7}};
 
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(simulator, network.fibs(), kP);
+  metrics::LoopDetector::attach(simulator, network.fibs(), {&detector, 1});
 
   // Narrate every best-path change and every loop event.
   network.set_hooks(bgp::Speaker::Hooks{

@@ -6,11 +6,12 @@
 // current one is sent at expiry — intermediate flaps are never sent at all.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "bgp/peer_plane.hpp"
 #include "net/types.hpp"
 #include "sim/scheduler.hpp"
 #include "snap/codec.hpp"
@@ -56,33 +57,42 @@ class MraiTimers {
   void cancel_peer(net::NodeId peer, sim::Simulator& simulator);
 
   /// True if any running timer holds a pending decision — i.e. protocol
-  /// work is still queued behind MRAI.
-  [[nodiscard]] bool any_pending() const;
+  /// work is still queued behind MRAI. O(1): a count is kept.
+  [[nodiscard]] bool any_pending() const { return pending_count_ > 0; }
 
-  [[nodiscard]] std::size_t running_count() const { return timers_.size(); }
+  [[nodiscard]] std::size_t running_count() const { return running_count_; }
 
-  /// Checkpoint codec. Only the bookkeeping map is serialized; the expiry
-  /// events themselves live in the event queue. An in-place restore pairs
-  /// the map back up with the still-scheduled closures (which capture keys
-  /// by value); a fresh restore is only valid when no timers are running.
+  /// Checkpoint codec. Only the bookkeeping is serialized, in ascending
+  /// (peer, prefix) order; the expiry events themselves live in the event
+  /// queue. An in-place restore pairs the planes back up with the
+  /// still-scheduled closures (which capture keys by value); a fresh
+  /// restore is only valid when no timers are running.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
  private:
   struct State {
+    sim::EventId ev{};  // value 0: not running
     bool pending = false;
-    sim::EventId ev{};
   };
-  using Key = std::pair<net::NodeId, net::Prefix>;
 
   /// Expiry entry point for the scheduled closure: under burst delivery
   /// (wheel backend) it additionally consumes every immediately following
   /// event that is one of this object's own timers due at the same
-  /// instant, then dispatches the whole batch.
-  void fire(const Key& key, sim::Simulator& simulator);
+  /// instant, then dispatches the whole batch. Each timer's event carries
+  /// its (peer, prefix) as the scheduler tag, so matching the next event
+  /// to a timer is one plane lookup.
+  void fire(net::NodeId peer, net::Prefix prefix, sim::Simulator& simulator);
 
-  // std::map keeps iteration deterministic for cancel_peer / any_pending.
-  std::map<Key, State> timers_;
+  [[nodiscard]] static bool is_running(const State* st) {
+    return st != nullptr && st->ev.value != 0;
+  }
+  /// Mark a running timer stopped (fired, consumed or cancelled).
+  void stop(State& st);
+
+  PeerPlane<State> timers_;
+  std::size_t running_count_ = 0;
+  std::size_t pending_count_ = 0;  // running timers holding a decision
   ExpiryHandler on_expiry_;
   BurstHandler on_burst_;
   std::vector<Expiry> batch_;  // reused across fires; no steady-state alloc

@@ -93,7 +93,7 @@ void save_update_msg(snap::Writer& w, const UpdateMsg& msg) {
 
 UpdateMsg load_update_msg(snap::Reader& r) {
   UpdateMsg msg;
-  msg.prefix = r.u32();
+  msg.prefix = snap::read_prefix(r);
   if (r.b()) msg.path = AsPath::load(r);
   return msg;
 }

@@ -113,7 +113,7 @@ void Speaker::apply_update(net::NodeId from, const UpdateMsg& update) {
           assert_on_announce(adj_rib_in_, prefix, from, *update.path);
     }
   }
-  sim::LogLine{sim::LogLevel::kTrace, "bgp", sim_.now()}
+  BGPSIM_LOG(sim::LogLevel::kTrace, "bgp", sim_.now())
       << "node " << self_ << " recv from " << from << ": "
       << update.to_string();
 }
@@ -130,13 +130,7 @@ void Speaker::handle_session(net::NodeId peer, bool up) {
 
   peers_.erase(peer);
   mrai_.cancel_peer(peer, sim_);
-  for (auto it = advertised_.begin(); it != advertised_.end();) {
-    if (it->first.first == peer) {
-      it = advertised_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  advertised_.drop(peer);
 
   // Gather every prefix that might be affected before mutating the RIB.
   std::set<net::Prefix> prefixes;
@@ -199,7 +193,7 @@ void Speaker::run_decision(net::Prefix prefix) {
   } else {
     fib_.clear_route(prefix);
   }
-  sim::LogLine{sim::LogLevel::kDebug, "bgp", sim_.now()}
+  BGPSIM_LOG(sim::LogLevel::kDebug, "bgp", sim_.now())
       << "node " << self_ << " best path p" << prefix << " -> "
       << (new_loc ? new_loc->to_string() : "(unreachable)");
   if (hooks_.on_best_changed) hooks_.on_best_changed(self_, prefix, new_loc);
@@ -238,14 +232,14 @@ UpdateMsg Speaker::desired_update(net::NodeId peer, net::Prefix prefix,
 
 bool Speaker::already_advertised(net::NodeId peer, net::Prefix prefix,
                                  const UpdateMsg& desired) const {
-  auto it = advertised_.find({peer, prefix});
-  const Advertised::Kind kind =
-      it == advertised_.end() ? Advertised::Kind::kNotSent : it->second.kind;
+  const Advertised* adv = advertised_.find(peer, prefix);
+  const bool announced =
+      adv != nullptr && adv->kind == Advertised::Kind::kAnnounced;
   if (desired.is_withdrawal()) {
     // Nothing to retract if the peer never heard an announcement from us.
-    return kind != Advertised::Kind::kAnnounced;
+    return !announced;
   }
-  return kind == Advertised::Kind::kAnnounced && it->second.path == *desired.path;
+  return announced && adv->path == *desired.path;
 }
 
 void Speaker::consider_send(net::NodeId peer, net::Prefix prefix) {
@@ -272,7 +266,7 @@ void Speaker::consider_send_with(net::NodeId peer, net::Prefix prefix,
 
 void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
                           UpdateMsg update) {
-  auto& adv = advertised_[{peer, prefix}];
+  Advertised& adv = advertised_.at(peer, prefix);
   if (update.is_withdrawal()) {
     adv.kind = Advertised::Kind::kWithdrawn;
     adv.path = AsPath{};
@@ -283,7 +277,7 @@ void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
     ++counters_.announcements_sent;
   }
 
-  sim::LogLine{sim::LogLevel::kTrace, "bgp", sim_.now()}
+  BGPSIM_LOG(sim::LogLevel::kTrace, "bgp", sim_.now())
       << "node " << self_ << " send to " << peer << ": " << update.to_string();
 
   const bool start_timer =
@@ -356,11 +350,8 @@ void Speaker::on_mrai_burst(const std::vector<MraiTimers::Expiry>& batch) {
 void Speaker::ghost_flush(net::Prefix prefix) {
   for (net::NodeId peer : peers_) {
     if (!mrai_.running(peer, prefix)) continue;  // announce not delayed
-    auto it = advertised_.find({peer, prefix});
-    if (it == advertised_.end() ||
-        it->second.kind != Advertised::Kind::kAnnounced) {
-      continue;
-    }
+    const Advertised* adv = advertised_.find(peer, prefix);
+    if (adv == nullptr || adv->kind != Advertised::Kind::kAnnounced) continue;
     ++counters_.ghost_flushes;
     send_update(peer, prefix, UpdateMsg::withdraw(prefix));
     // The (longer) replacement path follows at MRAI expiry.
@@ -382,12 +373,23 @@ void Speaker::save_state(snap::Writer& w) const {
     w.u32(prefix);
     w.u64(lost_length);
   }
-  w.u64(advertised_.size());
-  for (const auto& [key, adv] : advertised_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.u8(static_cast<std::uint8_t>(adv.kind));
-    adv.path.save(w);
+  // Sent cells in ascending (peer, prefix) order, count first.
+  std::uint64_t sent = 0;
+  for (const auto& row : advertised_.rows()) {
+    for (const Advertised& adv : row.cells) {
+      if (adv.kind != Advertised::Kind::kNotSent) ++sent;
+    }
+  }
+  w.u64(sent);
+  for (const auto& row : advertised_.rows()) {
+    for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
+      const Advertised& adv = row.cells[prefix];
+      if (adv.kind == Advertised::Kind::kNotSent) continue;
+      w.u32(row.peer);
+      w.u32(prefix);
+      w.u8(static_cast<std::uint8_t>(adv.kind));
+      adv.path.save(w);
+    }
   }
   w.u64(counters_.announcements_sent);
   w.u64(counters_.withdrawals_sent);
@@ -407,14 +409,16 @@ void Speaker::restore_state(snap::Reader& r) {
   for (std::uint64_t i = 0; i < n_peers; ++i) peers_.insert(r.u32());
   originated_.clear();
   const std::uint64_t n_origins = r.u64();
-  for (std::uint64_t i = 0; i < n_origins; ++i) originated_.insert(r.u32());
+  for (std::uint64_t i = 0; i < n_origins; ++i) {
+    originated_.insert(snap::read_prefix(r));
+  }
   adj_rib_in_.restore_state(r);
   loc_rib_.restore_state(r);
   mrai_.restore_state(r);
   caution_lost_length_.clear();
   const std::uint64_t n_caution = r.u64();
   for (std::uint64_t i = 0; i < n_caution; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     const std::uint64_t lost_length = r.u64();
     caution_lost_length_.emplace(prefix,
                                  static_cast<std::size_t>(lost_length));
@@ -423,11 +427,18 @@ void Speaker::restore_state(snap::Reader& r) {
   const std::uint64_t n_adv = r.u64();
   for (std::uint64_t i = 0; i < n_adv; ++i) {
     const net::NodeId peer = r.u32();
-    const net::Prefix prefix = r.u32();
-    Advertised adv;
-    adv.kind = static_cast<Advertised::Kind>(r.u8());
-    adv.path = AsPath::load(r);
-    advertised_.emplace(std::pair{peer, prefix}, std::move(adv));
+    const net::Prefix prefix = snap::read_prefix(r);
+    const std::uint8_t kind = r.u8();
+    if (kind != static_cast<std::uint8_t>(Advertised::Kind::kAnnounced) &&
+        kind != static_cast<std::uint8_t>(Advertised::Kind::kWithdrawn)) {
+      throw snap::FormatError{"advertised entry with unknown kind " +
+                              std::to_string(kind)};
+    }
+    AsPath path = AsPath::load(r);
+    Advertised& adv = advertised_.at(peer, prefix);
+    if (adv.kind != Advertised::Kind::kNotSent) continue;  // first one wins
+    adv.kind = static_cast<Advertised::Kind>(kind);
+    adv.path = std::move(path);
   }
   counters_.announcements_sent = r.u64();
   counters_.withdrawals_sent = r.u64();

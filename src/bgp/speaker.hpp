@@ -14,6 +14,7 @@
 #include "bgp/decision.hpp"
 #include "bgp/messages.hpp"
 #include "bgp/mrai.hpp"
+#include "bgp/peer_plane.hpp"
 #include "bgp/rib.hpp"
 #include "fwd/fib.hpp"
 #include "net/channel.hpp"
@@ -215,7 +216,8 @@ class Speaker {
   /// Prefixes under backup caution: adoption of paths longer than the
   /// recorded lost length is suppressed until the caution timer fires.
   std::map<net::Prefix, std::size_t> caution_lost_length_;
-  std::map<std::pair<net::NodeId, net::Prefix>, Advertised> advertised_;
+  /// Adj-RIB-Out mirror; an unsent cell is kNotSent.
+  PeerPlane<Advertised> advertised_;
   Counters counters_;
   /// Multiprefix staging state: while a StagingScope is active, send_update
   /// appends here instead of hitting the transport. Always empty between

@@ -38,6 +38,9 @@ class PathSanityInvariant final : public Invariant {
 class RibFibConsistencyInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override { return "rib-fib"; }
+  /// Drops the previous run's mirror: one oracle may serve several trials,
+  /// and each run's FIBs start empty.
+  void arm(const Context&) override { fib_.clear(); }
   void on_fib_changed(net::NodeId node, net::Prefix prefix,
                       std::optional<net::NodeId> previous,
                       std::optional<net::NodeId> current,

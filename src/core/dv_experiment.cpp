@@ -159,7 +159,7 @@ ExperimentOutcome run_dv_experiment(const DvScenario& scenario) {
   plane.set_fate_sink(&collector);
 
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(simulator, network.fibs(), kPrefix);
+  metrics::LoopDetector::attach(simulator, network.fibs(), {&detector, 1});
   if (oracle) oracle->observe_fibs(simulator, network.fibs());
 
   // DV has no Loc-RIB paths, so the view exposes only forwarding state;

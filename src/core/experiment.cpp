@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -169,6 +168,11 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   // over scenario.origins (empty: everything at the destination — the
   // fully correlated full table).
   const std::size_t prefix_count = std::max<std::size_t>(scenario.prefixes, 1);
+  if (prefix_count > net::kMaxPrefixes) {
+    throw std::invalid_argument{
+        "Scenario: prefixes must not exceed " +
+        std::to_string(net::kMaxPrefixes)};
+  }
   const bool multi = prefix_count > 1;
   std::vector<net::NodeId> prefix_origins;
   std::vector<net::Prefix> dest_prefixes;  // originated by the destination
@@ -268,17 +272,13 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
                        std::move(plane_options)};
   plane.set_fate_sink(&collector);
 
-  // One loop detector per prefix. FIB observers accumulate, so the plane
-  // (subscribed at construction), the detectors and the oracle all see
-  // every change.
-  std::vector<std::unique_ptr<metrics::LoopDetector>> detectors;
-  for (std::size_t p = 0; p < prefix_count; ++p) {
-    detectors.push_back(
-        std::make_unique<metrics::LoopDetector>(topo.node_count()));
-    detectors.back()->attach(simulator, network.fibs(),
-                             static_cast<net::Prefix>(p));
-  }
-  metrics::LoopDetector& detector = *detectors.front();
+  // One loop detector per prefix, fed by one observer per FIB. FIB
+  // observers accumulate, so the plane (subscribed at construction), the
+  // detectors and the oracle all see every change, in that order.
+  std::vector<metrics::LoopDetector> detectors(
+      prefix_count, metrics::LoopDetector{topo.node_count()});
+  metrics::LoopDetector::attach(simulator, network.fibs(), detectors);
+  metrics::LoopDetector& detector = detectors.front();
   if (oracle) oracle->observe_fibs(simulator, network.fibs());
   if (trace) {
     detector.set_observer([trace](const metrics::LoopRecord& r, bool formed) {
@@ -397,7 +397,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
 
   simulator.schedule_at(t_event, [&] {
     // Measure only post-event loops, on every prefix's detector.
-    for (auto& d : detectors) d->clear_history();
+    for (auto& d : detectors) d.clear_history();
     if (trace) {
       trace->record(metrics::TraceEvent{
           simulator.now(), metrics::TraceEventKind::kEventInjected,
@@ -492,7 +492,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   }
 
   const sim::SimTime end = simulator.now();
-  for (auto& d : detectors) d->finalize(end);
+  for (auto& d : detectors) d.finalize(end);
   if (oracle) oracle->at_quiescence(quiescent_view(), end);
 
   // ---- Metrics ---------------------------------------------------------
@@ -544,7 +544,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   if (multi) {
     // Headline loop metrics aggregate the whole table, prefix-major.
     for (std::size_t p = 1; p < prefix_count; ++p) {
-      const auto& recs = detectors[p]->records();
+      const auto& recs = detectors[p].records();
       m.loops.insert(m.loops.end(), recs.begin(), recs.end());
     }
   }
@@ -565,7 +565,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
     const auto& lanes = collector.prefix_lanes();
     for (std::size_t p = 0; p < prefix_count; ++p) {
       metrics::RunMetrics::PrefixLane& lane = m.per_prefix[p];
-      const auto& recs = detectors[p]->records();
+      const auto& recs = detectors[p].records();
       lane.loops_formed = recs.size();
       for (const auto& loop : recs) {
         lane.max_loop_duration_s =

@@ -115,7 +115,7 @@ ExperimentOutcome run_ls_experiment(const LsScenario& scenario) {
   plane.set_fate_sink(&collector);
 
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(simulator, network.fibs(), kPrefix);
+  metrics::LoopDetector::attach(simulator, network.fibs(), {&detector, 1});
 
   fwd::TrafficGenerator traffic{simulator, plane, scenario.traffic,
                                 root.child("traffic")};

@@ -75,7 +75,7 @@ net::Payload load_dv_payload(snap::Reader& r) {
   const std::uint64_t n = r.u64();
   msg.routes.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     msg.routes.emplace_back(prefix, static_cast<int>(r.i64()));
   }
   return net::Payload{std::move(msg)};

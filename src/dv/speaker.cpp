@@ -187,7 +187,7 @@ void DvSpeaker::restore_state(snap::Reader& r) {
   table_.clear();
   const std::uint64_t n_routes = r.u64();
   for (std::uint64_t i = 0; i < n_routes; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     Entry entry;
     entry.metric = static_cast<int>(r.i64());
     entry.next_hop = r.u32();

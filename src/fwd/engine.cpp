@@ -251,7 +251,7 @@ void DataPlane::restore_state(snap::Reader& r) {
     ev.node = r.u32();
     ev.packet.id = r.u64();
     ev.packet.source = r.u32();
-    ev.packet.prefix = r.u32();
+    ev.packet.prefix = snap::read_prefix(r);
     ev.packet.ttl = static_cast<int>(r.i64());
     ev.packet.sent_at = r.time();
     ev.packet.hops_taken = static_cast<int>(r.i64());

@@ -1,70 +1,77 @@
 #include "fwd/fib.hpp"
 
-#include <algorithm>
-#include <map>
+#include <cassert>
 
 namespace bgpsim::fwd {
 
 bool Fib::set_next_hop(net::Prefix prefix, net::NodeId next_hop) {
-  auto [it, inserted] = routes_.try_emplace(prefix, next_hop);
-  if (!inserted && it->second == next_hop) return false;
-  const std::optional<net::NodeId> previous =
-      inserted ? std::nullopt : std::optional{it->second};
-  it->second = next_hop;
+  assert(next_hop != net::kInvalidNode);
+  if (prefix >= routes_.size()) {
+    routes_.resize(prefix + std::size_t{1}, net::kInvalidNode);
+  }
+  const net::NodeId previous = routes_[prefix];
+  if (previous == next_hop) return false;
+  routes_[prefix] = next_hop;
   ++version_;
-  if (hot_valid_ && hot_prefix_ == prefix) hot_next_hop_ = next_hop;
-  notify(prefix, previous, next_hop);
+  if (previous == net::kInvalidNode) {
+    ++route_count_;
+    notify(prefix, std::nullopt, next_hop);
+  } else {
+    notify(prefix, previous, next_hop);
+  }
   return true;
 }
 
 bool Fib::clear_route(net::Prefix prefix) {
-  auto it = routes_.find(prefix);
-  if (it == routes_.end()) return false;
-  const net::NodeId previous = it->second;
-  routes_.erase(it);
+  if (prefix >= routes_.size() || routes_[prefix] == net::kInvalidNode) {
+    return false;
+  }
+  const net::NodeId previous = routes_[prefix];
+  routes_[prefix] = net::kInvalidNode;
+  --route_count_;
   ++version_;
-  if (hot_valid_ && hot_prefix_ == prefix) hot_valid_ = false;
   notify(prefix, previous, std::nullopt);
   return true;
 }
 
-std::optional<net::NodeId> Fib::next_hop(net::Prefix prefix) const {
-  if (hot_valid_ && hot_prefix_ == prefix) return hot_next_hop_;
-  auto it = routes_.find(prefix);
-  if (it == routes_.end()) return std::nullopt;
-  hot_prefix_ = prefix;
-  hot_next_hop_ = it->second;
-  hot_valid_ = true;
-  return it->second;
-}
-
 void Fib::save_state(snap::Writer& w) const {
-  std::vector<std::pair<net::Prefix, net::NodeId>> entries{routes_.begin(),
-                                                           routes_.end()};
-  std::sort(entries.begin(), entries.end());
-  w.u64(entries.size());
-  for (const auto& [prefix, hop] : entries) {
+  w.u64(route_count_);
+  for (net::Prefix prefix = 0; prefix < routes_.size(); ++prefix) {
+    if (routes_[prefix] == net::kInvalidNode) continue;
     w.u32(prefix);
-    w.u32(hop);
+    w.u32(routes_[prefix]);
   }
 }
 
 void Fib::restore_state(snap::Reader& r) {
-  std::map<net::Prefix, net::NodeId> desired;
+  // The checkpointed table as a dense plane (a repeated prefix keeps its
+  // last hop).
+  std::vector<net::NodeId> desired;
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const net::Prefix prefix = r.u32();
-    desired[prefix] = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
+    const net::NodeId hop = r.u32();
+    if (hop == net::kInvalidNode) {
+      throw snap::FormatError{"FIB entry for prefix " +
+                              std::to_string(prefix) + " has no next hop"};
+    }
+    if (prefix >= desired.size()) {
+      desired.resize(prefix + std::size_t{1}, net::kInvalidNode);
+    }
+    desired[prefix] = hop;
   }
-  // Clear stale entries first (sorted, for a deterministic notify order),
-  // then install the checkpointed ones.
-  std::vector<net::Prefix> stale;
-  for (const auto& [prefix, hop] : routes_) {
-    if (!desired.contains(prefix)) stale.push_back(prefix);
+  // Clear stale entries first, then install the checkpointed ones, each
+  // in ascending prefix order (a deterministic notify order).
+  for (net::Prefix prefix = 0; prefix < routes_.size(); ++prefix) {
+    if (prefix >= desired.size() || desired[prefix] == net::kInvalidNode) {
+      clear_route(prefix);
+    }
   }
-  std::sort(stale.begin(), stale.end());
-  for (const net::Prefix prefix : stale) clear_route(prefix);
-  for (const auto& [prefix, hop] : desired) set_next_hop(prefix, hop);
+  for (net::Prefix prefix = 0; prefix < desired.size(); ++prefix) {
+    if (desired[prefix] != net::kInvalidNode) {
+      set_next_hop(prefix, desired[prefix]);
+    }
+  }
 }
 
 void Fib::notify(net::Prefix prefix, std::optional<net::NodeId> previous,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,9 +31,14 @@ class Fib {
   /// Remove the route for `prefix`. Returns true if an entry was removed.
   bool clear_route(net::Prefix prefix);
 
-  [[nodiscard]] std::optional<net::NodeId> next_hop(net::Prefix prefix) const;
+  [[nodiscard]] std::optional<net::NodeId> next_hop(net::Prefix prefix) const {
+    if (prefix >= routes_.size() || routes_[prefix] == net::kInvalidNode) {
+      return std::nullopt;
+    }
+    return routes_[prefix];
+  }
 
-  [[nodiscard]] std::size_t route_count() const { return routes_.size(); }
+  [[nodiscard]] std::size_t route_count() const { return route_count_; }
 
   /// Monotonic counter bumped by every route change (a no-op write keeps
   /// it still). Readers — the data plane's decision cache — compare
@@ -46,7 +50,7 @@ class Fib {
   /// observer sees every change, in registration order.
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
 
-  /// Checkpoint the route table (sorted by prefix for determinism).
+  /// Checkpoint the route table, ascending by prefix.
   void save_state(snap::Writer& w) const;
 
   /// Restore by *reconciling*: install every checkpointed entry and clear
@@ -61,16 +65,13 @@ class Fib {
   void notify(net::Prefix prefix, std::optional<net::NodeId> previous,
               std::optional<net::NodeId> current) const;
 
-  std::unordered_map<net::Prefix, net::NodeId> routes_;
+  /// Next hop per prefix value; kInvalidNode = no route. Grown on the
+  /// first write beyond its end.
+  std::vector<net::NodeId> routes_;
+  std::size_t route_count_ = 0;
   std::vector<Observer> observers_;
   /// Starts above 0 so a zero-initialized cache stamp can never validate.
   std::uint64_t version_ = 1;
-  /// One-entry lookup cache. The data plane asks for the same (single)
-  /// prefix on every packet hop; this skips the hash probe. Mutators keep
-  /// it coherent, so it is invisible to observers and checkpoints.
-  mutable net::Prefix hot_prefix_ = 0;
-  mutable net::NodeId hot_next_hop_ = net::kInvalidNode;
-  mutable bool hot_valid_ = false;
 };
 
 }  // namespace bgpsim::fwd

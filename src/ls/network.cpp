@@ -87,7 +87,7 @@ net::Payload load_lsa_payload(snap::Reader& r) {
   const std::uint64_t n_prefixes = r.u64();
   msg.lsa.prefixes.reserve(static_cast<std::size_t>(n_prefixes));
   for (std::uint64_t i = 0; i < n_prefixes; ++i) {
-    msg.lsa.prefixes.push_back(r.u32());
+    msg.lsa.prefixes.push_back(snap::read_prefix(r));
   }
   return net::Payload{std::move(msg)};
 }

@@ -198,7 +198,7 @@ Lsa load_lsa(snap::Reader& r) {
   const std::uint64_t n_prefixes = r.u64();
   lsa.prefixes.reserve(static_cast<std::size_t>(n_prefixes));
   for (std::uint64_t i = 0; i < n_prefixes; ++i) {
-    lsa.prefixes.push_back(r.u32());
+    lsa.prefixes.push_back(snap::read_prefix(r));
   }
   return lsa;
 }
@@ -235,7 +235,7 @@ void LsSpeaker::restore_state(snap::Reader& r) {
   tracked_prefixes_.clear();
   const std::uint64_t n_tracked = r.u64();
   for (std::uint64_t i = 0; i < n_tracked; ++i) {
-    tracked_prefixes_.insert(r.u32());
+    tracked_prefixes_.insert(snap::read_prefix(r));
   }
   lsdb_.clear();
   const std::uint64_t n_lsas = r.u64();

@@ -24,14 +24,15 @@ LoopDetector::LoopDetector(std::size_t node_count)
       mark_(node_count, 0) {}
 
 void LoopDetector::attach(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
-                          net::Prefix prefix) {
+                          std::span<LoopDetector> detectors) {
   for (net::NodeId node = 0; node < fibs.size(); ++node) {
     fibs[node].add_observer(
-        [this, node, prefix, &simulator](net::Prefix p,
-                                         std::optional<net::NodeId> /*old*/,
-                                         std::optional<net::NodeId> now) {
-          if (p != prefix) return;
-          on_next_hop_change(node, now, simulator.now());
+        [detectors, node, &simulator](net::Prefix prefix,
+                                      std::optional<net::NodeId> /*old*/,
+                                      std::optional<net::NodeId> now) {
+          if (prefix < detectors.size()) {
+            detectors[prefix].on_next_hop_change(node, now, simulator.now());
+          }
         });
   }
 }

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fwd/fib.hpp"
@@ -50,12 +51,15 @@ class LoopDetector {
 
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  /// Install FIB observers on every node's Fib, watching `prefix`. They
-  /// subscribe alongside the observers already installed (the data plane,
-  /// the oracle, one detector per prefix in multi-prefix runs), so the
-  /// order of attachment does not matter.
-  void attach(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
-              net::Prefix prefix);
+  /// Install one observer on every node's Fib that forwards a change of
+  /// prefix p to detectors[p] (changes of prefixes beyond the span are
+  /// ignored), so a FIB change costs one dispatch however large the table.
+  /// Single-prefix runs pass their one detector, which watches prefix 0.
+  /// The observers subscribe alongside those already installed (the data
+  /// plane, the oracle), so the order of attachment does not matter; the
+  /// detectors must stay in place for as long as the Fibs change.
+  static void attach(sim::Simulator& simulator, std::vector<fwd::Fib>& fibs,
+                     std::span<LoopDetector> detectors);
 
   /// Manual feed (for tests / custom wiring): node's next hop changed.
   void on_next_hop_change(net::NodeId node, std::optional<net::NodeId> now,

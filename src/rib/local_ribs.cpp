@@ -92,7 +92,7 @@ void LocalRibs::restore_best(SpeakerId s, snap::Reader& r) {
   }
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     best_[slot(s, ensure_column(prefix))] = bgp::AsPath::load(r);
   }
 }
@@ -191,7 +191,7 @@ void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r) {
   }
   const std::uint64_t prefixes = r.u64();
   for (std::uint64_t i = 0; i < prefixes; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     PeerColumn& column = adj_[slot(s, ensure_column(prefix))];
     const std::uint64_t entries = r.u64();
     column.clear();

@@ -40,7 +40,7 @@ void PrefixTable::restore_state(snap::Reader& r) {
   ids_.clear();
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const net::Prefix prefix = r.u32();
+    const net::Prefix prefix = snap::read_prefix(r);
     const net::NodeId origin = r.u32();
     intern(prefix);
     origins_.back() = origin;

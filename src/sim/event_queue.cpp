@@ -44,7 +44,7 @@ EventId EventQueue::next_push_id() const {
   return EventId{(static_cast<std::uint64_t>(slot) << kGenBits) | gen};
 }
 
-EventId EventQueue::push(SimTime when, Callback cb) {
+EventId EventQueue::push(SimTime when, Callback cb, std::uint64_t tag) {
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (free_.empty()) {
@@ -62,6 +62,7 @@ EventId EventQueue::push(SimTime when, Callback cb) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = seq;
+  s.tag = tag;
   ++s.gen;
   if (wheel_) {
     wheel_->insert(TimerWheel::Entry{when.as_micros(), seq, slot});

@@ -67,8 +67,9 @@ class EventQueue {
     return wheel_ ? QueueBackend::kWheel : QueueBackend::kHeap;
   }
 
-  /// Insert `cb` to fire at `when`. Returns a handle for cancel().
-  EventId push(SimTime when, Callback cb);
+  /// Insert `cb` to fire at `when`, carrying the owner-defined `tag` (see
+  /// next_event_tag). Returns a handle for cancel().
+  EventId push(SimTime when, Callback cb, std::uint64_t tag = 0);
 
   /// The handle the next push() will return (pure observation). Lets a
   /// caller bake the id into the scheduled closure itself instead of
@@ -96,6 +97,13 @@ class EventQueue {
   /// Handle of the earliest live event. Requires !empty(). Burst
   /// consumers match it against their own bookkeeping before consuming.
   [[nodiscard]] EventId next_event_id() const;
+
+  /// Tag the earliest live event was pushed with. Requires !empty(). Burst
+  /// consumers decode it to find their own bookkeeping for the event in
+  /// O(1), then confirm ownership against next_event_id().
+  [[nodiscard]] std::uint64_t next_event_tag() const {
+    return slots_[front_entry().slot].tag;
+  }
 
   /// The earliest live event as one raw (time µs, seq, slot) observation.
   /// Requires !empty(). The run loop uses this to read the firing time and
@@ -149,6 +157,7 @@ class EventQueue {
     Callback cb;
     std::uint64_t seq = 0;  // seq of current occupant; 0 = slot free
     std::uint32_t gen = 0;  // bumped on every occupancy; EventId disambiguator
+    std::uint64_t tag = 0;  // owner-defined; see next_event_tag
   };
 
   struct HeapEntry {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -60,28 +61,43 @@ class Log {
 };
 
 /// Build-a-line helper: LogLine{...} << "text" << value; emits at destruction.
+/// A line whose level is off builds nothing: no stream, no component copy,
+/// and no streamed value's operator<< runs. Its arguments are still
+/// evaluated; BGPSIM_LOG skips those too.
 class LogLine {
  public:
   LogLine(LogLevel at, std::string_view component, SimTime when)
-      : at_{at}, component_{component}, when_{when}, live_{Log::enabled(at)} {}
+      : at_{at}, when_{when} {
+    if (Log::enabled(at)) {
+      component_ = component;
+      stream_.emplace();
+    }
+  }
   ~LogLine() {
-    if (live_) Log::write(at_, component_, when_, stream_.str());
+    if (stream_) Log::write(at_, component_, when_, stream_->str());
   }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (live_) stream_ << v;
+    if (stream_) *stream_ << v;
     return *this;
   }
 
  private:
   LogLevel at_;
-  std::string component_;
   SimTime when_;
-  bool live_;
-  std::ostringstream stream_;
+  std::string component_;                     // set only when live
+  std::optional<std::ostringstream> stream_;  // engaged iff live
 };
 
 }  // namespace bgpsim::sim
+
+/// Statement form of LogLine that evaluates nothing after it unless `level`
+/// is enabled: BGPSIM_LOG(kTrace, "bgp", now) << msg.to_string(); costs one
+/// relaxed load when tracing is off. Safe as the body of an unbraced if.
+#define BGPSIM_LOG(level, component, when)                  \
+  if (!::bgpsim::sim::Log::enabled(level)) {                \
+  } else                                                    \
+    ::bgpsim::sim::LogLine{(level), (component), (when)}

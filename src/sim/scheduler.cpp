@@ -6,18 +6,19 @@
 
 namespace bgpsim::sim {
 
-EventId Simulator::schedule_at(SimTime when, Callback cb) {
+EventId Simulator::schedule_at(SimTime when, Callback cb, std::uint64_t tag) {
   if (when < now_) {
     throw std::invalid_argument{"Simulator::schedule_at: time in the past"};
   }
-  return queue_.push(when, std::move(cb));
+  return queue_.push(when, std::move(cb), tag);
 }
 
-EventId Simulator::schedule_after(SimTime delay, Callback cb) {
+EventId Simulator::schedule_after(SimTime delay, Callback cb,
+                                  std::uint64_t tag) {
   if (delay < SimTime::zero()) {
     throw std::invalid_argument{"Simulator::schedule_after: negative delay"};
   }
-  return queue_.push(now_ + delay, std::move(cb));
+  return queue_.push(now_ + delay, std::move(cb), tag);
 }
 
 void Simulator::set_external_handler(Callback handler) {

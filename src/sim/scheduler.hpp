@@ -41,11 +41,12 @@ class Simulator {
   /// Current simulation time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `when` (must be >= now()).
-  EventId schedule_at(SimTime when, Callback cb);
+  /// Schedule `cb` at absolute time `when` (must be >= now()). `tag` is an
+  /// owner-defined word the burst path reads back (next_event_tag).
+  EventId schedule_at(SimTime when, Callback cb, std::uint64_t tag = 0);
 
   /// Schedule `cb` after `delay` from now (delay must be >= 0).
-  EventId schedule_after(SimTime delay, Callback cb);
+  EventId schedule_after(SimTime delay, Callback cb, std::uint64_t tag = 0);
 
   /// The handle the next schedule_at/schedule_after call will return
   /// (pure observation; see EventQueue::next_push_id). Lets a caller bake
@@ -82,6 +83,13 @@ class Simulator {
   /// precedes an armed external slot; nullopt otherwise. The caller
   /// checks the handle against its own bookkeeping before consuming.
   [[nodiscard]] std::optional<EventId> next_coincident_event() const;
+
+  /// Tag of the event next_coincident_event() just returned, so its owner
+  /// can find its bookkeeping for it without a search. Tags are not unique
+  /// across owners: the caller must still match the id.
+  [[nodiscard]] std::uint64_t next_event_tag() const {
+    return queue_.next_event_tag();
+  }
 
   /// Consume the event next_coincident_event() just returned: it counts
   /// as fired (the clock is already at its time) but its closure is

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "net/types.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -162,6 +163,19 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
+
+/// A prefix value, rejected at or above net::kMaxPrefixes: per-prefix
+/// state is indexed by the value, so a corrupt prefix must fail here rather
+/// than size a plane.
+[[nodiscard]] inline net::Prefix read_prefix(Reader& r) {
+  const net::Prefix prefix = r.u32();
+  if (prefix >= net::kMaxPrefixes) {
+    throw FormatError{"snapshot prefix " + std::to_string(prefix) +
+                      " is out of range (limit " +
+                      std::to_string(net::kMaxPrefixes) + ")"};
+  }
+  return prefix;
+}
 
 /// RNG streams checkpoint as their raw engine words plus the retained
 /// root seed (child() derives from it, so it is part of the state).

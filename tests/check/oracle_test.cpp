@@ -12,7 +12,9 @@
 #include "check/invariants.hpp"
 #include "core/dv_experiment.hpp"
 #include "core/experiment.hpp"
+#include "core/run_options.hpp"
 #include "core/scenario.hpp"
+#include "core/sweep.hpp"
 
 namespace bgpsim::check {
 namespace {
@@ -100,6 +102,32 @@ TEST(OracleEndToEnd, RearmingClearsPriorViolations) {
   clean.oracle = &standard;
   (void)core::run_experiment(clean);
   EXPECT_TRUE(standard.ok());
+}
+
+TEST(OracleEndToEnd, SharedOracleAcrossTrialsReportsNoFalseViolations) {
+  // One oracle armed once per trial by run_trials: every stateful
+  // invariant must drop the previous trial's mirrors in arm(). Trial 2
+  // warm-starts its FIBs from nothing, so a rib-fib mirror carried over
+  // from trial 1 used to contradict every restored route (763 false
+  // violations on this 8-prefix table).
+  core::Scenario s;
+  s.topology.kind = core::TopologyKind::kInternet;
+  s.topology.size = 110;
+  s.topology.topo_seed = 1;
+  s.event = core::EventKind::kTdown;
+  s.bgp.mrai = sim::SimTime::seconds(30);
+  s.seed = 1;
+  s.destination = 50;
+  s.prefixes = 8;
+  s.origins = {1, 27, 55, 82};
+  Oracle oracle = Oracle::standard();
+  core::RunOptions options;
+  options.trials = 2;
+  options.jobs = 1;
+  options.oracle = &oracle;
+  (void)core::run_trials(s, options);
+  EXPECT_EQ(oracle.violations_seen(), 0u) << oracle.summary();
+  EXPECT_GT(oracle.observations(), 0u);
 }
 
 /// Counts MRAI expiry callbacks — pins that the scheduler-level hook is

@@ -58,7 +58,7 @@ TEST(DvNetwork, TdownTriggersCleanPoisonOnChain) {
                                              sim::SimTime::millis(1)},
                         sim::Rng{3}};
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(sim, network.fibs(), kP);
+  metrics::LoopDetector::attach(sim, network.fibs(), {&detector, 1});
   sim.schedule_at(sim::SimTime::zero(), [&] { network.originate(0, kP); });
   sim.run();
   detector.clear_history();
@@ -107,7 +107,7 @@ TEST(DvNetwork, NoSplitHorizonAllowsTwoNodeLoops) {
                                              sim::SimTime::millis(1)},
                         sim::Rng{3}};
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(sim, network.fibs(), kP);
+  metrics::LoopDetector::attach(sim, network.fibs(), {&detector, 1});
 
   sim.schedule_at(sim::SimTime::zero(), [&] { network.originate(0, kP); });
   sim.run_until(sim::SimTime::seconds(60));
@@ -137,7 +137,7 @@ TEST(DvNetwork, SplitHorizonPreventsTwoNodeLoops) {
                                              sim::SimTime::millis(1)},
                         sim::Rng{3}};
   metrics::LoopDetector detector{topo.node_count()};
-  detector.attach(sim, network.fibs(), kP);
+  metrics::LoopDetector::attach(sim, network.fibs(), {&detector, 1});
   sim.schedule_at(sim::SimTime::zero(), [&] { network.originate(0, kP); });
   sim.run_until(sim::SimTime::seconds(60));
   detector.clear_history();

@@ -37,7 +37,7 @@ class Figure1Test : public ::testing::Test {
                                             sim::SimTime::millis(500)},
                  sim::Rng{7}},
         detector_{topo_.node_count()} {
-    detector_.attach(sim_, network_.fibs(), kP);
+    metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
   }
 
   static BgpConfig config() {

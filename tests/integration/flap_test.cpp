@@ -19,7 +19,7 @@ class FlapTest : public ::testing::Test {
                                             sim::SimTime::millis(500)},
                  sim::Rng{3}},
         detector_{topo_.node_count()} {
-    detector_.attach(sim_, network_.fibs(), kP);
+    metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
     direct_ = topo::bclique_tlong_link(topo_, 4);
   }
 

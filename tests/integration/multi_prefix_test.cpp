@@ -114,15 +114,16 @@ TEST_F(MultiPrefixTest, PerPrefixMraiTimersAreIndependent) {
 
 TEST_F(MultiPrefixTest, LoopDetectorsTrackPrefixesSeparately) {
   converge_both();
-  metrics::LoopDetector det1{topo_.node_count()};
-  // attach() filters by prefix: a detector watching prefix 1 sees no
-  // change when prefix 0 flaps.
-  det1.attach(sim_, network_.fibs(), 1);
+  std::vector<metrics::LoopDetector> dets(
+      2, metrics::LoopDetector{topo_.node_count()});
+  // attach() routes each change to its prefix's detector: the one
+  // watching prefix 1 sees no change when prefix 0 flaps.
+  metrics::LoopDetector::attach(sim_, network_.fibs(), dets);
   sim_.schedule_at(sim_.now() + sim::SimTime::seconds(60),
                    [&] { network_.speaker(0).withdraw_origin(0); });
   sim_.run();
-  det1.finalize(sim_.now());
-  EXPECT_TRUE(det1.records().empty());
+  dets[1].finalize(sim_.now());
+  EXPECT_TRUE(dets[1].records().empty());
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ class InvariantTest : public ::testing::TestWithParam<Param> {
     });
 
     detector_.emplace(topo_.node_count());
-    detector_->attach(sim_, network_->fibs(), kP);
+    metrics::LoopDetector::attach(sim_, network_->fibs(), {&*detector_, 1});
 
     sim_.schedule_at(sim::SimTime::zero(),
                      [&] { network_->originate(0, kP); });

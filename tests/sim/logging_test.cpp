@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +100,50 @@ TEST_F(LoggingTest, InstanceTagPrefixesEveryMessage) {
   ASSERT_EQ(captured_.size(), 2u);
   EXPECT_EQ(captured_[0].message, "[w3] update sent");
   EXPECT_EQ(captured_[1].message, "untagged again");
+}
+
+/// Counts how often it is streamed.
+struct StreamProbe {
+  int* calls;
+  friend std::ostream& operator<<(std::ostream& os, const StreamProbe& p) {
+    ++*p.calls;
+    return os << "probe";
+  }
+};
+
+TEST_F(LoggingTest, OffNeverStreamsArguments) {
+  Log::set_level(LogLevel::kOff);
+  int streamed = 0;
+  int evaluated = 0;
+  const auto expensive = [&] {
+    ++evaluated;
+    return StreamProbe{&streamed};
+  };
+  LogLine{LogLevel::kTrace, "x", SimTime::zero()} << StreamProbe{&streamed};
+  BGPSIM_LOG(LogLevel::kTrace, "x", SimTime::zero()) << expensive();
+  EXPECT_EQ(streamed, 0);
+  EXPECT_EQ(evaluated, 0);  // the macro skips argument evaluation too
+  EXPECT_TRUE(captured_.empty());
+
+  Log::set_level(LogLevel::kTrace);
+  BGPSIM_LOG(LogLevel::kTrace, "x", SimTime::zero()) << expensive();
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(streamed, 1);
+  ASSERT_EQ(captured_.size(), 1u);
+  EXPECT_EQ(captured_[0].message, "probe");
+}
+
+TEST_F(LoggingTest, MacroBindsAsOneStatementUnderIf) {
+  // BGPSIM_LOG expands to an if/else; an enclosing unbraced if/else must
+  // still pair its own else.
+  bool took_else = false;
+  const bool condition = false;
+  if (condition)
+    BGPSIM_LOG(LogLevel::kInfo, "x", SimTime::zero()) << "then";
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  EXPECT_TRUE(captured_.empty());
 }
 
 TEST_F(LoggingTest, MultipleLinesInOrder) {
