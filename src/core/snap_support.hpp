@@ -31,8 +31,10 @@ void save_run_state(snap::Writer& w, const sim::Simulator& simulator,
   // v3: the live pending-event multiset as sorted (time µs, seq) pairs —
   // identical bytes under either queue backend (the wheel's batched
   // consumption permutes slot recycling, so slot/generation state is
-  // deliberately excluded). The external slot is component-owned and
-  // re-armed by its owner; it is not part of this list.
+  // deliberately excluded). The list holds control events only: the
+  // external slot belongs to the data plane, whose hop bridge and source
+  // ring (the traffic ticks) carry their own (time, seq) in the plane's
+  // and the generator's sections, and are re-armed from there.
   const auto pending = simulator.pending_entries();
   w.u64(pending.size());
   for (const auto& [time_us, seq] : pending) {
@@ -60,7 +62,8 @@ void restore_run_state(snap::Reader& r, sim::Simulator& simulator,
   // is verified, not restored: the live queue must already hold exactly
   // the recorded (time, seq) multiset — trivially true for a fresh
   // restore at quiescence (both empty) and for an in-place restore whose
-  // closures never left the queue. A mismatch means the snapshot is being
+  // closures never left the queue. (Traffic ticks are not closures: the
+  // generator section below restores them with the plane's source ring.) A mismatch means the snapshot is being
   // fed to a simulator in a different scheduling state; diverging
   // silently here would corrupt determinism, so refuse loudly.
   const std::uint64_t n_pending = r.u64();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/env.hpp"
@@ -54,7 +56,7 @@ DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
       spec_per_prefix_(destinations_.size(), 0) {
   assert(fibs_.size() == topo_.node_count());
   assert(!destinations_.empty());
-  sim_.set_external_handler([this] { on_bridge(); });
+  sim_.set_external_handler([this] { on_slot(); });
   for (net::NodeId node = 0; node < fibs_.size(); ++node) {
     fibs_[node].add_observer(
         [this, node](net::Prefix prefix, std::optional<net::NodeId>,
@@ -108,11 +110,9 @@ DataPlane::Decision DataPlane::decide(net::NodeId node,
 const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
                                                     net::Prefix prefix) const {
   CachedDecision& e = cache_[node * destinations_.size() + prefix];
-  const std::uint64_t fib_now = fibs_[node].version();
   const std::uint64_t topo_now = topo_.state_version();
-  if (e.fib_stamp != fib_now || e.topo_stamp != topo_now) {
+  if (e.topo_stamp != topo_now) {
     e.d = decide(node, prefix);
-    e.fib_stamp = fib_now;
     e.topo_stamp = topo_now;
   }
   return e.d;
@@ -191,6 +191,7 @@ void DataPlane::save_state(snap::Writer& w) const {
   w.u64(counters_.hops);
   w.b(bridge_armed_);
   w.time(bridge_time_);
+  if (bridge_armed_) w.u64(bridge_seq_);
   const auto write_event = [&w](const HopEvent& ev) {
     w.time(ev.at);
     w.u64(ev.seq);
@@ -239,6 +240,13 @@ void DataPlane::restore_state(snap::Reader& r) {
   counters_.hops = r.u64();
   bridge_armed_ = r.b();
   bridge_time_ = r.time();
+  if (bridge_armed_) {
+    bridge_seq_ = r.u64();
+    if (bridge_time_ < sim_.now() || bridge_seq_ >= sim_.event_seq()) {
+      throw snap::FormatError{
+          "data plane: bridge armed before now or with an undrawn seq"};
+    }
+  }
   heap_ = {};
   rings_.clear();
   spec_items_ = 0;
@@ -261,6 +269,7 @@ void DataPlane::restore_state(snap::Reader& r) {
       heap_.push(std::move(ev));
     }
   }
+  sync_slot();
 }
 
 void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet,
@@ -354,24 +363,248 @@ const sim::SimTime* DataPlane::next_pending_at() const {
 
 void DataPlane::arm_at(sim::SimTime at) {
   if (bridge_armed_ && bridge_time_ <= at) return;  // armed early enough
-  // arm_external replaces any previous arming with a fresh tie-break seq
-  // — exactly the ordering the old cancel-and-reschedule produced.
+  // Every (re-)arming draws a fresh tie-break seq — exactly the ordering
+  // a cancel-and-reschedule through the queue would produce.
   bridge_armed_ = true;
   bridge_time_ = at;
-  sim_.arm_external(at);
+  bridge_seq_ = sim_.take_seq();
+  if (!sim_.in_external_handler()) sync_slot();  // on_slot syncs at its end
 }
 
 void DataPlane::rearm() {
   if (const sim::SimTime* next = next_pending_at()) arm_at(*next);
 }
 
-void DataPlane::on_bridge() {
-  bridge_armed_ = false;
+void DataPlane::on_slot() {
+  // No control event runs until this handler returns, so the topology is
+  // checked once for the whole drain.
   sync_topology();
+  bool bridge = bridge_next();
+  for (;;) {
+    if (bridge) {
+      fire_bridge();
+      if (spec_items_ != 0) skip_ahead();
+    } else {
+      fire_source();
+    }
+    bridge = bridge_next();
+    if (!bridge && src_live_ == 0) break;
+    const SourceTick* tick = bridge ? nullptr : &src_[src_head_];
+    if (!sim_.fire_external_inline(bridge ? bridge_time_ : tick->at,
+                                   bridge ? bridge_seq_ : tick->seq)) {
+      break;
+    }
+  }
+  sync_slot();
+}
+
+void DataPlane::fire_bridge() {
+  bridge_armed_ = false;
   drain_due();
   rearm();
   flush_fates();
-  if (spec_items_ != 0) skip_ahead();
+}
+
+void DataPlane::skip_ahead() {
+  // Replay the bridge firings that follow inline while nothing else can
+  // come between them: each moves a cohort that forwards whole, or is the
+  // re-armed firing of its tick that finds nothing due. Every seq drawn
+  // here is newer than the next source tick's and the next queued
+  // event's, so a firing at exactly their time would come after them —
+  // hence the strict time bound.
+  sim::SimTime horizon = sim_.external_horizon();
+  if (src_live_ != 0) horizon = std::min(horizon, src_[src_head_].at);
+  std::uint64_t firings = 0;
+  sim::SimTime last;
+  while (bridge_armed_ && bridge_time_ < horizon) {
+    TickRing& front = rings_.front();
+    const sim::SimTime tick = bridge_time_;
+    if (front.head != 0) break;
+    if (front.at != tick) {
+      ++firings;  // the re-armed firing finds nothing due
+    } else if (front.spec_count != 0 && skippable(front)) {
+      // Several forwarding packets make the tick fire twice: the first of
+      // them re-arms the bridge at now.
+      if (skip_hop() > 1) {
+        ++firings;
+        sim_.take_seq();
+      }
+      ++firings;
+    } else {
+      break;  // a tick to drain, or packets dying here: fire for real
+    }
+    last = tick;
+    bridge_time_ = rings_.front().at;
+    bridge_seq_ = sim_.take_seq();
+  }
+  if (firings != 0) sim_.credit_external(firings, last);
+}
+
+void DataPlane::fire_source() {
+  SourceTick& tick = src_[src_head_];
+  src_head_ = src_head_ + 1 == src_.size() ? 0 : src_head_ + 1;
+  if (src_phase_ != SourcePhase::kRunning) {
+    --src_live_;  // a stopped source's last tick: a counted no-op
+    return;
+  }
+  ++src_sent_;
+  net::Prefix prefix = 0;
+  if (src_plan_.prefix_count > 1) {
+    std::uint64_t& cursor = src_cursor_[tick.node];
+    prefix = static_cast<net::Prefix>(cursor % src_plan_.prefix_count);
+    cursor = prefix + 1;
+  }
+  if (on_send_) on_send_(tick.node, prefix, tick.at);
+  inject(Injection{.source = tick.node, .prefix = prefix, .ttl = src_plan_.ttl});
+  // The next tick is ordered as if scheduled now, after the injection
+  // (which may have drawn a seq for the bridge first).
+  tick.at += src_plan_.interval;
+  tick.seq = sim_.take_seq();
+}
+
+void DataPlane::sync_slot() {
+  if (bridge_next()) {
+    sim_.arm_external(bridge_time_, bridge_seq_);
+  } else if (src_live_ != 0) {
+    sim_.arm_external(src_[src_head_].at, src_[src_head_].seq);
+  } else {
+    sim_.disarm_external();
+  }
+}
+
+namespace {
+
+template <typename Tick>
+bool tick_before(const Tick& a, const Tick& b) {
+  return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+}
+
+}  // namespace
+
+void DataPlane::start_sources(const SourcePlan& plan,
+                              const std::vector<SourceStart>& starts) {
+  if (src_live_ != 0) {
+    throw std::logic_error{
+        "DataPlane::start_sources: an earlier start still has ticks pending"};
+  }
+  if (plan.interval <= sim::SimTime::zero()) {
+    throw std::invalid_argument{"DataPlane::start_sources: interval <= 0"};
+  }
+  std::vector<bool> seen(topo_.node_count());
+  for (const SourceStart& s : starts) {
+    if (s.node >= seen.size() || seen[s.node]) {
+      throw std::invalid_argument{
+          "DataPlane::start_sources: unknown or duplicate source"};
+    }
+    seen[s.node] = true;
+    if (s.at < sim_.now()) {
+      throw std::invalid_argument{
+          "DataPlane::start_sources: first tick in the past"};
+    }
+  }
+  std::vector<SourceTick> ring;
+  ring.reserve(starts.size());
+  for (const SourceStart& s : starts) {
+    ring.push_back(SourceTick{s.at, sim_.take_seq(), s.node});
+  }
+  std::ranges::sort(ring, tick_before<SourceTick>);
+  if (!ring.empty() && ring.back().at - ring.front().at > plan.interval) {
+    // A fired tick must land behind every pending one for the ring to
+    // keep firing order by rotation.
+    throw std::invalid_argument{
+        "DataPlane::start_sources: first ticks span more than one interval"};
+  }
+  src_plan_ = plan;
+  src_phase_ = SourcePhase::kRunning;
+  src_ = std::move(ring);
+  src_head_ = 0;
+  src_live_ = src_.size();
+  if (plan.prefix_count > 1 && !starts.empty()) {
+    // Round-robin cursors: source s starts at prefix s % P, so the first
+    // tick of the whole network already spreads over the prefix set.
+    net::NodeId max_src = 0;
+    for (const SourceStart& s : starts) max_src = std::max(max_src, s.node);
+    src_cursor_.assign(max_src + 1, 0);
+    for (const SourceStart& s : starts) {
+      src_cursor_[s.node] = s.node % plan.prefix_count;
+    }
+  }
+  sync_slot();
+}
+
+void DataPlane::stop_sources() {
+  if (src_phase_ == SourcePhase::kRunning) src_phase_ = SourcePhase::kStopped;
+}
+
+void DataPlane::save_sources(snap::Writer& w, const SourcePlan& plan) const {
+  w.u8(static_cast<std::uint8_t>(src_phase_));
+  w.u64(src_sent_);
+  if (plan.prefix_count > 1) {
+    w.u64(src_cursor_.size());
+    for (const std::uint64_t c : src_cursor_) w.u64(c);
+  }
+  if (src_phase_ == SourcePhase::kIdle) return;
+  w.u64(src_live_);
+  for (std::size_t i = 0; i < src_live_; ++i) {
+    const SourceTick& s = src_[(src_head_ + i) % src_.size()];
+    w.time(s.at);
+    w.u64(s.seq);
+    w.u32(s.node);
+  }
+}
+
+void DataPlane::restore_sources(snap::Reader& r, const SourcePlan& plan) {
+  const auto fail = [](const std::string& what) {
+    throw snap::FormatError{"data plane sources: " + what};
+  };
+  const std::uint8_t phase = r.u8();
+  if (phase > static_cast<std::uint8_t>(SourcePhase::kStopped)) {
+    fail("unknown phase " + std::to_string(phase));
+  }
+  const std::uint64_t sent = r.u64();
+  const std::size_t nodes = topo_.node_count();
+  std::vector<std::uint64_t> cursor;
+  if (plan.prefix_count > 1) {
+    const std::uint64_t n = r.u64();
+    if (n > nodes) fail("more prefix cursors than nodes");
+    cursor.resize(static_cast<std::size_t>(n));
+    for (std::uint64_t& c : cursor) c = r.u64();
+  }
+  std::vector<SourceTick> ring;
+  if (phase != static_cast<std::uint8_t>(SourcePhase::kIdle)) {
+    const std::uint64_t n = r.u64();
+    if (n > nodes) fail("more pending ticks than sources");
+    ring.reserve(static_cast<std::size_t>(n));
+    std::vector<bool> seen(nodes);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      SourceTick s;
+      s.at = r.time();
+      s.seq = r.u64();
+      s.node = r.u32();
+      if (s.node >= nodes || seen[s.node]) fail("unknown or duplicate source");
+      if (plan.prefix_count > 1 && s.node >= cursor.size()) {
+        fail("source without a prefix cursor");
+      }
+      if (s.at < sim_.now()) fail("tick before now");
+      if (s.seq >= sim_.event_seq()) fail("seq not yet drawn");
+      if (!ring.empty() && !tick_before(ring.back(), s)) {
+        fail("ticks out of firing order");
+      }
+      seen[s.node] = true;
+      ring.push_back(s);
+    }
+    if (!ring.empty() && ring.back().at - ring.front().at > plan.interval) {
+      fail("ticks span more than one interval");
+    }
+  }
+  src_phase_ = static_cast<SourcePhase>(phase);
+  src_plan_ = plan;
+  src_sent_ = sent;
+  src_cursor_ = std::move(cursor);
+  src_ = std::move(ring);
+  src_head_ = 0;
+  src_live_ = src_.size();
+  sync_slot();
 }
 
 void DataPlane::drain_due() {
@@ -383,11 +616,20 @@ void DataPlane::drain_due() {
         rings_.pop_front();
         continue;
       }
-      if (front.head == 0 && front.spec_count != 0 && skippable(front)) {
-        // Hop by hop, the first of several forwarding packets would re-arm
-        // the bridge at now; the skipped cohort arms it the same way.
-        if (skip_hop() > 1) arm_at(now);
-        continue;
+      if (front.head == 0 && front.spec_count != 0) {
+        if (skippable(front)) {
+          // Hop by hop, the first of several forwarding packets would
+          // re-arm the bridge at now; the skipped cohort arms it the same
+          // way.
+          if (skip_hop() > 1) arm_at(now);
+          continue;
+        }
+        if (front.skips) {
+          // All speculative, some dying here: retire those in place and
+          // move the rest as one block, arming as the drain would.
+          if (retire_dying(now)) arm_at(now);
+          continue;
+        }
       }
       if (front.lag != 0) settle(front);
       // Copy out before advancing; arrive() may grow this cohort's vector
@@ -594,44 +836,9 @@ bool DataPlane::retire_dying(sim::SimTime when) {
   return twice;
 }
 
-void DataPlane::skip_ahead() {
-  // Replay the bridge's firings up to the next control event without
-  // returning to the simulator: each one moves a cohort that forwards
-  // whole, retires a speculative cohort's dying packets and moves the
-  // rest, or is the re-armed second firing of a tick.
-  sim::SimTime horizon = sim_.external_horizon();
-  std::uint64_t firings = 0;
-  sim::SimTime last;
-  while (bridge_armed_ && bridge_time_ < horizon) {
-    TickRing& front = rings_.front();
-    const sim::SimTime tick = bridge_time_;
-    if (front.at != tick) {
-      ++firings;  // the re-armed firing finds nothing due
-    } else if (skippable(front)) {
-      // Several forwarding packets make the tick fire twice: the first of
-      // them re-arms the bridge at now.
-      firings += skip_hop() > 1 ? 2 : 1;
-    } else if (front.skips && rings_.size() > 1) {
-      // Packets die here. Their fates go out with the clock at this tick
-      // and the bridge re-armed, exactly as the firing would leave them.
-      ++firings;
-      bridge_time_ = retire_dying(tick) ? tick : rings_.front().at;
-      sim_.credit_external(firings, tick, bridge_time_);
-      firings = 0;
-      flush_fates();
-      horizon = sim_.external_horizon();
-      continue;
-    } else {
-      break;  // a tick to drain hop by hop: fire for real
-    }
-    last = tick;
-    bridge_time_ = rings_.front().at;
-  }
-  if (firings != 0) sim_.credit_external(firings, last, bridge_time_);
-}
-
 void DataPlane::on_fib_change(net::NodeId node, net::Prefix prefix) {
   if (prefix >= prefix_epoch_.size()) return;
+  cache_[node * prefix_epoch_.size() + prefix].topo_stamp = 0;
   ++prefix_epoch_[prefix];
   if (spec_per_prefix_[prefix] == 0) return;
   // Packets whose walk passes `node` go back to hop by hop at their exact

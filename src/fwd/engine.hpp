@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "net/topology.hpp"
 #include "net/types.hpp"
 #include "sim/scheduler.hpp"
+#include "snap/codec.hpp"
 
 namespace bgpsim::fwd {
 
@@ -72,22 +74,29 @@ struct Injection {
 /// store appends each hop to the FIFO ring of its arrival tick (O(1), no
 /// percolation) and drains whole tick cohorts in order; the heap store is
 /// the per-event reference. Forwarding decisions are served from a
-/// (node, prefix) cache stamp-validated against the FIB and topology
-/// version counters, so the full FIB/link lookup runs once per routing
-/// change instead of once per hop.
+/// (node, prefix) cache that the FIB observer invalidates entry by entry
+/// and that is stamped with the topology version, so the full FIB/link
+/// lookup runs once per routing change instead of once per hop.
 ///
 /// The ring store also delivers loop-trapped packets speculatively
 /// (DESIGN.md §5): a cohort whose packets all circle a forwarding cycle
 /// under the current state, none of them dying at the next tick, moves to
-/// its next tick as one block without touching its packets, and ticks
-/// that no control event can interleave with are skipped without a round
-/// trip through the simulator (Simulator::credit_external accounts for
-/// them). A FIB change on a speculative path, or any topology change,
+/// its next tick as one block without touching its packets, and a cohort
+/// whose packets die at this tick retires them without a hop-by-hop
+/// drain. A FIB change on a speculative path, or any topology change,
 /// turns the affected packets back into ordinary entries at their exact
 /// current hop. Both stores reproduce the same bridge-arming sequence
 /// (including the heap's re-arm-at-now while due packets remain), so
 /// events_fired, the simulator's seq counter and every digest are
 /// bit-identical across backends.
+///
+/// The constant-rate traffic sources live here too (DESIGN.md §5 "One
+/// data-plane event stream"): one ring of (next tick, seq) entries in
+/// firing order, served through the same external slot as the hop store.
+/// The slot is armed for the earlier of the two by (time, seq), and its
+/// handler fires ticks, hops and skipped cohorts inline, one after
+/// another, until the next control event — each one credited to the
+/// simulator exactly as if it had gone through the run loop.
 class DataPlane {
  public:
   /// Subscribes to every node's FIB changes; `fibs` must outlive the plane
@@ -106,6 +115,58 @@ class DataPlane {
   /// Originate a fresh packet; returns its id. The injection's prefix
   /// must have a destination.
   std::uint64_t inject(const Injection& injection);
+
+  // ---- constant-rate sources (driven through fwd::TrafficGenerator) ----
+
+  /// Reports every source tick's injection (time-stamped packet-sent
+  /// record), just before the packet enters the plane. Like the fate
+  /// sink, it runs inside the plane's drain and must not schedule events.
+  using SendHook = std::function<void(net::NodeId source, net::Prefix prefix,
+                                      sim::SimTime when)>;
+  void set_send_hook(SendHook hook) { on_send_ = std::move(hook); }
+
+  /// What every source does per tick: send one packet of `ttl` every
+  /// `interval`, round-robin over prefixes 0..prefix_count-1 starting at
+  /// source % prefix_count.
+  struct SourcePlan {
+    sim::SimTime interval;
+    int ttl = kDefaultTtl;
+    std::size_t prefix_count = 1;
+  };
+  /// A source's first tick.
+  struct SourceStart {
+    sim::SimTime at;
+    net::NodeId node = net::kInvalidNode;
+  };
+
+  /// Start one source per entry of `starts` (each first tick >= now()).
+  /// Each source draws its tie-break seq in the given order, as if it had
+  /// been scheduled. Throws std::logic_error while an earlier start's
+  /// sources still have ticks pending.
+  void start_sources(const SourcePlan& plan,
+                     const std::vector<SourceStart>& starts);
+
+  /// Stop sending. Every source's pending tick still fires once, as a
+  /// counted no-op, and then the source is gone.
+  void stop_sources();
+
+  [[nodiscard]] bool sources_running() const {
+    return src_phase_ == SourcePhase::kRunning;
+  }
+  [[nodiscard]] std::uint64_t packets_sent() const { return src_sent_; }
+
+  /// Checkpoint the sources: phase, send count, prefix cursors (only when
+  /// plan.prefix_count > 1) and — once traffic has started, never before,
+  /// so quiescent bytes carry no ring — the pending ticks in firing order.
+  void save_sources(snap::Writer& w, const SourcePlan& plan) const;
+
+  /// Inverse of save_sources, replacing the source state. The ring is
+  /// decoded and checked in full before anything changes: an unknown
+  /// phase, an unsorted or duplicate source, ticks spanning more than one
+  /// interval, a tick before now(), a seq the simulator has not drawn,
+  /// more entries than nodes, or a node without a prefix cursor ends in
+  /// snap::FormatError.
+  void restore_sources(snap::Reader& r, const SourcePlan& plan);
 
   [[nodiscard]] PlaneBackend backend() const { return backend_; }
 
@@ -130,16 +191,16 @@ class DataPlane {
   }
 
   /// Checkpoint the hop store, id/seq counters, packet counters, and the
-  /// bridge bookkeeping. Events are written in ascending (at, seq) order,
-  /// speculative packets at their exact current hop, so the bytes are
-  /// identical under either backend (snapshots are backend-portable both
-  /// ways).
+  /// bridge bookkeeping (its tie-break seq only while armed, so quiescent
+  /// bytes are unchanged). Events are written in ascending (at, seq)
+  /// order, speculative packets at their exact current hop, so the bytes
+  /// are identical under either backend (snapshots are backend-portable
+  /// both ways). The sources are checkpointed separately (save_sources).
   void save_state(snap::Writer& w) const;
 
-  /// Inverse of save_state, replacing the hop-store contents. Valid in
-  /// place (the bridge closure, if armed, is still scheduled and
-  /// unchanged) or into a fresh plane restored at quiescence (empty
-  /// store, bridge unarmed). Restored packets are ordinary entries.
+  /// Inverse of save_state, replacing the hop-store contents, and re-arm
+  /// the simulator's slot from the restored bridge and the current
+  /// sources. Restored packets are ordinary entries.
   void restore_state(snap::Reader& r);
 
  private:
@@ -228,11 +289,11 @@ class DataPlane {
     sim::SimTime delay;
   };
 
-  /// A memoized Decision, valid while the owning node's FIB version and
-  /// the topology's state version both still match. Zero stamps (the
-  /// fresh-cache state) can never validate — both counters start at 1.
+  /// A memoized Decision, valid while the topology's state version still
+  /// matches its stamp. A FIB change of its (node, prefix) zeroes the
+  /// stamp; zero (also the fresh-cache state) never validates, since the
+  /// topology's counter starts at 1.
   struct CachedDecision {
-    std::uint64_t fib_stamp = 0;
     std::uint64_t topo_stamp = 0;
     Decision d;
   };
@@ -265,8 +326,24 @@ class DataPlane {
   [[nodiscard]] const sim::SimTime* next_pending_at() const;
   void arm_at(sim::SimTime at);
   void rearm();
-  void on_bridge();
   void drain_due();
+
+  // ---- the one data-plane event stream ----
+  /// The simulator's external handler: fires the plane's items in
+  /// (time, seq) order for as long as each is the simulator's next event.
+  void on_slot();
+  /// Whether the bridge's firing is the plane's next item (otherwise the
+  /// source ring's front is, if any source is pending).
+  [[nodiscard]] bool bridge_next() const {
+    if (!bridge_armed_) return false;
+    if (src_live_ == 0) return true;
+    const SourceTick& s = src_[src_head_];
+    return bridge_time_ < s.at || (bridge_time_ == s.at && bridge_seq_ < s.seq);
+  }
+  void fire_bridge();
+  void fire_source();
+  /// Arm the simulator's slot for the plane's next item, or disarm it.
+  void sync_slot();
 
   // ---- speculative cycle delivery (ring store only) ----
   const Walk& walk_for(net::NodeId node, net::Prefix prefix);
@@ -303,6 +380,8 @@ class DataPlane {
   /// skip_hop's rare case: the moved cohort lands before the back one.
   void relocate_front();
   bool retire_dying(sim::SimTime when);
+  /// After a bridge firing: replay the cohort skips that follow it, up to
+  /// the next source tick or control event, credited in one call.
   void skip_ahead();
   void on_fib_change(net::NodeId node, net::Prefix prefix);
   /// Send every packet `touched` selects back to hop by hop.
@@ -320,9 +399,9 @@ class DataPlane {
   PlaneBackend backend_;
   std::priority_queue<HopEvent, std::vector<HopEvent>, std::greater<>> heap_;
   TickQueue rings_;
-  /// (node × prefix) decision cache, stamp-validated against the FIB and
-  /// topology version counters. Shared by both backends, so it cannot
-  /// skew the A/B.
+  /// (node × prefix) decision cache, invalidated by the FIB observer and
+  /// stamped with the topology version. Shared by both backends, so it
+  /// cannot skew the A/B.
   mutable std::vector<CachedDecision> cache_;
 
   /// (node × prefix) walk memo, built lazily on the first speculation.
@@ -344,6 +423,31 @@ class DataPlane {
 
   bool bridge_armed_ = false;
   sim::SimTime bridge_time_;
+  std::uint64_t bridge_seq_ = 0;  // tie-break drawn at the last arming
+
+  // ---- constant-rate sources ----
+  /// One source's next tick. Sources with one common interval never
+  /// reorder — a fired tick's successor is later by (time, seq) than
+  /// every pending tick — so the ring keeps firing order by rotation.
+  struct SourceTick {
+    sim::SimTime at;
+    std::uint64_t seq = 0;
+    net::NodeId node = net::kInvalidNode;
+  };
+  /// kIdle until the first start (quiescent checkpoints carry no ring).
+  enum class SourcePhase : std::uint8_t { kIdle = 0, kRunning = 1, kStopped = 2 };
+  SourcePhase src_phase_ = SourcePhase::kIdle;
+  SourcePlan src_plan_;
+  /// Pending ticks in firing order: src_[src_head_] first, src_live_ of
+  /// them, wrapping around the vector.
+  std::vector<SourceTick> src_;
+  std::size_t src_head_ = 0;
+  std::size_t src_live_ = 0;
+  std::uint64_t src_sent_ = 0;
+  /// Per-source round-robin prefix position (multi-prefix plans only;
+  /// indexed by source node).
+  std::vector<std::uint64_t> src_cursor_;
+  SendHook on_send_;
 };
 
 }  // namespace bgpsim::fwd

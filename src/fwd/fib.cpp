@@ -12,7 +12,6 @@ bool Fib::set_next_hop(net::Prefix prefix, net::NodeId next_hop) {
   const net::NodeId previous = routes_[prefix];
   if (previous == next_hop) return false;
   routes_[prefix] = next_hop;
-  ++version_;
   if (previous == net::kInvalidNode) {
     ++route_count_;
     notify(prefix, std::nullopt, next_hop);
@@ -29,7 +28,6 @@ bool Fib::clear_route(net::Prefix prefix) {
   const net::NodeId previous = routes_[prefix];
   routes_[prefix] = net::kInvalidNode;
   --route_count_;
-  ++version_;
   notify(prefix, previous, std::nullopt);
   return true;
 }

@@ -40,12 +40,6 @@ class Fib {
 
   [[nodiscard]] std::size_t route_count() const { return route_count_; }
 
-  /// Monotonic counter bumped by every route change (a no-op write keeps
-  /// it still). Readers — the data plane's decision cache — compare
-  /// stamps; the value is a process-local cache artifact and is never
-  /// serialized.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   /// Subscribe in addition to the observers already installed; every
   /// observer sees every change, in registration order.
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
@@ -70,8 +64,6 @@ class Fib {
   std::vector<net::NodeId> routes_;
   std::size_t route_count_ = 0;
   std::vector<Observer> observers_;
-  /// Starts above 0 so a zero-initialized cache stamp can never validate.
-  std::uint64_t version_ = 1;
 };
 
 }  // namespace bgpsim::fwd

@@ -1,41 +1,19 @@
 #include "fwd/traffic.hpp"
 
-#include <algorithm>
-
 namespace bgpsim::fwd {
 
 void TrafficGenerator::start(const std::vector<net::NodeId>& sources,
                              sim::SimTime start) {
-  running_ = true;
-  if (config_.prefix_count > 1 && !sources.empty()) {
-    // Round-robin cursors: source s starts at prefix s % P, so the first
-    // tick of the whole network already spreads over the prefix set.
-    net::NodeId max_src = 0;
-    for (net::NodeId src : sources) max_src = std::max(max_src, src);
-    cursor_.assign(max_src + 1, 0);
-    for (net::NodeId src : sources) cursor_[src] = src % config_.prefix_count;
-  }
+  std::vector<DataPlane::SourceStart> starts;
+  starts.reserve(sources.size());
   for (net::NodeId src : sources) {
     sim::SimTime first = start;
     if (config_.stagger) {
       first += rng_.uniform_time(sim::SimTime::zero(), config_.interval);
     }
-    sim_.schedule_at(first, [this, src] { tick(src); });
+    starts.push_back(DataPlane::SourceStart{.at = first, .node = src});
   }
-}
-
-void TrafficGenerator::tick(net::NodeId source) {
-  if (!running_) return;
-  ++sent_;
-  net::Prefix prefix = 0;
-  if (config_.prefix_count > 1) {
-    prefix = static_cast<net::Prefix>(cursor_[source] % config_.prefix_count);
-    cursor_[source] = prefix + 1;
-  }
-  if (on_send_) on_send_(source, prefix, sim_.now());
-  plane_.inject(Injection{.source = source, .prefix = prefix,
-                          .ttl = config_.ttl});
-  sim_.schedule_after(config_.interval, [this, source] { tick(source); });
+  plane_.start_sources(plan(), starts);
 }
 
 }  // namespace bgpsim::fwd

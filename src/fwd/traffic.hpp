@@ -1,8 +1,16 @@
 // Constant-rate traffic sources.
+//
+// The sources are strictly periodic, so they do not live in the event
+// queue: the data plane keeps them as one ring of (next tick, seq) entries
+// in firing order and serves them through its external slot together with
+// the packet hops, firing both inline up to the next control event
+// (DESIGN.md §5 "One data-plane event stream"). This class is the
+// scenario-facing handle on that ring: it draws the stagger, starts and
+// stops the sources, and checkpoints them.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "fwd/engine.hpp"
@@ -33,65 +41,64 @@ struct TrafficConfig {
 };
 
 /// Drives a set of CBR sources injecting into a DataPlane.
+///
+/// Each tick fires in exactly the order a self-rescheduling event would:
+/// a source's first tick draws its tie-break seq at start(), in source
+/// order; each later one draws it when its predecessor fires, after that
+/// predecessor's injection. Send hooks run inside the data plane's drain
+/// and must not schedule events (the simulator throws if one does).
 class TrafficGenerator {
  public:
   /// Reports every injection (time-stamped packet-sent record). The one
   /// prefix-aware hook: single-prefix runs always report prefix 0.
-  using SendHook = std::function<void(net::NodeId source, net::Prefix prefix,
-                                      sim::SimTime when)>;
-  TrafficGenerator(sim::Simulator& simulator, DataPlane& plane,
-                   TrafficConfig config, sim::Rng rng)
-      : sim_{simulator}, plane_{plane}, config_{config}, rng_{std::move(rng)} {}
+  using SendHook = DataPlane::SendHook;
 
-  void set_send_hook(SendHook h) { on_send_ = std::move(h); }
+  /// `simulator` must be the one `plane` runs on; the plane fires the
+  /// ticks.
+  TrafficGenerator(sim::Simulator& /*simulator*/, DataPlane& plane,
+                   TrafficConfig config, sim::Rng rng)
+      : plane_{plane}, config_{config}, rng_{std::move(rng)} {}
+
+  void set_send_hook(SendHook h) { plane_.set_send_hook(std::move(h)); }
 
   /// Begin sending from every node in `sources` at time `start`.
   void start(const std::vector<net::NodeId>& sources, sim::SimTime start);
 
-  /// Stop all sources (takes effect at the current simulation time; already
-  /// scheduled next-injections are suppressed).
-  void stop() { running_ = false; }
+  /// Stop all sources (takes effect at the current simulation time; each
+  /// source's already pending tick still fires, as a counted no-op).
+  void stop() { plane_.stop_sources(); }
 
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
+  [[nodiscard]] bool running() const { return plane_.sources_running(); }
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    return plane_.packets_sent();
+  }
 
-  /// Checkpoint the stagger RNG and send counters. Per-source tick chains
-  /// are scheduled closures: preserved in place by an in-run checkpoint,
-  /// not yet started at a pre-traffic (quiescent) one. Prefix cursors are
-  /// written only in multi-prefix mode, so single-prefix bytes are
-  /// unchanged.
+  /// Checkpoint the stagger RNG and the plane's sources: phase, send
+  /// count, prefix cursors (multi-prefix mode only, so single-prefix bytes
+  /// are unchanged) and, once traffic has started, the pending ticks.
+  /// Before start() the bytes are exactly the pre-ring layout, so
+  /// quiescent (prelude) snapshots are unchanged.
   void save_state(snap::Writer& w) const {
     snap::write_rng(w, rng_);
-    w.b(running_);
-    w.u64(sent_);
-    if (config_.prefix_count > 1) {
-      w.u64(cursor_.size());
-      for (const std::uint64_t c : cursor_) w.u64(c);
-    }
+    plane_.save_sources(w, plan());
   }
   void restore_state(snap::Reader& r) {
-    snap::read_rng(r, rng_);
-    running_ = r.b();
-    sent_ = r.u64();
-    if (config_.prefix_count > 1) {
-      cursor_.assign(static_cast<std::size_t>(r.u64()), 0);
-      for (std::uint64_t& c : cursor_) c = r.u64();
-    }
+    sim::Rng rng = rng_;
+    snap::read_rng(r, rng);
+    plane_.restore_sources(r, plan());
+    rng_ = std::move(rng);
   }
 
  private:
-  void tick(net::NodeId source);
+  [[nodiscard]] DataPlane::SourcePlan plan() const {
+    return DataPlane::SourcePlan{.interval = config_.interval,
+                                 .ttl = config_.ttl,
+                                 .prefix_count = config_.prefix_count};
+  }
 
-  sim::Simulator& sim_;
   DataPlane& plane_;
   TrafficConfig config_;
   sim::Rng rng_;
-  SendHook on_send_;
-  bool running_ = false;
-  std::uint64_t sent_ = 0;
-  /// Per-source round-robin position over the prefix set (multi-prefix
-  /// mode only; indexed by source id, sized at start()).
-  std::vector<std::uint64_t> cursor_;
 };
 
 }  // namespace bgpsim::fwd

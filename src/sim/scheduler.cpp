@@ -6,7 +6,18 @@
 
 namespace bgpsim::sim {
 
+namespace {
+
+[[noreturn]] void refuse_schedule_in_handler() {
+  throw std::logic_error{
+      "Simulator: an event was scheduled while the external handler runs "
+      "(its inline drain would fire data-plane items out of order)"};
+}
+
+}  // namespace
+
 EventId Simulator::schedule_at(SimTime when, Callback cb, std::uint64_t tag) {
+  if (in_external_) refuse_schedule_in_handler();
   if (when < now_) {
     throw std::invalid_argument{"Simulator::schedule_at: time in the past"};
   }
@@ -15,6 +26,7 @@ EventId Simulator::schedule_at(SimTime when, Callback cb, std::uint64_t tag) {
 
 EventId Simulator::schedule_after(SimTime delay, Callback cb,
                                   std::uint64_t tag) {
+  if (in_external_) refuse_schedule_in_handler();
   if (delay < SimTime::zero()) {
     throw std::invalid_argument{"Simulator::schedule_after: negative delay"};
   }
@@ -29,46 +41,55 @@ void Simulator::set_external_handler(Callback handler) {
   ext_handler_ = std::move(handler);
 }
 
-void Simulator::arm_external(SimTime when) {
+void Simulator::arm_external(SimTime when, std::uint64_t seq) {
   if (!ext_handler_) {
     throw std::logic_error{"Simulator::arm_external: no handler installed"};
   }
   if (when < now_) {
     throw std::invalid_argument{"Simulator::arm_external: time in the past"};
   }
+  if (seq >= queue_.next_seq()) {
+    throw std::invalid_argument{"Simulator::arm_external: seq not yet drawn"};
+  }
   ext_time_ = when;
-  ext_seq_ = queue_.take_seq();
+  ext_seq_ = seq;
   ext_armed_ = true;
 }
 
-SimTime Simulator::external_horizon() const {
-  if (queue_.empty()) return bulk_end_;
-  return std::min(bulk_end_, queue_.next_time());
-}
-
-void Simulator::credit_external(std::uint64_t firings, SimTime last,
-                                SimTime rearm_at) {
-  if (firings == 0 || last < now_ || rearm_at < last ||
-      !(last < external_horizon())) {
+void Simulator::credit_external(std::uint64_t firings, SimTime last) {
+  if (firings == 0 || last < now_ || !(last < inline_time_)) {
     throw std::invalid_argument{
         "Simulator::credit_external: firings outside the handler's horizon"};
   }
   fired_ += firings;
   now_ = last;
-  // One seq per re-arm; the last one is the slot's live tie-break.
-  queue_.set_next_seq(queue_.next_seq() + firings - 1);
-  ext_time_ = rearm_at;
-  ext_seq_ = queue_.take_seq();
-  ext_armed_ = true;
+}
+
+void Simulator::fire_external(SimTime bound_time, std::uint64_t bound_seq) {
+  ext_armed_ = false;
+  now_ = ext_time_;
+  ++fired_;
+  inline_time_ = bound_time;
+  inline_seq_ = bound_seq;
+  struct Running {
+    bool& flag;
+    explicit Running(bool& f) : flag{f} { flag = true; }
+    ~Running() { flag = false; }
+    Running(const Running&) = delete;
+    Running& operator=(const Running&) = delete;
+  } running{in_external_};
+  ext_handler_();
 }
 
 std::uint64_t Simulator::run_until(SimTime limit) {
   const std::uint64_t fired_before = fired_;
-  bulk_end_ = limit.is_infinite() ? limit : limit + SimTime::micros(1);
+  // Inline external firings stay within the limit: strictly before
+  // (limit + 1 us, seq 0).
+  const SimTime end = limit.is_infinite() ? limit : limit + SimTime::micros(1);
   for (;;) {
     if (queue_.empty()) {
       if (!ext_armed_ || ext_time_ > limit) break;
-      fire_external();
+      fire_external(end, 0);
       continue;
     }
     // One front observation per iteration: the merge against the external
@@ -80,7 +101,11 @@ std::uint64_t Simulator::run_until(SimTime limit) {
     if (ext_armed_ && (ext_time_ < front_time ||
                        (ext_time_ == front_time && ext_seq_ < front.seq))) {
       if (ext_time_ > limit) break;
-      fire_external();
+      if (front_time < end) {
+        fire_external(front_time, front.seq);
+      } else {
+        fire_external(end, 0);
+      }
       continue;
     }
     if (front_time > limit) break;
@@ -89,7 +114,7 @@ std::uint64_t Simulator::run_until(SimTime limit) {
     ++fired_;
     fired.callback();
   }
-  // Counted from the ledger: external handlers may credit bulk firings.
+  // Counted from the ledger: the external handler may fire inline.
   return fired_ - fired_before;
 }
 
@@ -117,10 +142,10 @@ void Simulator::consume_coincident(EventId id) {
 }
 
 bool Simulator::step() {
-  bulk_end_ = now_;  // exactly one event: no bulk external firings
   const bool has_queue = !queue_.empty();
   if (ext_armed_ && (!has_queue || external_first())) {
-    fire_external();
+    // Exactly one event: a (now, seq 0) bound admits no inline firing.
+    fire_external(now_, 0);
     return true;
   }
   if (!has_queue) return false;

@@ -99,45 +99,78 @@ class Simulator {
   /// --- external event slot ------------------------------------------
   ///
   /// A component that manages many internal timed items behind one
-  /// deadline — the data plane keeps its own heap of millions of packet
-  /// hops — registers a handler once and arms the slot for its earliest
-  /// internal time. Arming draws a FIFO tie-break seq from the same
-  /// counter as schedule_at, so the handler fires in exactly the order a
-  /// freshly pushed event would — but arming and re-arming are a few
-  /// stores, with no queue traffic and no allocation. One slot per
-  /// simulator; the run loop merges it with the queue.
+  /// deadline — the data plane keeps its own stores of packet hops and
+  /// traffic-source ticks — registers a handler once and arms the slot for
+  /// its earliest internal item. Every item carries a FIFO tie-break seq
+  /// drawn from the same counter as schedule_at (take_seq), so the slot
+  /// fires in exactly the order a freshly pushed event would — but arming
+  /// and re-arming are a few stores, with no queue traffic and no
+  /// allocation. One slot per simulator; the run loop merges it with the
+  /// queue.
+  ///
+  /// While the handler runs it may fire the slot again inline
+  /// (fire_external_inline) for every item the run loop would have fired
+  /// next anyway, so a stream of data-plane items between two control
+  /// events costs one run-loop return. The handler must not schedule
+  /// events: schedule_at/schedule_after throw std::logic_error while it
+  /// runs, since an event pushed mid-drain could precede items the owner
+  /// already fired inline.
 
   /// Register the external handler (must be set before arm_external; may
   /// only be installed once — the slot has a single owner).
   void set_external_handler(Callback handler);
 
-  /// Arm the slot at absolute time `when` (>= now()), replacing any
-  /// previous arming and assigning a fresh tie-break seq — the ordering a
+  /// Draw the next FIFO tie-break seq, exactly as a schedule_at at this
+  /// moment would. The slot's owner stamps its internal items with these.
+  std::uint64_t take_seq() { return queue_.take_seq(); }
+
+  /// Arm the slot at absolute time `when` (>= now()) with tie-break `seq`,
+  /// a seq drawn earlier by take_seq (so < event_seq()), replacing any
+  /// previous arming. Draws nothing.
+  void arm_external(SimTime when, std::uint64_t seq);
+
+  /// Arm the slot at `when` with a freshly drawn seq — the ordering a
   /// cancel-and-reschedule through the queue would produce.
-  void arm_external(SimTime when);
+  void arm_external(SimTime when) { arm_external(when, take_seq()); }
 
   /// Disarm without firing. No-op if not armed.
   void disarm_external() { ext_armed_ = false; }
 
-  /// Exclusive time bound on firings the slot's owner may account for in
-  /// bulk from inside its running handler (credit_external): the next
-  /// queued event's time, or just past the current run_until limit,
-  /// whichever is earlier. Every seq drawn while the handler runs is larger
-  /// than any queued event's, so a slot firing at exactly the queued
-  /// event's time would come after it — hence the strict bound. Under
-  /// step() nothing may be skipped: the bound is now().
-  [[nodiscard]] SimTime external_horizon() const;
+  /// From inside the external handler: fire the slot once more, for an
+  /// item at (`when`, `seq`), iff the run loop would fire exactly that
+  /// next — it precedes the queue front by (time, seq) and lies within the
+  /// current run_until limit; under step() never. On true it counts as
+  /// fired and now() becomes `when`; on false nothing changes and the
+  /// owner re-arms the slot for the item. The bound is fixed when the
+  /// handler starts, which is sound because the handler cannot schedule.
+  bool fire_external_inline(SimTime when, std::uint64_t seq) {
+    if (!(when < inline_time_ || (when == inline_time_ && seq < inline_seq_))) {
+      return false;
+    }
+    now_ = when;
+    ++fired_;
+    return true;
+  }
 
-  /// Account for `firings` further firings of the external slot that its
-  /// owner performed inline, from inside the running handler, all before
-  /// external_horizon(): each counts as fired and each re-armed the slot
-  /// once (one tie-break seq apiece). The last fired at `last`, which
-  /// becomes now(), and re-armed the slot at `rearm_at`. events_fired(),
-  /// event_seq() and the slot end up exactly as if the firings had gone
-  /// through the run loop one by one.
-  void credit_external(std::uint64_t firings, SimTime last, SimTime rearm_at);
+  /// From inside the external handler: exclusive time bound on items
+  /// whose seq the handler drew itself — the next queued event's time, or
+  /// just past the run_until limit; under step() nothing passes (the
+  /// bound is the clock before the step). Such a seq is newer than the
+  /// queued event's, so an item at exactly that time would come after it
+  /// — hence the strict bound.
+  [[nodiscard]] SimTime external_horizon() const { return inline_time_; }
+
+  /// Account for `firings` inline firings of the external slot in one
+  /// call, all before external_horizon(), the last at `last` (>= now()),
+  /// which becomes now(). Their seqs the owner drew with take_seq.
+  /// Throws std::invalid_argument for firings outside the horizon.
+  void credit_external(std::uint64_t firings, SimTime last);
 
   [[nodiscard]] bool external_armed() const { return ext_armed_; }
+
+  /// True while the external handler runs (its owner defers re-arming
+  /// the slot to the handler's end).
+  [[nodiscard]] bool in_external_handler() const { return in_external_; }
 
   /// Number of pending (live) events, counting an armed external slot.
   [[nodiscard]] std::size_t pending() const {
@@ -188,12 +221,9 @@ class Simulator {
     return ext_seq_ < queue_.next_event_seq();
   }
 
-  void fire_external() {
-    ext_armed_ = false;
-    now_ = ext_time_;
-    ++fired_;
-    ext_handler_();
-  }
+  /// Fire the armed slot; `bound_time`/`bound_seq` limit what its handler
+  /// may fire inline (see fire_external_inline).
+  void fire_external(SimTime bound_time, std::uint64_t bound_seq);
 
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
@@ -202,9 +232,12 @@ class Simulator {
   SimTime ext_time_ = SimTime::zero();
   std::uint64_t ext_seq_ = 0;
   bool ext_armed_ = false;
-  /// Exclusive run limit seen by external_horizon(); set by run_until and
-  /// step.
-  SimTime bulk_end_ = SimTime::zero();
+  /// True while the external handler runs (scheduling is refused).
+  bool in_external_ = false;
+  /// Exclusive (time, seq) bound on inline firings of the running
+  /// external handler: the queue front, or just past the run limit.
+  SimTime inline_time_ = SimTime::zero();
+  std::uint64_t inline_seq_ = 0;
 };
 
 }  // namespace bgpsim::sim

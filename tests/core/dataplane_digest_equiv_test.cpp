@@ -74,6 +74,22 @@ Scenario bench_fig8_clique16() {
   return s;
 }
 
+/// bgpsim_bench's policy-10k trial: Gao-Rexford on the 10k-AS graph,
+/// destination 2494, seed 1. Its 9,999 staggered sources make it the
+/// workload with the densest tick/tick and tick/hop ties at equal µs.
+Scenario bench_policy_10k() {
+  Scenario s;
+  s.topology.kind = TopologyKind::kAsGraph;
+  s.topology.size = 10000;
+  s.topology.topo_seed = 1;
+  s.event = EventKind::kTdown;
+  s.policy_routing = true;
+  s.bgp.mrai = sim::SimTime::seconds(30);
+  s.seed = 1;
+  s.destination = 2494;
+  return s;
+}
+
 /// The dimensions whose hot paths the ring store reorders internally:
 /// heavy looping traffic under each enhancement, flap re-arming, policy
 /// routing, and multi-prefix cohorts sharing one drain.
@@ -149,7 +165,8 @@ TEST(DataPlaneDigestEquivTest, BenchInputsArePinnedOnBothBackends) {
   // The benchmark's own inputs, pinned here so that any drift in the
   // exactness ledger (skipped hops credited to events_fired, the bridge's
   // seq order, fate order) fails ctest before anyone runs the bench. The
-  // headline is where speculative cycle delivery does nearly all the work.
+  // headline is where speculative cycle delivery does nearly all the work;
+  // policy-10k is where traffic-source ticks and hops tie most often.
   struct Pin {
     const char* name;
     Scenario scenario;
@@ -161,6 +178,7 @@ TEST(DataPlaneDigestEquivTest, BenchInputsArePinnedOnBothBackends) {
        34'576'585},
       {"campaign-fig8 clique-16 bgp", bench_fig8_clique16(),
        0x189063b154df1e0bULL, 3'678'335},
+      {"policy-10k", bench_policy_10k(), 0xcff5d48ba555667aULL, 2'313'242},
   };
   for (const Pin& pin : pins) {
     for (const bool rings : {true, false}) {

@@ -140,23 +140,25 @@ TEST(Simulator, RunUntilReturnsFiredCount) {
 }
 
 TEST(Simulator, CreditExternalAccountsBulkFirings) {
-  // The slot's owner replays three firings inline (the last at 5 us,
-  // re-armed at 7 us): the ledger must read as if the run loop had fired
-  // them one by one — fired count, clock, one seq per re-arm.
+  // The slot's owner replays three firings inline (the last at 5 us) and
+  // re-arms for 7 us: the ledger must read as if the run loop had fired
+  // them one by one — fired count and clock; the seqs are the owner's
+  // own draws.
   Simulator sim;
   std::vector<std::pair<std::int64_t, std::string>> order;
   int calls = 0;
   sim.set_external_handler([&] {
     order.emplace_back(sim.now().as_micros(), "slot");
-    if (++calls == 1) {
-      EXPECT_EQ(sim.external_horizon(), SimTime::micros(10));
-      // Bulk firings may not reach the queued event's time.
-      EXPECT_THROW(sim.credit_external(1, SimTime::micros(10),
-                                       SimTime::micros(10)),
-                   std::invalid_argument);
-      sim.credit_external(3, SimTime::micros(5), SimTime::micros(7));
-      EXPECT_EQ(sim.now(), SimTime::micros(5));
-    }
+    if (++calls != 1) return;
+    EXPECT_EQ(sim.external_horizon(), SimTime::micros(10));
+    // Bulk firings may not reach the queued event's time.
+    EXPECT_THROW(sim.credit_external(1, SimTime::micros(10)),
+                 std::invalid_argument);
+    sim.take_seq();
+    sim.take_seq();
+    sim.credit_external(3, SimTime::micros(5));
+    EXPECT_EQ(sim.now(), SimTime::micros(5));
+    sim.arm_external(SimTime::micros(7), sim.take_seq());
   });
   sim.schedule_at(SimTime::micros(10),
                   [&] { order.emplace_back(sim.now().as_micros(), "event"); });
@@ -164,9 +166,7 @@ TEST(Simulator, CreditExternalAccountsBulkFirings) {
   const std::uint64_t seq_before = sim.event_seq();
   EXPECT_EQ(sim.run(), 6u);  // 1 + 3 credited + the re-armed slot + event
   EXPECT_EQ(sim.events_fired(), 6u);
-  // Three re-arms drawn by the credited firings; the slot's second real
-  // firing does not re-arm.
-  EXPECT_EQ(sim.event_seq(), seq_before + 3);
+  EXPECT_EQ(sim.event_seq(), seq_before + 3);  // the owner's three draws
   const std::vector<std::pair<std::int64_t, std::string>> expected = {
       {1, "slot"}, {7, "slot"}, {10, "event"}};
   EXPECT_EQ(order, expected);
@@ -183,6 +183,103 @@ TEST(Simulator, ExternalHorizonFollowsTheRunLimitAndStep) {
   ASSERT_EQ(horizons.size(), 2u);
   EXPECT_EQ(horizons[0], SimTime::micros(9));
   EXPECT_EQ(horizons[1], SimTime::micros(3));
+}
+
+TEST(Simulator, FireExternalInlineCreditsEachItem) {
+  // The slot's owner fires its items at 3 and 5 us inline; the item at
+  // 10 us drew its seq after the queued event at 10 us, so it may not
+  // fire inline and goes back through the run loop behind that event.
+  // The ledger must read as if every item had been a queued event.
+  Simulator sim;
+  std::vector<std::pair<std::int64_t, std::string>> order;
+  std::uint64_t late_seq = 0;
+  int calls = 0;
+  sim.set_external_handler([&] {
+    order.emplace_back(sim.now().as_micros(), "slot");
+    if (++calls != 1) return;
+    const std::uint64_t s3 = sim.take_seq();
+    const std::uint64_t s5 = sim.take_seq();
+    late_seq = sim.take_seq();
+    ASSERT_TRUE(sim.fire_external_inline(SimTime::micros(3), s3));
+    order.emplace_back(sim.now().as_micros(), "inline");
+    ASSERT_TRUE(sim.fire_external_inline(SimTime::micros(5), s5));
+    order.emplace_back(sim.now().as_micros(), "inline");
+    EXPECT_FALSE(sim.fire_external_inline(SimTime::micros(10), late_seq));
+    EXPECT_EQ(sim.now(), SimTime::micros(5));
+    sim.arm_external(SimTime::micros(10), late_seq);
+  });
+  sim.schedule_at(SimTime::micros(10),
+                  [&] { order.emplace_back(sim.now().as_micros(), "event"); });
+  sim.arm_external(SimTime::micros(1));
+  const std::uint64_t seq_before = sim.event_seq();
+  EXPECT_EQ(sim.run(), 5u);  // slot + 2 inline + event + the re-armed slot
+  EXPECT_EQ(sim.events_fired(), 5u);
+  EXPECT_EQ(sim.event_seq(), seq_before + 3);  // only the owner's draws
+  const std::vector<std::pair<std::int64_t, std::string>> expected = {
+      {1, "slot"}, {3, "inline"}, {5, "inline"}, {10, "event"}, {10, "slot"}};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Simulator, FireExternalInlineOrdersBySeqAtTheQueueFront) {
+  // At the queued event's own time, items drawn before it fire inline and
+  // items drawn after it do not.
+  Simulator sim;
+  std::vector<bool> admitted;
+  const std::uint64_t first = sim.take_seq();
+  const std::uint64_t second = sim.take_seq();
+  sim.schedule_at(SimTime::micros(4), [] {});
+  const std::uint64_t third = sim.take_seq();
+  sim.set_external_handler([&] {
+    admitted.push_back(sim.fire_external_inline(SimTime::micros(4), second));
+    admitted.push_back(sim.fire_external_inline(SimTime::micros(4), third));
+  });
+  sim.arm_external(SimTime::micros(4), first);
+  EXPECT_TRUE(sim.step());  // the slot, alone: step() admits nothing
+  sim.arm_external(SimTime::micros(4), first);
+  sim.run_until(SimTime::micros(3));  // before the slot: nothing fires
+  sim.run_until(SimTime::micros(4));  // the slot, then the queued event
+  const std::vector<bool> expected = {false, false, true, false};
+  EXPECT_EQ(admitted, expected);
+  EXPECT_EQ(sim.events_fired(), 4u);  // two slot firings, one inline, event
+
+  // Without queued events the run limit bounds: items at the limit fire.
+  Simulator limited;
+  std::vector<bool> seen;
+  limited.set_external_handler([&] {
+    seen.push_back(limited.fire_external_inline(SimTime::micros(8), 0));
+    seen.push_back(limited.fire_external_inline(SimTime::micros(9), 0));
+  });
+  limited.arm_external(SimTime::micros(3));
+  limited.run_until(SimTime::micros(8));
+  const std::vector<bool> limit_expected = {true, false};
+  EXPECT_EQ(seen, limit_expected);
+  EXPECT_EQ(limited.events_fired(), 2u);
+  EXPECT_EQ(limited.now(), SimTime::micros(8));
+}
+
+TEST(Simulator, ExternalHandlerMayNotSchedule) {
+  // An event pushed mid-drain could precede items already fired inline,
+  // so the simulator refuses it instead of reordering silently.
+  Simulator sim;
+  sim.set_external_handler([&] { sim.schedule_after(SimTime::micros(1), [] {}); });
+  sim.arm_external(SimTime::micros(2));
+  EXPECT_THROW(sim.run(), std::logic_error);
+  // Outside the handler scheduling works again.
+  EXPECT_NO_THROW(sim.schedule_at(SimTime::micros(5), [] {}));
+}
+
+TEST(Simulator, ArmExternalTakesOnlyDrawnSeqs) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.set_external_handler([&] { order.push_back("slot"); });
+  const std::uint64_t drawn = sim.take_seq();
+  sim.schedule_at(SimTime::micros(1), [&] { order.push_back("event"); });
+  EXPECT_THROW(sim.arm_external(SimTime::micros(1), sim.event_seq()),
+               std::invalid_argument);
+  sim.arm_external(SimTime::micros(1), drawn);  // drawn first: fires first
+  sim.run();
+  const std::vector<std::string> expected = {"slot", "event"};
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace
