@@ -1,7 +1,6 @@
 // run_campaign: distributed campaign execution over the src/svc/ service.
 //
-//   $ run_campaign --topo clique --sizes 5,10,15 --event tdown \
-//                  --trials 8 --workers 4
+//   $ run_campaign --topo clique --sizes 5,10,15 --event tdown --trials 8 --workers 4
 //
 // Decomposes a sweep (one scenario per --sizes entry, or a single
 // --size scenario) into (scenario, trial-range) work units and runs them

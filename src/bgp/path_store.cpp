@@ -2,8 +2,6 @@
 
 namespace bgpsim::bgp {
 
-thread_local PathStore* PathStore::current_ = nullptr;
-
 namespace detail {
 
 void release(const PathNode* n) noexcept {

@@ -125,7 +125,10 @@ class PathStore {
   [[nodiscard]] const detail::PathNode* intern(net::NodeId head,
                                                const detail::PathNode* parent);
 
-  static thread_local PathStore* current_;
+  // constinit inline: every access is a direct TLS access, not a call to
+  // the thread_local wrapper that gcc's UBSan misreads as null in
+  // optimized builds.
+  static constinit inline thread_local PathStore* current_ = nullptr;
 
   // Holds one reference per entry.
   std::unordered_map<Key, const detail::PathNode*, KeyHash> table_;

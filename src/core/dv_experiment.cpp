@@ -125,8 +125,11 @@ ExperimentOutcome run_dv_experiment(const DvScenario& scenario) {
   if (oracle) {
     // Default BgpConfig: only topology/prefix/destination matter to the
     // DV-applicable invariants (see DvScenario::oracle).
-    oracle->arm(check::Context{&topo, {}, kPrefix, destination,
-                               /*policy_routing=*/false});
+    oracle->arm(check::Context{.topology = &topo,
+                               .bgp = {},
+                               .prefix = kPrefix,
+                               .destination = destination,
+                               .policy_routing = false});
   }
   metrics::Collector collector;
   // Stability clock: the last time any route table changed anywhere.

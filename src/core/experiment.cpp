@@ -208,14 +208,15 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   metrics::TraceRecorder* trace = scenario.trace;
   check::Oracle* oracle = scenario.oracle;
   if (oracle) {
-    check::Context ctx{&topo, bgp_config, kPrefix, destination,
-                       scenario.policy_routing,
-                       scenario.policy_routing ? &relationships : nullptr};
-    if (multi) {
-      ctx.prefix_count = prefix_count;
-      ctx.origins = prefix_origins;
-    }
-    oracle->arm(ctx);
+    oracle->arm(check::Context{
+        .topology = &topo,
+        .bgp = bgp_config,
+        .prefix = kPrefix,
+        .destination = destination,
+        .policy_routing = scenario.policy_routing,
+        .relationships = scenario.policy_routing ? &relationships : nullptr,
+        .prefix_count = prefix_count,  // 1 and no origins unless multi
+        .origins = prefix_origins});
   }
   bgp::Speaker::Hooks hooks;
   hooks.on_update_sent = [&collector, &simulator, trace, oracle](

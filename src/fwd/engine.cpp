@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -215,7 +216,7 @@ void DataPlane::save_state(snap::Writer& w) const {
     for (std::size_t t = 0; t < rings_.size(); ++t) {
       const TickRing& r = rings_[t];
       for (std::size_t i = r.head; i < r.items.size(); ++i) {
-        write_event(settled(r, i));
+        write_event(settled(rings_.hot(t), r, i));
       }
     }
   } else {
@@ -286,33 +287,36 @@ void DataPlane::enqueue(HopEvent ev) {
   // Uniform link delays make the back cohort the overwhelmingly common
   // target; anything else walks back from the end (heterogeneous delays
   // stay correct, they just pay a short scan).
-  TickRing* ring;
-  if (!rings_.empty() && ev.at == rings_.back().at) {
-    ring = &rings_.back();
+  std::size_t t = rings_.size();
+  if (t != 0 && ev.at == rings_.hot(t - 1).at) {
+    --t;
   } else {
-    std::size_t i = rings_.size();
-    while (i != 0 && rings_[i - 1].at > ev.at) --i;
-    ring = i != 0 && rings_[i - 1].at == ev.at ? &rings_[i - 1]
-                                                : &rings_.open(i, ev.at);
-  }
-  admit(*ring, ev.spec);
-  ring->items.push_back(std::move(ev));
-}
-
-void DataPlane::admit(TickRing& ring, bool spec) {
-  if (ring.lag != 0) settle(ring);
-  ring.skips = false;
-  ring.spec_count += spec ? 1 : 0;
-}
-
-DataPlane::TickRing& DataPlane::TickQueue::open(std::size_t i,
-                                                sim::SimTime at) {
-  if (count_ == order_.size()) {
-    std::vector<std::uint32_t> grown(std::max<std::size_t>(16, 2 * count_));
-    for (std::size_t j = 0; j < count_; ++j) {
-      grown[j] = order_[(first_ + j) & mask()];
+    while (t != 0 && rings_.hot(t - 1).at > ev.at) --t;
+    if (t != 0 && rings_.hot(t - 1).at == ev.at) {
+      --t;
+    } else {
+      rings_.open(t, ev.at);
     }
-    order_ = std::move(grown);
+  }
+  admit(t, ev.spec).items.push_back(std::move(ev));
+}
+
+DataPlane::TickRing& DataPlane::admit(std::size_t t, bool spec) {
+  Hot& hot = rings_.hot(t);
+  if (hot.lag != 0) settle(t);
+  hot.left = -1;
+  TickRing& ring = rings_[t];
+  ring.spec_count += spec ? 1 : 0;
+  return ring;
+}
+
+void DataPlane::TickQueue::open(std::size_t i, sim::SimTime at) {
+  if (count_ == ring_.size()) {
+    std::vector<Hot> grown(std::max<std::size_t>(16, 2 * count_));
+    for (std::size_t j = 0; j < count_; ++j) {
+      grown[j] = ring_[(first_ + j) & mask()];
+    }
+    ring_ = std::move(grown);
     first_ = 0;
   }
   if (free_.empty()) {
@@ -322,27 +326,27 @@ DataPlane::TickRing& DataPlane::TickQueue::open(std::size_t i,
   const std::uint32_t slot = free_.back();
   free_.pop_back();
   TickRing& fresh = slab_[slot];
-  std::vector<HopEvent> items = std::move(fresh.items);
-  items.clear();
-  fresh = TickRing{};
-  fresh.at = at;
-  fresh.items = std::move(items);
-  order_[(first_ + count_++) & mask()] = slot;
+  fresh.head = 0;
+  fresh.items.clear();
+  fresh.spec_count = 0;
+  Hot& entry = ring_[(first_ + count_++) & mask()];
+  entry = Hot{};
+  entry.at = at;
+  entry.slot = slot;
   for (std::size_t j = count_ - 1; j > i; --j) {
-    std::swap(order_[(first_ + j) & mask()], order_[(first_ + j - 1) & mask()]);
+    std::swap(ring_[(first_ + j) & mask()], ring_[(first_ + j - 1) & mask()]);
   }
-  return fresh;
 }
 
 void DataPlane::TickQueue::pop_front() {
-  free_.push_back(order_[first_]);
+  free_.push_back(ring_[first_].slot);
   first_ = (first_ + 1) & mask();
   --count_;
 }
 
 void DataPlane::TickQueue::sink_front(std::size_t i) {
   for (std::size_t j = 0; j < i; ++j) {
-    std::swap(order_[(first_ + j) & mask()], order_[(first_ + j + 1) & mask()]);
+    std::swap(ring_[(first_ + j) & mask()], ring_[(first_ + j + 1) & mask()]);
   }
 }
 
@@ -354,7 +358,7 @@ const sim::SimTime* DataPlane::next_pending_at() const {
   if (backend_ == PlaneBackend::kRings) {
     // Only the front cohort can be part-drained; skip it once exhausted.
     for (std::size_t t = 0; t < rings_.size(); ++t) {
-      if (rings_[t].head < rings_[t].items.size()) return &rings_[t].at;
+      if (rings_[t].head < rings_[t].items.size()) return &rings_.hot(t).at;
     }
     return nullptr;
   }
@@ -414,30 +418,68 @@ void DataPlane::skip_ahead() {
   // hence the strict time bound.
   sim::SimTime horizon = sim_.external_horizon();
   if (src_live_ != 0) horizon = std::min(horizon, src_[src_head_].at);
+  if (!bridge_armed_ || !(bridge_time_ < horizon) || rings_[0].head != 0) {
+    return;
+  }
   std::uint64_t firings = 0;
   sim::SimTime last;
-  while (bridge_armed_ && bridge_time_ < horizon) {
-    TickRing& front = rings_.front();
-    const sim::SimTime tick = bridge_time_;
-    if (front.head != 0) break;
-    if (front.at != tick) {
-      ++firings;  // the re-armed firing finds nothing due
-    } else if (front.spec_count != 0 && skippable(front)) {
-      // Several forwarding packets make the tick fire twice: the first of
-      // them re-arms the bridge at now.
-      if (skip_hop() > 1) {
-        ++firings;
-        sim_.take_seq();
-      }
-      ++firings;
-    } else {
+  if (rings_.hot(0).at != bridge_time_) {
+    ++firings;  // the re-armed firing finds nothing due
+    last = bridge_time_;
+  }
+  for (;;) {
+    // Windows of whole-cohort skips, each stopped by a cohort that needs a
+    // closer look: one whose packets are not yet known to move together
+    // (promote), or whose skip lands on or before the back cohort. Most
+    // replays on non-looping traffic stop at once, so the front is tested
+    // before a window is set up.
+    if (rings_.hot(0).left >= 1) firings += fire_window(horizon, last);
+    const sim::SimTime tick = rings_.hot(0).at;
+    if (!(tick < horizon) || rings_[0].spec_count == 0 || !skippable()) {
       break;  // a tick to drain, or packets dying here: fire for real
     }
+    // Several forwarding packets make the tick fire twice: the first of
+    // them re-arms the bridge at now.
+    firings += skip_hop() > 1 ? 2 : 1;
     last = tick;
-    bridge_time_ = rings_.front().at;
-    bridge_seq_ = sim_.take_seq();
   }
-  if (firings != 0) sim_.credit_external(firings, last);
+  if (firings != 0) {
+    // Each firing drew one seq: the re-arm for the next firing (a tick
+    // that fires twice draws its re-arm at now first). Nothing else draws
+    // during the replay, so they are drawn together here.
+    bridge_time_ = rings_.hot(0).at;
+    bridge_seq_ = sim_.take_seqs(firings);
+    sim_.credit_external(firings, last);
+  }
+}
+
+std::uint64_t DataPlane::fire_window(sim::SimTime horizon, sim::SimTime& last) {
+  // While the front cohorts move whole and each lands behind the back
+  // one, the queue only turns: firing j of them is rotating it by j. The
+  // window is the longest such run due before the horizon, at most one
+  // lap; each cohort's effect is closed-form (one more lag, one delay
+  // later, its seqs the next k of a running sum), and its packets stay
+  // untouched until something settles the cohort.
+  sim::SimTime back = rings_.hot(rings_.size() - 1).at;
+  std::uint64_t seq = next_seq_;
+  std::uint64_t twice = 0;
+  const std::size_t j = rings_.turn([&](Hot& hot) {
+    const sim::SimTime next = hot.at + hot.delay();
+    if (!(hot.at < horizon) || hot.left < 1 || !(back < next)) return false;
+    twice += hot.k > 1 ? 1 : 0;
+    hot.skip(seq);
+    seq += hot.k;
+    back = next;
+    return true;
+  });
+  if (j == 0) return 0;
+  const Hot& fired = rings_.hot(rings_.size() - 1);  // the window's last
+  last = fired.at - fired.delay();
+  const std::uint64_t hops = seq - next_seq_;
+  next_seq_ = seq;
+  counters_.hops += hops;
+  speculative_hops_ += hops;
+  return j + twice;
 }
 
 void DataPlane::fire_source() {
@@ -610,28 +652,28 @@ void DataPlane::restore_sources(snap::Reader& r, const SourcePlan& plan) {
 void DataPlane::drain_due() {
   const sim::SimTime now = sim_.now();
   if (backend_ == PlaneBackend::kRings) {
-    while (!rings_.empty() && rings_.front().at <= now) {
-      TickRing& front = rings_.front();
+    while (!rings_.empty() && rings_.hot(0).at <= now) {
+      TickRing& front = rings_[0];
       if (front.head >= front.items.size()) {
         rings_.pop_front();
         continue;
       }
       if (front.head == 0 && front.spec_count != 0) {
-        if (skippable(front)) {
+        if (skippable()) {
           // Hop by hop, the first of several forwarding packets would
           // re-arm the bridge at now; the skipped cohort arms it the same
           // way.
           if (skip_hop() > 1) arm_at(now);
           continue;
         }
-        if (front.skips) {
+        if (rings_.hot(0).left >= 0) {
           // All speculative, some dying here: retire those in place and
           // move the rest as one block, arming as the drain would.
           if (retire_dying(now)) arm_at(now);
           continue;
         }
       }
-      if (front.lag != 0) settle(front);
+      if (rings_.hot(0).lag != 0) settle(0);
       // Copy out before advancing; arrive() may grow this cohort's vector
       // (zero-delay links) or insert new cohorts.
       HopEvent ev = std::move(front.items[front.head++]);
@@ -700,10 +742,12 @@ const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
   // Every node on the path shares the verdict: each one's own walk is the
   // rest of this path. (An empty path is a start node that does not
   // forward.)
-  walks_[node * stride + prefix] = Walk{epoch, topo, path, 0, 0, 0, delay};
+  const std::uint64_t magic =
+      cycle == 0 ? 0 : ~std::uint64_t{0} / cycle + 1;
+  walks_[node * stride + prefix] = Walk{epoch, topo, path, 0, 0, 0, 0, delay};
   for (std::uint32_t i = 0; i < len; ++i) {
     walks_[walk_nodes_[path + i] * stride + prefix] =
-        Walk{epoch, topo, path, i, tail, cycle, delay};
+        Walk{epoch, topo, path, i, tail, cycle, magic, delay};
   }
   if (cycle == 0) walk_nodes_.resize(path);
   return walks_[node * stride + prefix];
@@ -711,7 +755,12 @@ const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
 
 net::NodeId DataPlane::walk_node(const Walk& w, std::uint32_t steps) const {
   std::uint32_t i = w.start + steps;
-  if (i >= w.tail) i = w.tail + (i - w.tail) % w.cycle;
+  if (i >= w.tail) {
+    // (i - tail) mod cycle by Lemire's fastmod: exact for 32-bit operands.
+    const std::uint64_t low = w.cycle_magic * (i - w.tail);
+    i = w.tail + static_cast<std::uint32_t>(
+                     (static_cast<unsigned __int128>(low) * w.cycle) >> 64);
+  }
   return walk_nodes_[w.path + i];
 }
 
@@ -740,32 +789,43 @@ void DataPlane::count_spec(net::Prefix prefix, bool added) {
   }
 }
 
-DataPlane::HopEvent DataPlane::settled(const TickRing& ring,
+DataPlane::HopEvent DataPlane::settled(const Hot& hot, const TickRing& ring,
                                        std::size_t i) const {
   HopEvent ev = ring.items[i];
-  if (ring.lag == 0) return ev;
+  if (hot.lag == 0) return ev;
   const Walk& w = walks_[ev.node * destinations_.size() + ev.packet.prefix];
-  ev.at = ring.at;
-  ev.seq = ring.seq_base + (i - ring.head);
-  ev.node = walk_node(w, ring.lag);
-  ev.packet.ttl -= static_cast<int>(ring.lag);
-  ev.packet.hops_taken += static_cast<int>(ring.lag);
+  ev.at = hot.at;
+  ev.seq = hot.seq_base + (i - ring.head);
+  ev.node = walk_node(w, hot.lag);
+  ev.packet.ttl -= static_cast<int>(hot.lag);
+  ev.packet.hops_taken += static_cast<int>(hot.lag);
   return ev;
 }
 
-void DataPlane::settle(TickRing& ring) {
+void DataPlane::settle(std::size_t t) {
+  Hot& hot = rings_.hot(t);
+  if (hot.lag == 0) return;
+  TickRing& ring = rings_[t];
+  const std::size_t stride = destinations_.size();
+  const auto lag = static_cast<int>(hot.lag);
   for (std::size_t i = ring.head; i < ring.items.size(); ++i) {
-    ring.items[i] = settled(ring, i);
+    HopEvent& ev = ring.items[i];
+    ev.at = hot.at;
+    ev.seq = hot.seq_base + (i - ring.head);
+    ev.node = walk_node(walks_[ev.node * stride + ev.packet.prefix], hot.lag);
+    ev.packet.ttl -= lag;
+    ev.packet.hops_taken += lag;
   }
-  ring.min_ttl -= static_cast<int>(ring.lag);
-  ring.lag = 0;
+  hot.lag = 0;
 }
 
-bool DataPlane::promote(TickRing& ring) {
-  // The cohort's packets must all circle walks of one common delay;
+bool DataPlane::promote() {
+  // The front cohort's packets must all circle walks of one common delay;
   // promote the ones that do not speculate yet.
+  TickRing& ring = rings_[0];
+  Hot& hot = rings_.hot(0);
   if (ring.spec_count == 0) return false;
-  assert(ring.lag == 0 && ring.head == 0);
+  assert(hot.lag == 0 && ring.head == 0);
   const std::size_t stride = destinations_.size();
   int min_ttl = ring.items.front().packet.ttl;
   sim::SimTime delay;
@@ -780,34 +840,39 @@ bool DataPlane::promote(TickRing& ring) {
     delay = d;
     min_ttl = std::min(min_ttl, ev.packet.ttl);
   }
-  ring.skips = true;
-  ring.delay = delay;
-  ring.min_ttl = min_ttl;
+  // The queue entry's narrow fields bound what may move whole; anything
+  // beyond (absurd TTLs, delays or cohort sizes) goes hop by hop.
+  if (min_ttl > std::numeric_limits<std::int16_t>::max() ||
+      delay.as_micros() > std::numeric_limits<std::uint32_t>::max() ||
+      ring.items.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  hot.k = static_cast<std::uint32_t>(ring.items.size());
+  hot.delay_us = static_cast<std::uint32_t>(delay.as_micros());
+  hot.left = static_cast<std::int16_t>(min_ttl - 1);
   return true;
 }
 
 void DataPlane::relocate_front() {
-  TickRing& ring = rings_.front();
+  const sim::SimTime at = rings_.hot(0).at;
   std::size_t i = rings_.size();
-  while (rings_[i - 1].at > ring.at) --i;  // stops at the front itself
-  if (i == 1 || rings_[i - 1].at != ring.at) {
+  while (rings_.hot(i - 1).at > at) --i;  // stops at the front itself
+  if (i == 1 || rings_.hot(i - 1).at != at) {
     rings_.sink_front(i - 1);
     return;
   }
   // Packets already due at that tick were pushed earlier: they keep their
   // lower seqs, and the moved cohort queues behind them.
-  TickRing& host = rings_[i - 1];
-  settle(ring);
-  for (HopEvent& ev : ring.items) {
-    admit(host, ev.spec);
-    host.items.push_back(std::move(ev));
+  settle(0);
+  for (HopEvent& ev : rings_[0].items) {
+    admit(i - 1, ev.spec).items.push_back(std::move(ev));
   }
   rings_.pop_front();
 }
 
 bool DataPlane::retire_dying(sim::SimTime when) {
-  TickRing& ring = rings_.front();
-  settle(ring);
+  settle(0);
+  TickRing& ring = rings_[0];
   // Hop by hop, the first forwarding packet of the cohort re-arms the
   // bridge at now unless it is the cohort's last packet.
   bool twice = false;
@@ -827,7 +892,8 @@ bool DataPlane::retire_dying(sim::SimTime when) {
   }
   ring.items.resize(kept);
   ring.spec_count = static_cast<std::uint32_t>(kept);
-  ring.min_ttl = min_ttl;
+  rings_.hot(0).k = static_cast<std::uint32_t>(kept);
+  rings_.hot(0).left = static_cast<std::int16_t>(min_ttl - 1);
   if (kept == 0) {
     rings_.pop_front();
   } else {
@@ -861,13 +927,13 @@ void DataPlane::despeculate_if(const Touched& touched) {
     // Settled, a cohort's items sit at their exact current hop. Re-testing
     // them from there is exact: a walk that misses the changed node from
     // the cohort's last settle point also misses it from any later one.
-    settle(ring);
+    settle(t);
     for (std::size_t i = ring.head; i < ring.items.size(); ++i) {
       HopEvent& ev = ring.items[i];
       if (!touched(ev)) continue;
       ev.spec = false;
       --ring.spec_count;
-      ring.skips = false;
+      rings_.hot(t).left = -1;
       count_spec(ev.packet.prefix, false);
     }
   }

@@ -217,66 +217,111 @@ class DataPlane {
   };
 
   /// All packets arriving at one exact timestamp, in push (= seq) order.
-  /// head marks the next undelivered packet during a drain.
-  ///
-  /// A cohort whose packets are all speculative may be moved whole
-  /// (skip_hop): its items then lag `lag` hops behind the truth — item i
-  /// really sits `lag` steps further along its walk, with `lag` less TTL,
-  /// `lag` more hops, and seq seq_base + (i - head). settle() applies it.
+  /// head marks the next undelivered packet during a drain. The cohort's
+  /// time and replay state live in its Hot entry in the queue.
   struct TickRing {
-    sim::SimTime at;
     std::size_t head = 0;
     std::vector<HopEvent> items;
     /// Speculative items admitted (a drain does not count them down: a
     /// part-drained cohort retires at its tick).
     std::uint32_t spec_count = 0;
-    std::uint32_t lag = 0;
-    std::uint64_t seq_base = 0;
-    /// Checked by skippable(): every item speculative, one walk delay.
-    bool skips = false;
-    sim::SimTime delay;  // that common delay (valid while skips)
-    int min_ttl = 0;     // smallest stored item TTL (valid while skips)
   };
 
-  /// The cohorts in ascending time order: a circular buffer of slot ids
-  /// into a slab of cohorts. A retired cohort's slot keeps its item
-  /// storage for reuse, so opening a tick never allocates, and a skipped
-  /// cohort rotates to the back by moving one id (a std::deque of cohorts
-  /// frees and allocates a block every few rotations).
+  /// A cohort's hot fields, kept in the queue's time-ordered ring itself,
+  /// so a window of skips (fire_window) reads and writes one small record
+  /// per cohort and never its packets.
+  ///
+  /// A cohort whose packets are all speculative may be moved whole: its
+  /// items then lag `lag` hops behind the truth — item i really sits `lag`
+  /// steps further along its walk, with `lag` less TTL, `lag` more hops,
+  /// and seq seq_base + (i - head). settle() applies it.
+  struct Hot {
+    sim::SimTime at;
+    std::uint64_t seq_base = 0;
+    std::uint32_t slot = 0;  // the cohort's TickRing in the queue's slab
+    std::uint32_t k = 0;         // its packets (valid while left >= 0)
+    std::uint32_t delay_us = 0;  // their walks' delay (valid while left >= 0)
+    std::uint16_t lag = 0;
+    /// -1 until skippable() finds every packet speculative on walks of
+    /// one delay, and again after any admission; then the skips left
+    /// before the first packet dies: the smallest item TTL, less the lag,
+    /// less one. lag + left never exceeds the TTL bound promote() admits.
+    std::int16_t left = -1;
+
+    [[nodiscard]] sim::SimTime delay() const {
+      return sim::SimTime::micros(delay_us);
+    }
+    /// Move the cohort to its next tick whole, its packets drawing seqs
+    /// from `seq` on (requires left >= 1).
+    void skip(std::uint64_t seq) {
+      seq_base = seq;
+      ++lag;
+      --left;
+      at += delay();
+    }
+  };
+  static_assert(sizeof(Hot) == 32, "two queue entries per cache line");
+
+  /// The cohorts in ascending time order: a circular buffer of Hot entries
+  /// pointing into a slab of cohorts. A retired cohort's slot keeps its
+  /// item storage for reuse, so opening a tick never allocates, and a
+  /// skipped cohort rotates to the back by moving its entry (a std::deque
+  /// of cohorts frees and allocates a block every few rotations).
   class TickQueue {
    public:
     [[nodiscard]] bool empty() const { return count_ == 0; }
     [[nodiscard]] std::size_t size() const { return count_; }
-    TickRing& operator[](std::size_t i) {
-      return slab_[order_[(first_ + i) & mask()]];
-    }
+    Hot& hot(std::size_t i) { return ring_[(first_ + i) & mask()]; }
+    const Hot& hot(std::size_t i) const { return ring_[(first_ + i) & mask()]; }
+    TickRing& operator[](std::size_t i) { return slab_[hot(i).slot]; }
     const TickRing& operator[](std::size_t i) const {
-      return slab_[order_[(first_ + i) & mask()]];
+      return slab_[hot(i).slot];
     }
-    TickRing& front() { return (*this)[0]; }
-    TickRing& back() { return (*this)[count_ - 1]; }
     /// Open an empty cohort at position i (0..size()), after the i
     /// earlier ones. Invalidates references into the queue.
-    TickRing& open(std::size_t i, sim::SimTime at);
+    void open(std::size_t i, sim::SimTime at);
     /// Retire the front cohort.
     void pop_front();
     /// Move the front cohort behind the back one.
     void rotate_front() {
       // Full: the front's position already is the one behind the back.
-      if (count_ != order_.size()) {
-        order_[(first_ + count_) & mask()] = order_[first_];
+      if (count_ != ring_.size()) {
+        ring_[(first_ + count_) & mask()] = ring_[first_];
       }
       first_ = (first_ + 1) & mask();
+    }
+    /// Offer the front entries in order, at most one lap, each as a copy
+    /// that `step` may update, until it declines one; the accepted ones,
+    /// updated, move behind the back one in order (rotate). Returns their
+    /// count.
+    template <typename Step>
+    std::size_t turn(Step&& step) {
+      Hot* const ring = ring_.data();
+      const std::size_t mask = ring_.size() - 1;
+      const std::size_t first = first_;
+      const std::size_t count = count_;
+      // Full: the fronts' positions already are the ones behind the back.
+      // Otherwise each entry lands on a free position or on one this pass
+      // has read already.
+      const std::size_t shift = count == ring_.size() ? 0 : count;
+      std::size_t j = 0;
+      for (; j < count; ++j) {
+        Hot entry = ring[(first + j) & mask];
+        if (!step(entry)) break;
+        ring[(first + shift + j) & mask] = entry;
+      }
+      first_ = (first + j) & mask;
+      return j;
     }
     /// Move the front cohort to position i, shifting cohorts 1..i forward.
     void sink_front(std::size_t i);
     void clear();
 
    private:
-    [[nodiscard]] std::size_t mask() const { return order_.size() - 1; }
+    [[nodiscard]] std::size_t mask() const { return ring_.size() - 1; }
     std::vector<TickRing> slab_;
-    std::vector<std::uint32_t> free_;   // slab slots not in the queue
-    std::vector<std::uint32_t> order_;  // power-of-two ring of slab slots
+    std::vector<std::uint32_t> free_;  // slab slots not in the queue
+    std::vector<Hot> ring_;            // power-of-two ring of queued cohorts
     std::size_t first_ = 0;
     std::size_t count_ = 0;
   };
@@ -311,6 +356,9 @@ class DataPlane {
     std::uint32_t start = 0;  // this node's position on the path
     std::uint32_t tail = 0;
     std::uint32_t cycle = 0;
+    /// ⌊(2^64 − 1) / cycle⌋ + 1: walk_node reduces modulo the cycle with
+    /// two multiplications instead of a division.
+    std::uint64_t cycle_magic = 0;
     sim::SimTime delay;  // every hop's delay
   };
 
@@ -322,7 +370,8 @@ class DataPlane {
   void flush_fates();
   void push_hop(sim::SimTime at, net::NodeId node, Packet packet, bool spec);
   void enqueue(HopEvent ev);
-  void admit(TickRing& ring, bool spec);
+  /// Prepare queued cohort t for one more packet; returns its ring.
+  TickRing& admit(std::size_t t, bool spec);
   [[nodiscard]] const sim::SimTime* next_pending_at() const;
   void arm_at(sim::SimTime at);
   void rearm();
@@ -351,26 +400,26 @@ class DataPlane {
   [[nodiscard]] bool walk_touches(const Walk& w, net::NodeId node) const;
   bool speculate(net::NodeId node, net::Prefix prefix);
   void count_spec(net::Prefix prefix, bool added);
-  [[nodiscard]] HopEvent settled(const TickRing& ring, std::size_t i) const;
-  void settle(TickRing& ring);
-  /// Whether the ring's cohort may move to its next tick whole.
-  bool skippable(TickRing& ring) {
-    return (ring.skips || promote(ring)) &&
-           ring.min_ttl - static_cast<int>(ring.lag) >= 2;
+  [[nodiscard]] HopEvent settled(const Hot& hot, const TickRing& ring,
+                                 std::size_t i) const;
+  /// Apply queued cohort t's lag to its items.
+  void settle(std::size_t t);
+  /// Whether the front cohort may move to its next tick whole.
+  bool skippable() {
+    const Hot& front = rings_.hot(0);
+    return (front.left >= 0 || promote()) && front.left >= 1;
   }
-  bool promote(TickRing& ring);
+  bool promote();
   /// Move the front cohort (skippable) to its next tick as one block;
   /// returns its packet count.
   std::size_t skip_hop() {
-    TickRing& ring = rings_.front();
-    const std::size_t k = ring.items.size();
+    Hot& front = rings_.hot(0);
+    const std::size_t k = front.k;
     counters_.hops += k;
     speculative_hops_ += k;
-    ring.seq_base = next_seq_;
+    front.skip(next_seq_);
     next_seq_ += k;
-    ++ring.lag;
-    ring.at += ring.delay;
-    if (rings_.size() == 1 || ring.at > rings_.back().at) {
+    if (rings_.size() == 1 || front.at > rings_.hot(rings_.size() - 1).at) {
       rings_.rotate_front();
     } else {
       relocate_front();
@@ -383,6 +432,11 @@ class DataPlane {
   /// After a bridge firing: replay the cohort skips that follow it, up to
   /// the next source tick or control event, credited in one call.
   void skip_ahead();
+  /// skip_ahead's closed-form window: skip the front cohorts due before
+  /// `horizon` that move whole and land behind the back one, at most one
+  /// lap; returns how many bridge firings that stands for (none if the
+  /// front does not qualify) and sets `last` to the last one's time.
+  std::uint64_t fire_window(sim::SimTime horizon, sim::SimTime& last);
   void on_fib_change(net::NodeId node, net::Prefix prefix);
   /// Send every packet `touched` selects back to hop by hop.
   template <typename Touched>

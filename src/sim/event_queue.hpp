@@ -115,6 +115,12 @@ class EventQueue {
   /// queued events exactly as a push at the same moment would.
   std::uint64_t take_seq() { return next_seq_++; }
 
+  /// Consume `n` (>= 1) sequence numbers at once; returns the last.
+  std::uint64_t take_seqs(std::uint64_t n) {
+    next_seq_ += n;
+    return next_seq_ - 1;
+  }
+
   /// Remove and return the earliest live event's callback, along with its
   /// firing time. Requires !empty().
   struct Fired {

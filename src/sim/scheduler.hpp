@@ -124,6 +124,11 @@ class Simulator {
   /// moment would. The slot's owner stamps its internal items with these.
   std::uint64_t take_seq() { return queue_.take_seq(); }
 
+  /// Draw `n` (>= 1) seqs at once — exactly n take_seq calls in a row —
+  /// and return the last. A bulk replay (credit_external) draws the seqs
+  /// of all its firings with it.
+  std::uint64_t take_seqs(std::uint64_t n) { return queue_.take_seqs(n); }
+
   /// Arm the slot at absolute time `when` (>= now()) with tie-break `seq`,
   /// a seq drawn earlier by take_seq (so < event_seq()), replacing any
   /// previous arming. Draws nothing.

@@ -334,7 +334,9 @@ TEST(MraiPlanes, SessionDownThenUpReaddsThePeerRow) {
     const net::Prefix prefix = r.u32();
     (void)r.b();
     const std::uint64_t id = r.u64();
-    if (peer == 5) EXPECT_EQ(id, ev);
+    if (peer == 5) {
+      EXPECT_EQ(id, ev);
+    }
     keys.emplace_back(peer, prefix);
   }
   r.finish();

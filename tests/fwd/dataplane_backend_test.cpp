@@ -47,7 +47,8 @@ struct Op {
     kInject,
     kSetRoute,
     kClearRoute,
-    kLinkToggle
+    kLinkToggle,
+    kStopSources
   };
   Kind kind = Kind::kInject;
   sim::SimTime at;
@@ -59,7 +60,7 @@ struct Op {
   /// Non-zero: the op is scheduled by a control event `defer` before
   /// `at`, so its tie-break seq is drawn then — after the bridge's arming
   /// for a tick at `at` when that arming happened earlier still.
-  sim::SimTime defer;
+  sim::SimTime defer{};
 };
 
 /// The replay ledger at one control event.
@@ -85,10 +86,13 @@ struct Observed {
 
 constexpr std::size_t kNodes = 6;
 
-/// The graph and destination table a script runs on.
+/// The graph and destination table a script runs on, and the plane's own
+/// constant-rate sources (none by default), started before the script.
 struct Graph {
   net::Topology topo = topo::make_ring(kNodes);
   std::vector<net::NodeId> destinations = {0, 1};  // prefix 0 at 0, 1 at 1
+  DataPlane::SourcePlan plan{.interval = sim::SimTime::millis(100)};
+  std::vector<DataPlane::SourceStart> sources = {};
 };
 
 std::uint64_t fnv(const std::vector<std::uint8_t>& bytes) {
@@ -115,6 +119,7 @@ Observed execute(PlaneBackend backend, const std::vector<Op>& script,
   DataPlane plane{sim, topo, fibs, std::move(options)};
   FateRecorder recorder;
   plane.set_fate_sink(&recorder);
+  if (!setup.sources.empty()) plane.start_sources(setup.plan, setup.sources);
   Observed out;
 
   const auto apply = [&](const Op& op) {
@@ -130,6 +135,9 @@ Observed execute(PlaneBackend backend, const std::vector<Op>& script,
         break;
       case Op::Kind::kLinkToggle:
         topo.set_link_state(*topo.link_between(op.a, op.b), op.up);
+        break;
+      case Op::Kind::kStopSources:
+        plane.stop_sources();
         break;
     }
     snap::Writer w;
@@ -614,6 +622,156 @@ TEST(DataPlaneBackendTest, HeterogeneousLinkDelays) {
   script.push_back(route_at(ms(401), 1, 0));  // the 1-cycle delivers
   const Observed rings = differential(script, ms(250), setup);
   EXPECT_GT(rings.counters.ttl_exhausted, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+// ---- closed-form replay windows -----------------------------------------
+//
+// Between two control events or source ticks the ring store fires a whole
+// window of speculative cohorts in one pass; each case below pins one way
+// a window starts, ends or is cut short against the hop-by-hop heap.
+
+sim::SimTime us(std::int64_t v) { return sim::SimTime::micros(v); }
+
+/// A control event that changes nothing the packets read: prefix 1's
+/// route at node 5, which no looping prefix-0 walk passes.
+Op idle_at(sim::SimTime at) { return route_at(at, 5, 4, 1); }
+
+/// Ring routes plus a 3 <-> 4 loop on prefix 0 holding one cohort per
+/// phase in `phases` (µs into the 2 ms lap), each injected at node 4
+/// `per_phase` times at the same microsecond, first lap starting at 1 ms.
+std::vector<Op> phased_loop(const std::vector<std::int64_t>& phases,
+                            int per_phase = 1, int ttl = kDefaultTtl) {
+  std::vector<Op> ops = ring_routes();
+  ops.push_back(route_at(sim::SimTime::zero(), 3, 4));
+  ops.push_back(route_at(sim::SimTime::zero(), 4, 3));
+  for (const std::int64_t phase : phases) {
+    for (int i = 0; i < per_phase; ++i) {
+      ops.push_back(inject_at(us(1'000 + phase), 4, 0, ttl));
+    }
+  }
+  return ops;
+}
+
+TEST(DataPlaneBackendTest, WindowSpansEveryCohortUpToATickOrControlEvent) {
+  // Six cohorts circle the loop; between events every window covers the
+  // whole queue, lap after lap. A source ticks exactly on one cohort's
+  // lattice and control events land exactly on another's, so windows end
+  // on a due cohort under both kinds of horizon.
+  Graph setup;
+  setup.plan = DataPlane::SourcePlan{.interval = ms(40)};
+  setup.sources = {DataPlane::SourceStart{.at = us(21'300), .node = 5}};
+  std::vector<Op> script = phased_loop({0, 300, 700, 1'100, 1'500, 1'900});
+  for (const std::int64_t lap : {12, 30, 47}) {
+    script.push_back(idle_at(us(1'000 + 1'100 + 2'000 * lap)));
+  }
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(150)});
+  const Observed rings = differential(script, us(90'001), setup);
+  EXPECT_EQ(rings.counters.injected, 10u);
+  EXPECT_GT(rings.speculative_hops, 1'000u);
+}
+
+TEST(DataPlaneBackendTest, NewcomerJoinsACohortLappedManyTimes) {
+  // A cohort replays ~50 laps untouched; then packets join it on its own
+  // lattice, once ordered before its bridge firing at that tick and once
+  // after it (a control event scheduled a lap earlier).
+  for (const bool late : {false, true}) {
+    SCOPED_TRACE(late ? "after the bridge" : "before the bridge");
+    std::vector<Op> script = phased_loop({0, 900});
+    Op join = inject_at(us(1'000 + 2'000 * 50), 4);
+    if (late) join.defer = ms(2);
+    script.push_back(join);
+    script.push_back(inject_at(us(1'000 + 2'000 * 53), 3));
+    const Observed rings = differential(script, us(120'001));
+    EXPECT_EQ(rings.counters.ttl_exhausted, 4u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+}
+
+TEST(DataPlaneBackendTest, TtlRunsOutMidWindow) {
+  // Short-lived packets share the loop with long-lived ones: their
+  // cohorts die between events, so windows stop at each death and the
+  // dying cohorts retire in a real firing.
+  std::vector<Op> script = phased_loop({0, 500, 1'000, 1'500});
+  for (const int ttl : {9, 17, 30, 41}) {
+    script.push_back(inject_at(us(1'250 + 37 * ttl), 4, 0, ttl));
+  }
+  script.push_back(idle_at(ms(200)));
+  const Observed rings = differential(script, us(61'001));
+  EXPECT_EQ(rings.counters.ttl_exhausted, 8u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, SingleAndMultiPacketCohortsMix) {
+  // k = 1, 2 and 3 cohorts interleave: each k >= 2 cohort fires twice per
+  // tick, so the replay's firing count is j + #{k >= 2}.
+  std::vector<Op> script = phased_loop({0, 600, 1'200}, 1);
+  for (const int k : {2, 3}) {
+    for (int i = 0; i < k; ++i) {
+      script.push_back(inject_at(us(1'000 + 300 * (2 * k - 3)), 4));
+    }
+  }
+  script.push_back(idle_at(us(41'300)));
+  const Observed rings = differential(script, us(70'001));
+  EXPECT_EQ(rings.counters.ttl_exhausted, 8u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, FibChangeOnOneWalkAfterALongLazyRun) {
+  // Two loops replay side by side for ~100 laps; then node 1 gets a route
+  // out of its loop. Only that loop's cohorts return to hop by hop, from
+  // their exact hop, and deliver; the other loop keeps speculating.
+  std::vector<Op> script = phased_loop({0, 800});
+  script.push_back(route_at(sim::SimTime::zero(), 1, 2));
+  script.push_back(route_at(sim::SimTime::zero(), 2, 1));
+  script.push_back(inject_at(us(1'400), 2));
+  script.push_back(inject_at(us(2'500), 1));
+  script.push_back(route_at(us(201'777), 1, 0));
+  const Observed rings = differential(script, us(230'001));
+  EXPECT_EQ(rings.counters.delivered, 2u);
+  EXPECT_EQ(rings.counters.ttl_exhausted, 2u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, TopologyBumpMidWindow) {
+  // A link far from the loop flaps while cohorts replay: every
+  // speculative packet is settled at its exact hop and starts over.
+  std::vector<Op> script = phased_loop({0, 400, 1'300});
+  script.push_back(link_at(us(50'555), 5, 0, false));
+  script.push_back(link_at(us(90'321), 5, 0, true));
+  const Observed rings = differential(script, us(70'001));
+  EXPECT_EQ(rings.counters.ttl_exhausted, 3u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, SaveRestoreMidWindow) {
+  // Serialize, restore and re-serialize while lagged cohorts of every k
+  // replay: the bytes are the heap's and the rest of the run is unchanged.
+  std::vector<Op> script = phased_loop({0, 500, 1'500}, 2);
+  script.push_back(inject_at(us(1'250), 4));
+  const sim::SimTime probe = us(77'777);
+  const Observed plain = differential(script, probe);
+  const Observed cycled = differential(script, probe, Graph{}, true);
+  EXPECT_EQ(plain.fates, cycled.fates);
+  EXPECT_EQ(plain.bytes, cycled.bytes);
+  EXPECT_EQ(plain.events_fired, cycled.events_fired);
+  EXPECT_GT(plain.speculative_hops, 0u);
+  EXPECT_GE(plain.bytes.size(), 89u + 7u * 60u);
+}
+
+TEST(DataPlaneBackendTest, NonSpeculativeCohortsInsideThePhaseRing) {
+  // Fresh packets (not speculating for their first hops) and packets on
+  // their way to delivery sit between replaying cohorts: a window stops
+  // at each, the tick drains for real, and the next window resumes.
+  Graph setup;
+  setup.plan = DataPlane::SourcePlan{.interval = ms(10)};
+  setup.sources = {DataPlane::SourceStart{.at = us(5'450), .node = 2},
+                   DataPlane::SourceStart{.at = us(5'950), .node = 5}};
+  std::vector<Op> script = phased_loop({0, 1'000});
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(60)});
+  const Observed rings = differential(script, us(33'001), setup);
+  EXPECT_GT(rings.counters.delivered, 0u);
+  EXPECT_GT(rings.counters.ttl_exhausted, 2u);
   EXPECT_GT(rings.speculative_hops, 0u);
 }
 

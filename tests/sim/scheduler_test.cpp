@@ -172,6 +172,28 @@ TEST(Simulator, CreditExternalAccountsBulkFirings) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(Simulator, TakeSeqsIsARunOfTakeSeq) {
+  // A bulk replay draws all its seqs in one call: the counter, the last
+  // seq returned and the order of later events must match n single draws.
+  Simulator single;
+  Simulator bulk;
+  std::uint64_t last = 0;
+  for (int i = 0; i < 5; ++i) last = single.take_seq();
+  EXPECT_EQ(bulk.take_seqs(5), last);
+  EXPECT_EQ(bulk.event_seq(), single.event_seq());
+  EXPECT_EQ(bulk.take_seqs(1), single.take_seq());
+  // The slot armed with the last drawn seq still precedes an event pushed
+  // afterwards at the same time, and follows one pushed before the run.
+  std::vector<std::string> order;
+  bulk.set_external_handler([&] { order.emplace_back("slot"); });
+  bulk.schedule_at(SimTime::micros(4), [&] { order.emplace_back("before"); });
+  bulk.arm_external(SimTime::micros(4), bulk.take_seqs(3));
+  bulk.schedule_at(SimTime::micros(4), [&] { order.emplace_back("after"); });
+  bulk.run();
+  const std::vector<std::string> expected = {"before", "slot", "after"};
+  EXPECT_EQ(order, expected);
+}
+
 TEST(Simulator, ExternalHorizonFollowsTheRunLimitAndStep) {
   Simulator sim;
   std::vector<SimTime> horizons;

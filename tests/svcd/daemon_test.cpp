@@ -250,9 +250,9 @@ TEST(SvcdDaemonTest, AttemptCapAbandonsUnitWithPreciseFailure) {
   // abandoned after max_attempts with a precise per-unit failure record —
   // not retried forever, not reported as a bare worker loss.
   svc::CampaignSpec spec;
-  spec.scenarios = {clique(12)};
-  spec.run.trials = 2;
-  spec.unit_trials = 2;  // one unit holding both trials
+  spec.scenarios = {clique(16)};
+  spec.run.trials = 4;
+  spec.unit_trials = 4;  // one unit holding every trial
 
   DaemonOptions options;
   options.exit_when_idle = true;

@@ -209,7 +209,7 @@ void phase2_failure_exit(const std::string& run_campaign,
                            0644);
     if (err >= 0) ::dup2(err, 2);
     ::execl(run_campaign.c_str(), run_campaign.c_str(), "--topo", "clique",
-            "--size", "12", "--trials", "2", "--unit-trials", "2",
+            "--size", "16", "--trials", "4", "--unit-trials", "4",
             "--workers", "3", "--fork", "--deadline-s", "0.02",
             (char*)nullptr);
     ::_exit(127);
