@@ -3,8 +3,9 @@
 //
 //   fuzz_scenarios [--iters N] [--seed S] [--verbose] [--snap-check]
 //                  [--wheel-check] [--dataplane-check] [--multiprefix]
+//                  [--policy]
 //   fuzz_scenarios --replay SCENARIO_SEED [--snap-check] [--wheel-check]
-//                  [--dataplane-check] [--multiprefix]
+//                  [--dataplane-check] [--multiprefix] [--policy]
 //   fuzz_scenarios --canary [...]     # arm a deliberately wrong invariant
 //                                     # to demonstrate the failure path
 //
@@ -25,6 +26,10 @@
 // --multiprefix additionally draws a prefix count from {2, 4, 8, 16} (and
 // sometimes scattered origins) per scenario, fuzzing the SoA RIB and
 // batched decision paths; composes with --snap-check / --wheel-check.
+//
+// --policy runs every scenario with Gao–Rexford routing on a small
+// Internet or AS-Graph topology; composes with --multiprefix and every
+// check.
 //
 // BGPSIM_FUZZ_ITERS overrides the default iteration count (100).
 // Exit status: 0 = every iteration clean, 1 = failures (replay lines
@@ -71,7 +76,7 @@ class CanaryInvariant final : public check::Invariant {
   std::fprintf(stderr,
                "usage: %s [--iters N] [--seed S] [--replay SCENARIO_SEED] "
                "[--verbose] [--canary] [--snap-check] [--wheel-check] "
-               "[--dataplane-check] [--multiprefix]\n",
+               "[--dataplane-check] [--multiprefix] [--policy]\n",
                argv0);
   std::exit(2);
 }
@@ -106,6 +111,8 @@ int main(int argc, char** argv) {
       options.dataplane_check = true;
     } else if (arg == "--multiprefix") {
       options.multiprefix = true;
+    } else if (arg == "--policy") {
+      options.policy = true;
     } else {
       args.fail();
     }

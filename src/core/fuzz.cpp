@@ -108,9 +108,14 @@ void attach_snap_probe(Scenario& scenario, std::uint64_t scenario_seed) {
   scenario.snap_roundtrip = SnapRoundtrip::kNoop;
 }
 
+Scenario options_scenario(std::uint64_t scenario_seed,
+                          const FuzzOptions& options) {
+  return fuzz_scenario(scenario_seed, options.multiprefix, options.policy);
+}
+
 IterationResult run_checked(std::uint64_t scenario_seed,
                             const FuzzOptions& options) {
-  Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
+  Scenario scenario = options_scenario(scenario_seed, options);
   if (!options.snap_check) return run_once(scenario, scenario_seed, options);
 
   attach_snap_probe(scenario, scenario_seed);
@@ -152,7 +157,7 @@ IterationResult run_iteration(std::uint64_t scenario_seed,
     // only. Its fingerprint — events fired, updates sent, loop metrics,
     // convergence times — must match the default-backend baseline bit for
     // bit.
-    Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
+    Scenario scenario = options_scenario(scenario_seed, options);
     if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
     const bool wheel_now =
         sim::default_queue_backend() == sim::QueueBackend::kWheel;
@@ -188,7 +193,7 @@ IterationResult run_iteration(std::uint64_t scenario_seed,
     // Opposite-hop-store pass, same contract as the wheel check: pin the
     // data plane to the other backend (rings vs heap) and require the
     // fingerprint to match the baseline exactly.
-    Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
+    Scenario scenario = options_scenario(scenario_seed, options);
     if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
     const bool rings_now =
         fwd::default_plane_backend() == fwd::PlaneBackend::kRings;
@@ -244,7 +249,8 @@ std::uint64_t fuzz_scenario_seed(std::uint64_t campaign_seed,
   return sim::Rng{campaign_seed}.child("fuzz-iter", iter).next_u64();
 }
 
-Scenario fuzz_scenario(std::uint64_t scenario_seed, bool multiprefix) {
+Scenario fuzz_scenario(std::uint64_t scenario_seed, bool multiprefix,
+                       bool policy) {
   sim::Rng rng = sim::Rng{scenario_seed}.child("fuzz-scenario");
   Scenario s;
 
@@ -304,6 +310,20 @@ Scenario fuzz_scenario(std::uint64_t scenario_seed, bool multiprefix) {
   s.flap_interval = sim::SimTime::seconds(rng.uniform(2.0, 20.0));
 
   s.seed = rng.next_u64();
+
+  if (policy) {
+    // Appended after the classic draw sequence: the classic topology gives
+    // way to a small Gao–Rexford one (the event keeps its draw).
+    if (rng.chance(0.5)) {
+      s.topology.kind = TopologyKind::kInternet;
+      s.topology.size = static_cast<std::size_t>(rng.uniform_int(20, 32));
+    } else {
+      s.topology.kind = TopologyKind::kAsGraph;
+      s.topology.size = static_cast<std::size_t>(rng.uniform_int(16, 40));
+    }
+    s.topology.topo_seed = rng.next_u64();
+    s.policy_routing = true;
+  }
 
   if (multiprefix) {
     // Appended after the classic draw sequence: with the flag off the

@@ -63,6 +63,13 @@ struct FuzzOptions {
   /// single-prefix draw sequence, so with this off every scenario (and the
   /// campaign digest) is unchanged.
   bool multiprefix = false;
+  /// Policy fuzzing (opt-in): every scenario runs Gao–Rexford routing on a
+  /// small Internet or AS-Graph topology instead of its classic family,
+  /// exercising the policy import/export paths and the data plane over
+  /// policy routes. Its draws come after the classic ones and before the
+  /// multi-prefix ones (whose origins index the topology drawn here), so
+  /// with this off every scenario is unchanged.
+  bool policy = false;
 };
 
 /// One failing iteration: either armed invariants reported violations, the
@@ -96,10 +103,12 @@ struct FuzzReport {
 /// Expand one scenario seed into a runnable Scenario. Pure: no global
 /// state, no entropy beyond the seed. Chain topologies never draw Tlong or
 /// Flap (losing any chain link disconnects the destination). With
-/// `multiprefix`, appends the prefix-count/origin draws (FuzzOptions::
-/// multiprefix); false leaves the classic scenario untouched.
+/// `policy` or `multiprefix`, appends the policy topology draws
+/// (FuzzOptions::policy) or the prefix-count/origin draws (FuzzOptions::
+/// multiprefix); with both false the classic scenario is untouched.
 [[nodiscard]] Scenario fuzz_scenario(std::uint64_t scenario_seed,
-                                     bool multiprefix = false);
+                                     bool multiprefix = false,
+                                     bool policy = false);
 
 /// Run one scenario seed with the oracle armed — the --replay entry point.
 /// Returns the failure record, or nullopt if the run was clean.

@@ -35,12 +35,13 @@ PlaneBackend default_plane_backend() {
 
 namespace {
 
-/// A packet that is not speculative yet tries to become so every this
-/// many hops (a power of two): delivered paths shorter than that never
-/// pay for a walk, loop-trapped packets wait a few hops at most.
+/// A packet that is not speculative yet tries to become so at its first
+/// hop and then every this many hops (a power of two): a packet refused
+/// at its first hop (its walk meets a link of another delay, or its
+/// prefix churns) forwards a few hops before it pays for a walk again.
 constexpr int kSpeculateEvery = 8;
 
-/// Walk arena size (nodes) past which the next walk reclaims it.
+/// Walk arena size (nodes) past which the plane reclaims it.
 constexpr std::size_t kWalkArenaLimit = std::size_t{1} << 20;
 
 }  // namespace
@@ -54,6 +55,7 @@ DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
       backend_{options.backend},
       cache_(topology.node_count() * destinations_.size()),
       prefix_epoch_(destinations_.size(), 1),
+      prefix_changed_at_(destinations_.size()),
       spec_per_prefix_(destinations_.size(), 0) {
   assert(fibs_.size() == topo_.node_count());
   assert(!destinations_.empty());
@@ -121,19 +123,9 @@ const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
 
 void DataPlane::arrive(net::NodeId node, Packet packet, bool spec) {
   const Decision& d = cached_decide(node, packet.prefix);
-
-  switch (d.kind) {
-    case Decision::Kind::kDeliver:
-      finish(packet, PacketFate::kDelivered, node, spec, sim_.now());
-      return;
-    case Decision::Kind::kNoRoute:
-      finish(packet, PacketFate::kNoRoute, node, spec, sim_.now());
-      return;
-    case Decision::Kind::kLinkDown:
-      finish(packet, PacketFate::kLinkDown, node, spec, sim_.now());
-      return;
-    case Decision::Kind::kForward:
-      break;
+  if (d.kind != Decision::Kind::kForward) {
+    finish(packet, d.fate(), node, spec, sim_.now());
+    return;
   }
   // One TTL decrement per AS hop (the study's loop indicator).
   if (--packet.ttl <= 0) {
@@ -142,8 +134,9 @@ void DataPlane::arrive(net::NodeId node, Packet packet, bool spec) {
   }
   ++packet.hops_taken;
   ++counters_.hops;
-  if (!spec && (packet.hops_taken & (kSpeculateEvery - 1)) == 0 &&
-      backend_ == PlaneBackend::kRings) {
+  if (!spec && backend_ == PlaneBackend::kRings &&
+      (packet.hops_taken == 1 ||
+       (packet.hops_taken & (kSpeculateEvery - 1)) == 0)) {
     spec = speculate(d.next_hop, packet.prefix);
   }
   push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet), spec);
@@ -387,11 +380,14 @@ void DataPlane::on_slot() {
   for (;;) {
     if (bridge) {
       fire_bridge();
-      if (spec_items_ != 0) skip_ahead();
     } else {
       fire_source();
     }
     bridge = bridge_next();
+    if (bridge && spec_items_ != 0) {
+      skip_ahead();
+      bridge = bridge_next();
+    }
     if (!bridge && src_live_ == 0) break;
     const SourceTick* tick = bridge ? nullptr : &src_[src_head_];
     if (!sim_.fire_external_inline(bridge ? bridge_time_ : tick->at,
@@ -410,8 +406,8 @@ void DataPlane::fire_bridge() {
 }
 
 void DataPlane::skip_ahead() {
-  // Replay the bridge firings that follow inline while nothing else can
-  // come between them: each moves a cohort that forwards whole, or is the
+  // Replay the bridge's next firings inline while nothing else can come
+  // between them: each moves a cohort that forwards whole, or is the
   // re-armed firing of its tick that finds nothing due. Every seq drawn
   // here is newer than the next source tick's and the next queued
   // event's, so a firing at exactly their time would come after them —
@@ -667,9 +663,10 @@ void DataPlane::drain_due() {
           continue;
         }
         if (rings_.hot(0).left >= 0) {
-          // All speculative, some dying here: retire those in place and
-          // move the rest as one block, arming as the drain would.
-          if (retire_dying(now)) arm_at(now);
+          // All speculative, some meeting their fates here: retire those
+          // in place and move the rest as one block, arming as the drain
+          // would.
+          if (retire_ending(now)) arm_at(now);
           continue;
         }
       }
@@ -689,34 +686,20 @@ void DataPlane::drain_due() {
   }
 }
 
-// ---- speculative cycle delivery -------------------------------------------
+// ---- speculative delivery -------------------------------------------------
 
 const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
                                            net::Prefix prefix) {
   const std::size_t stride = destinations_.size();
-  if (walks_.empty()) {
-    walks_.resize(topo_.node_count() * stride);
-    visit_stamp_.assign(topo_.node_count(), 0);
-    visit_index_.assign(topo_.node_count(), 0);
-  }
   const std::uint64_t epoch = prefix_epoch_[prefix];
   const std::uint64_t topo = topo_.state_version();
-  if (const Walk& w = walks_[node * stride + prefix];
-      w.epoch == epoch && w.topo == topo) {
-    return w;
-  }
-  if (walk_nodes_.size() > kWalkArenaLimit && spec_items_ == 0) {
-    // Stale paths pile up as epochs pass; reclaim the arena once no
-    // speculative packet reads from it.
-    walk_nodes_.clear();
-    for (Walk& w : walks_) w.epoch = 0;
-  }
   if (++visit_epoch_ == 0) {
     std::ranges::fill(visit_stamp_, 0);
     visit_epoch_ = 1;
   }
-  // Follow the forwarding graph until it repeats a node (a cycle) or
-  // stops forwarding; a change of link delay also ends speculation.
+  // Follow the forwarding graph until it repeats a node (a cycle), meets a
+  // node that does not forward (the terminal, kept on the path), or meets
+  // a link of another delay (no speculation).
   const auto path = static_cast<std::uint32_t>(walk_nodes_.size());
   std::uint32_t len = 0;
   std::uint32_t tail = 0;
@@ -729,8 +712,12 @@ const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
       break;
     }
     const Decision& d = cached_decide(v, prefix);
-    if (d.kind != Decision::Kind::kForward || d.delay <= sim::SimTime::zero() ||
-        (len != 0 && d.delay != delay)) {
+    if (d.kind != Decision::Kind::kForward) {
+      walk_nodes_.push_back(v);
+      tail = len + 1;
+      break;
+    }
+    if (d.delay <= sim::SimTime::zero() || (len != 0 && d.delay != delay)) {
       break;
     }
     delay = d.delay;
@@ -740,22 +727,22 @@ const DataPlane::Walk& DataPlane::walk_for(net::NodeId node,
     v = d.next_hop;
   }
   // Every node on the path shares the verdict: each one's own walk is the
-  // rest of this path. (An empty path is a start node that does not
-  // forward.)
+  // rest of this path (a terminal's is itself).
   const std::uint64_t magic =
       cycle == 0 ? 0 : ~std::uint64_t{0} / cycle + 1;
   walks_[node * stride + prefix] = Walk{epoch, topo, path, 0, 0, 0, 0, delay};
-  for (std::uint32_t i = 0; i < len; ++i) {
+  const std::uint32_t entries = cycle == 0 && tail != 0 ? tail : len;
+  for (std::uint32_t i = 0; i < entries; ++i) {
     walks_[walk_nodes_[path + i] * stride + prefix] =
         Walk{epoch, topo, path, i, tail, cycle, magic, delay};
   }
-  if (cycle == 0) walk_nodes_.resize(path);
+  if (cycle == 0 && tail == 0) walk_nodes_.resize(path);
   return walks_[node * stride + prefix];
 }
 
 net::NodeId DataPlane::walk_node(const Walk& w, std::uint32_t steps) const {
   std::uint32_t i = w.start + steps;
-  if (i >= w.tail) {
+  if (i >= w.tail) {  // never on an ending walk: steps stop at its terminal
     // (i - tail) mod cycle by Lemire's fastmod: exact for 32-bit operands.
     const std::uint64_t low = w.cycle_magic * (i - w.tail);
     i = w.tail + static_cast<std::uint32_t>(
@@ -773,7 +760,28 @@ bool DataPlane::walk_touches(const Walk& w, net::NodeId node) const {
 }
 
 bool DataPlane::speculate(net::NodeId node, net::Prefix prefix) {
-  if (walk_for(node, prefix).cycle == 0) return false;
+  if (walks_.empty()) {
+    walks_.resize(topo_.node_count() * destinations_.size());
+    visit_stamp_.assign(topo_.node_count(), 0);
+    visit_index_.assign(topo_.node_count(), 0);
+  }
+  // The churn gate: an ending walk speculates only if it has a hop left to
+  // skip and its prefix's forwarding state is older than the walk takes to
+  // cross, because while any packet of the prefix speculates, each FIB
+  // change of it scans every speculative cohort. A stale memo is rebuilt
+  // only on state older than one link delay, the shortest crossing, so a
+  // churning prefix costs a comparison.
+  const sim::SimTime age = sim_.now() - prefix_changed_at_[prefix];
+  const Walk* w = &walks_[node * destinations_.size() + prefix];
+  if (w->epoch != prefix_epoch_[prefix] || w->topo != topo_.state_version()) {
+    if (age <= cached_decide(node, prefix).delay) return false;
+    w = &walk_for(node, prefix);
+  }
+  if (w->cycle == 0 &&
+      (w->tail <= w->start + 1 ||  // neither form, or at the terminal
+       age <= w->delay * static_cast<std::int64_t>(w->tail - 1 - w->start))) {
+    return false;
+  }
   count_spec(prefix, true);
   return true;
 }
@@ -820,14 +828,15 @@ void DataPlane::settle(std::size_t t) {
 }
 
 bool DataPlane::promote() {
-  // The front cohort's packets must all circle walks of one common delay;
-  // promote the ones that do not speculate yet.
+  // The front cohort's packets must all follow known walks, and those
+  // that move on must share one delay; promote the ones that do not
+  // speculate yet.
   TickRing& ring = rings_[0];
   Hot& hot = rings_.hot(0);
   if (ring.spec_count == 0) return false;
   assert(hot.lag == 0 && ring.head == 0);
   const std::size_t stride = destinations_.size();
-  int min_ttl = ring.items.front().packet.ttl;
+  int left = std::numeric_limits<int>::max();
   sim::SimTime delay;
   for (HopEvent& ev : ring.items) {
     if (!ev.spec) {
@@ -835,21 +844,24 @@ bool DataPlane::promote() {
       ev.spec = true;
       ++ring.spec_count;
     }
-    const sim::SimTime d = walks_[ev.node * stride + ev.packet.prefix].delay;
-    if (&ev != &ring.items.front() && d != delay) return false;
-    delay = d;
-    min_ttl = std::min(min_ttl, ev.packet.ttl);
+    const Walk& w = walks_[ev.node * stride + ev.packet.prefix];
+    const int reach = w.reach(ev.packet.ttl);
+    if (reach != 0) {
+      if (delay != sim::SimTime::zero() && w.delay != delay) return false;
+      delay = w.delay;
+    }
+    left = std::min(left, reach);
   }
   // The queue entry's narrow fields bound what may move whole; anything
   // beyond (absurd TTLs, delays or cohort sizes) goes hop by hop.
-  if (min_ttl > std::numeric_limits<std::int16_t>::max() ||
+  if (left > std::numeric_limits<std::int16_t>::max() ||
       delay.as_micros() > std::numeric_limits<std::uint32_t>::max() ||
       ring.items.size() > std::numeric_limits<std::uint32_t>::max()) {
     return false;
   }
   hot.k = static_cast<std::uint32_t>(ring.items.size());
   hot.delay_us = static_cast<std::uint32_t>(delay.as_micros());
-  hot.left = static_cast<std::int16_t>(min_ttl - 1);
+  hot.left = static_cast<std::int16_t>(left);
   return true;
 }
 
@@ -870,16 +882,22 @@ void DataPlane::relocate_front() {
   rings_.pop_front();
 }
 
-bool DataPlane::retire_dying(sim::SimTime when) {
+bool DataPlane::retire_ending(sim::SimTime when) {
   settle(0);
   TickRing& ring = rings_[0];
+  const std::size_t stride = destinations_.size();
   // Hop by hop, the first forwarding packet of the cohort re-arms the
   // bridge at now unless it is the cohort's last packet.
   bool twice = false;
   std::size_t kept = 0;
-  int min_ttl = 0;
+  int left = 0;
   for (std::size_t i = 0; i < ring.items.size(); ++i) {
     HopEvent& ev = ring.items[i];
+    const Decision& d = cached_decide(ev.node, ev.packet.prefix);
+    if (d.kind != Decision::Kind::kForward) {  // its walk's terminal node
+      finish(ev.packet, d.fate(), ev.node, /*spec=*/true, when);
+      continue;
+    }
     if (ev.packet.ttl == 1) {
       ev.packet.ttl = 0;
       finish(ev.packet, PacketFate::kTtlExhausted, ev.node, /*spec=*/true,
@@ -887,13 +905,15 @@ bool DataPlane::retire_dying(sim::SimTime when) {
       continue;
     }
     twice = twice || i + 1 < ring.items.size();
-    min_ttl = kept == 0 ? ev.packet.ttl : std::min(min_ttl, ev.packet.ttl);
+    const int reach =
+        walks_[ev.node * stride + ev.packet.prefix].reach(ev.packet.ttl);
+    left = kept == 0 ? reach : std::min(left, reach);
     ring.items[kept++] = std::move(ev);
   }
   ring.items.resize(kept);
   ring.spec_count = static_cast<std::uint32_t>(kept);
   rings_.hot(0).k = static_cast<std::uint32_t>(kept);
-  rings_.hot(0).left = static_cast<std::int16_t>(min_ttl - 1);
+  rings_.hot(0).left = static_cast<std::int16_t>(left);
   if (kept == 0) {
     rings_.pop_front();
   } else {
@@ -906,6 +926,7 @@ void DataPlane::on_fib_change(net::NodeId node, net::Prefix prefix) {
   if (prefix >= prefix_epoch_.size()) return;
   cache_[node * prefix_epoch_.size() + prefix].topo_stamp = 0;
   ++prefix_epoch_[prefix];
+  prefix_changed_at_[prefix] = sim_.now();
   if (spec_per_prefix_[prefix] == 0) return;
   // Packets whose walk passes `node` go back to hop by hop at their exact
   // current hop; the rest keep walks this change does not touch.
@@ -945,6 +966,17 @@ void DataPlane::sync_topology() {
   if (spec_items_ != 0 && spec_topo_ != topo_.state_version()) {
     despeculate_if([](const HopEvent& ev) { return ev.spec; });
   }
+  if (walk_nodes_.size() > kWalkArenaLimit) reclaim_walks();
+}
+
+void DataPlane::reclaim_walks() {
+  // Stale paths pile up as epochs pass, and with packets speculating on
+  // their way to delivery some packet nearly always reads the arena. Send
+  // them all back to hop by hop at their exact hop (they speculate again
+  // on their next try) and start over.
+  if (spec_items_ != 0) despeculate_if([](const HopEvent& ev) { return ev.spec; });
+  walk_nodes_.clear();
+  for (Walk& w : walks_) w.epoch = 0;
 }
 
 }  // namespace bgpsim::fwd

@@ -1,6 +1,7 @@
 // Hop-by-hop data-plane forwarding.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -78,11 +79,12 @@ struct Injection {
 /// and that is stamped with the topology version, so the full FIB/link
 /// lookup runs once per routing change instead of once per hop.
 ///
-/// The ring store also delivers loop-trapped packets speculatively
-/// (DESIGN.md §5): a cohort whose packets all circle a forwarding cycle
-/// under the current state, none of them dying at the next tick, moves to
-/// its next tick as one block without touching its packets, and a cohort
-/// whose packets die at this tick retires them without a hop-by-hop
+/// The ring store also delivers packets speculatively (DESIGN.md §5): a
+/// cohort whose packets all follow known walks under the current state —
+/// circling a forwarding cycle, or heading for a delivery or a drop —
+/// none of them meeting its fate at the next tick, moves to its next tick
+/// as one block without touching its packets, and a cohort whose packets
+/// meet their fates at this tick retires them without a hop-by-hop
 /// drain. A FIB change on a speculative path, or any topology change,
 /// turns the affected packets back into ordinary entries at their exact
 /// current hop. Both stores reproduce the same bridge-arming sequence
@@ -242,10 +244,11 @@ class DataPlane {
     std::uint32_t k = 0;         // its packets (valid while left >= 0)
     std::uint32_t delay_us = 0;  // their walks' delay (valid while left >= 0)
     std::uint16_t lag = 0;
-    /// -1 until skippable() finds every packet speculative on walks of
-    /// one delay, and again after any admission; then the skips left
-    /// before the first packet dies: the smallest item TTL, less the lag,
-    /// less one. lag + left never exceeds the TTL bound promote() admits.
+    /// -1 until skippable() finds every packet speculative, those that
+    /// move on sharing one delay, and again after any admission; then the
+    /// skips left before the first packet dies or reaches its walk's
+    /// terminal node: the smallest item reach (Walk::reach), less the lag.
+    /// lag + left never exceeds the bound promote() admits.
     std::int16_t left = -1;
 
     [[nodiscard]] sim::SimTime delay() const {
@@ -332,6 +335,18 @@ class DataPlane {
     Kind kind = Kind::kNoRoute;
     net::NodeId next_hop = net::kInvalidNode;
     sim::SimTime delay;
+
+    /// The fate of a packet arriving where this decision does not forward.
+    [[nodiscard]] PacketFate fate() const {
+      switch (kind) {
+        case Kind::kDeliver:
+          return PacketFate::kDelivered;
+        case Kind::kLinkDown:
+          return PacketFate::kLinkDown;
+        default:
+          return PacketFate::kNoRoute;
+      }
+    }
   };
 
   /// A memoized Decision, valid while the topology's state version still
@@ -344,9 +359,12 @@ class DataPlane {
   };
 
   /// The trajectory a packet at (node, prefix) follows under the current
-  /// forwarding state: a path of nodes in walk_nodes_ whose indices
-  /// [tail, tail + cycle) repeat forever. cycle == 0 means the walk is not
-  /// loop-bound (it ends in a fate, or its links differ in delay). Valid
+  /// forwarding state: a path of nodes in walk_nodes_, in one of three
+  /// forms. Loop-bound (cycle != 0): indices [tail, tail + cycle) repeat
+  /// forever. Ending (cycle == 0, tail != 0): the path stops at its
+  /// terminal node, index tail - 1, whose own decision (deliver, no route,
+  /// link down) is the packet's fate. Neither (cycle == tail == 0): the
+  /// walk meets a link of another delay and does not speculate. Valid
   /// while the prefix's epoch and the topology version match; a
   /// speculative packet's walk is kept intact until it is settled.
   struct Walk {
@@ -360,6 +378,13 @@ class DataPlane {
     /// two multiplications instead of a division.
     std::uint64_t cycle_magic = 0;
     sim::SimTime delay;  // every hop's delay
+
+    /// Hops a packet of `ttl` starting here takes whole (loop-bound or
+    /// ending walks): until its TTL runs out or it reaches the terminal.
+    [[nodiscard]] int reach(int ttl) const {
+      if (cycle != 0) return ttl - 1;
+      return std::min(ttl - 1, static_cast<int>(tail - 1 - start));
+    }
   };
 
   void arrive(net::NodeId node, Packet packet, bool spec);
@@ -394,11 +419,17 @@ class DataPlane {
   /// Arm the simulator's slot for the plane's next item, or disarm it.
   void sync_slot();
 
-  // ---- speculative cycle delivery (ring store only) ----
+  // ---- speculative delivery (ring store only) ----
+  /// Build the walk of (node, prefix), memoising it for every node on it.
   const Walk& walk_for(net::NodeId node, net::Prefix prefix);
   [[nodiscard]] net::NodeId walk_node(const Walk& w, std::uint32_t steps) const;
   [[nodiscard]] bool walk_touches(const Walk& w, net::NodeId node) const;
+  /// Whether a packet of `prefix` arriving at `node` speculates (and, if
+  /// so, counts it).
   bool speculate(net::NodeId node, net::Prefix prefix);
+  /// Send every speculative packet back to hop by hop and empty the walk
+  /// arena (once it has passed its bound).
+  void reclaim_walks();
   void count_spec(net::Prefix prefix, bool added);
   [[nodiscard]] HopEvent settled(const Hot& hot, const TickRing& ring,
                                  std::size_t i) const;
@@ -428,9 +459,13 @@ class DataPlane {
   }
   /// skip_hop's rare case: the moved cohort lands before the back one.
   void relocate_front();
-  bool retire_dying(sim::SimTime when);
-  /// After a bridge firing: replay the cohort skips that follow it, up to
-  /// the next source tick or control event, credited in one call.
+  /// The front cohort's packets at the end of their skips (left == 0):
+  /// retire those that meet their fate at this tick in place, in drain
+  /// order, and move the rest as one block; returns whether the tick
+  /// fires twice.
+  bool retire_ending(sim::SimTime when);
+  /// When the bridge fires next: replay its cohort skips up to the next
+  /// source tick or control event, credited in one call.
   void skip_ahead();
   /// skip_ahead's closed-form window: skip the front cohorts due before
   /// `horizon` that move whole and land behind the back one, at most one
@@ -463,8 +498,10 @@ class DataPlane {
   std::vector<net::NodeId> walk_nodes_;  // path arena shared by walks_
   std::vector<std::uint32_t> visit_stamp_, visit_index_;  // walk visit marks
   std::uint32_t visit_epoch_ = 0;
-  /// Per-prefix forwarding-state epoch, bumped by every FIB change.
+  /// Per-prefix forwarding-state epoch, bumped by every FIB change, and
+  /// the time of its last bump (the churn gate of speculate()).
   std::vector<std::uint64_t> prefix_epoch_;
+  std::vector<sim::SimTime> prefix_changed_at_;
   std::vector<std::uint32_t> spec_per_prefix_;
   std::size_t spec_items_ = 0;
   std::uint64_t spec_topo_ = 0;  // topology version the spec items assume

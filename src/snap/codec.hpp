@@ -11,6 +11,7 @@
 // the library proper (snapshot.cpp, cache.cpp) sits *above* those layers.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -91,9 +92,17 @@ class Writer {
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
  private:
-  void put(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xffU));
+  /// The low n bytes of v, least significant first: one copy on a
+  /// little-endian host, the byte loop elsewhere.
+  void put(std::uint64_t v, std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(buf_.data() + at, &v, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        buf_[at + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffU);
+      }
     }
   }
 

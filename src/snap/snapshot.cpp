@@ -13,9 +13,16 @@ constexpr std::uint64_t kMagic = 0x0070616e73706762ULL;
 }  // namespace
 
 Snapshot::Snapshot(SnapshotMeta meta, std::vector<std::uint8_t> payload)
-    : meta_{meta},
-      payload_{std::move(payload)},
-      content_hash_{fnv1a(payload_)} {}
+    : meta_{meta}, payload_{std::move(payload)} {}
+
+std::uint64_t Snapshot::content_hash() const {
+  std::uint64_t h = memo();
+  if (h == 0) {
+    h = fnv1a(payload_);
+    hash_.store(h, std::memory_order_relaxed);
+  }
+  return h;
+}
 
 std::vector<std::uint8_t> Snapshot::encode() const {
   Writer w;

@@ -17,6 +17,7 @@
 // format before trusting any field behind it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -95,6 +96,23 @@ class Snapshot {
  public:
   Snapshot() = default;
   Snapshot(SnapshotMeta meta, std::vector<std::uint8_t> payload);
+  Snapshot(const Snapshot& other)
+      : meta_{other.meta_}, payload_{other.payload_}, hash_{other.memo()} {}
+  Snapshot(Snapshot&& other) noexcept
+      : meta_{other.meta_},
+        payload_{std::move(other.payload_)},
+        hash_{other.hash_.exchange(0, std::memory_order_relaxed)} {}
+  Snapshot& operator=(const Snapshot& other) {
+    if (this != &other) *this = Snapshot{other};
+    return *this;
+  }
+  Snapshot& operator=(Snapshot&& other) noexcept {
+    meta_ = other.meta_;
+    payload_ = std::move(other.payload_);
+    hash_.store(other.hash_.exchange(0, std::memory_order_relaxed),
+                std::memory_order_relaxed);
+    return *this;
+  }
 
   [[nodiscard]] const SnapshotMeta& meta() const { return meta_; }
   [[nodiscard]] const std::vector<std::uint8_t>& payload() const {
@@ -103,8 +121,9 @@ class Snapshot {
   /// True for a default-constructed (never captured) snapshot.
   [[nodiscard]] bool empty() const { return payload_.empty(); }
   /// FNV-1a over the payload: the state fingerprint the restore-equivalence
-  /// checks compare.
-  [[nodiscard]] std::uint64_t content_hash() const { return content_hash_; }
+  /// checks compare. Computed on first use: most captures are never
+  /// compared.
+  [[nodiscard]] std::uint64_t content_hash() const;
   [[nodiscard]] std::size_t size_bytes() const { return payload_.size(); }
 
   /// Self-contained blob: magic, version, meta, payload, integrity hash.
@@ -120,9 +139,16 @@ class Snapshot {
   [[nodiscard]] static Snapshot load_file(const std::string& path);
 
  private:
+  [[nodiscard]] std::uint64_t memo() const {
+    return hash_.load(std::memory_order_relaxed);
+  }
+
   SnapshotMeta meta_;
   std::vector<std::uint8_t> payload_;
-  std::uint64_t content_hash_ = fnv1a({});
+  /// content_hash() once computed, 0 before (a payload that hashes to 0
+  /// is merely hashed again). Atomic because the prelude cache shares one
+  /// snapshot across worker threads; racing threads store the same value.
+  mutable std::atomic<std::uint64_t> hash_{0};
 };
 
 /// Identity hash of a topology: node count plus every link's endpoints,

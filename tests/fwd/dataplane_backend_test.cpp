@@ -9,7 +9,10 @@
 // events at the same microsecond), hop counts and the hop-store bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "sim/random.hpp"
 #include "snap/codec.hpp"
 #include "topo/generators.hpp"
+#include "topo/internet.hpp"
 
 namespace bgpsim::fwd {
 namespace {
@@ -832,6 +836,262 @@ TEST(DataPlaneBackendTest, RandomLoopingHistoriesAgree) {
     speculated += rings.speculative_hops;
   }
   EXPECT_GT(speculated, 0u);
+}
+
+// ---- speculative delivery on ending walks ---------------------------------
+//
+// Packets whose walk ends in a delivery or a drop speculate from their
+// first hop once their prefix's forwarding state is older than the walk
+// takes to cross; each case pins one way such a walk ends, is cut short or
+// is refused against the hop-by-hop heap.
+
+/// Ring routes toward node 0 (set at 0), and traffic on prefix 0 from
+/// `source` every `every` from 21 ms on: by then the state is older than
+/// any walk on the 6-ring takes to cross.
+std::vector<Op> delivery_traffic(net::NodeId source, int packets = 8,
+                                 sim::SimTime every = ms(2)) {
+  std::vector<Op> ops = ring_routes();
+  for (int j = 0; j < packets; ++j) {
+    ops.push_back(inject_at(ms(21) + every * j, source));
+  }
+  return ops;
+}
+
+TEST(DataPlaneBackendTest, FibChangeOnTheDeliveryTick) {
+  // The first packet from node 5 reaches node 0 at 31 ms; a FIB change
+  // lands on that tick at the terminal itself or one hop before it, once
+  // ordered before the bridge's firing there and once after it.
+  for (const net::NodeId node : {0u, 1u}) {
+    for (const bool late : {false, true}) {
+      SCOPED_TRACE("node " + std::to_string(node) +
+                   (late ? ", after the bridge" : ", before the bridge"));
+      std::vector<Op> script = delivery_traffic(5);
+      Op flip = route_at(ms(31), node, node == 0 ? 1 : 2);
+      if (late) flip.defer = ms(1);
+      script.push_back(flip);
+      const Observed rings = differential(script, us(32'001));
+      EXPECT_GT(rings.counters.delivered, 0u);
+      EXPECT_GT(rings.speculative_hops, 0u);
+    }
+  }
+}
+
+TEST(DataPlaneBackendTest, FibChangeAtTheTerminalOfANoRouteWalk) {
+  // Node 2 has no route, so packets from node 5 drop there. It regains
+  // one while packets speculate toward it and none rebuilds their walk,
+  // once on the tick a packet reaches it and once between ticks; and it
+  // loses the route again later.
+  for (const sim::SimTime change : {us(31'000), us(31'700)}) {
+    SCOPED_TRACE("route back at " + std::to_string(change.as_micros()) + " us");
+    std::vector<Op> script = delivery_traffic(5, 7, us(1'000));
+    script.push_back(
+        Op{.kind = Op::Kind::kClearRoute, .at = sim::SimTime::zero(), .a = 2});
+    script.push_back(route_at(change, 2, 1));
+    script.push_back(Op{.kind = Op::Kind::kClearRoute, .at = ms(60), .a = 2});
+    script.push_back(inject_at(ms(90), 5));
+    const Observed rings = differential(script, us(32'001));
+    EXPECT_GT(rings.counters.no_route, 0u);
+    EXPECT_GT(rings.counters.delivered, 0u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+}
+
+TEST(DataPlaneBackendTest, NoRouteDropPartwayAlongAWalk) {
+  // Node 3 loses its route while packets speculate along 5 -> ... -> 0:
+  // those past it still deliver, the rest drop at node 3 on their exact
+  // tick.
+  std::vector<Op> script = delivery_traffic(5, 12, us(700));
+  script.push_back(Op{.kind = Op::Kind::kClearRoute, .at = us(26'300), .a = 3});
+  const Observed rings = differential(script, us(27'001));
+  EXPECT_GT(rings.counters.no_route, 0u);
+  EXPECT_GT(rings.counters.delivered, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, CohortsMixEndingAndLoopingWalks) {
+  // Prefix 1 circles 3 <-> 4 while prefix 0 delivers along the ring; the
+  // packets injected together share every cohort until the delivered ones
+  // retire from it, TTL deaths included.
+  std::vector<Op> script = ring_routes();
+  script.push_back(route_at(sim::SimTime::zero(), 3, 4, 1));
+  script.push_back(route_at(sim::SimTime::zero(), 4, 3, 1));
+  for (int j = 0; j < 6; ++j) {
+    const sim::SimTime at = ms(21) + us(900) * j;
+    script.push_back(inject_at(at, 5));
+    script.push_back(inject_at(at, 4, 1, j % 2 == 0 ? 6 : 40));
+    script.push_back(inject_at(at, 3));
+    script.push_back(inject_at(at, 4));
+  }
+  script.push_back(idle_at(ms(60)));
+  const Observed rings = differential(script, us(26'001));
+  EXPECT_EQ(rings.counters.delivered, 18u);
+  EXPECT_EQ(rings.counters.ttl_exhausted, 6u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, LinkFlapCutsAWalksTail) {
+  // The 1 - 0 link fails while packets speculate toward node 0: those
+  // that reach node 1 drop there (kLinkDown) on their exact tick, and the
+  // packets sent after the repair deliver again.
+  std::vector<Op> script = delivery_traffic(5, 16, us(1'300));
+  script.push_back(link_at(us(27'100), 1, 0, false));
+  script.push_back(link_at(us(33'700), 1, 0, true));
+  const Observed rings = differential(script, us(30'001));
+  EXPECT_GT(rings.counters.link_down, 0u);
+  EXPECT_GT(rings.counters.delivered, 0u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, SaveRestoreMidWalk) {
+  // Serialize while lagged cohorts are on their way to delivery: the
+  // bytes are the heap's and restoring them leaves the run unchanged.
+  std::vector<Op> script = delivery_traffic(5, 10, us(500));
+  for (int j = 0; j < 4; ++j) script.push_back(inject_at(ms(21) + us(500) * j, 4));
+  const sim::SimTime probe = us(25'777);
+  const Observed plain = differential(script, probe);
+  const Observed cycled = differential(script, probe, Graph{}, true);
+  EXPECT_EQ(plain.fates, cycled.fates);
+  EXPECT_EQ(plain.bytes, cycled.bytes);
+  EXPECT_EQ(plain.events_fired, cycled.events_fired);
+  EXPECT_GT(plain.speculative_hops, 0u);
+  EXPECT_GE(plain.bytes.size(), 89u + 6u * 60u);
+}
+
+TEST(DataPlaneBackendTest, ChurnGateClosesAndReopens) {
+  // Node 5 flips its prefix-0 route every 500 us from 20 ms to 60 ms, then
+  // every 4 ms until 120 ms. The flips never touch the walk 3 -> 2 -> 1 ->
+  // 0 of packets from node 4, but while they last the prefix's state is
+  // younger than that walk takes to cross (6 ms), so those packets go hop
+  // by hop: at first without rebuilding the walk (the state is younger
+  // than one link), later without speculating on it. Once the flips stop
+  // they speculate again, and a second burst closes the gate once more.
+  const auto churn = [](std::vector<Op>& ops, sim::SimTime from,
+                        sim::SimTime to, sim::SimTime every) {
+    int i = 0;
+    for (sim::SimTime at = from; at < to; at += every, ++i) {
+      ops.push_back(route_at(at, 5, i % 2 == 0 ? 0 : 4));
+    }
+  };
+  std::vector<Op> during = ring_routes();
+  churn(during, ms(20), ms(60), us(500));
+  churn(during, ms(60), ms(120), ms(4));
+  for (int j = 0; j < 33; ++j) during.push_back(inject_at(ms(21) + ms(3) * j, 4));
+  const Observed closed = differential(during, ms(40));
+  EXPECT_EQ(closed.counters.delivered, 33u);
+  EXPECT_EQ(closed.speculative_hops, 0u);
+
+  std::vector<Op> after = during;
+  for (int j = 0; j < 12; ++j) after.push_back(inject_at(ms(130) + ms(3) * j, 4));
+  churn(after, us(150'100), ms(152), us(500));
+  const Observed reopened = differential(after, ms(140));
+  EXPECT_EQ(reopened.counters.delivered, 45u);
+  EXPECT_GT(reopened.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, FirstHopSpeculationOntoACycle) {
+  // A packet entering a loop long after it formed speculates at its first
+  // hop: every hop after that one is skipped.
+  std::vector<Op> script = ring_routes();
+  script.push_back(route_at(sim::SimTime::zero(), 3, 4));
+  script.push_back(route_at(sim::SimTime::zero(), 4, 3));
+  script.push_back(inject_at(ms(21), 4, 0, 64));
+  const Observed rings = differential(script, ms(50));
+  EXPECT_EQ(rings.counters.ttl_exhausted, 1u);
+  EXPECT_EQ(rings.counters.hops, 63u);
+  EXPECT_EQ(rings.speculative_hops, 62u);
+}
+
+TEST(DataPlaneBackendTest, WalkArenaReclaimMidTraffic) {
+  // A 1000-node forwarding cycle: every walk built on it adds 1000 nodes
+  // to the arena. The destination, hanging off the cycle, flips its own
+  // route every 3 ms, so each flip makes the memo stale without touching
+  // the cycle, and the next packet rebuilds it. Past the arena bound the
+  // plane sends its speculating packets back to hop by hop and starts the
+  // arena over; the packets then speculate again on their next try.
+  constexpr net::NodeId kCycle = 1000;
+  net::Topology topo{kCycle + 1};
+  for (net::NodeId v = 0; v < kCycle; ++v) topo.add_link(v, (v + 1) % kCycle);
+  topo.add_link(kCycle, 0);
+  std::vector<Op> script;
+  for (net::NodeId v = 0; v < kCycle; ++v) {
+    script.push_back(route_at(sim::SimTime::zero(), v, (v + 1) % kCycle));
+  }
+  for (int f = 0; f < 1'200; ++f) {
+    const sim::SimTime at = ms(10) + ms(3) * f;
+    script.push_back(f % 2 == 0 ? route_at(at, kCycle, 0)
+                                : Op{.kind = Op::Kind::kClearRoute,
+                                     .at = at,
+                                     .a = kCycle});
+    script.push_back(inject_at(at + us(2'500),
+                               static_cast<net::NodeId>(37 * f % kCycle), 0,
+                               f % 5 == 0 ? 30 : 12));
+  }
+  const Observed rings =
+      differential(script, ms(3'200), Graph{std::move(topo), {kCycle}});
+  EXPECT_EQ(rings.counters.ttl_exhausted, 1'200u);
+  EXPECT_GT(rings.speculative_hops, 1'200u * 9u);
+}
+
+/// Shortest-path next hops toward `destination` (BFS, lowest id first).
+std::vector<net::NodeId> shortest_next_hops(const net::Topology& topo,
+                                            net::NodeId destination) {
+  std::vector<net::NodeId> next(topo.node_count(), net::kInvalidNode);
+  std::vector<bool> seen(topo.node_count());
+  std::deque<net::NodeId> queue{destination};
+  seen[destination] = true;
+  while (!queue.empty()) {
+    const net::NodeId v = queue.front();
+    queue.pop_front();
+    std::vector<net::NodeId> around;
+    for (const auto& adj : topo.adjacent(v)) around.push_back(adj.neighbor);
+    std::ranges::sort(around);
+    for (const net::NodeId u : around) {
+      if (seen[u]) continue;
+      seen[u] = true;
+      next[u] = v;
+      queue.push_back(u);
+    }
+  }
+  return next;
+}
+
+TEST(DataPlaneBackendTest, DeliverySpeculationEngagesOnAStableTable) {
+  // A 26-node Internet graph with 8 prefixes at spread origins, shortest-
+  // path routes, and every node sending round-robin over the table for 3 s
+  // before an event withdraws two prefixes at a few nodes: packets on the
+  // stable table skip most of their hops, and the ledger stays the heap's.
+  Graph setup{topo::make_internet_preset(26, 7), {}};
+  for (net::Prefix p = 0; p < 8; ++p) {
+    setup.destinations.push_back(static_cast<net::NodeId>(3 * p + 1));
+  }
+  std::vector<Op> script;
+  for (net::Prefix p = 0; p < 8; ++p) {
+    const std::vector<net::NodeId> next =
+        shortest_next_hops(setup.topo, setup.destinations[p]);
+    for (net::NodeId v = 0; v < next.size(); ++v) {
+      if (next[v] != net::kInvalidNode) {
+        script.push_back(route_at(sim::SimTime::zero(), v, next[v], p));
+      }
+    }
+  }
+  setup.plan = DataPlane::SourcePlan{.interval = ms(100), .prefix_count = 8};
+  for (net::NodeId v = 0; v < 26; ++v) {
+    setup.sources.push_back(
+        DataPlane::SourceStart{.at = ms(10) + us(3'700) * v, .node = v});
+  }
+  for (const net::NodeId v : {0u, 5u, 11u, 17u, 23u}) {
+    for (const net::Prefix p : {2u, 5u}) {
+      script.push_back(Op{.kind = Op::Kind::kClearRoute,
+                          .at = ms(3'000) + us(137) * v,
+                          .a = v,
+                          .prefix = p});
+    }
+  }
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(3'500)});
+  const Observed rings = differential(script, us(3'000'001), setup);
+  EXPECT_GT(rings.counters.delivered, 0u);
+  EXPECT_GT(rings.counters.no_route, 0u);
+  EXPECT_GE(2 * rings.speculative_hops, rings.counters.hops);
 }
 
 }  // namespace

@@ -42,6 +42,55 @@ TEST(Codec, WriterReaderRoundTripAllTypes) {
   EXPECT_NO_THROW(r.finish());
 }
 
+TEST(Codec, WriterBytesArePinnedLittleEndian) {
+  // The byte-wise encoding, spelled out: every fixed-width value is its
+  // low bytes, least significant first, and a string is its u64 length
+  // then its characters.
+  const auto le = [](std::uint64_t v, int n) {
+    std::vector<std::uint8_t> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xffU));
+    }
+    return out;
+  };
+  std::vector<std::uint8_t> expected;
+  const auto append = [&expected](const std::vector<std::uint8_t>& bytes) {
+    expected.insert(expected.end(), bytes.begin(), bytes.end());
+  };
+  Writer w;
+  w.u8(0xfe);
+  append({0xfe});
+  w.u32(0x89abcdefU);
+  append(le(0x89abcdefU, 4));
+  w.u64(0x0123456789abcdefULL);
+  append(le(0x0123456789abcdefULL, 8));
+  w.i64(-2);
+  append(le(0xfffffffffffffffeULL, 8));
+  w.f64(-0.5);
+  append(le(0xbfe0000000000000ULL, 8));
+  w.str("bgp");
+  append(le(3, 8));
+  append({'b', 'g', 'p'});
+  w.str("");
+  append(le(0, 8));
+  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(fnv1a(w.bytes()), fnv1a(expected));
+}
+
+TEST(Snapshot, ContentHashIsComputedOnceAndTravelsWithCopies) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  const Snapshot snap{SnapshotMeta{}, payload};
+  EXPECT_EQ(snap.content_hash(), fnv1a(payload));
+  EXPECT_EQ(snap.content_hash(), fnv1a(payload));
+  Snapshot copy = snap;
+  EXPECT_EQ(copy.content_hash(), fnv1a(payload));
+  Snapshot moved = std::move(copy);
+  EXPECT_EQ(moved.content_hash(), fnv1a(payload));
+  copy = Snapshot{};
+  EXPECT_EQ(copy.content_hash(), fnv1a({}));
+  EXPECT_EQ(Snapshot{}.content_hash(), fnv1a({}));
+}
+
 TEST(Codec, TruncationThrowsFormatError) {
   Writer w;
   w.u32(7);
