@@ -2,10 +2,11 @@
 // settings, every run checked by the full invariant oracle.
 //
 //   fuzz_scenarios [--iters N] [--seed S] [--verbose] [--snap-check]
-//                  [--wheel-check] [--dataplane-check] [--multiprefix]
-//                  [--policy]
+//                  [--wheel-check] [--dataplane-check] [--mrai-check]
+//                  [--multiprefix] [--policy]
 //   fuzz_scenarios --replay SCENARIO_SEED [--snap-check] [--wheel-check]
-//                  [--dataplane-check] [--multiprefix] [--policy]
+//                  [--dataplane-check] [--mrai-check] [--multiprefix]
+//                  [--policy]
 //   fuzz_scenarios --canary [...]     # arm a deliberately wrong invariant
 //                                     # to demonstrate the failure path
 //
@@ -22,6 +23,11 @@
 // FIFO rings vs binary heap, BGPSIM_DATAPLANE_RINGS): every clean
 // iteration re-runs under the opposite backend and must fingerprint
 // identically.
+//
+// --mrai-check re-runs every clean iteration with an invariant that reads
+// every MRAI expiry attached, so every timer runs as a queued event rather
+// than passing silently when it holds no decision, and fails if the
+// fingerprints differ.
 //
 // --multiprefix additionally draws a prefix count from {2, 4, 8, 16} (and
 // sometimes scattered origins) per scenario, fuzzing the SoA RIB and
@@ -76,7 +82,8 @@ class CanaryInvariant final : public check::Invariant {
   std::fprintf(stderr,
                "usage: %s [--iters N] [--seed S] [--replay SCENARIO_SEED] "
                "[--verbose] [--canary] [--snap-check] [--wheel-check] "
-               "[--dataplane-check] [--multiprefix] [--policy]\n",
+               "[--dataplane-check] [--mrai-check] [--multiprefix] "
+               "[--policy]\n",
                argv0);
   std::exit(2);
 }
@@ -109,6 +116,8 @@ int main(int argc, char** argv) {
       options.wheel_check = true;
     } else if (arg == "--dataplane-check") {
       options.dataplane_check = true;
+    } else if (arg == "--mrai-check") {
+      options.mrai_check = true;
     } else if (arg == "--multiprefix") {
       options.multiprefix = true;
     } else if (arg == "--policy") {

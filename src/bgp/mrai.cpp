@@ -3,14 +3,6 @@
 #include <cassert>
 
 namespace bgpsim::bgp {
-namespace {
-
-/// The scheduler tag of a timer's expiry event: its (peer, prefix) key.
-constexpr std::uint64_t timer_tag(net::NodeId peer, net::Prefix prefix) {
-  return (std::uint64_t{peer} << 32) | prefix;
-}
-
-}  // namespace
 
 bool MraiTimers::running(net::NodeId peer, net::Prefix prefix) const {
   return is_running(timers_.find(peer, prefix));
@@ -28,113 +20,120 @@ void MraiTimers::set_pending(net::NodeId peer, net::Prefix prefix,
   st->pending = pending;
   if (pending) {
     ++pending_count_;
+    if (st->ev.value == 0) promote(peer, prefix, *st);
   } else {
     --pending_count_;
   }
 }
 
 void MraiTimers::start(net::NodeId peer, net::Prefix prefix,
-                       sim::SimTime duration, sim::Simulator& simulator) {
+                       sim::SimTime duration) {
   State& st = timers_.at(peer, prefix);
-  assert(st.ev.value == 0);
-  st.pending = false;
-  st.ev = simulator.schedule_after(
-      duration,
-      [this, peer, prefix, sim = &simulator] { fire(peer, prefix, *sim); },
-      timer_tag(peer, prefix));
-  ++running_count_;
-}
-
-void MraiTimers::stop(State& st) {
-  if (st.pending) --pending_count_;
+  assert(!is_running(&st));
+  if (st.pending) --pending_count_;  // dropped by clear_pending, never fired
   st = State{};
-  --running_count_;
+  st.deadline = sim_.now() + duration;
+  if (every_expiry_) {
+    // The seq schedule_at draws, read before it draws it.
+    st.seq = sim_.event_seq();
+    st.ev = sim_.schedule_at(st.deadline,
+                             [this, peer, prefix] { fire(peer, prefix); });
+  } else {
+    st.seq = sim_.take_seq();
+    sim_.add_deadline(st.deadline, st.seq);
+  }
 }
 
-void MraiTimers::fire(net::NodeId peer, net::Prefix prefix,
-                      sim::Simulator& simulator) {
+void MraiTimers::promote(net::NodeId peer, net::Prefix prefix, State& st) {
+  st.ev = sim_.promote_deadline(st.deadline, st.seq,
+                                [this, peer, prefix] { fire(peer, prefix); });
+}
+
+void MraiTimers::fire(net::NodeId peer, net::Prefix prefix) {
   State* st = timers_.find(peer, prefix);
-  assert(is_running(st));
-  batch_.clear();
-  batch_.push_back(Expiry{peer, prefix, st->pending});
-  stop(*st);
-
-  if (simulator.burst_delivery()) {
-    // Gather the run of immediately following events that are this
-    // object's own timers due at this exact instant. Only the globally
-    // next event is ever taken, so any foreign event (another component's
-    // closure, the external slot) in between ends the batch — the
-    // resulting delivery order is exactly the sequential one. The tag
-    // names the candidate timer; its stored id proves the event is ours
-    // (another speaker's timer carries the same kind of tag). Consumed
-    // closures are discarded whole; the batch entries carry everything
-    // the handlers need.
-    while (const auto id = simulator.next_coincident_event()) {
-      const std::uint64_t tag = simulator.next_event_tag();
-      const auto next_peer = static_cast<net::NodeId>(tag >> 32);
-      const auto next_prefix = static_cast<net::Prefix>(tag);
-      State* next = timers_.find(next_peer, next_prefix);
-      if (next == nullptr || !(next->ev == *id)) break;
-      simulator.consume_coincident(*id);
-      batch_.push_back(Expiry{next_peer, next_prefix, next->pending});
-      stop(*next);
-    }
-  }
-
-  if (batch_.size() > 1 && on_burst_) {
-    on_burst_(batch_);
-  } else if (on_expiry_) {
-    for (const Expiry& e : batch_) on_expiry_(e.peer, e.prefix, e.was_pending);
-  }
+  assert(st != nullptr && st->ev.value != 0);
+  const bool was_pending = st->pending;
+  if (was_pending) --pending_count_;
+  *st = State{};
+  if (on_expiry_) on_expiry_(peer, prefix, was_pending);
 }
 
-void MraiTimers::cancel_peer(net::NodeId peer, sim::Simulator& simulator) {
+void MraiTimers::cancel_peer(net::NodeId peer) {
   auto* row = timers_.find_row(peer);
   if (row == nullptr) return;
-  // Ascending prefix order: the cancels free event-queue slots, and the
-  // order they are freed in decides the ids of later events.
   for (State& st : row->cells) {
-    if (st.ev.value == 0) continue;
-    simulator.cancel(st.ev);
-    stop(st);
+    if (st.pending) --pending_count_;
+    if (!is_running(&st)) continue;
+    if (st.ev.value != 0) {
+      sim_.cancel(st.ev);
+    } else {
+      sim_.withdraw_deadline(st.deadline, st.seq);
+    }
   }
   timers_.drop(peer);
 }
 
+std::size_t MraiTimers::running_count() const {
+  std::size_t n = 0;
+  for (const auto& row : timers_.rows()) {
+    for (const State& st : row.cells) n += is_running(&st) ? 1 : 0;
+  }
+  return n;
+}
+
 void MraiTimers::save_state(snap::Writer& w) const {
-  w.u64(running_count_);
+  w.u64(running_count());
   for (const auto& row : timers_.rows()) {
     for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
       const State& st = row.cells[prefix];
-      if (st.ev.value == 0) continue;
+      if (!is_running(&st)) continue;
       w.u32(row.peer);
       w.u32(prefix);
+      w.i64(st.deadline.as_micros());
+      w.u64(st.seq);
       w.b(st.pending);
-      w.u64(st.ev.value);
     }
   }
 }
 
 void MraiTimers::restore_state(snap::Reader& r) {
-  timers_.clear();
-  running_count_ = 0;
-  pending_count_ = 0;
+  PeerPlane<State> restored;
+  std::size_t pending_count = 0;
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::NodeId peer = r.u32();
     const net::Prefix prefix = snap::read_prefix(r);
+    const sim::SimTime deadline = sim::SimTime::micros(r.i64());
+    const std::uint64_t seq = r.u64();
     const bool pending = r.b();
-    const sim::EventId ev{r.u64()};
-    if (ev.value == 0) {
-      throw snap::FormatError{"MRAI timer with a null event id"};
+    if (seq == 0 || seq >= sim_.event_seq()) {
+      throw snap::FormatError{"MRAI timer with a seq not yet drawn"};
     }
-    State& st = timers_.at(peer, prefix);
-    if (st.ev.value != 0) continue;  // a repeated key keeps its first entry
-    st.ev = ev;
+    if (sim_.has_passed(deadline, seq)) {
+      throw snap::FormatError{"MRAI timer deadline before the recorded clock"};
+    }
+    State& st = restored.at(peer, prefix);
+    if (st.seq != 0) {
+      throw snap::FormatError{"MRAI timer key repeated"};
+    }
+    st.deadline = deadline;
+    st.seq = seq;
     st.pending = pending;
-    ++running_count_;
-    if (pending) ++pending_count_;
+    // An in-place restore finds its promoted closure still queued.
+    if (const State* live = timers_.find(peer, prefix);
+        live != nullptr && live->seq == seq && live->deadline == deadline) {
+      st.ev = live->ev;
+    }
+    if (pending) {
+      if (st.ev.value == 0) {
+        throw snap::FormatError{
+            "MRAI timer holds a decision but no expiry event is queued"};
+      }
+      ++pending_count;
+    }
   }
+  timers_ = std::move(restored);
+  pending_count_ = pending_count;
 }
 
 }  // namespace bgpsim::bgp

@@ -4,12 +4,20 @@
 // given peer at most once per MRAI. The timer starts when an advertisement
 // is sent; while it runs, newer decisions are *held* (pending) and the most
 // current one is sent at expiry — intermediate flaps are never sent at all.
+//
+// Most timers expire with nothing held, so a timer starts silent: a bare
+// (deadline, seq) in its plane cell and in the simulator's deadline ledger,
+// with no queued closure (sim::Simulator "silent deadlines"). Only a timer
+// that must act at expiry — one that comes to hold a decision, or every
+// timer while an observer wants every expiry — is promoted to a queued
+// event at its original (deadline, seq), so it fires exactly where a
+// queued timer would have.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "bgp/peer_plane.hpp"
 #include "net/types.hpp"
@@ -20,82 +28,75 @@ namespace bgpsim::bgp {
 
 class MraiTimers {
  public:
-  /// Callback at timer expiry; `was_pending` says whether a held decision
-  /// accumulated while the timer ran.
+  /// Callback at the expiry of a promoted timer; `was_pending` says
+  /// whether a held decision accumulated while the timer ran. Silent
+  /// timers expire without it (see set_every_expiry).
   using ExpiryHandler =
       std::function<void(net::NodeId peer, net::Prefix prefix, bool was_pending)>;
 
-  /// One expiry inside a batched delivery, in exact firing order.
-  struct Expiry {
-    net::NodeId peer;
-    net::Prefix prefix;
-    bool was_pending;
-  };
-
-  /// Callback for a batch of two or more expiries due at the same instant
-  /// (simulator burst delivery). The receiver must process the batch in
-  /// order, producing the same observable effects as per-item expiry
-  /// handling; single expiries still go through the ExpiryHandler. When no
-  /// burst handler is set, every expiry is delivered individually.
-  using BurstHandler = std::function<void(const std::vector<Expiry>&)>;
+  explicit MraiTimers(sim::Simulator& simulator) : sim_{simulator} {}
 
   void set_expiry_handler(ExpiryHandler h) { on_expiry_ = std::move(h); }
-  void set_burst_handler(BurstHandler h) { on_burst_ = std::move(h); }
+
+  /// When set, timers started from here on are queued events from the
+  /// start, so the expiry handler sees every expiry at its exact time.
+  void set_every_expiry(bool every) { every_expiry_ = every; }
 
   [[nodiscard]] bool running(net::NodeId peer, net::Prefix prefix) const;
   [[nodiscard]] bool pending(net::NodeId peer, net::Prefix prefix) const;
 
-  /// Overwrite the pending flag for a *running* timer. No-op when the timer
-  /// is not running.
+  /// Overwrite the pending flag for a *running* timer, promoting it when it
+  /// comes to hold a decision. No-op when the timer is not running.
   void set_pending(net::NodeId peer, net::Prefix prefix, bool pending);
 
   /// Start the timer (must not be running) to expire after `duration`.
-  void start(net::NodeId peer, net::Prefix prefix, sim::SimTime duration,
-             sim::Simulator& simulator);
+  void start(net::NodeId peer, net::Prefix prefix, sim::SimTime duration);
 
   /// Cancel all timers toward `peer` (session down).
-  void cancel_peer(net::NodeId peer, sim::Simulator& simulator);
+  void cancel_peer(net::NodeId peer);
 
   /// True if any running timer holds a pending decision — i.e. protocol
   /// work is still queued behind MRAI. O(1): a count is kept.
   [[nodiscard]] bool any_pending() const { return pending_count_ > 0; }
 
-  [[nodiscard]] std::size_t running_count() const { return running_count_; }
+  /// Timers still running at the simulator's current position (a scan).
+  [[nodiscard]] std::size_t running_count() const;
 
-  /// Checkpoint codec. Only the bookkeeping is serialized, in ascending
-  /// (peer, prefix) order; the expiry events themselves live in the event
-  /// queue. An in-place restore pairs the planes back up with the
-  /// still-scheduled closures (which capture keys by value); a fresh
-  /// restore is only valid when no timers are running.
+  /// Checkpoint codec: every running timer's (deadline µs, seq, pending),
+  /// in ascending (peer, prefix) order. The deadlines themselves live in
+  /// the simulator (ledger or queue), whose pending set the run-level
+  /// codec verifies; an in-place restore pairs promoted timers back up
+  /// with their still-queued closures by seq. Restore runs after the
+  /// simulator clock, so it rejects a deadline already passed there, a seq
+  /// not yet drawn, a repeated key, and a held decision with no queued
+  /// expiry.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
  private:
   struct State {
-    sim::EventId ev{};  // value 0: not running
+    sim::SimTime deadline{};
+    std::uint64_t seq = 0;  // 0: never started, or stopped
+    sim::EventId ev{};      // non-null once promoted to a queued event
     bool pending = false;
   };
 
-  /// Expiry entry point for the scheduled closure: under burst delivery
-  /// (wheel backend) it additionally consumes every immediately following
-  /// event that is one of this object's own timers due at the same
-  /// instant, then dispatches the whole batch. Each timer's event carries
-  /// its (peer, prefix) as the scheduler tag, so matching the next event
-  /// to a timer is one plane lookup.
-  void fire(net::NodeId peer, net::Prefix prefix, sim::Simulator& simulator);
+  /// Expiry of a promoted timer (its queued closure).
+  void fire(net::NodeId peer, net::Prefix prefix);
 
-  [[nodiscard]] static bool is_running(const State* st) {
-    return st != nullptr && st->ev.value != 0;
+  /// Queue a silent timer's closure at its (deadline, seq).
+  void promote(net::NodeId peer, net::Prefix prefix, State& st);
+
+  [[nodiscard]] bool is_running(const State* st) const {
+    return st != nullptr && st->seq != 0 &&
+           !sim_.has_passed(st->deadline, st->seq);
   }
-  /// Mark a running timer stopped (fired, consumed or cancelled).
-  void stop(State& st);
 
+  sim::Simulator& sim_;
   PeerPlane<State> timers_;
-  std::size_t running_count_ = 0;
   std::size_t pending_count_ = 0;  // running timers holding a decision
+  bool every_expiry_ = false;
   ExpiryHandler on_expiry_;
-  BurstHandler on_burst_;
-  std::vector<Expiry> batch_;  // reused across fires; no steady-state alloc
 };
 
 }  // namespace bgpsim::bgp

@@ -18,14 +18,11 @@ Speaker::Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
       fib_{fib},
       rng_{std::move(rng)},
       adj_rib_in_{store, row},
-      loc_rib_{store, row} {
+      loc_rib_{store, row},
+      mrai_{simulator} {
   mrai_.set_expiry_handler(
       [this](net::NodeId peer, net::Prefix prefix, bool was_pending) {
         on_mrai_expired(peer, prefix, was_pending);
-      });
-  mrai_.set_burst_handler(
-      [this](const std::vector<MraiTimers::Expiry>& batch) {
-        on_mrai_burst(batch);
       });
 }
 
@@ -129,7 +126,7 @@ void Speaker::handle_session(net::NodeId peer, bool up) {
   }
 
   peers_.erase(peer);
-  mrai_.cancel_peer(peer, sim_);
+  mrai_.cancel_peer(peer);
   advertised_.drop(peer);
 
   // Gather every prefix that might be affected before mutating the RIB.
@@ -243,11 +240,7 @@ bool Speaker::already_advertised(net::NodeId peer, net::Prefix prefix,
 }
 
 void Speaker::consider_send(net::NodeId peer, net::Prefix prefix) {
-  consider_send_with(peer, prefix, loc_rib_.get(prefix));
-}
-
-void Speaker::consider_send_with(net::NodeId peer, net::Prefix prefix,
-                                 const AsPath* loc) {
+  const AsPath* loc = loc_rib_.get(prefix);
   const UpdateMsg desired = desired_update(peer, prefix, loc);
   const bool same = already_advertised(peer, prefix, desired);
   const bool rate_limited = !desired.is_withdrawal() || config_.wrate;
@@ -296,7 +289,7 @@ void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
   }
   if (hooks_.on_update_sent) hooks_.on_update_sent(self_, peer, update);
 
-  if (start_timer) mrai_.start(peer, prefix, jittered_mrai(), sim_);
+  if (start_timer) mrai_.start(peer, prefix, jittered_mrai());
 }
 
 void Speaker::flush_staged() {
@@ -322,29 +315,6 @@ void Speaker::on_mrai_expired(net::NodeId peer, net::Prefix prefix,
     hooks_.on_mrai_expired(self_, peer, prefix, was_pending);
   }
   if (was_pending) consider_send(peer, prefix);
-}
-
-void Speaker::on_mrai_burst(const std::vector<MraiTimers::Expiry>& batch) {
-  // MRAI timers toward all peers start together (advertise_to_all under a
-  // deterministic jitter), so a burst is typically one prefix × many
-  // peers: run the Loc-RIB lookup once per prefix run. Safe because the
-  // send path never mutates loc_rib_ — sends only go to peer processing
-  // queues, delivered via future events.
-  net::Prefix run_prefix{};
-  const AsPath* loc = nullptr;
-  bool have_run = false;
-  for (const MraiTimers::Expiry& e : batch) {
-    if (hooks_.on_mrai_expired) {
-      hooks_.on_mrai_expired(self_, e.peer, e.prefix, e.was_pending);
-    }
-    if (!e.was_pending) continue;
-    if (!have_run || e.prefix != run_prefix) {
-      run_prefix = e.prefix;
-      loc = loc_rib_.get(e.prefix);
-      have_run = true;
-    }
-    consider_send_with(e.peer, e.prefix, loc);
-  }
 }
 
 void Speaker::ghost_flush(net::Prefix prefix) {

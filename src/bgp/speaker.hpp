@@ -52,6 +52,11 @@ class Speaker {
     std::function<void(net::NodeId node, net::NodeId peer, net::Prefix,
                        bool was_pending)>
         on_mrai_expired{};
+    /// Whether on_mrai_expired must see every expiry at its exact time:
+    /// then every MRAI timer runs as a queued event. When false it sees
+    /// only the expiries that hold a decision, and the rest pass silently
+    /// (bgp/mrai.hpp).
+    bool every_mrai_expiry = true;
   };
 
   /// `store` binds this speaker's RIB facades to the network's shared SoA
@@ -64,7 +69,10 @@ class Speaker {
   /// Establish sessions with the given peers (initially up neighbors).
   void set_peers(const std::vector<net::NodeId>& peers);
 
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
+  void set_hooks(Hooks hooks) {
+    hooks_ = std::move(hooks);
+    mrai_.set_every_expiry(hooks_.on_mrai_expired && hooks_.every_mrai_expiry);
+  }
 
   /// Originate `prefix` locally (the destination AS). Advertises (self) to
   /// every peer.
@@ -178,18 +186,8 @@ class Speaker {
   void run_decision(net::Prefix prefix);
   void advertise_to_all(net::Prefix prefix);
   void consider_send(net::NodeId peer, net::Prefix prefix);
-  /// consider_send with the Loc-RIB lookup hoisted: burst delivery passes
-  /// one lookup across every same-prefix expiry in the batch (nothing in
-  /// the send path mutates the Loc-RIB).
-  void consider_send_with(net::NodeId peer, net::Prefix prefix,
-                          const AsPath* loc);
   void send_update(net::NodeId peer, net::Prefix prefix, UpdateMsg update);
   void on_mrai_expired(net::NodeId peer, net::Prefix prefix, bool was_pending);
-  /// Batched delivery of coincident MRAI expiries (wheel backend): hooks
-  /// and sends run per item in exact firing order — the observable stream
-  /// is identical to sequential delivery — but the decision inputs are
-  /// fetched once per prefix run instead of once per expiry.
-  void on_mrai_burst(const std::vector<MraiTimers::Expiry>& batch);
   void ghost_flush(net::Prefix prefix);
   [[nodiscard]] sim::SimTime jittered_mrai();
 

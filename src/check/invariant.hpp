@@ -119,6 +119,12 @@ class Invariant {
   virtual void on_mrai_expired(net::NodeId /*node*/, net::NodeId /*peer*/,
                                net::Prefix, bool /*was_pending*/,
                                sim::SimTime /*at*/) {}
+  /// Whether this invariant reads on_mrai_expired. While any armed
+  /// invariant does, every MRAI timer runs as a queued event so each
+  /// expiry arrives at its exact time; otherwise timers that hold no
+  /// decision expire silently and reach no invariant. Defaults to true so
+  /// an override of on_mrai_expired sees every expiry unasked.
+  [[nodiscard]] virtual bool observes_mrai_expiries() const { return true; }
   /// `node`'s FIB entry for `prefix` changed.
   virtual void on_fib_changed(net::NodeId /*node*/, net::Prefix,
                               std::optional<net::NodeId> /*previous*/,

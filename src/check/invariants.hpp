@@ -23,6 +23,9 @@ class PathSanityInvariant final : public Invariant {
   [[nodiscard]] std::string_view name() const override {
     return "path-sanity";
   }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
+  }
   void arm(const Context& ctx) override { ctx_ = ctx; }
   void on_route_installed(net::NodeId node, net::Prefix prefix,
                           const std::optional<bgp::AsPath>& best,
@@ -38,6 +41,9 @@ class PathSanityInvariant final : public Invariant {
 class RibFibConsistencyInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override { return "rib-fib"; }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
+  }
   /// Drops the previous run's mirror: one oracle may serve several trials,
   /// and each run's FIBs start empty.
   void arm(const Context&) override { fib_.clear(); }
@@ -64,6 +70,9 @@ class MraiLegalityInvariant final : public Invariant {
   [[nodiscard]] std::string_view name() const override {
     return "mrai-legality";
   }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
+  }
   void arm(const Context& ctx) override;
   void on_update_sent(net::NodeId from, net::NodeId to,
                       const bgp::UpdateMsg& msg, sim::SimTime at) override;
@@ -85,6 +94,9 @@ class LoopDurationBoundInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "loop-duration-bound";
+  }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
   }
   void arm(const Context& ctx) override;
   void on_fib_changed(net::NodeId node, net::Prefix prefix,
@@ -110,6 +122,9 @@ class ConvergedReferenceInvariant final : public Invariant {
   [[nodiscard]] std::string_view name() const override {
     return "converged-reference";
   }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
+  }
   void arm(const Context& ctx) override { ctx_ = ctx; }
   void at_quiescence(const QuiescentView& view, sim::SimTime at) override;
 
@@ -128,6 +143,9 @@ class ValleyFreeInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "valley-free";
+  }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
   }
   void arm(const Context& ctx) override { ctx_ = ctx; }
   void on_route_installed(net::NodeId node, net::Prefix prefix,
@@ -149,6 +167,9 @@ class OscillationInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "oscillation";
+  }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
   }
   void set_flip_budget(std::uint64_t budget) { budget_ = budget; }
   void arm(const Context& ctx) override;
@@ -174,6 +195,9 @@ class RestoreEquivalenceInvariant final : public Invariant {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "restore-equivalence";
+  }
+  [[nodiscard]] bool observes_mrai_expiries() const override {
+    return false;
   }
   void on_restored(std::uint64_t snapshot_hash, std::uint64_t live_hash,
                    sim::SimTime at) override;

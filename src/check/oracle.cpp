@@ -41,6 +41,13 @@ void Oracle::arm(const Context& context) {
   for (auto& invariant : invariants_) invariant->arm(context);
 }
 
+bool Oracle::observes_mrai_expiries() const {
+  for (const auto& invariant : invariants_) {
+    if (invariant->observes_mrai_expiries()) return true;
+  }
+  return false;
+}
+
 void Oracle::record(Violation v) {
   ++violations_seen_;
   if (violations_.size() < kMaxStored) violations_.push_back(std::move(v));

@@ -53,12 +53,20 @@ class Oracle {
                           sim::SimTime at);
   void on_mrai_expired(net::NodeId node, net::NodeId peer, net::Prefix prefix,
                        bool was_pending, sim::SimTime at);
+  /// `count` MRAI expiries passed silently (no invariant observes them):
+  /// they count as observations all the same, so observations() reads the
+  /// same whichever way the timers ran.
+  void on_silent_mrai_expiries(std::uint64_t count) { observations_ += count; }
   void on_fib_changed(net::NodeId node, net::Prefix prefix,
                       std::optional<net::NodeId> previous,
                       std::optional<net::NodeId> current, sim::SimTime at);
   void at_quiescence(const QuiescentView& view, sim::SimTime at);
   void on_restored(std::uint64_t snapshot_hash, std::uint64_t live_hash,
                    sim::SimTime at);
+
+  /// True when some invariant reads MRAI expiries
+  /// (Invariant::observes_mrai_expiries).
+  [[nodiscard]] bool observes_mrai_expiries() const;
 
   /// Subscribe to every node's FIB, in addition to observers already
   /// installed (e.g. the metrics loop detector).

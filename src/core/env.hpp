@@ -72,9 +72,8 @@ struct Knob {
 /// 0 disables (plain structural sharing, for A/B digest checks). Default 1.
 [[nodiscard]] bool path_interning();
 
-/// BGPSIM_TIMER_WHEEL: hierarchical timer-wheel scheduler with batched
-/// same-tick MRAI delivery; 0 falls back to the (time, seq) binary heap
-/// (strictly sequential delivery, for A/B digest checks). Outputs are
+/// BGPSIM_TIMER_WHEEL: hierarchical timer-wheel scheduler; 0 falls back to
+/// the (time, seq) binary heap (for A/B digest checks). Outputs are
 /// bit-identical either way. Default 1.
 [[nodiscard]] bool timer_wheel();
 

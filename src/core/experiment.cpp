@@ -263,8 +263,19 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
       oracle->on_mrai_expired(node, peer, prefix, was_pending,
                               simulator.now());
     };
+    // Only an invariant that reads expiries needs each one as an event.
+    hooks.every_mrai_expiry = oracle->observes_mrai_expiries();
   }
   network.set_hooks(hooks);
+  // The expiries that passed silently still count as oracle observations,
+  // however the run ends (a thrown run's count is part of its verdict).
+  struct SilentExpiries {
+    check::Oracle* oracle;
+    const sim::Simulator& simulator;
+    ~SilentExpiries() {
+      if (oracle) oracle->on_silent_mrai_expiries(simulator.deadlines_passed());
+    }
+  } silent_expiries{oracle, simulator};
 
   fwd::DataPlaneOptions plane_options =
       multi ? fwd::DataPlaneOptions{.destinations = prefix_origins}

@@ -2,6 +2,9 @@
 
 #include <bit>
 #include <exception>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/run_options.hpp"
@@ -56,10 +59,34 @@ struct IterationResult {
   std::string summary;  // one-line outcome for verbose mode
 };
 
+/// Reads every MRAI expiry, so each timer runs as a queued event instead
+/// of passing silently: the --mrai-check reference. It checks only that
+/// expiries arrive in time order.
+class ExpiryObserver final : public check::Invariant {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "mrai-expiry-order";
+  }
+  void arm(const check::Context&) override { last_ = sim::SimTime::zero(); }
+  void on_mrai_expired(net::NodeId node, net::NodeId peer, net::Prefix,
+                       bool, sim::SimTime at) override {
+    if (at < last_) {
+      report(at, node, "MRAI expiry toward " + std::to_string(peer) +
+                           " delivered after one at " + sim::to_string(last_));
+    }
+    last_ = at;
+  }
+
+ private:
+  sim::SimTime last_;
+};
+
 IterationResult run_once(Scenario scenario, std::uint64_t scenario_seed,
-                         const FuzzOptions& options) {
+                         const FuzzOptions& options,
+                         bool observe_expiries = false) {
   IterationResult result;
   check::Oracle oracle = make_oracle(options);
+  if (observe_expiries) oracle.add(std::make_unique<ExpiryObserver>());
   scenario.oracle = &oracle;
 
   std::optional<ExperimentOutcome> outcome;
@@ -146,81 +173,95 @@ IterationResult run_checked(std::uint64_t scenario_seed,
   return baseline;
 }
 
+/// One differential pass: re-run the iteration's scenario (with the same
+/// snap-check probe when armed) through `run`, which changes one engine
+/// choice, and require the baseline's fingerprint exactly. Returns the
+/// iteration's failed result, or nullopt when the pass agrees. The digest
+/// always folds the baseline fingerprint, so a clean campaign prints the
+/// same digest as a plain run.
+template <typename Run>
+std::optional<IterationResult> differential(const IterationResult& baseline,
+                                            std::uint64_t scenario_seed,
+                                            const FuzzOptions& options,
+                                            const std::string& check,
+                                            const std::string& rerun, Run run) {
+  Scenario scenario = options_scenario(scenario_seed, options);
+  if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
+  IterationResult other = run(scenario);
+  if (other.failure) {
+    other.failure->error =
+        check + ": " +
+        (other.failure->error.empty() ? std::string{"invariant violations"}
+                                      : other.failure->error);
+    other.fingerprint = baseline.fingerprint;
+    return other;
+  }
+  if (other.fingerprint == baseline.fingerprint) return std::nullopt;
+  IterationResult failed = baseline;
+  FuzzFailure failure;
+  failure.scenario_seed = scenario_seed;
+  failure.label = scenario.label();
+  failure.error = rerun + " changed the outcome (baseline fingerprint " +
+                  std::to_string(baseline.fingerprint) + ", re-run " +
+                  "fingerprint " + std::to_string(other.fingerprint) + ")";
+  failed.failure = std::move(failure);
+  return failed;
+}
+
 IterationResult run_iteration(std::uint64_t scenario_seed,
                               const FuzzOptions& options) {
   IterationResult baseline = run_checked(scenario_seed, options);
   if (baseline.failure) return baseline;
 
   if (options.wheel_check) {
-    // Opposite-scheduler pass: the identical scenario (same snap-check
-    // probe when armed), pinned to the other queue backend for this run
-    // only. Its fingerprint — events fired, updates sent, loop metrics,
-    // convergence times — must match the default-backend baseline bit for
-    // bit.
-    Scenario scenario = options_scenario(scenario_seed, options);
-    if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
+    // Opposite-scheduler pass: the identical scenario pinned to the other
+    // queue backend for this run only.
     const bool wheel_now =
         sim::default_queue_backend() == sim::QueueBackend::kWheel;
-    IterationResult other;
-    {
-      detail::TimerWheelGuard backend{!wheel_now};
-      other = run_once(scenario, scenario_seed, options);
-    }
-    if (other.failure) {
-      other.failure->error =
-          "wheel-check (opposite-scheduler pass): " +
-          (other.failure->error.empty() ? std::string{"invariant violations"}
-                                        : other.failure->error);
-      other.fingerprint = baseline.fingerprint;
-      return other;
-    }
-    if (other.fingerprint != baseline.fingerprint) {
-      FuzzFailure failure;
-      failure.scenario_seed = scenario_seed;
-      failure.label = scenario.label();
-      failure.error =
-          "scheduler divergence: " +
-          std::string{wheel_now ? "heap" : "wheel"} +
-          " re-run changed the outcome (baseline fingerprint " +
-          std::to_string(baseline.fingerprint) + ", opposite-scheduler " +
-          "fingerprint " + std::to_string(other.fingerprint) + ")";
-      baseline.failure = std::move(failure);
-      return baseline;
+    if (auto failed = differential(
+            baseline, scenario_seed, options,
+            "wheel-check (opposite-scheduler pass)",
+            std::string{"scheduler divergence: "} +
+                (wheel_now ? "heap" : "wheel") + " re-run",
+            [&](const Scenario& scenario) {
+              detail::TimerWheelGuard backend{!wheel_now};
+              return run_once(scenario, scenario_seed, options);
+            })) {
+      return std::move(*failed);
     }
   }
 
   if (options.dataplane_check) {
-    // Opposite-hop-store pass, same contract as the wheel check: pin the
-    // data plane to the other backend (rings vs heap) and require the
-    // fingerprint to match the baseline exactly.
-    Scenario scenario = options_scenario(scenario_seed, options);
-    if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
+    // Opposite-hop-store pass: the data plane pinned to the other backend
+    // (rings vs heap).
     const bool rings_now =
         fwd::default_plane_backend() == fwd::PlaneBackend::kRings;
-    IterationResult other;
-    {
-      detail::DataPlaneRingsGuard backend{!rings_now};
-      other = run_once(scenario, scenario_seed, options);
+    if (auto failed = differential(
+            baseline, scenario_seed, options,
+            "dataplane-check (opposite-hop-store pass)",
+            std::string{"data-plane divergence: "} +
+                (rings_now ? "heap" : "ring") + " re-run",
+            [&](const Scenario& scenario) {
+              detail::DataPlaneRingsGuard backend{!rings_now};
+              return run_once(scenario, scenario_seed, options);
+            })) {
+      return std::move(*failed);
     }
-    if (other.failure) {
-      other.failure->error =
-          "dataplane-check (opposite-hop-store pass): " +
-          (other.failure->error.empty() ? std::string{"invariant violations"}
-                                        : other.failure->error);
-      other.fingerprint = baseline.fingerprint;
-      return other;
-    }
-    if (other.fingerprint != baseline.fingerprint) {
-      FuzzFailure failure;
-      failure.scenario_seed = scenario_seed;
-      failure.label = scenario.label();
-      failure.error =
-          "data-plane divergence: " +
-          std::string{rings_now ? "heap" : "ring"} +
-          " re-run changed the outcome (baseline fingerprint " +
-          std::to_string(baseline.fingerprint) + ", opposite-hop-store " +
-          "fingerprint " + std::to_string(other.fingerprint) + ")";
-      baseline.failure = std::move(failure);
+  }
+
+  if (options.mrai_check) {
+    // Queued-timer pass: an invariant that reads every MRAI expiry makes
+    // each timer a queued event, where the baseline let the timers that
+    // hold no decision pass silently.
+    if (auto failed = differential(
+            baseline, scenario_seed, options,
+            "mrai-check (queued-timer pass)",
+            "MRAI divergence: queued-timer re-run",
+            [&](const Scenario& scenario) {
+              return run_once(scenario, scenario_seed, options,
+                              /*observe_expiries=*/true);
+            })) {
+      return std::move(*failed);
     }
   }
   return baseline;

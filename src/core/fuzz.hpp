@@ -56,6 +56,13 @@ struct FuzzOptions {
   /// wheel_check the same way wheel_check does; the reported digest is
   /// always the default-backend one.
   bool dataplane_check = false;
+  /// MRAI differential checking: re-run every clean iteration with an
+  /// extra invariant that reads every MRAI expiry, so every timer runs as
+  /// a queued event instead of passing silently when it holds no decision
+  /// (bgp/mrai.hpp), and fail the iteration if the fingerprints differ.
+  /// Composes with the other checks the same way; the reported digest is
+  /// always the baseline one.
+  bool mrai_check = false;
   /// Multi-prefix fuzzing (opt-in): every scenario additionally draws a
   /// prefix count from {2, 4, 8, 16} and, half the time, a set of random
   /// extra origins — exercising the SoA RIB, batched decision processing,

@@ -49,11 +49,11 @@ struct RunOptions {
   /// BGPSIM_PATH_INTERN != 0.
   bool path_interning = true;
 
-  /// Hierarchical timer-wheel event scheduling with batched same-tick
-  /// MRAI delivery (sim::QueueBackend::kWheel). Outputs are bit-identical
-  /// either way (the wheel digest-equality suite enforces this); false
-  /// falls back to the (time, seq) binary heap with strictly sequential
-  /// delivery — the A/B lever. true still requires BGPSIM_TIMER_WHEEL != 0.
+  /// Hierarchical timer-wheel event scheduling
+  /// (sim::QueueBackend::kWheel). Outputs are bit-identical either way (the
+  /// wheel digest-equality suite enforces this); false falls back to the
+  /// (time, seq) binary heap — the A/B lever. true still requires
+  /// BGPSIM_TIMER_WHEEL != 0.
   bool timer_wheel = true;
 
   /// Per-tick FIFO ring hop store in the data plane with batched

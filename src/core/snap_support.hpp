@@ -29,12 +29,13 @@ void save_run_state(snap::Writer& w, const sim::Simulator& simulator,
   w.u64(simulator.events_fired());
   w.u64(simulator.event_seq());
   // v3: the live pending-event multiset as sorted (time µs, seq) pairs —
-  // identical bytes under either queue backend (the wheel's batched
-  // consumption permutes slot recycling, so slot/generation state is
-  // deliberately excluded). The list holds control events only: the
-  // external slot belongs to the data plane, whose hop bridge and source
-  // ring (the traffic ticks) carry their own (time, seq) in the plane's
-  // and the generator's sections, and are re-armed from there.
+  // identical bytes under either queue backend (slot/generation state is
+  // an allocation artifact, deliberately excluded). Unpassed silent MRAI
+  // deadlines are listed like queued events. The list holds control
+  // events only: the external slot belongs to the data plane, whose hop
+  // bridge and source ring (the traffic ticks) carry their own (time,
+  // seq) in the plane's and the generator's sections, and are re-armed
+  // from there.
   const auto pending = simulator.pending_entries();
   w.u64(pending.size());
   for (const auto& [time_us, seq] : pending) {

@@ -13,6 +13,7 @@ bool Transport::send(NodeId from, NodeId to, Payload payload) {
 
   ++sent_;
   const Link& link = topo_.link(*link_id);
+  if (*link_id >= in_flight_.size()) in_flight_.resize(topo_.link_count());
   auto& pending = in_flight_[*link_id];
 
   // The event needs its own id to unregister itself from in_flight_; the
@@ -32,22 +33,19 @@ bool Transport::send(NodeId from, NodeId to, Payload payload) {
 }
 
 void Transport::deliver(LinkId link, sim::EventId self_id, Envelope env) {
-  auto it = in_flight_.find(link);
-  if (it != in_flight_.end()) {
-    std::erase(it->second, self_id);
-  }
+  // Every delivery was registered by send, which sized the table.
+  std::erase(in_flight_[link], self_id);
   ++delivered_;
   if (on_deliver_) on_deliver_(std::move(env));
 }
 
 bool Transport::fail_link(LinkId id) {
   if (!topo_.set_link_state(id, false)) return false;
-  auto it = in_flight_.find(id);
-  if (it != in_flight_.end()) {
-    for (sim::EventId ev : it->second) {
+  if (id < in_flight_.size()) {
+    for (sim::EventId ev : in_flight_[id]) {
       if (sim_.cancel(ev)) ++lost_;
     }
-    it->second.clear();
+    in_flight_[id].clear();
   }
   const Link& l = topo_.link(id);
   if (on_session_) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/payload.hpp"
@@ -84,8 +83,9 @@ class Transport {
   Topology& topo_;
   DeliveryHandler on_deliver_;
   SessionHandler on_session_;
-  // In-flight events per link so a failure can drop them.
-  std::unordered_map<LinkId, std::vector<sim::EventId>> in_flight_;
+  // In-flight events per link so a failure can drop them, indexed by the
+  // dense LinkId (grown to the topology's link count on first use).
+  std::vector<std::vector<sim::EventId>> in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;

@@ -44,8 +44,8 @@ EventId EventQueue::next_push_id() const {
   return EventId{(static_cast<std::uint64_t>(slot) << kGenBits) | gen};
 }
 
-EventId EventQueue::push(SimTime when, Callback cb, std::uint64_t tag) {
-  const std::uint64_t seq = next_seq_++;
+EventId EventQueue::push_drawn(SimTime when, std::uint64_t seq, Callback cb) {
+  assert(seq != 0 && seq < next_seq_);
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -54,15 +54,17 @@ EventId EventQueue::push(SimTime when, Callback cb, std::uint64_t tag) {
     slot = free_.back();
     free_.pop_back();
   }
-  // A push can only move the front forward in time if it lands strictly
-  // before the cached entry (its seq is always the largest yet).
-  if (front_cached_ && when.as_micros() < front_cache_.time_us) {
+  // A push moves the front only if it lands before the cached entry by
+  // (time, seq): a pre-drawn seq can be older than the front's at the
+  // same microsecond.
+  if (front_cached_ &&
+      (when.as_micros() < front_cache_.time_us ||
+       (when.as_micros() == front_cache_.time_us && seq < front_cache_.seq))) {
     front_cached_ = false;
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = seq;
-  s.tag = tag;
   ++s.gen;
   if (wheel_) {
     wheel_->insert(TimerWheel::Entry{when.as_micros(), seq, slot});
@@ -158,13 +160,6 @@ EventQueue::Fired EventQueue::pop() {
               EventId{(static_cast<std::uint64_t>(top.slot) << kGenBits) | s.gen}};
   release_slot(top.slot);
   return fired;
-}
-
-void EventQueue::consume_next() {
-  const TimerWheel::Entry top = front_entry();
-  drop_front();
-  assert(slots_[top.slot].seq == top.seq);
-  release_slot(top.slot);
 }
 
 void EventQueue::clear() {

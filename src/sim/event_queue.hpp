@@ -21,8 +21,7 @@ struct EventId {
 
 /// Which index structure orders pending events. Both deliver the exact
 /// same (time, seq) pop order and the same EventId stream for the same
-/// schedule history; the wheel additionally enables batched same-tick
-/// delivery (Simulator::burst_delivery). kHeap is the A/B reference.
+/// schedule history. kHeap is the A/B reference.
 enum class QueueBackend : int { kHeap = 0, kWheel = 1 };
 
 /// Backend a default-constructed EventQueue (and Simulator) uses: the
@@ -67,9 +66,17 @@ class EventQueue {
     return wheel_ ? QueueBackend::kWheel : QueueBackend::kHeap;
   }
 
-  /// Insert `cb` to fire at `when`, carrying the owner-defined `tag` (see
-  /// next_event_tag). Returns a handle for cancel().
-  EventId push(SimTime when, Callback cb, std::uint64_t tag = 0);
+  /// Insert `cb` to fire at `when` with a fresh FIFO seq. Returns a handle
+  /// for cancel().
+  EventId push(SimTime when, Callback cb) {
+    return push_drawn(when, next_seq_++, std::move(cb));
+  }
+
+  /// Insert `cb` at (`when`, `seq`) for a seq drawn earlier by take_seq
+  /// (so < next_seq()): the event fires exactly where a push at the
+  /// moment of the draw would have. The simulator promotes silent
+  /// deadlines this way.
+  EventId push_drawn(SimTime when, std::uint64_t seq, Callback cb);
 
   /// The handle the next push() will return (pure observation). Lets a
   /// caller bake the id into the scheduled closure itself instead of
@@ -94,16 +101,8 @@ class EventQueue {
   /// which fires first at equal times.
   [[nodiscard]] std::uint64_t next_event_seq() const;
 
-  /// Handle of the earliest live event. Requires !empty(). Burst
-  /// consumers match it against their own bookkeeping before consuming.
+  /// Handle of the earliest live event. Requires !empty().
   [[nodiscard]] EventId next_event_id() const;
-
-  /// Tag the earliest live event was pushed with. Requires !empty(). Burst
-  /// consumers decode it to find their own bookkeeping for the event in
-  /// O(1), then confirm ownership against next_event_id().
-  [[nodiscard]] std::uint64_t next_event_tag() const {
-    return slots_[front_entry().slot].tag;
-  }
 
   /// The earliest live event as one raw (time µs, seq, slot) observation.
   /// Requires !empty(). The run loop uses this to read the firing time and
@@ -111,8 +110,9 @@ class EventQueue {
   [[nodiscard]] TimerWheel::Entry front_entry() const;
 
   /// Consume one sequence number without pushing an event. Used by the
-  /// simulator's external event slot so that arming it orders against
-  /// queued events exactly as a push at the same moment would.
+  /// simulator's external event slot and its silent deadlines so that
+  /// both order against queued events exactly as a push at the same
+  /// moment would.
   std::uint64_t take_seq() { return next_seq_++; }
 
   /// Consume `n` (>= 1) sequence numbers at once; returns the last.
@@ -130,12 +130,6 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Remove the earliest live event, discarding its callback unrun. The
-  /// batched-delivery path consumes coincident timer events this way: the
-  /// owner re-derives the work from its own bookkeeping, so the closure
-  /// is dead weight. Requires !empty().
-  void consume_next();
-
   /// Drop all pending events. Slot storage (and outstanding EventId
   /// generations) are retained so stale handles can never alias a new
   /// event.
@@ -150,9 +144,8 @@ class EventQueue {
 
   /// Sorted (time µs, seq) of every live event — the backend-invariant
   /// view of the pending set. Snapshots serialize exactly this: slot ids,
-  /// generations, and free-list order are allocation artifacts that may
-  /// legitimately differ between backends (batched consumption permutes
-  /// slot recycling), so they never enter the byte stream.
+  /// generations, and free-list order are allocation artifacts, so they
+  /// never enter the byte stream.
   [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>>
   pending_entries() const;
 
@@ -163,7 +156,6 @@ class EventQueue {
     Callback cb;
     std::uint64_t seq = 0;  // seq of current occupant; 0 = slot free
     std::uint32_t gen = 0;  // bumped on every occupancy; EventId disambiguator
-    std::uint64_t tag = 0;  // owner-defined; see next_event_tag
   };
 
   struct HeapEntry {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,23 +29,14 @@ class Simulator {
 
   [[nodiscard]] QueueBackend backend() const { return queue_.backend(); }
 
-  /// True when components should gather coincident timer expiries into one
-  /// batched delivery (see next_coincident_event). Tied to the wheel
-  /// backend so BGPSIM_TIMER_WHEEL=0 reproduces the strictly sequential
-  /// reference execution.
-  [[nodiscard]] bool burst_delivery() const {
-    return queue_.backend() == QueueBackend::kWheel;
-  }
-
   /// Current simulation time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `when` (must be >= now()). `tag` is an
-  /// owner-defined word the burst path reads back (next_event_tag).
-  EventId schedule_at(SimTime when, Callback cb, std::uint64_t tag = 0);
+  /// Schedule `cb` at absolute time `when` (must be >= now()).
+  EventId schedule_at(SimTime when, Callback cb);
 
   /// Schedule `cb` after `delay` from now (delay must be >= 0).
-  EventId schedule_after(SimTime delay, Callback cb, std::uint64_t tag = 0);
+  EventId schedule_after(SimTime delay, Callback cb);
 
   /// The handle the next schedule_at/schedule_after call will return
   /// (pure observation; see EventQueue::next_push_id). Lets a caller bake
@@ -57,44 +47,60 @@ class Simulator {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Run until the queue drains or the next event lies beyond `limit`.
-  /// Events at exactly `limit` do fire. The clock stays at the last fired
-  /// event's time (it does not jump to `limit`). Returns the number of
-  /// events fired.
+  /// Events at exactly `limit` do fire. On return every silent deadline
+  /// at or before `limit` has passed too, and the clock is at the later of
+  /// the last fired event and the last such deadline (it does not jump to
+  /// `limit`). Returns the number of events fired, deadlines included.
   std::uint64_t run_until(SimTime limit);
 
   /// Run until the queue drains. Returns the number of events fired.
   std::uint64_t run() { return run_until(SimTime::infinity()); }
 
-  /// Fire exactly one event if any is pending. Returns true if one fired.
+  /// Fire exactly one event if any is pending — a silent deadline counts
+  /// as one when it is globally next. Returns true if one fired.
   bool step();
 
-  /// --- batched same-timestamp delivery ------------------------------
+  /// --- silent deadlines ---------------------------------------------
   ///
-  /// A component whose handler is currently running (i.e. now() is the
-  /// firing time) may consume further events due at this exact instant
-  /// without a round trip through the run loop, provided it can re-derive
-  /// the work from its own bookkeeping. The contract preserves the
-  /// sequential execution order exactly: only the globally next event is
-  /// ever offered, so a foreign event (another component's closure, or
-  /// the external slot) interleaved between two of the component's timers
-  /// stops the batch right there.
+  /// A component with many timers that usually have nothing to do at
+  /// expiry (MRAI) records each one as a bare (time, seq) deadline instead
+  /// of a queued closure. Its seq is drawn with take_seq, exactly as
+  /// schedule_at would draw it, and the pair goes into a ledger. Passing a
+  /// deadline has no effect; the simulator only accounts for it, so
+  /// events_fired(), pending(), pending_entries() and the clock after a
+  /// run read exactly as if each deadline were a queued no-op event. A
+  /// timer that turns out to need its expiry is promoted: its closure is
+  /// queued at the original (time, seq), where the no-op would have fired.
+  ///
+  /// A deadline has passed once it lies at or before the current position:
+  /// the (time, seq) of the event firing now, or after a run the clock with
+  /// every seq drawn so far. Passed deadlines are credited lazily — by
+  /// run_until at its end, by clear_pending, and by the ledger's compaction
+  /// each time it doubles, which keeps the ledger to unexpired deadlines.
 
-  /// Handle of the next pending event iff it is due exactly at now() and
-  /// precedes an armed external slot; nullopt otherwise. The caller
-  /// checks the handle against its own bookkeeping before consuming.
-  [[nodiscard]] std::optional<EventId> next_coincident_event() const;
+  /// Record a deadline at (`when` >= now(), `seq`). `seq` must come from
+  /// take_seq and be newer than every deadline recorded before it.
+  void add_deadline(SimTime when, std::uint64_t seq);
 
-  /// Tag of the event next_coincident_event() just returned, so its owner
-  /// can find its bookkeeping for it without a search. Tags are not unique
-  /// across owners: the caller must still match the id.
-  [[nodiscard]] std::uint64_t next_event_tag() const {
-    return queue_.next_event_tag();
+  /// Turn the unpassed deadline (`when`, `seq`) into a queued event that
+  /// runs `cb` at exactly that (time, seq). Throws std::logic_error when
+  /// no such deadline is outstanding.
+  EventId promote_deadline(SimTime when, std::uint64_t seq, Callback cb);
+
+  /// Drop an unpassed deadline without it ever firing. Returns false when
+  /// it has passed already or is not in the ledger.
+  bool withdraw_deadline(SimTime when, std::uint64_t seq);
+
+  /// True when (`when`, `seq`) lies at or before the current position.
+  [[nodiscard]] bool has_passed(SimTime when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && seq <= pos_seq_);
   }
 
-  /// Consume the event next_coincident_event() just returned: it counts
-  /// as fired (the clock is already at its time) but its closure is
-  /// discarded unrun. `id` must still be the front of the queue.
-  void consume_coincident(EventId id);
+  /// Silent deadlines passed since construction (promoted and withdrawn
+  /// ones excluded): the expiries no closure ran for.
+  [[nodiscard]] std::uint64_t deadlines_passed() const {
+    return deadlines_passed_ + ledger_passed();
+  }
 
   /// --- external event slot ------------------------------------------
   ///
@@ -153,6 +159,7 @@ class Simulator {
       return false;
     }
     now_ = when;
+    pos_seq_ = seq;
     ++fired_;
     return true;
   }
@@ -177,20 +184,19 @@ class Simulator {
   /// the slot to the handler's end).
   [[nodiscard]] bool in_external_handler() const { return in_external_; }
 
-  /// Number of pending (live) events, counting an armed external slot.
-  [[nodiscard]] std::size_t pending() const {
-    return queue_.size() + (ext_armed_ ? 1 : 0);
+  /// Number of pending (live) events, counting an armed external slot and
+  /// every unpassed deadline.
+  [[nodiscard]] std::size_t pending() const;
+
+  /// Total events fired since construction, passed deadlines included.
+  [[nodiscard]] std::uint64_t events_fired() const {
+    return fired_ + ledger_passed();
   }
 
-  /// Total events fired since construction.
-  [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
-
-  /// Drop all pending events, including an armed external slot (the
-  /// clock is not reset).
-  void clear_pending() {
-    queue_.clear();
-    ext_armed_ = false;
-  }
+  /// Drop all pending events, including an armed external slot and every
+  /// unpassed deadline (the clock is not reset). Deadlines already passed
+  /// stay counted.
+  void clear_pending();
 
   /// Sequence number the next scheduled event will receive — part of the
   /// deterministic-replay state alongside now() and events_fired().
@@ -199,22 +205,18 @@ class Simulator {
   /// Checkpoint restore: set the clock, fired-event count, and event
   /// sequence counter in one step so a restored run continues with
   /// bit-identical timestamps, counts, and FIFO tie-breaks. Does not touch
-  /// pending events; the caller is responsible for restoring at a moment
-  /// where the queue contents match the checkpoint (e.g. quiescence).
-  void restore_clock(SimTime now, std::uint64_t fired, std::uint64_t seq) {
-    now_ = now;
-    fired_ = fired;
-    queue_.set_next_seq(seq);
-  }
+  /// pending events or unpassed deadlines; the caller is responsible for
+  /// restoring at a moment where they match the checkpoint (e.g.
+  /// quiescence). Passed deadlines leave the ledger first: `fired` already
+  /// counts them.
+  void restore_clock(SimTime now, std::uint64_t fired, std::uint64_t seq);
 
-  /// Sorted (time µs, seq) of every live queued event — the
-  /// backend-invariant pending set snapshots serialize and verify. The
-  /// external slot is excluded: it is component-owned state, re-armed by
-  /// its owner on restore.
+  /// Sorted (time µs, seq) of every live queued event and unpassed
+  /// deadline — the backend-invariant pending set snapshots serialize and
+  /// verify. The external slot is excluded: it is component-owned state,
+  /// re-armed by its owner on restore.
   [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>>
-  pending_entries() const {
-    return queue_.pending_entries();
-  }
+  pending_entries() const;
 
  private:
   /// True when the external slot fires before the queue's earliest event
@@ -230,9 +232,46 @@ class Simulator {
   /// may fire inline (see fire_external_inline).
   void fire_external(SimTime bound_time, std::uint64_t bound_seq);
 
+  /// One ledger entry; a withdrawn or promoted deadline keeps its seq (the
+  /// ledger stays sorted by seq) and has time_us < 0.
+  struct Deadline {
+    std::int64_t time_us;
+    std::uint64_t seq;
+  };
+
+  [[nodiscard]] bool has_passed(const Deadline& d) const {
+    return has_passed(SimTime::micros(d.time_us), d.seq);
+  }
+
+  /// Live ledger entries that have passed but are not yet credited.
+  [[nodiscard]] std::uint64_t ledger_passed() const;
+
+  /// The live ledger entry for (`when`, `seq`), or nullptr.
+  [[nodiscard]] Deadline* find_deadline(SimTime when, std::uint64_t seq);
+
+  /// Remove withdrawn entries and every live entry `gone` selects, adding
+  /// the latter to deadlines_passed_. Returns how many it selected and the
+  /// latest time among them (-1 when none).
+  template <typename Gone>
+  std::pair<std::uint64_t, std::int64_t> sweep_ledger(Gone gone);
+
+  /// Sweep out the passed deadlines, crediting them as fired.
+  void credit_passed();
+
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
+  /// FIFO seq of the current position (see has_passed).
+  std::uint64_t pos_seq_ = 0;
+  /// Events fired plus deadlines credited; events_fired() adds the passed
+  /// deadlines still in the ledger.
   std::uint64_t fired_ = 0;
+  /// Silent deadlines in seq order (see add_deadline).
+  std::vector<Deadline> ledger_;
+  /// Ledger size that triggers the next compaction: twice what the last
+  /// one kept, at least kMinCompactAt.
+  static constexpr std::size_t kMinCompactAt = 1024;
+  std::size_t compact_at_ = kMinCompactAt;
+  std::uint64_t deadlines_passed_ = 0;  // swept out of the ledger so far
   Callback ext_handler_;
   SimTime ext_time_ = SimTime::zero();
   std::uint64_t ext_seq_ = 0;

@@ -49,7 +49,10 @@ namespace bgpsim::snap {
 /// contract (ring cohorts or binary heap, BGPSIM_DATAPLANE_RINGS), so
 /// snapshots are portable across hop-store backends; the bump fences off
 /// v4 builds whose data plane cannot restore into a ring store.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: an MRAI timer record is (deadline µs, seq, pending) instead of the
+/// timer's event id — the last allocation artifact in the stream. Timers
+/// that hold no decision are silent simulator deadlines and have no id.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Byte offset of the format-version field inside encode() output —
 /// stable across versions (it sits directly behind the magic).

@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "check/oracle.hpp"
 #include "core/run_options.hpp"
 #include "core/sweep.hpp"
 #include "snap/snapshot.hpp"
@@ -189,6 +191,39 @@ TEST(DataPlaneDigestEquivTest, BenchInputsArePinnedOnBothBackends) {
       EXPECT_EQ(svc::trialset_digest(set), pin.digest);
       EXPECT_EQ(set.runs.front().events_fired, pin.events_fired);
     }
+  }
+}
+
+/// Reads every MRAI expiry, so each timer runs as a queued event instead
+/// of passing silently when it holds no decision.
+class ExpiryObserver final : public check::Invariant {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "expiry-observer";
+  }
+  void on_mrai_expired(net::NodeId, net::NodeId, net::Prefix, bool,
+                       sim::SimTime) override {
+    ++expiries;
+  }
+  std::uint64_t expiries = 0;
+};
+
+TEST(DataPlaneDigestEquivTest, PolicyPinHoldsWithEveryMraiExpiryQueued) {
+  // policy-10k with an observer attached: every MRAI timer runs as a
+  // queued event, on both hop stores, and the pin must not move.
+  for (const bool rings : {true, false}) {
+    SCOPED_TRACE(rings ? "rings" : "heap");
+    check::Oracle oracle;
+    auto& observer = static_cast<ExpiryObserver&>(
+        oracle.add(std::make_unique<ExpiryObserver>()));
+    const TrialSet set = run_trials(
+        bench_policy_10k(), RunOptions{.trials = 1,
+                                       .jobs = 1,
+                                       .dataplane_rings = rings,
+                                       .oracle = &oracle});
+    EXPECT_EQ(svc::trialset_digest(set), 0xcff5d48ba555667aULL);
+    EXPECT_EQ(set.runs.front().events_fired, 2'313'242u);
+    EXPECT_GT(observer.expiries, 0u);
   }
 }
 

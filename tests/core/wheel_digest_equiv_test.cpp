@@ -2,8 +2,8 @@
 // — serial, thread-parallel, and multi-process — must be bit-identical
 // with BGPSIM_TIMER_WHEEL on and off, and snapshots taken under one
 // backend must restore (and verify) under the other. The heap is the
-// strictly sequential reference; any divergence here means batched
-// delivery changed observable behavior.
+// reference; any divergence here means the wheel changed observable
+// behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
+#include "check/oracle.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
@@ -43,6 +45,58 @@ TEST(FullTablePin, Seed1TrialZeroIsBitStable) {
             0x1c5dc8ffbe87859dULL);
   EXPECT_EQ(out.events_fired, 2'424'349ULL);
   EXPECT_EQ(converged.content_hash(), 0x520288b3aa1de158ULL);
+}
+
+/// Reads every MRAI expiry, so each timer runs as a queued event instead
+/// of passing silently when it holds no decision.
+class ExpiryCounter final : public check::Invariant {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "expiry-counter";
+  }
+  void on_mrai_expired(net::NodeId, net::NodeId, net::Prefix, bool pending,
+                       sim::SimTime) override {
+    ++expiries;
+    held += pending ? 1 : 0;
+  }
+  std::uint64_t expiries = 0;
+  std::uint64_t held = 0;
+};
+
+TEST(FullTablePin, QueuedTimersReproduceTheSilentRun) {
+  // The same trial with every expiry observed: nothing the run reports may
+  // move, and the oracle counts the same observations either way.
+  check::Oracle plain = check::Oracle::standard();
+  check::Oracle queued = check::Oracle::standard();
+  auto& counter = static_cast<ExpiryCounter&>(
+      queued.add(std::make_unique<ExpiryCounter>()));
+  ASSERT_FALSE(plain.observes_mrai_expiries());
+  ASSERT_TRUE(queued.observes_mrai_expiries());
+
+  ExperimentOutcome outs[2];
+  std::uint64_t hashes[2];
+  check::Oracle* oracles[2] = {&plain, &queued};
+  for (int i = 0; i < 2; ++i) {
+    Scenario s = fulltable_512(1);
+    snap::Snapshot converged;
+    s.save_converged = &converged;
+    s.oracle = oracles[i];
+    outs[i] = run_experiment(s);
+    hashes[i] = converged.content_hash();
+    EXPECT_TRUE(oracles[i]->ok()) << oracles[i]->summary();
+  }
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "silent" : "queued");
+    EXPECT_EQ(svc::trialset_digest(assemble_trials(fulltable_512(1), {outs[i]})),
+              0x1c5dc8ffbe87859dULL);
+    EXPECT_EQ(outs[i].events_fired, 2'424'349ULL);
+    EXPECT_EQ(hashes[i], 0x520288b3aa1de158ULL);
+  }
+  EXPECT_EQ(plain.observations(), queued.observations());
+  // About one expiry in five holds a decision; only those run as events
+  // on the silent path.
+  EXPECT_GT(counter.expiries, 4 * counter.held);
+  EXPECT_GT(counter.held, 0u);
 }
 
 }  // namespace

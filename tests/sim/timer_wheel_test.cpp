@@ -1,15 +1,15 @@
 // Differential property suite: the timer-wheel backend must be
 // observationally identical to the binary-heap backend — same pop order,
 // same EventIds, same cancel semantics, same pending set — for arbitrary
-// interleavings of push/cancel/pop/consume, including same-timestamp
-// bursts, cancel-after-fire, and far-future times that exercise every
-// cascade level and the overflow horizon.
+// interleavings of push/cancel/pop and pushes at pre-drawn seqs, including
+// same-timestamp bursts, cancel-after-fire, and far-future times that
+// exercise every cascade level and the overflow horizon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -69,10 +69,18 @@ struct QueuePair {
     return {h.time, h.id};
   }
 
-  void consume() {
-    EXPECT_EQ(heap.next_event_id().value, wheel.next_event_id().value);
-    heap.consume_next();
-    wheel.consume_next();
+  /// Draw a seq on both queues for a later push_drawn.
+  std::uint64_t take_seq() {
+    const std::uint64_t h = heap.take_seq();
+    EXPECT_EQ(h, wheel.take_seq());
+    return h;
+  }
+
+  EventId push_drawn(SimTime when, std::uint64_t seq) {
+    const EventId h = heap.push_drawn(when, seq, [] {});
+    const EventId w = wheel.push_drawn(when, seq, [] {});
+    EXPECT_EQ(h.value, w.value);
+    return h;
   }
 
   void expect_same_state() const {
@@ -116,6 +124,7 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
     Rng rng = Rng{41}.child("wheel-diff", round);
     QueuePair q;
     std::vector<EventId> ids;  // live and dead — cancels may target both
+    std::vector<std::pair<SimTime, std::uint64_t>> drawn;  // seqs not pushed
     std::int64_t base_us = 0;
 
     for (int step = 0; step < 400; ++step) {
@@ -141,8 +150,22 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
           break;
         }
         default: {
-          if (q.heap.empty()) break;
-          q.consume();
+          // A promoted deadline: pushed now at a seq drawn earlier, so it
+          // may land in front of the memoized front at the same time.
+          if (drawn.empty() || rng.chance(0.5)) {
+            drawn.emplace_back(interesting_time(rng, base_us), q.take_seq());
+            break;
+          }
+          const std::size_t pick =
+              static_cast<std::size_t>(rng.next_below(drawn.size()));
+          if (!q.heap.empty()) (void)q.heap.next_time();  // memoize fronts
+          if (!q.wheel.empty()) (void)q.wheel.next_time();
+          // Never behind the clock: the simulator only promotes deadlines
+          // that have not passed.
+          SimTime when = std::max(drawn[pick].first, SimTime::micros(base_us));
+          if (!q.heap.empty() && rng.chance(0.5)) when = q.heap.next_time();
+          ids.push_back(q.push_drawn(when, drawn[pick].second));
+          drawn.erase(drawn.begin() + static_cast<std::ptrdiff_t>(pick));
           break;
         }
       }
@@ -233,7 +256,6 @@ TEST(TimerWheelDifferential, EmptyQueueThrowsOnBothBackends) {
     EventQueue q{backend};
     EXPECT_THROW((void)q.next_time(), std::logic_error);
     EXPECT_THROW(q.pop(), std::logic_error);
-    EXPECT_THROW(q.consume_next(), std::logic_error);
     EXPECT_TRUE(q.pending_entries().empty());
   }
 }
@@ -285,65 +307,6 @@ TEST(TimerWheelDifferential, SimulatorExecutionsMatchEventForEvent) {
   ASSERT_EQ(heap.first.size(), wheel.first.size());
   EXPECT_EQ(heap.first, wheel.first);
   EXPECT_GT(heap.first.size(), 100u);
-}
-
-// ---- Coincident-event consumption (the burst-delivery contract) ----------
-
-TEST(TimerWheelDifferential, CoincidentConsumptionCountsAsFired) {
-  Simulator simulator{QueueBackend::kWheel};
-  ASSERT_TRUE(simulator.burst_delivery());
-  int handlers_run = 0;
-  int consumed = 0;
-  const SimTime t = SimTime::millis(3);
-  simulator.schedule_at(t, [&] {
-    ++handlers_run;
-    while (const std::optional<EventId> id = simulator.next_coincident_event()) {
-      simulator.consume_coincident(*id);
-      ++consumed;
-    }
-  });
-  simulator.schedule_at(t, [&] { ++handlers_run; });
-  simulator.schedule_at(t, [&] { ++handlers_run; });
-  simulator.schedule_at(t + SimTime::millis(1), [&] { ++handlers_run; });
-
-  simulator.run();
-  EXPECT_EQ(handlers_run, 2);  // first coincident handler + the later event
-  EXPECT_EQ(consumed, 2);
-  // Consumed events count as fired: the ledger matches sequential delivery.
-  EXPECT_EQ(simulator.events_fired(), 4u);
-}
-
-TEST(TimerWheelDifferential, CoincidentOfferStopsAtLaterTimesAndExternalSlot) {
-  Simulator simulator{QueueBackend::kWheel};
-  bool external_fired = false;
-  simulator.set_external_handler([&] { external_fired = true; });
-
-  const SimTime t = SimTime::millis(2);
-  simulator.schedule_at(t, [&] {
-    // The external slot is armed at this exact time with an earlier seq
-    // than the next queued event: nothing may be offered past it.
-    EXPECT_EQ(simulator.next_coincident_event(), std::nullopt);
-  });
-  simulator.arm_external(t);
-  simulator.schedule_at(t, [] {});
-  simulator.schedule_at(t + SimTime::micros(1), [] {});
-  simulator.run();
-  EXPECT_TRUE(external_fired);
-  EXPECT_EQ(simulator.events_fired(), 4u);
-
-  // And nothing is offered when the next event is strictly later.
-  Simulator s2{QueueBackend::kWheel};
-  s2.schedule_at(t, [&] {
-    EXPECT_EQ(s2.next_coincident_event(), std::nullopt);
-  });
-  s2.schedule_at(t + SimTime::micros(1), [] {});
-  s2.run();
-}
-
-TEST(TimerWheelDifferential, HeapBackendDisablesBurstDelivery) {
-  Simulator simulator{QueueBackend::kHeap};
-  EXPECT_FALSE(simulator.burst_delivery());
-  EXPECT_EQ(simulator.backend(), QueueBackend::kHeap);
 }
 
 }  // namespace

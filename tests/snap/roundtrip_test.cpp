@@ -72,6 +72,37 @@ TEST(SnapRoundtrip, BgpEveryEnhancementEveryEvent) {
   }
 }
 
+TEST(SnapRoundtrip, BgpWithSilentAndPromotedMraiTimersLive) {
+  // A probe 1.5 s after the event, well inside the 30-s MRAI: the speakers
+  // hold timers that expire silently (their ledger deadlines) and timers
+  // promoted to queued events by a held decision, in both the single- and
+  // the multi-prefix planes. The in-place restore must pair each record
+  // back up with its deadline or its queued closure, and the rest of the
+  // run must not notice.
+  for (const std::size_t prefixes : {std::size_t{1}, std::size_t{8}}) {
+    core::Scenario s;
+    s.topology.kind = core::TopologyKind::kInternet;
+    s.topology.size = 40;
+    s.event = core::EventKind::kTdown;
+    s.bgp.mrai = sim::SimTime::seconds(30);
+    s.seed = 7;
+    s.prefixes = prefixes;
+    if (prefixes > 1) s.origins = {3, 17};
+    s.snap_roundtrip_after = sim::SimTime::millis(1500);
+
+    s.snap_roundtrip = core::SnapRoundtrip::kNoop;
+    const core::ExperimentOutcome baseline = core::run_experiment(s);
+    s.snap_roundtrip = core::SnapRoundtrip::kVerify;
+    check::Oracle oracle = check::Oracle::standard();
+    s.oracle = &oracle;
+    const core::ExperimentOutcome verified = core::run_experiment(s);
+
+    EXPECT_TRUE(oracle.ok()) << s.label() << "\n" << oracle.summary();
+    EXPECT_EQ(outcome_digest(baseline), outcome_digest(verified))
+        << s.label() << ": a mid-run save/restore changed the outcome";
+  }
+}
+
 TEST(SnapRoundtrip, DvTriggeredOnlyAndPeriodic) {
   struct Case {
     core::EventKind event;
