@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common.hpp"
+#include "svc/protocol.hpp"
 
 int main() {
   using namespace bgpsim;
@@ -46,12 +47,9 @@ int main() {
         "looping persists throughout convergence");
 
   // Convergence hot-loop wall clock: the same headline scenario, timed
-  // cold (no prelude cache), stepping through the performance levers —
-  // shared paths on the heap scheduler, interned paths on the heap,
-  // interned paths on the timer wheel, and finally the ring-backed data
-  // plane on top. All four runs are bit-identical in output (checked
-  // below), so the wall-clock deltas are pure engine speed — the numbers
-  // the BENCH_ artifact tracks over time.
+  // cold (no prelude cache) — the number the BENCH_ artifact tracks over
+  // time. Its trial digest is pinned: bgpsim_bench's headline-tdown
+  // workload runs this exact trial.
   std::printf("\nconvergence hot-loop wall clock (1 cold trial):\n");
   core::Scenario hot;
   hot.topology.kind = core::TopologyKind::kInternet;
@@ -60,50 +58,25 @@ int main() {
   hot.event = core::EventKind::kTdown;
   hot.bgp.mrai = sim::SimTime::seconds(30.0);
   hot.seed = 3;
-  const auto timed = [&](bool interning, bool wheel, bool rings) {
-    core::RunOptions options;
-    options.trials = 1;
-    options.jobs = 1;
-    options.snap_cache = false;
-    options.path_interning = interning;
-    options.timer_wheel = wheel;
-    options.dataplane_rings = rings;
-    const auto start = std::chrono::steady_clock::now();
-    core::TrialSet result = core::run_trials(hot, options);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return std::pair{wall_s, std::move(result)};
-  };
-  const auto [plain_s, plain] = timed(false, false, false);
-  const auto [interned_s, interned] = timed(true, false, false);
-  const auto [wheel_s, wheel] = timed(true, true, false);
-  const auto [rings_s, rings] = timed(true, true, true);
+  core::RunOptions options;
+  options.trials = 1;
+  options.jobs = 1;
+  options.snap_cache = false;
+  const auto start = std::chrono::steady_clock::now();
+  const core::TrialSet cold = core::run_trials(hot, options);
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 
   core::Table hot_table{
       {"config", "wall clock (s)", "convergence (s)", "events fired"}};
-  const auto hot_row = [&](const char* config, double wall_s,
-                           const core::TrialSet& r) {
-    hot_table.add_row({config, core::fmt(wall_s, 2),
-                       core::fmt(r.convergence_time_s.mean, 1),
-                       std::to_string(r.runs.front().events_fired)});
-  };
-  hot_row("shared paths + heap", plain_s, plain);
-  hot_row("interned paths + heap", interned_s, interned);
-  hot_row("interned paths + wheel", wheel_s, wheel);
-  hot_row("interned paths + wheel + ring plane", rings_s, rings);
+  hot_table.add_row({"default engine", core::fmt(wall_s, 2),
+                     core::fmt(cold.convergence_time_s.mean, 1),
+                     std::to_string(cold.runs.front().events_fired)});
   hot_table.print(std::cout);
   emit_table(hot_table, "convergence hot-loop wall clock");
 
-  const auto invariant = [&](const core::TrialSet& r) {
-    return r.convergence_time_s.mean == plain.convergence_time_s.mean &&
-           r.runs.front().events_fired == plain.runs.front().events_fired;
-  };
-  check(invariant(interned),
-        "interning is output-invariant on the headline scenario");
-  check(invariant(wheel),
-        "the timer wheel is output-invariant on the headline scenario");
-  check(invariant(rings),
-        "the ring data plane is output-invariant on the headline scenario");
+  check(svc::trialset_digest(cold) == 0x7fa21cc2dc0305feULL,
+        "the cold hot-loop trial matches the pinned headline-tdown digest");
   return 0;
 }

@@ -25,13 +25,10 @@ namespace {
 using namespace bgpsim;
 
 void BM_EventQueuePushPop(benchmark::State& state) {
-  // A/B over the queue backend: range(0) = 0 binary heap, 1 timer wheel.
-  const auto backend = state.range(0) != 0 ? sim::QueueBackend::kWheel
-                                           : sim::QueueBackend::kHeap;
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{1};
   for (auto _ : state) {
-    sim::EventQueue q{backend};
+    sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
       q.push(sim::SimTime::micros(
                  static_cast<std::int64_t>(rng.next_below(1'000'000))),
@@ -42,14 +39,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueuePushPop)
-    ->Name("BM_EventQueuePushPop/heap")
-    ->Args({0, 1024})
-    ->Args({0, 16384});
-BENCHMARK(BM_EventQueuePushPop)
-    ->Name("BM_EventQueuePushPop/wheel")
-    ->Args({1, 1024})
-    ->Args({1, 16384});
+BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
@@ -126,13 +116,10 @@ BENCHMARK(BM_AsPathPrepended)->Arg(0)->Arg(1);
 
 void BM_ConvergenceHotLoop(benchmark::State& state) {
   // End to end: cold convergence + Tdown churn + packet draining on a
-  // clique — the loop the figure benches spend their time in. range(0)
-  // toggles path interning, range(1) the timer-wheel scheduler; every
-  // setting produces identical outputs (the digest-equality suites enforce
-  // it), so the deltas are pure speed.
+  // clique — the loop the figure benches spend their time in.
   core::Scenario s;
   s.topology.kind = core::TopologyKind::kClique;
-  s.topology.size = static_cast<std::size_t>(state.range(2));
+  s.topology.size = static_cast<std::size_t>(state.range(0));
   s.event = core::EventKind::kTdown;
   s.bgp.mrai = sim::SimTime::seconds(30);
   s.seed = 1;
@@ -140,8 +127,6 @@ void BM_ConvergenceHotLoop(benchmark::State& state) {
   options.trials = 1;
   options.jobs = 1;
   options.snap_cache = false;  // time the cold prelude every iteration
-  options.path_interning = state.range(0) != 0;
-  options.timer_wheel = state.range(1) != 0;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const core::TrialSet set = core::run_trials(s, options);
@@ -151,10 +136,8 @@ void BM_ConvergenceHotLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ConvergenceHotLoop)
-    ->ArgNames({"intern", "wheel", "n"})
-    ->Args({0, 0, 12})
-    ->Args({1, 0, 12})
-    ->Args({1, 1, 12})
+    ->ArgNames({"n"})
+    ->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PacketForwardingThroughput(benchmark::State& state) {

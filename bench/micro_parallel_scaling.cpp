@@ -1,5 +1,5 @@
 // Parallel trial-runner scaling: wall-clock speedup of
-// core::run_trials_parallel over the serial path as the job count grows,
+// core::run_trials over the serial path as the job count grows,
 // on one Figure-4(c)-style data point (Internet topology, Tdown, MRAI 30 s,
 // 16 trials). Also re-checks the determinism guarantee: every job count
 // must reproduce the serial aggregate bit-for-bit.
@@ -34,7 +34,7 @@ int main() {
   using bgpsim::bench::check;  // not the bgpsim::check namespace
 
   print_header("micro: parallel scaling",
-               "run_trials_parallel speedup vs job count");
+               "run_trials speedup vs job count");
 
   const std::size_t n_trials = trials(16);
   core::Scenario s;

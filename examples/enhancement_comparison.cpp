@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "core/env.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
@@ -16,7 +17,7 @@ int main(int argc, char** argv) {
 
   const std::size_t size = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 48;
   const bool tlong = argc > 2 && std::strcmp(argv[2], "tlong") == 0;
-  const std::size_t trials = core::env_or("BGPSIM_TRIALS", 2);
+  const std::size_t trials = core::env::trials(2);
 
   core::Scenario base;
   base.topology.kind = core::TopologyKind::kInternet;

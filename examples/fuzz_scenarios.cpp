@@ -2,9 +2,9 @@
 // settings, every run checked by the full invariant oracle.
 //
 //   fuzz_scenarios [--iters N] [--seed S] [--verbose] [--snap-check]
-//                  [--wheel-check] [--dataplane-check] [--mrai-check]
-//                  [--multiprefix] [--policy]
-//   fuzz_scenarios --replay SCENARIO_SEED [--snap-check] [--wheel-check]
+//                  [--dataplane-check] [--mrai-check] [--multiprefix]
+//                  [--policy]
+//   fuzz_scenarios --replay SCENARIO_SEED [--snap-check]
 //                  [--dataplane-check] [--mrai-check] [--multiprefix]
 //                  [--policy]
 //   fuzz_scenarios --canary [...]     # arm a deliberately wrong invariant
@@ -14,15 +14,10 @@
 // mid-run snapshot save/restore/re-save round-trip — and fails (with a
 // --replay line) if the round-trip changes the outcome fingerprint.
 //
-// --wheel-check re-runs every clean iteration under the opposite event
-// scheduler (timer wheel vs binary heap, BGPSIM_TIMER_WHEEL) and fails if
-// the fingerprints differ; a clean campaign prints the same digest as a
+// --dataplane-check re-runs every clean iteration on the heap hop store
+// (the hop-by-hop reference for the default per-tick FIFO rings) and fails
+// if the fingerprints differ; a clean campaign prints the same digest as a
 // plain run.
-//
-// --dataplane-check does the same for the data-plane hop store (per-tick
-// FIFO rings vs binary heap, BGPSIM_DATAPLANE_RINGS): every clean
-// iteration re-runs under the opposite backend and must fingerprint
-// identically.
 //
 // --mrai-check re-runs every clean iteration with an invariant that reads
 // every MRAI expiry attached, so every timer runs as a queued event rather
@@ -31,7 +26,7 @@
 //
 // --multiprefix additionally draws a prefix count from {2, 4, 8, 16} (and
 // sometimes scattered origins) per scenario, fuzzing the SoA RIB and
-// batched decision paths; composes with --snap-check / --wheel-check.
+// batched decision paths; composes with every check.
 //
 // --policy runs every scenario with Gao–Rexford routing on a small
 // Internet or AS-Graph topology; composes with --multiprefix and every
@@ -81,7 +76,7 @@ class CanaryInvariant final : public check::Invariant {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--iters N] [--seed S] [--replay SCENARIO_SEED] "
-               "[--verbose] [--canary] [--snap-check] [--wheel-check] "
+               "[--verbose] [--canary] [--snap-check] "
                "[--dataplane-check] [--mrai-check] [--multiprefix] "
                "[--policy]\n",
                argv0);
@@ -112,8 +107,6 @@ int main(int argc, char** argv) {
       canary = true;
     } else if (arg == "--snap-check") {
       options.snap_check = true;
-    } else if (arg == "--wheel-check") {
-      options.wheel_check = true;
     } else if (arg == "--dataplane-check") {
       options.dataplane_check = true;
     } else if (arg == "--mrai-check") {

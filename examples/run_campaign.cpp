@@ -7,7 +7,7 @@
 // across worker *processes* — spawned locally over socketpairs (default),
 // spawned locally but attached over loopback TCP (--tcp), or attached
 // from outside (--listen PORT + `bgpsim_worker --connect`). The merged
-// aggregate is bit-identical to the in-process `run_trials_parallel` at
+// aggregate is bit-identical to the in-process `run_trials` at
 // any worker count; --check-serial re-runs the campaign in-process and
 // verifies exactly that by content digest (the svc_smoke CTest entry).
 //
@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t serial_digest = svc::campaign_digest(serial);
     const bool ok = serial_digest == result.digest;
-    std::printf("[%s] campaign digest %s in-process run_trials_parallel "
+    std::printf("[%s] campaign digest %s in-process run_trials "
                 "digest %016llx\n",
                 ok ? "PASS" : "FAIL", ok ? "matches" : "DIFFERS FROM",
                 static_cast<unsigned long long>(serial_digest));

@@ -1,16 +1,12 @@
 #include "core/env.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <string_view>
 #include <system_error>
 
-#include "core/run_options.hpp"
-#include "fwd/engine.hpp"
 #include "sim/env.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace bgpsim::core::env {
@@ -32,16 +28,6 @@ constexpr Knob kRegistry[] = {
     {"BGPSIM_FUZZ_ITERS", "100", "fuzz_scenarios default iteration count"},
     {"BGPSIM_SNAP_CACHE", "32",
      "prelude-cache capacity in snapshots; 0 disables warm-start caching"},
-    {"BGPSIM_PATH_INTERN", "1",
-     "per-experiment AS-path interning (bgp::PathStore); 0 = plain "
-     "structural sharing, for A/B digest checks"},
-    {"BGPSIM_TIMER_WHEEL", "1",
-     "hierarchical timer-wheel scheduler with batched same-tick MRAI "
-     "delivery; 0 = (time, seq) binary heap, for A/B digest checks"},
-    {"BGPSIM_DATAPLANE_RINGS", "1",
-     "per-tick FIFO ring hop store in the data plane with batched "
-     "per-(node, prefix) FIB decisions; 0 = (time, seq) binary-heap hop "
-     "store, for A/B digest checks"},
     {"BGPSIM_PREFIXES", "256",
      "prefix-count cap for the multi-prefix bench sweep; sweep points "
      "above the cap are skipped"},
@@ -60,10 +46,6 @@ constexpr Knob kRegistry[] = {
 }  // namespace
 
 std::span<const Knob> registry() { return kRegistry; }
-
-std::size_t u64_or(const char* name, std::size_t fallback) {
-  return sim::env_u64_or(name, fallback);
-}
 
 std::size_t jobs() {
   return sim::env_u64_or("BGPSIM_JOBS", sim::ThreadPool::default_workers());
@@ -92,16 +74,6 @@ std::size_t snap_cache_capacity() {
 std::size_t prefixes_cap() {
   const std::size_t v = sim::env_u64_or("BGPSIM_PREFIXES", 256);
   return v == 0 ? 1 : v;
-}
-
-bool path_interning() {
-  return sim::env_u64_or("BGPSIM_PATH_INTERN", 1) != 0;
-}
-
-bool timer_wheel() { return sim::env_u64_or("BGPSIM_TIMER_WHEEL", 1) != 0; }
-
-bool dataplane_rings() {
-  return sim::env_u64_or("BGPSIM_DATAPLANE_RINGS", 1) != 0;
 }
 
 const char* journal_dir() { return sim::env_raw("BGPSIM_JOURNAL_DIR"); }
@@ -135,44 +107,3 @@ std::vector<std::size_t> policy_sizes() {
 }
 
 }  // namespace bgpsim::core::env
-
-namespace bgpsim::core::detail {
-
-namespace {
-// -1 = not yet resolved (fall back to the env knob on first read).
-std::atomic<int> g_path_interning{-1};
-}  // namespace
-
-bool path_interning_enabled() {
-  const int v = g_path_interning.load(std::memory_order_acquire);
-  if (v >= 0) return v != 0;
-  return env::path_interning();
-}
-
-void set_path_interning(bool on) {
-  g_path_interning.store(on ? 1 : 0, std::memory_order_release);
-}
-
-// The queue-backend toggle lives in sim/ (Simulator construction reads it
-// below core in the layer stack); the guard just drives it and restores
-// the exact previous override, -1 (env fallback) included.
-TimerWheelGuard::TimerWheelGuard(bool on)
-    : prev_{sim::queue_backend_override()} {
-  sim::set_queue_backend_override(on ? 1 : 0);
-}
-
-TimerWheelGuard::~TimerWheelGuard() { sim::set_queue_backend_override(prev_); }
-
-// Same shape for the data-plane hop store: the toggle lives in fwd/
-// (DataPlaneOptions resolves it at construction), the guard drives it and
-// restores the exact previous override, -1 (env fallback) included.
-DataPlaneRingsGuard::DataPlaneRingsGuard(bool on)
-    : prev_{fwd::plane_backend_override()} {
-  fwd::set_plane_backend_override(on ? 1 : 0);
-}
-
-DataPlaneRingsGuard::~DataPlaneRingsGuard() {
-  fwd::set_plane_backend_override(prev_);
-}
-
-}  // namespace bgpsim::core::detail

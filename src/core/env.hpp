@@ -2,10 +2,11 @@
 //
 // Every runtime knob the tree reads is declared here, once, with its
 // default and its documentation — docs/RUNNING.md's knob table mirrors
-// this registry (see registry() below). Each knob has a typed accessor;
-// RunOptions::defaults() is built from these, so a knob set in the
-// environment flows into every runner that doesn't explicitly override
-// the corresponding option.
+// this registry (see registry() below), and a tier-1 test keeps the two,
+// and every BGPSIM_* literal read under src/, in sync. Each knob has a
+// typed accessor; RunOptions fields left at their neutral values resolve
+// against these, so a knob set in the environment flows into every runner
+// that doesn't explicitly override the corresponding option.
 //
 // Parsing (and the warn-on-garbage contract) is sim::env_u64_or — one
 // parser for the whole tree, shared even by layers below core (snap/'s
@@ -28,10 +29,6 @@ struct Knob {
 
 /// Every runtime BGPSIM_* knob, in docs/RUNNING.md table order.
 [[nodiscard]] std::span<const Knob> registry();
-
-/// Legacy spelling of sim::env_u64_or, kept because call sites and tests
-/// predate the registry. Prefer the typed accessors below.
-[[nodiscard]] std::size_t u64_or(const char* name, std::size_t fallback);
 
 // ---- typed accessors, one per registry row -------------------------------
 
@@ -67,21 +64,6 @@ struct Knob {
 /// (headline_multiprefix skips sweep points above it) and the fuzzer's
 /// multi-prefix mode. Default 256; 0 is clamped to 1.
 [[nodiscard]] std::size_t prefixes_cap();
-
-/// BGPSIM_PATH_INTERN: per-experiment AS-path interning (bgp::PathStore);
-/// 0 disables (plain structural sharing, for A/B digest checks). Default 1.
-[[nodiscard]] bool path_interning();
-
-/// BGPSIM_TIMER_WHEEL: hierarchical timer-wheel scheduler; 0 falls back to
-/// the (time, seq) binary heap (for A/B digest checks). Outputs are
-/// bit-identical either way. Default 1.
-[[nodiscard]] bool timer_wheel();
-
-/// BGPSIM_DATAPLANE_RINGS: per-tick FIFO ring hop store in the data plane
-/// with batched per-(node, prefix) FIB decisions; 0 falls back to the
-/// (time, seq) binary-heap hop store (per-event reference, for A/B digest
-/// checks). Outputs are bit-identical either way. Default 1.
-[[nodiscard]] bool dataplane_rings();
 
 /// BGPSIM_JOURNAL_DIR: directory where bgpsimd and run_campaign --journal
 /// place campaign journals when given a bare file name instead of a path.

@@ -10,7 +10,6 @@
 #include "bgp/network.hpp"
 #include "bgp/path_store.hpp"
 #include "check/oracle.hpp"
-#include "core/run_options.hpp"
 #include "core/snap_support.hpp"
 #include "fwd/engine.hpp"
 #include "fwd/traffic.hpp"
@@ -125,14 +124,9 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   // Per-experiment AS-path interning: every path this run conses —
   // including ones decoded from a warm-start snapshot — lands in one
   // store, so structurally-equal paths are pointer-equal for the run's
-  // whole lifetime. Purely a storage decision; outputs are bit-identical
-  // with the toggle off (RunOptions::path_interning / BGPSIM_PATH_INTERN).
-  std::optional<bgp::PathStore> path_store;
-  std::optional<bgp::PathStore::Scope> path_scope;
-  if (detail::path_interning_enabled()) {
-    path_store.emplace();
-    path_scope.emplace(*path_store);
-  }
+  // whole lifetime.
+  bgp::PathStore path_store;
+  const bgp::PathStore::Scope path_scope{path_store};
 
   net::Topology topo;
   net::RelationshipTable relationships;

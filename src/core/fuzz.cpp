@@ -7,9 +7,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
-#include "core/run_options.hpp"
 #include "fwd/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
 namespace bgpsim::core {
@@ -213,36 +211,14 @@ IterationResult run_iteration(std::uint64_t scenario_seed,
   IterationResult baseline = run_checked(scenario_seed, options);
   if (baseline.failure) return baseline;
 
-  if (options.wheel_check) {
-    // Opposite-scheduler pass: the identical scenario pinned to the other
-    // queue backend for this run only.
-    const bool wheel_now =
-        sim::default_queue_backend() == sim::QueueBackend::kWheel;
-    if (auto failed = differential(
-            baseline, scenario_seed, options,
-            "wheel-check (opposite-scheduler pass)",
-            std::string{"scheduler divergence: "} +
-                (wheel_now ? "heap" : "wheel") + " re-run",
-            [&](const Scenario& scenario) {
-              detail::TimerWheelGuard backend{!wheel_now};
-              return run_once(scenario, scenario_seed, options);
-            })) {
-      return std::move(*failed);
-    }
-  }
-
   if (options.dataplane_check) {
-    // Opposite-hop-store pass: the data plane pinned to the other backend
-    // (rings vs heap).
-    const bool rings_now =
-        fwd::default_plane_backend() == fwd::PlaneBackend::kRings;
+    // Reference pass: the data plane pinned to the heap hop store.
     if (auto failed = differential(
             baseline, scenario_seed, options,
-            "dataplane-check (opposite-hop-store pass)",
-            std::string{"data-plane divergence: "} +
-                (rings_now ? "heap" : "ring") + " re-run",
+            "dataplane-check (heap hop-store pass)",
+            "data-plane divergence: heap re-run",
             [&](const Scenario& scenario) {
-              detail::DataPlaneRingsGuard backend{!rings_now};
+              const fwd::ScopedPlaneBackend heap{fwd::PlaneBackend::kHeap};
               return run_once(scenario, scenario_seed, options);
             })) {
       return std::move(*failed);

@@ -28,9 +28,9 @@ void save_run_state(snap::Writer& w, const sim::Simulator& simulator,
   w.i64(simulator.now().as_micros());
   w.u64(simulator.events_fired());
   w.u64(simulator.event_seq());
-  // v3: the live pending-event multiset as sorted (time µs, seq) pairs —
-  // identical bytes under either queue backend (slot/generation state is
-  // an allocation artifact, deliberately excluded). Unpassed silent MRAI
+  // v3: the live pending-event multiset as sorted (time µs, seq) pairs
+  // (slot/generation state is an allocation artifact, deliberately
+  // excluded). Unpassed silent MRAI
   // deadlines are listed like queued events. The list holds control
   // events only: the external slot belongs to the data plane, whose hop
   // bridge and source ring (the traffic ticks) carry their own (time,

@@ -129,18 +129,6 @@ TrialSet run_trials(const Scenario& base, const RunOptions& options) {
   if (options.trace != nullptr) s.trace = options.trace;
   if (options.oracle != nullptr) s.oracle = options.oracle;
 
-  // The BGPSIM_PATH_INTERN knob gates the option (off always wins); the
-  // BGP driver reads the resolved toggle when opening its PathStore scope.
-  detail::PathInterningGuard interning{options.path_interning &&
-                                       env::path_interning()};
-  // Same gating for the scheduler backend: every Simulator constructed
-  // under this run (worker threads included) resolves it at construction.
-  detail::TimerWheelGuard wheel{options.timer_wheel && env::timer_wheel()};
-  // And for the data-plane hop store: every DataPlane constructed under
-  // this run resolves its backend from the override at construction.
-  detail::DataPlaneRingsGuard rings{options.dataplane_rings &&
-                                    env::dataplane_rings()};
-
   const std::size_t trials = options.trials;
   const std::size_t jobs = options.jobs == 0 ? default_jobs() : options.jobs;
   const bool sinks = s.trace != nullptr || s.oracle != nullptr;
@@ -151,7 +139,7 @@ TrialSet run_trials(const Scenario& base, const RunOptions& options) {
   // parallel run that mysteriously used one core.
   if (jobs > 1 && trials > 1 && sinks) {
     sim::LogLine{sim::LogLevel::kInfo, "core", sim::SimTime::zero()}
-        << "run_trials_parallel: falling back to serial execution because "
+        << "run_trials: falling back to serial execution because "
         << (s.trace != nullptr ? "a trace recorder" : "an invariant oracle")
         << " is attached (caller-owned sinks are not synchronized across "
            "worker threads)";
@@ -196,25 +184,6 @@ TrialSet run_trials(const Scenario& base, const RunOptions& options) {
   return set;
 }
 
-TrialSet run_trials(Scenario base, std::size_t trials) {
-  RunOptions options;
-  options.trials = trials;
-  options.jobs = 1;
-  return run_trials(static_cast<const Scenario&>(base), options);
-}
-
-TrialSet run_trials_parallel(Scenario base, std::size_t trials,
-                             std::size_t jobs) {
-  RunOptions options;
-  options.trials = trials;
-  options.jobs = jobs;
-  return run_trials(static_cast<const Scenario&>(base), options);
-}
-
 std::size_t default_jobs() { return env::jobs(); }
-
-std::size_t env_or(const char* name, std::size_t fallback) {
-  return env::u64_or(name, fallback);
-}
 
 }  // namespace bgpsim::core

@@ -45,15 +45,6 @@ struct TrialSet {
 [[nodiscard]] TrialSet run_trials(const Scenario& base,
                                   const RunOptions& options);
 
-/// Deprecated shim: run_trials(base, {.trials = trials, .jobs = 1}).
-[[deprecated("use run_trials(base, RunOptions{...})")]] [[nodiscard]]
-TrialSet run_trials(Scenario base, std::size_t trials);
-
-/// Deprecated shim: run_trials(base, {.trials = trials, .jobs = jobs}).
-[[deprecated("use run_trials(base, RunOptions{...})")]] [[nodiscard]]
-TrialSet run_trials_parallel(Scenario base, std::size_t trials,
-                             std::size_t jobs = 0);
-
 /// Worker count used when RunOptions::jobs == 0: env::jobs() — the
 /// BGPSIM_JOBS environment variable if set and valid, otherwise
 /// std::thread::hardware_concurrency(); never less than 1.
@@ -89,12 +80,5 @@ struct TrialRange {
 /// function is bit-identical to the in-process runners.
 [[nodiscard]] TrialSet assemble_trials(Scenario base,
                                        std::vector<ExperimentOutcome> runs);
-
-/// Environment-variable override for bench scaling (e.g. BGPSIM_TRIALS).
-/// Returns `fallback` when unset or unparsable; a set-but-garbled value
-/// ("8x", "two") additionally warns on stderr so a misspelled knob is
-/// never silently ignored. Legacy forwarder for core::env::u64_or — the
-/// documented knob registry lives in core/env.hpp.
-[[nodiscard]] std::size_t env_or(const char* name, std::size_t fallback);
 
 }  // namespace bgpsim::core

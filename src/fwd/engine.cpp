@@ -8,29 +8,24 @@
 #include <string>
 #include <utility>
 
-#include "sim/env.hpp"
-
 namespace bgpsim::fwd {
 
 namespace {
-// -1 = no override (fall back to the env knob on each read).
-std::atomic<int> g_plane_backend_override{-1};
+// -1 = no pin (the rings).
+std::atomic<int> g_plane_backend_pin{-1};
 }  // namespace
 
-void set_plane_backend_override(int backend) {
-  g_plane_backend_override.store(backend, std::memory_order_release);
-}
-
-int plane_backend_override() {
-  return g_plane_backend_override.load(std::memory_order_acquire);
-}
-
 PlaneBackend default_plane_backend() {
-  const int o = plane_backend_override();
-  if (o >= 0) return o != 0 ? PlaneBackend::kRings : PlaneBackend::kHeap;
-  return sim::env_u64_or("BGPSIM_DATAPLANE_RINGS", 1) != 0
-             ? PlaneBackend::kRings
-             : PlaneBackend::kHeap;
+  const int pin = g_plane_backend_pin.load(std::memory_order_acquire);
+  return pin < 0 ? PlaneBackend::kRings : static_cast<PlaneBackend>(pin);
+}
+
+ScopedPlaneBackend::ScopedPlaneBackend(PlaneBackend backend)
+    : prev_{g_plane_backend_pin.exchange(static_cast<int>(backend),
+                                         std::memory_order_acq_rel)} {}
+
+ScopedPlaneBackend::~ScopedPlaneBackend() {
+  g_plane_backend_pin.store(prev_, std::memory_order_release);
 }
 
 namespace {

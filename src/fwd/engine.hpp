@@ -20,21 +20,29 @@ namespace bgpsim::fwd {
 
 /// In-flight hop store backend. kRings (the default) keeps packets in
 /// flat per-arrival-tick FIFO rings; kHeap is the (time, seq)
-/// binary-heap reference. Pop order,
-/// seq assignment, bridge arming, and trial digests are bit-identical
-/// either way — the A/B lever behind BGPSIM_DATAPLANE_RINGS.
+/// binary-heap hop-by-hop reference that differential tests and
+/// `fuzz_scenarios --dataplane-check` compare against. Pop order, seq
+/// assignment, bridge arming, and trial digests are bit-identical either
+/// way.
 enum class PlaneBackend : std::uint8_t { kHeap = 0, kRings = 1 };
 
-/// Resolve the backend for a new DataPlane: the process-wide override if
-/// set, else the BGPSIM_DATAPLANE_RINGS environment knob (default rings).
+/// Backend a DataPlaneOptions defaults to: kRings, unless a
+/// ScopedPlaneBackend is pinning another one process-wide.
 [[nodiscard]] PlaneBackend default_plane_backend();
 
-/// Process-wide backend override: 0 = heap, 1 = rings, -1 = clear (fall
-/// back to the env knob). Mirrors sim::set_queue_backend_override — the
-/// RunOptions engine drives it around a run via core::detail::
-/// DataPlaneRingsGuard.
-void set_plane_backend_override(int backend);
-[[nodiscard]] int plane_backend_override();
+/// RAII: pin the backend every DataPlaneOptions built while it lives
+/// defaults to — whole runs included, and fork()ed campaign workers with
+/// them — restoring the previous pin on exit.
+class ScopedPlaneBackend {
+ public:
+  explicit ScopedPlaneBackend(PlaneBackend backend);
+  ~ScopedPlaneBackend();
+  ScopedPlaneBackend(const ScopedPlaneBackend&) = delete;
+  ScopedPlaneBackend& operator=(const ScopedPlaneBackend&) = delete;
+
+ private:
+  int prev_;
+};
 
 /// Construction-time configuration of a DataPlane.
 struct DataPlaneOptions {
@@ -42,7 +50,7 @@ struct DataPlaneOptions {
   /// terminate at destinations[p]. net::kInvalidNode marks a hole (no
   /// destination registered for that prefix).
   std::vector<net::NodeId> destinations;
-  /// Hop-store backend; resolved from the override/env knob when the
+  /// Hop-store backend; resolved from default_plane_backend() when the
   /// options object is built.
   PlaneBackend backend = default_plane_backend();
 
@@ -489,8 +497,7 @@ class DataPlane {
   std::priority_queue<HopEvent, std::vector<HopEvent>, std::greater<>> heap_;
   TickQueue rings_;
   /// (node × prefix) decision cache, invalidated by the FIB observer and
-  /// stamped with the topology version. Shared by both backends, so it
-  /// cannot skew the A/B.
+  /// stamped with the topology version. Shared by both backends.
   mutable std::vector<CachedDecision> cache_;
 
   /// (node × prefix) walk memo, built lazily on the first speculation.

@@ -1,40 +1,11 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
-#include "sim/env.hpp"
-
 namespace bgpsim::sim {
-
-namespace {
-// -1 = no override (fall back to the BGPSIM_TIMER_WHEEL knob).
-std::atomic<int> g_backend_override{-1};
-}  // namespace
-
-QueueBackend default_queue_backend() {
-  const int v = g_backend_override.load(std::memory_order_acquire);
-  if (v >= 0) return v != 0 ? QueueBackend::kWheel : QueueBackend::kHeap;
-  return env_u64_or("BGPSIM_TIMER_WHEEL", 1) != 0 ? QueueBackend::kWheel
-                                                  : QueueBackend::kHeap;
-}
-
-void set_queue_backend_override(int backend) {
-  g_backend_override.store(backend, std::memory_order_release);
-}
-
-int queue_backend_override() {
-  return g_backend_override.load(std::memory_order_acquire);
-}
-
-EventQueue::EventQueue(QueueBackend backend) {
-  if (backend == QueueBackend::kWheel) {
-    wheel_ = std::make_unique<TimerWheel>();
-  }
-}
 
 EventId EventQueue::next_push_id() const {
   const std::uint32_t slot = free_.empty()
@@ -66,12 +37,7 @@ EventId EventQueue::push_drawn(SimTime when, std::uint64_t seq, Callback cb) {
   s.cb = std::move(cb);
   s.seq = seq;
   ++s.gen;
-  if (wheel_) {
-    wheel_->insert(TimerWheel::Entry{when.as_micros(), seq, slot});
-  } else {
-    heap_.push_back(HeapEntry{when, seq, slot});
-    std::push_heap(heap_.begin(), heap_.end(), heap_after);
-  }
+  wheel_.insert(TimerWheel::Entry{when.as_micros(), seq, slot});
   ++live_;
   return EventId{(static_cast<std::uint64_t>(slot) << kGenBits) | s.gen};
 }
@@ -91,52 +57,25 @@ bool EventQueue::cancel(EventId id) {
   if (slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
   if (s.seq == 0 || s.gen != gen) return false;
-  // The index entry (heap or wheel) is left in place; the front-entry
-  // helpers recognize it as stale by its dead seq and drop it. Cancelling
+  // The wheel entry is left in place; the wheel recognizes it as stale
+  // by its dead seq and drops it when it reaches the front. Cancelling
   // any slot other than the cached front leaves the front untouched.
   if (front_cached_ && front_cache_.slot == slot) front_cached_ = false;
   release_slot(slot);
   return true;
 }
 
-void EventQueue::drop_dead_prefix() {
-  while (!heap_.empty() && stale(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-    heap_.pop_back();
-  }
-}
-
 TimerWheel::Entry EventQueue::front_entry() const {
   if (front_cached_) return front_cache_;
-  // Both backends prune stale entries lazily, so surfacing the front
-  // mutates index bookkeeping (never live state); see next_time().
-  auto* self = const_cast<EventQueue*>(this);
-  if (wheel_) {
-    const TimerWheel::Entry* e = self->wheel_->peek(wheel_stale, this);
-    if (e == nullptr) {
-      throw std::logic_error{"EventQueue: front_entry on empty queue"};
-    }
-    front_cache_ = *e;
-  } else {
-    self->drop_dead_prefix();
-    if (heap_.empty()) {
-      throw std::logic_error{"EventQueue: front_entry on empty queue"};
-    }
-    const HeapEntry& top = heap_.front();
-    front_cache_ = TimerWheel::Entry{top.time.as_micros(), top.seq, top.slot};
+  // The wheel prunes stale entries lazily, so surfacing the front mutates
+  // index bookkeeping (never live state).
+  const TimerWheel::Entry* e = wheel_.peek(wheel_stale, this);
+  if (e == nullptr) {
+    throw std::logic_error{"EventQueue: front_entry on empty queue"};
   }
+  front_cache_ = *e;
   front_cached_ = true;
   return front_cache_;
-}
-
-void EventQueue::drop_front() {
-  front_cached_ = false;
-  if (wheel_) {
-    wheel_->pop_front();
-    return;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-  heap_.pop_back();
 }
 
 SimTime EventQueue::next_time() const {
@@ -153,7 +92,8 @@ EventId EventQueue::next_event_id() const {
 
 EventQueue::Fired EventQueue::pop() {
   const TimerWheel::Entry top = front_entry();
-  drop_front();
+  front_cached_ = false;
+  wheel_.pop_front();
   Slot& s = slots_[top.slot];
   assert(s.seq == top.seq);
   Fired fired{SimTime::micros(top.time_us), std::move(s.cb),
@@ -169,8 +109,7 @@ void EventQueue::clear() {
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (slots_[slot].seq != 0) release_slot(slot);
   }
-  heap_.clear();
-  if (wheel_) wheel_->clear();
+  wheel_.clear();
   front_cached_ = false;
   assert(live_ == 0);
 }
@@ -179,16 +118,10 @@ std::vector<std::pair<std::int64_t, std::uint64_t>>
 EventQueue::pending_entries() const {
   std::vector<std::pair<std::int64_t, std::uint64_t>> out;
   out.reserve(live_);
-  if (wheel_) {
-    std::vector<TimerWheel::Entry> entries;
-    entries.reserve(live_);
-    wheel_->collect(wheel_stale, this, entries);
-    for (const TimerWheel::Entry& e : entries) out.emplace_back(e.time_us, e.seq);
-  } else {
-    for (const HeapEntry& e : heap_) {
-      if (!stale(e)) out.emplace_back(e.time.as_micros(), e.seq);
-    }
-  }
+  std::vector<TimerWheel::Entry> entries;
+  entries.reserve(live_);
+  wheel_.collect(wheel_stale, this, entries);
+  for (const TimerWheel::Entry& e : entries) out.emplace_back(e.time_us, e.seq);
   std::sort(out.begin(), out.end());
   assert(out.size() == live_);
   return out;

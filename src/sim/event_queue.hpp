@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,22 +18,6 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-/// Which index structure orders pending events. Both deliver the exact
-/// same (time, seq) pop order and the same EventId stream for the same
-/// schedule history. kHeap is the A/B reference.
-enum class QueueBackend : int { kHeap = 0, kWheel = 1 };
-
-/// Backend a default-constructed EventQueue (and Simulator) uses: the
-/// process-wide override when set, else the BGPSIM_TIMER_WHEEL env knob
-/// (default: the wheel).
-[[nodiscard]] QueueBackend default_queue_backend();
-
-/// Process-wide backend override for RunOptions-driven A/B runs: 0 forces
-/// the heap, 1 the wheel, -1 clears back to the env knob. Applied by
-/// core::detail::TimerWheelGuard around a run.
-void set_queue_backend_override(int backend);
-[[nodiscard]] int queue_backend_override();
-
 /// Priority queue of (time, callback) pairs.
 ///
 /// Ordering is by time, with insertion order (a monotonically increasing
@@ -43,28 +26,21 @@ void set_queue_backend_override(int backend);
 ///
 /// Storage is a slot pool recycled through a free list: a callback lives
 /// inline in its slot (sim::Callback small-buffer storage), and the
-/// pending set is indexed by lightweight (time, seq, slot) entries in one
-/// of two backends — a binary heap ordered by std::push_heap/std::pop_heap,
-/// or a hierarchical timer wheel (sim/timer_wheel.hpp) whose steady state
-/// is O(1) per push/pop. Once the pool has grown to the schedule's
+/// pending set is indexed by lightweight (time, seq, slot) entries in a
+/// hierarchical timer wheel (sim/timer_wheel.hpp) whose steady state is
+/// O(1) per push/pop. Once the pool has grown to the schedule's
 /// high-water mark, push/pop/cancel perform no allocation at all.
-/// Cancellation is O(1) under both backends: the slot is freed immediately
-/// and the orphaned index entry is skipped (and reclaimed) when it reaches
-/// the front, recognized by its stale seq.
+/// Cancellation is O(1): the slot is freed immediately and the orphaned
+/// index entry is skipped (and reclaimed) when it reaches the front,
+/// recognized by its stale seq.
 ///
 /// Determinism: slot assignment (LIFO free list), generations, and seqs
 /// are pure functions of the push/cancel/pop history, so identical
 /// operation histories produce identical EventIds and identical FIFO
-/// tie-breaks — under either backend.
+/// tie-breaks.
 class EventQueue {
  public:
   using Callback = sim::Callback;
-
-  explicit EventQueue(QueueBackend backend = default_queue_backend());
-
-  [[nodiscard]] QueueBackend backend() const {
-    return wheel_ ? QueueBackend::kWheel : QueueBackend::kHeap;
-  }
 
   /// Insert `cb` to fire at `when` with a fresh FIFO seq. Returns a handle
   /// for cancel().
@@ -142,7 +118,7 @@ class EventQueue {
   /// Restore the push counter (checkpoint restore only; requires empty()).
   void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
-  /// Sorted (time µs, seq) of every live event — the backend-invariant
+  /// Sorted (time µs, seq) of every live event — the index-invariant
   /// view of the pending set. Snapshots serialize exactly this: slot ids,
   /// generations, and free-list order are allocation artifacts, so they
   /// never enter the byte stream.
@@ -158,37 +134,13 @@ class EventQueue {
     std::uint32_t gen = 0;  // bumped on every occupancy; EventId disambiguator
   };
 
-  struct HeapEntry {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-
-  // std::push_heap builds a max-heap; invert to get earliest-(time, seq)
-  // at the front.
-  static bool heap_after(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return b.time < a.time;
-    return b.seq < a.seq;
-  }
-
-  [[nodiscard]] bool stale_seq(std::uint32_t slot, std::uint64_t seq) const {
-    return slots_[slot].seq != seq;
-  }
-  [[nodiscard]] bool stale(const HeapEntry& e) const {
-    return stale_seq(e.slot, e.seq);
-  }
   static bool wheel_stale(const void* ctx, const TimerWheel::Entry& e) {
-    return static_cast<const EventQueue*>(ctx)->stale_seq(e.slot, e.seq);
+    return static_cast<const EventQueue*>(ctx)->slots_[e.slot].seq != e.seq;
   }
 
-  void drop_dead_prefix();
   void release_slot(std::uint32_t slot);
 
-  /// Remove the front index entry (the one front_entry() returned).
-  void drop_front();
-
-  std::vector<HeapEntry> heap_;
-  std::unique_ptr<TimerWheel> wheel_;  // non-null iff backend is kWheel
+  mutable TimerWheel wheel_;  // front_entry() prunes it lazily
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // LIFO recycled slot indices
   std::uint64_t next_seq_ = 1;

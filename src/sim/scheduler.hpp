@@ -21,14 +21,6 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  /// The queue backend defaults to the process-wide resolution
-  /// (BGPSIM_TIMER_WHEEL / set_queue_backend_override); tests pin one
-  /// explicitly for differential runs.
-  explicit Simulator(QueueBackend backend = default_queue_backend())
-      : queue_{backend} {}
-
-  [[nodiscard]] QueueBackend backend() const { return queue_.backend(); }
-
   /// Current simulation time.
   [[nodiscard]] SimTime now() const { return now_; }
 
@@ -212,7 +204,7 @@ class Simulator {
   void restore_clock(SimTime now, std::uint64_t fired, std::uint64_t seq);
 
   /// Sorted (time µs, seq) of every live queued event and unpassed
-  /// deadline — the backend-invariant pending set snapshots serialize and
+  /// deadline — the index-invariant pending set snapshots serialize and
   /// verify. The external slot is excluded: it is component-owned state,
   /// re-armed by its owner on restore.
   [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>>

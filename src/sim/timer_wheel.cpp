@@ -8,7 +8,7 @@ namespace bgpsim::sim {
 
 namespace {
 
-/// Strict (time, seq) order — the heap's pop order, reproduced exactly.
+/// Strict (time, seq) order — the queue's pop order.
 bool entry_before(const TimerWheel::Entry& a, const TimerWheel::Entry& b) {
   if (a.time_us != b.time_us) return a.time_us < b.time_us;
   return a.seq < b.seq;

@@ -1,17 +1,15 @@
-// Hierarchical timer wheel: the EventQueue's steady-state index.
+// Hierarchical timer wheel: the EventQueue's index.
 //
-// The (time, seq) binary heap pays O(log n) per push/pop with a
-// data-dependent comparison chain; MRAI-dominated runs spend most of the
-// hot loop there (ROADMAP item 5). The wheel replaces the heap's ordering
-// work with O(1) bucket placement: time is quantized into 1.024 ms ticks
+// The wheel orders pending events with O(1) bucket placement instead of a
+// comparison-based priority queue: time is quantized into 1.024 ms ticks
 // (kTickShift), and six levels of 64 slots each (kLevelBits/kLevels) cover
 // a horizon of 2^36 ticks (~2.2 simulated years) before spilling into an
 // unsorted overflow vector. Events due at or before the wheel's current
 // tick sit in a small sorted "ready" batch that pops from the front.
 //
-// Determinism argument (docs/DESIGN.md §5): the wheel must reproduce the
-// heap's exact (time, seq) pop order, not merely per-tick order. Two
-// invariants deliver that:
+// Determinism argument (DESIGN.md §5): the wheel must pop in exact
+// (time, seq) order, not merely per-tick order. Two invariants deliver
+// that:
 //   1. Every entry stored in a wheel slot or in overflow has a tick
 //      strictly greater than cur_tick_, while every ready entry has a tick
 //      at most cur_tick_ — so whenever the ready batch is non-empty its
@@ -23,7 +21,8 @@
 //      surfaced in exact tick order and sorted by (time, seq) within.
 // Ticks never order events: two events in different ticks already differ
 // in time, and events within one tick are sorted exactly. Quantization is
-// therefore invisible to pop order.
+// therefore invisible to pop order. tests/sim/timer_wheel_test.cpp diffs
+// the wheel-backed EventQueue against a plain ordered (time, seq) model.
 //
 // Cancellation is the EventQueue's lazy scheme: the owner invalidates the
 // slot-pool entry and the wheel drops the stale index entry when it
@@ -71,7 +70,7 @@ class TimerWheel {
   void clear();
 
   /// Append every non-stale entry to `out` (unsorted). Snapshot support:
-  /// the live (time, seq) multiset is the backend-invariant view of the
+  /// the live (time, seq) multiset is the index-invariant view of the
   /// pending set.
   void collect(StaleFn stale, const void* ctx,
                std::vector<Entry>& out) const;

@@ -11,7 +11,6 @@
 // the library proper (snapshot.cpp, cache.cpp) sits *above* those layers.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -72,9 +71,9 @@ class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) { put(static_cast<std::uint64_t>(v), 4); }
-  void u64(std::uint64_t v) { put(v, 8); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
+  void u32(std::uint32_t v) { put<4>(v); }
+  void u64(std::uint64_t v) { put<8>(v); }
+  void i64(std::int64_t v) { put<8>(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -92,17 +91,13 @@ class Writer {
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
  private:
-  /// The low n bytes of v, least significant first: one copy on a
-  /// little-endian host, the byte loop elsewhere.
-  void put(std::uint64_t v, std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(buf_.data() + at, &v, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        buf_[at + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffU);
-      }
+  /// The low N bytes of v, least significant first, appended byte by
+  /// byte: no zero-filling resize, and none of the vector range-insert
+  /// paths GCC 12's Release build misreads as -Wstringop-overflow.
+  template <std::size_t N>
+  void put(std::uint64_t v) {
+    for (std::size_t i = 0; i < N; ++i) {
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
 

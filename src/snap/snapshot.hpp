@@ -35,9 +35,8 @@ namespace bgpsim::snap {
 /// MRAI timers; the data plane's bridge event moved to the simulator's
 /// external slot and its EventId left the record.
 /// v3: the simulator prologue gained the live pending-event list as
-/// sorted (time µs, seq) pairs — the backend-invariant view of the event
-/// queue, byte-identical whether the run used the timer wheel or the
-/// heap (slot/generation/free-list order are allocation artifacts and
+/// sorted (time µs, seq) pairs — the index-invariant view of the event
+/// queue (slot/generation/free-list order are allocation artifacts and
 /// stay out of the stream). Restore verifies the list against the live
 /// queue instead of rebuilding it: closures are not serializable, so a
 /// fresh restore still requires quiescence (zero entries).
@@ -46,8 +45,9 @@ namespace bgpsim::snap {
 /// payloads carry a tag byte (0 = single UpdateMsg, 1 = UpdateBatch).
 /// v5: redesigned fwd API — the data plane's hop events are serialized in
 /// ascending (time µs, seq) order as an explicit backend-invariant
-/// contract (ring cohorts or binary heap, BGPSIM_DATAPLANE_RINGS), so
-/// snapshots are portable across hop-store backends; the bump fences off
+/// contract (ring cohorts or the heap reference store,
+/// fwd::PlaneBackend), so snapshots are portable across hop stores; the
+/// bump fences off
 /// v4 builds whose data plane cannot restore into a ring store.
 /// v6: an MRAI timer record is (deadline µs, seq, pending) instead of the
 /// timer's event id — the last allocation artifact in the stream. Timers

@@ -16,7 +16,7 @@
 //   - Results are merged by trial index into per-scenario slots; the
 //     final aggregate is assembled by core::assemble_trials — the same
 //     aggregation code as run_trials — so a campaign's TrialSet is
-//     bit-identical to core::run_trials_parallel at any worker count and
+//     bit-identical to core::run_trials at any worker count and
 //     over any transport (verified by svc::campaign_digest in tests and
 //     the svc_smoke CTest entry).
 #pragma once

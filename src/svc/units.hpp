@@ -42,9 +42,9 @@ namespace bgpsim::svc {
 /// campaign machinery consumes run.trials directly and uses the full
 /// struct for serial cross-checks (run_campaign --check-serial replays the
 /// campaign through core::run_trials(s, spec.run)). Fields that configure
-/// *in-process* execution (jobs, snap_cache, path_interning, trace,
-/// oracle) do not travel to worker processes — workers follow their own
-/// environment defaults — which is safe precisely because every one of
+/// *in-process* execution (jobs, snap_cache, trace, oracle) do not
+/// travel to worker processes — workers follow their own environment
+/// defaults — which is safe precisely because every one of
 /// those knobs is output-invariant (digests are bit-identical regardless).
 struct CampaignSpec {
   std::vector<core::Scenario> scenarios;

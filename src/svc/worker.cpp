@@ -13,7 +13,11 @@
 namespace bgpsim::svc {
 
 int worker_loop(Connection conn, std::uint64_t worker_id) {
-  sim::Log::set_instance_tag("w" + std::to_string(worker_id));
+  // Appended rather than `"w" + std::to_string(...)`: GCC 12's Release
+  // build reports a false -Wrestrict on that operator+.
+  std::string tag{"w"};
+  tag += std::to_string(worker_id);
+  sim::Log::set_instance_tag(std::move(tag));
   try {
     Hello hello;
     hello.worker_id = worker_id;

@@ -258,129 +258,124 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
   constexpr net::NodeId kPeers = 6;
   constexpr net::Prefix kPrefixes = 12;
   for (const bool every : {false, true}) {
-    for (const sim::QueueBackend backend :
-         {sim::QueueBackend::kWheel, sim::QueueBackend::kHeap}) {
-      SCOPED_TRACE(std::string{backend == sim::QueueBackend::kWheel ? "wheel"
-                                                                    : "heap"} +
-                   (every ? ", every expiry" : ", silent"));
-      sim::Simulator simulator{backend};
-      MraiTimers timers{simulator};
-      timers.set_every_expiry(every);
-      ReferenceTimers ref;
-      std::uint64_t expired = 0;
-      std::uint64_t handled = 0;
-      std::uint64_t expect_handled = 0;
-      std::uint64_t promotions = 0;
-      std::uint64_t probes = 0;
-      std::uint64_t fired = 0;
-      // The timer the next step must expire through the handler, if any.
-      std::optional<std::pair<std::pair<net::NodeId, net::Prefix>, bool>> due;
-      timers.set_expiry_handler(
-          [&](net::NodeId peer, net::Prefix prefix, bool was_pending) {
-            ASSERT_TRUE(due.has_value());
-            EXPECT_EQ(due->first, (std::pair{peer, prefix}));
-            EXPECT_EQ(due->second, was_pending);
-            due.reset();
-            ++handled;
-          });
-      const auto probe = [&] {
-        expect_matches(timers, ref, kPeers, kPrefixes, "probe");
-        ++probes;
-      };
-      // Fire the reference's next event through one simulator step.
-      const auto step = [&] {
-        if (ref.order.empty()) {
-          EXPECT_FALSE(simulator.step());
-          return;
+    SCOPED_TRACE(every ? "every expiry" : "silent");
+    sim::Simulator simulator;
+    MraiTimers timers{simulator};
+    timers.set_every_expiry(every);
+    ReferenceTimers ref;
+    std::uint64_t expired = 0;
+    std::uint64_t handled = 0;
+    std::uint64_t expect_handled = 0;
+    std::uint64_t promotions = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t fired = 0;
+    // The timer the next step must expire through the handler, if any.
+    std::optional<std::pair<std::pair<net::NodeId, net::Prefix>, bool>> due;
+    timers.set_expiry_handler(
+        [&](net::NodeId peer, net::Prefix prefix, bool was_pending) {
+          ASSERT_TRUE(due.has_value());
+          EXPECT_EQ(due->first, (std::pair{peer, prefix}));
+          EXPECT_EQ(due->second, was_pending);
+          due.reset();
+          ++handled;
+        });
+    const auto probe = [&] {
+      expect_matches(timers, ref, kPeers, kPrefixes, "probe");
+      ++probes;
+    };
+    // Fire the reference's next event through one simulator step.
+    const auto step = [&] {
+      if (ref.order.empty()) {
+        EXPECT_FALSE(simulator.step());
+        return;
+      }
+      const auto key = ref.order.begin()->second;
+      ref.order.erase(ref.order.begin());
+      if (key != ReferenceTimers::kProbe) {
+        const ReferenceTimers::State st = ref.timers.at(key);
+        ref.timers.erase(key);
+        ++expired;
+        if (st.promoted) {
+          due.emplace(key, st.pending);
+          ++expect_handled;
         }
-        const auto key = ref.order.begin()->second;
-        ref.order.erase(ref.order.begin());
-        if (key != ReferenceTimers::kProbe) {
-          const ReferenceTimers::State st = ref.timers.at(key);
-          ref.timers.erase(key);
-          ++expired;
-          if (st.promoted) {
-            due.emplace(key, st.pending);
-            ++expect_handled;
-          }
-        }
-        ASSERT_TRUE(simulator.step());
-        EXPECT_FALSE(due.has_value());
-        ++fired;
-      };
+      }
+      ASSERT_TRUE(simulator.step());
+      EXPECT_FALSE(due.has_value());
+      ++fired;
+    };
 
-      sim::Rng rng{2024};
-      for (int i = 0; i < 4000; ++i) {
-        const auto peer = static_cast<net::NodeId>(rng.next_below(kPeers));
-        const auto prefix = static_cast<net::Prefix>(rng.next_below(kPrefixes));
-        const std::uint64_t op = rng.next_below(12);
-        // Few distinct durations: deadlines and probes share microseconds.
-        const sim::SimTime delay = sim::SimTime::seconds(1 + rng.next_below(3));
-        if (op < 4) {
-          if (timers.running(peer, prefix)) continue;
-          const std::uint64_t seq = simulator.event_seq();
-          timers.start(peer, prefix, delay);
-          const std::int64_t at = (simulator.now() + delay).as_micros();
-          ref.timers[{peer, prefix}] =
-              ReferenceTimers::State{at, seq, false, every};
-          ref.order[{at, seq}] = {peer, prefix};
-        } else if (op < 7) {
-          const bool pending = rng.next_below(2) == 1;
-          timers.set_pending(peer, prefix, pending);
-          const auto it = ref.timers.find({peer, prefix});
-          if (it != ref.timers.end() && it->second.pending != pending) {
-            it->second.pending = pending;
-            if (pending && !it->second.promoted) {
-              it->second.promoted = true;
-              ++promotions;
-            }
+    sim::Rng rng{2024};
+    for (int i = 0; i < 4000; ++i) {
+      const auto peer = static_cast<net::NodeId>(rng.next_below(kPeers));
+      const auto prefix = static_cast<net::Prefix>(rng.next_below(kPrefixes));
+      const std::uint64_t op = rng.next_below(12);
+      // Few distinct durations: deadlines and probes share microseconds.
+      const sim::SimTime delay = sim::SimTime::seconds(1 + rng.next_below(3));
+      if (op < 4) {
+        if (timers.running(peer, prefix)) continue;
+        const std::uint64_t seq = simulator.event_seq();
+        timers.start(peer, prefix, delay);
+        const std::int64_t at = (simulator.now() + delay).as_micros();
+        ref.timers[{peer, prefix}] =
+            ReferenceTimers::State{at, seq, false, every};
+        ref.order[{at, seq}] = {peer, prefix};
+      } else if (op < 7) {
+        const bool pending = rng.next_below(2) == 1;
+        timers.set_pending(peer, prefix, pending);
+        const auto it = ref.timers.find({peer, prefix});
+        if (it != ref.timers.end() && it->second.pending != pending) {
+          it->second.pending = pending;
+          if (pending && !it->second.promoted) {
+            it->second.promoted = true;
+            ++promotions;
           }
-        } else if (op < 10) {
-          step();
-        } else if (op == 10) {
-          const std::uint64_t seq = simulator.event_seq();
-          simulator.schedule_after(delay, probe);
-          ref.order[{(simulator.now() + delay).as_micros(), seq}] =
-              ReferenceTimers::kProbe;
-        } else if (rng.next_below(3) == 0) {
-          timers.cancel_peer(peer);
-          std::vector<std::pair<net::NodeId, net::Prefix>> gone;
-          for (const auto& [key, st] : ref.timers) {
-            if (key.first == peer) gone.push_back(key);
-          }
-          for (const auto& key : gone) ref.erase(key);
-        } else {
-          // In-place checkpoint round trip: the restored planes must answer
-          // and serialize exactly as before.
-          const std::vector<std::uint8_t> before = saved(timers);
-          snap::Reader r{before};
-          timers.restore_state(r);
-          r.finish();
         }
-        expect_matches(timers, ref, kPeers, kPrefixes,
-                       "op " + std::to_string(i));
-        ASSERT_EQ(simulator.pending_entries(), ref.pending_entries());
-        ASSERT_EQ(simulator.pending(), ref.order.size());
-        ASSERT_EQ(simulator.events_fired(), fired);
-        if (HasFatalFailure()) return;
-      }
-      while (!ref.order.empty()) {
+      } else if (op < 10) {
         step();
-        if (HasFatalFailure()) return;
-      }
-      step();  // nothing left
-      expect_matches(timers, ref, kPeers, kPrefixes, "drained");
-      EXPECT_EQ(simulator.events_fired(), fired);
-      EXPECT_GT(expired, 500u);
-      EXPECT_GE(promotions, every ? 0u : 100u);  // queued from the start
-      EXPECT_GT(probes, 100u);
-      EXPECT_EQ(handled, expect_handled);
-      if (every) {
-        EXPECT_EQ(handled, expired);
+      } else if (op == 10) {
+        const std::uint64_t seq = simulator.event_seq();
+        simulator.schedule_after(delay, probe);
+        ref.order[{(simulator.now() + delay).as_micros(), seq}] =
+            ReferenceTimers::kProbe;
+      } else if (rng.next_below(3) == 0) {
+        timers.cancel_peer(peer);
+        std::vector<std::pair<net::NodeId, net::Prefix>> gone;
+        for (const auto& [key, st] : ref.timers) {
+          if (key.first == peer) gone.push_back(key);
+        }
+        for (const auto& key : gone) ref.erase(key);
       } else {
-        EXPECT_GT(handled, 0u);
-        EXPECT_LT(handled, expired);
+        // In-place checkpoint round trip: the restored planes must answer
+        // and serialize exactly as before.
+        const std::vector<std::uint8_t> before = saved(timers);
+        snap::Reader r{before};
+        timers.restore_state(r);
+        r.finish();
       }
+      expect_matches(timers, ref, kPeers, kPrefixes,
+                     "op " + std::to_string(i));
+      ASSERT_EQ(simulator.pending_entries(), ref.pending_entries());
+      ASSERT_EQ(simulator.pending(), ref.order.size());
+      ASSERT_EQ(simulator.events_fired(), fired);
+      if (HasFatalFailure()) return;
+    }
+    while (!ref.order.empty()) {
+      step();
+      if (HasFatalFailure()) return;
+    }
+    step();  // nothing left
+    expect_matches(timers, ref, kPeers, kPrefixes, "drained");
+    EXPECT_EQ(simulator.events_fired(), fired);
+    EXPECT_GT(expired, 500u);
+    EXPECT_GE(promotions, every ? 0u : 100u);  // queued from the start
+    EXPECT_GT(probes, 100u);
+    EXPECT_EQ(handled, expect_handled);
+    if (every) {
+      EXPECT_EQ(handled, expired);
+    } else {
+      EXPECT_GT(handled, 0u);
+      EXPECT_LT(handled, expired);
     }
   }
 }

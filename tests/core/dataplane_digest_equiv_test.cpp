@@ -1,13 +1,13 @@
 // The data-plane hop store must be invisible in the output: every digest
-// — serial, thread-parallel, and multi-process — must be bit-identical
-// with BGPSIM_DATAPLANE_RINGS on and off, and snapshots taken under one
-// backend must restore (and verify) under the other. The heap is the
-// per-event reference; any divergence here means batched cohort draining
-// or the per-(node, prefix) decision memo changed observable behavior.
+// — serial, thread-parallel, and multi-process — must be bit-identical on
+// the default rings and on the heap hop store (pinned process-wide with
+// fwd::ScopedPlaneBackend), and snapshots taken under one backend must
+// restore (and verify) under the other. The heap is the per-event
+// reference; any divergence here means batched cohort draining or the
+// per-(node, prefix) decision memo changed observable behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +16,7 @@
 #include "check/oracle.hpp"
 #include "core/run_options.hpp"
 #include "core/sweep.hpp"
+#include "fwd/engine.hpp"
 #include "snap/snapshot.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/protocol.hpp"
@@ -124,42 +125,18 @@ std::uint64_t digest(const Scenario& s, const RunOptions& options) {
   return svc::trialset_digest(run_trials(s, options));
 }
 
-/// RAII: pin BGPSIM_DATAPLANE_RINGS itself — the svc campaign path must
-/// be exercised through the real knob because workers are separate
-/// processes (RunOptions never crosses the wire; each worker resolves the
-/// backend from its own environment at DataPlane construction).
-class EnvKnob {
- public:
-  EnvKnob(const char* name, const char* value) : name_{name} {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~EnvKnob() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvKnob(const EnvKnob&) = delete;
-  EnvKnob& operator=(const EnvKnob&) = delete;
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+fwd::PlaneBackend backend_of(bool rings) {
+  return rings ? fwd::PlaneBackend::kRings : fwd::PlaneBackend::kHeap;
+}
 
 TEST(DataPlaneDigestEquivTest, RunOptionsLeverIsOutputInvariant) {
+  // A whole run_trials call on each hop store.
+  const RunOptions options{.trials = 2, .jobs = 1};
   for (const auto& [name, s] : scenario_matrix()) {
     SCOPED_TRACE(name);
-    const std::uint64_t rings = digest(
-        s, RunOptions{.trials = 2, .jobs = 1, .dataplane_rings = true});
-    const std::uint64_t heap = digest(
-        s, RunOptions{.trials = 2, .jobs = 1, .dataplane_rings = false});
-    EXPECT_EQ(rings, heap);
+    const std::uint64_t rings = digest(s, options);
+    const fwd::ScopedPlaneBackend heap{fwd::PlaneBackend::kHeap};
+    EXPECT_EQ(rings, digest(s, options));
   }
 }
 
@@ -185,9 +162,9 @@ TEST(DataPlaneDigestEquivTest, BenchInputsArePinnedOnBothBackends) {
   for (const Pin& pin : pins) {
     for (const bool rings : {true, false}) {
       SCOPED_TRACE(std::string{pin.name} + (rings ? " rings" : " heap"));
-      const TrialSet set = run_trials(
-          pin.scenario,
-          RunOptions{.trials = 1, .jobs = 1, .dataplane_rings = rings});
+      const fwd::ScopedPlaneBackend backend{backend_of(rings)};
+      const TrialSet set =
+          run_trials(pin.scenario, RunOptions{.trials = 1, .jobs = 1});
       EXPECT_EQ(svc::trialset_digest(set), pin.digest);
       EXPECT_EQ(set.runs.front().events_fired, pin.events_fired);
     }
@@ -213,14 +190,13 @@ TEST(DataPlaneDigestEquivTest, PolicyPinHoldsWithEveryMraiExpiryQueued) {
   // queued event, on both hop stores, and the pin must not move.
   for (const bool rings : {true, false}) {
     SCOPED_TRACE(rings ? "rings" : "heap");
+    const fwd::ScopedPlaneBackend backend{backend_of(rings)};
     check::Oracle oracle;
     auto& observer = static_cast<ExpiryObserver&>(
         oracle.add(std::make_unique<ExpiryObserver>()));
     const TrialSet set = run_trials(
-        bench_policy_10k(), RunOptions{.trials = 1,
-                                       .jobs = 1,
-                                       .dataplane_rings = rings,
-                                       .oracle = &oracle});
+        bench_policy_10k(),
+        RunOptions{.trials = 1, .jobs = 1, .oracle = &oracle});
     EXPECT_EQ(svc::trialset_digest(set), 0xcff5d48ba555667aULL);
     EXPECT_EQ(set.runs.front().events_fired, 2'313'242u);
     EXPECT_GT(observer.expiries, 0u);
@@ -231,20 +207,20 @@ TEST(DataPlaneDigestEquivTest, BackendIsOutputInvariantAcrossThreadCounts) {
   // Cross the backend with the fan-out width: every (backend, jobs)
   // combination must land on one digest.
   const Scenario s = internet_tlong();
-  const std::uint64_t reference = digest(
-      s, RunOptions{.trials = 8, .jobs = 1, .dataplane_rings = true});
+  const std::uint64_t reference =
+      digest(s, RunOptions{.trials = 8, .jobs = 1});
   for (const bool rings : {true, false}) {
+    const fwd::ScopedPlaneBackend backend{backend_of(rings)};
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                    std::size_t{8}}) {
       SCOPED_TRACE(std::string{rings ? "rings" : "heap"} + " jobs=" +
                    std::to_string(jobs));
-      EXPECT_EQ(reference,
-                digest(s, RunOptions{.trials = 8, .jobs = jobs,
-                                     .dataplane_rings = rings}));
+      EXPECT_EQ(reference, digest(s, RunOptions{.trials = 8, .jobs = jobs}));
     }
   }
 }
 
+// Campaign workers are fork()ed, so they inherit the process-wide pin.
 TEST(DataPlaneDigestEquivTest, CampaignWorkersFollowTheEnvKnob) {
   svc::CampaignSpec spec;
   spec.scenarios = {clique_tdown(), internet_tlong()};
@@ -257,11 +233,11 @@ TEST(DataPlaneDigestEquivTest, CampaignWorkersFollowTheEnvKnob) {
   for (const Scenario& s : spec.scenarios) sets.push_back(run_trials(s, spec.run));
   const std::uint64_t expected = svc::campaign_digest(sets);
 
-  for (const char* knob : {"0", "1"}) {
-    EnvKnob env{"BGPSIM_DATAPLANE_RINGS", knob};
+  for (const bool rings : {false, true}) {
+    const fwd::ScopedPlaneBackend backend{backend_of(rings)};
     for (const std::size_t workers :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      SCOPED_TRACE(std::string{"BGPSIM_DATAPLANE_RINGS="} + knob +
+      SCOPED_TRACE(std::string{rings ? "rings" : "heap"} +
                    " workers=" + std::to_string(workers));
       EXPECT_EQ(svc::run_campaign(spec, workers).digest, expected);
     }
@@ -274,7 +250,7 @@ TEST(DataPlaneDigestEquivTest, SnapshotsAreBackendPortableBothWays) {
   // (time, seq) order), and require bit-identical snapshot payloads and
   // outcomes.
   const auto capture = [](bool rings) {
-    detail::DataPlaneRingsGuard backend{rings};
+    const fwd::ScopedPlaneBackend backend{backend_of(rings)};
     Scenario cold = clique_tdown();
     snap::Snapshot converged;
     cold.save_converged = &converged;
@@ -282,7 +258,7 @@ TEST(DataPlaneDigestEquivTest, SnapshotsAreBackendPortableBothWays) {
     return std::pair{std::move(converged), out.events_fired};
   };
   const auto warm_events = [](const snap::Snapshot& snap, bool rings) {
-    detail::DataPlaneRingsGuard backend{rings};
+    const fwd::ScopedPlaneBackend backend{backend_of(rings)};
     Scenario warm = clique_tdown();
     warm.warm_start = &snap;
     return run_experiment(warm).events_fired;
@@ -303,25 +279,6 @@ TEST(DataPlaneDigestEquivTest, SnapshotsAreBackendPortableBothWays) {
   EXPECT_EQ(reference, warm_events(heap_snap, true));
   EXPECT_EQ(reference, warm_events(ring_snap, false));
   EXPECT_EQ(reference, warm_events(ring_snap, true));
-}
-
-TEST(DataPlaneDigestEquivTest, LeversComposeWithTheSchedulerBackend) {
-  // The two A/B levers are independent: all four (wheel, rings) settings
-  // must produce one digest.
-  const Scenario s = clique_multiprefix();
-  const std::uint64_t reference = digest(
-      s, RunOptions{.trials = 2, .jobs = 1, .timer_wheel = true,
-                    .dataplane_rings = true});
-  for (const bool wheel : {true, false}) {
-    for (const bool rings : {true, false}) {
-      SCOPED_TRACE(std::string{wheel ? "wheel" : "heap-sched"} + "+" +
-                   (rings ? "rings" : "heap-plane"));
-      EXPECT_EQ(reference,
-                digest(s, RunOptions{.trials = 2, .jobs = 1,
-                                     .timer_wheel = wheel,
-                                     .dataplane_rings = rings}));
-    }
-  }
 }
 
 }  // namespace

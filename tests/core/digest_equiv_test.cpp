@@ -1,20 +1,14 @@
-// The RunOptions performance levers must be invisible in the output:
-// AS-path interning (bgp::PathStore), the prelude snapshot cache, and the
-// parallel fan-out each change how a run executes, never what it produces.
-// Each test compares svc::trialset_digest — a content hash over the codec
-// encoding of every run plus the summaries — across lever settings.
+// The prelude snapshot cache must be invisible in the output: it changes
+// how a run executes, never what it produces. The tests compare
+// svc::trialset_digest — a content hash over the codec encoding of every
+// run plus the summaries — across settings (sweep_parallel_test.cpp does
+// the same across job counts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
-#include "core/dv_experiment.hpp"
-#include "core/ls_experiment.hpp"
 #include "core/run_options.hpp"
 #include "core/sweep.hpp"
-#include "snap/codec.hpp"
 #include "svc/protocol.hpp"
 
 namespace bgpsim::core {
@@ -39,59 +33,8 @@ Scenario internet_tlong() {
   return s;
 }
 
-/// Every dimension whose hot path touches interned AS paths: the base
-/// protocol, each enhancement, a flap event, and policy routing.
-std::vector<std::pair<std::string, Scenario>> scenario_matrix() {
-  std::vector<std::pair<std::string, Scenario>> matrix;
-  matrix.emplace_back("clique-tdown", clique_tdown());
-  matrix.emplace_back("internet-tlong", internet_tlong());
-  for (const bgp::Enhancement e :
-       {bgp::Enhancement::kSsld, bgp::Enhancement::kWrate,
-        bgp::Enhancement::kAssertion, bgp::Enhancement::kGhostFlushing}) {
-    Scenario s = clique_tdown();
-    s.bgp = s.bgp.with(e);
-    matrix.emplace_back(std::string{"clique-tdown-"} + to_string(e), s);
-  }
-  {
-    Scenario s = clique_tdown();
-    s.event = EventKind::kFlap;
-    matrix.emplace_back("clique-flap", s);
-  }
-  {
-    Scenario s = internet_tlong();
-    s.policy_routing = true;
-    matrix.emplace_back("internet-tlong-policy", s);
-  }
-  return matrix;
-}
-
 std::uint64_t digest(const Scenario& s, const RunOptions& options) {
   return svc::trialset_digest(run_trials(s, options));
-}
-
-TEST(DigestEquivTest, PathInterningIsOutputInvariant) {
-  for (const auto& [name, s] : scenario_matrix()) {
-    SCOPED_TRACE(name);
-    const std::uint64_t interned =
-        digest(s, RunOptions{.trials = 2, .jobs = 1, .path_interning = true});
-    const std::uint64_t plain =
-        digest(s, RunOptions{.trials = 2, .jobs = 1, .path_interning = false});
-    EXPECT_EQ(interned, plain);
-  }
-}
-
-TEST(DigestEquivTest, PathInterningIsOutputInvariantUnderParallelFanOut) {
-  // Cross both levers at once: serial+interned vs parallel+plain (and the
-  // transpose) — every combination must land on one digest.
-  const Scenario s = internet_tlong();
-  const std::uint64_t reference =
-      digest(s, RunOptions{.trials = 4, .jobs = 1, .path_interning = true});
-  EXPECT_EQ(reference, digest(s, RunOptions{.trials = 4, .jobs = 4,
-                                            .path_interning = false}));
-  EXPECT_EQ(reference, digest(s, RunOptions{.trials = 4, .jobs = 4,
-                                            .path_interning = true}));
-  EXPECT_EQ(reference, digest(s, RunOptions{.trials = 4, .jobs = 1,
-                                            .path_interning = false}));
 }
 
 TEST(DigestEquivTest, PreludeCacheIsOutputInvariant) {
@@ -103,42 +46,6 @@ TEST(DigestEquivTest, PreludeCacheIsOutputInvariant) {
   // digests agree or the cache leaks into the results.
   EXPECT_EQ(cold_digest, digest(s, warm));
   EXPECT_EQ(cold_digest, digest(s, warm));
-}
-
-std::uint64_t outcome_fingerprint(const ExperimentOutcome& o) {
-  snap::Writer w;
-  svc::write_outcome(w, o);
-  return snap::fnv1a(w.bytes());
-}
-
-TEST(DigestEquivTest, AllThreeDriversAreInterningInvariant) {
-  // The interning toggle is process-global while a run executes; the DV
-  // and LS drivers share the pooled scheduler and data plane with BGP, so
-  // pin each driver's outcome bytes across both settings.
-  const auto with_interning = [](bool on, const auto& run) {
-    detail::PathInterningGuard guard{on};
-    return outcome_fingerprint(run());
-  };
-  const auto check = [&](const char* name, const auto& run) {
-    SCOPED_TRACE(name);
-    EXPECT_EQ(with_interning(true, run), with_interning(false, run));
-  };
-  check("bgp", [] { return run_experiment(clique_tdown()); });
-  check("dv", [] {
-    DvScenario s;
-    s.topology.kind = TopologyKind::kClique;
-    s.topology.size = 6;
-    s.event = EventKind::kTdown;
-    s.seed = 11;
-    return run_dv_experiment(s);
-  });
-  check("ls", [] {
-    LsScenario s;
-    s.topology.kind = TopologyKind::kRing;
-    s.topology.size = 8;
-    s.seed = 11;
-    return run_ls_experiment(s);
-  });
 }
 
 TEST(DigestEquivTest, DigestIsSensitiveToTheScenario) {

@@ -7,6 +7,7 @@
 
 #include "core/sweep.hpp"
 #include "metrics/trace.hpp"
+#include "sim/env.hpp"
 
 namespace bgpsim::core {
 namespace {
@@ -99,26 +100,13 @@ TEST(SweepParallelTest, DefaultJobsIsAtLeastOne) {
   EXPECT_GE(default_jobs(), 1u);
 }
 
-// The pre-RunOptions entry points are [[deprecated]] thin shims; until they
-// are removed they must keep producing the exact same results as the
-// canonical run_trials(base, RunOptions) call they forward to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SweepParallelTest, DeprecatedShimsMatchTheRunOptionsEngine) {
-  const TrialSet canonical =
-      run_trials(clique_tdown(), RunOptions{.trials = 3, .jobs = 1});
-  expect_identical(canonical, run_trials(clique_tdown(), 3));
-  expect_identical(canonical, run_trials_parallel(clique_tdown(), 3, 2));
-}
-#pragma GCC diagnostic pop
-
 TEST(SweepParallelTest, EnvOrRejectsTrailingGarbageWithFallback) {
   ::setenv("BGPSIM_TEST_KNOB", "8x", 1);
-  EXPECT_EQ(env_or("BGPSIM_TEST_KNOB", 3), 3u);  // warns on stderr
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_KNOB", 3), 3u);  // warns on stderr
   ::setenv("BGPSIM_TEST_KNOB", "8", 1);
-  EXPECT_EQ(env_or("BGPSIM_TEST_KNOB", 3), 8u);
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_KNOB", 3), 8u);
   ::unsetenv("BGPSIM_TEST_KNOB");
-  EXPECT_EQ(env_or("BGPSIM_TEST_KNOB", 3), 3u);
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_KNOB", 3), 3u);
 }
 
 }  // namespace

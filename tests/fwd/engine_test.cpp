@@ -33,8 +33,8 @@ class FateRecorder final : public FateSink {
 };
 
 /// Every test runs under both hop-store backends (heap and per-tick
-/// rings); the fixture pins the backend explicitly so the suite is
-/// independent of BGPSIM_DATAPLANE_RINGS.
+/// rings); the fixture pins the backend explicitly through
+/// DataPlaneOptions.
 class DataPlaneTest : public ::testing::TestWithParam<PlaneBackend> {
  protected:
   explicit DataPlaneTest(net::Topology topo = topo::make_chain(4))

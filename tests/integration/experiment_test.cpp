@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "sim/env.hpp"
 
 namespace bgpsim::core {
 namespace {
@@ -150,11 +151,11 @@ TEST(Sweep, TrialsVarySeedsAndAggregate) {
 
 TEST(Sweep, EnvOverrideParses) {
   ::setenv("BGPSIM_TEST_ENV_KNOB", "17", 1);
-  EXPECT_EQ(env_or("BGPSIM_TEST_ENV_KNOB", 3), 17u);
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_ENV_KNOB", 3), 17u);
   ::setenv("BGPSIM_TEST_ENV_KNOB", "junk", 1);
-  EXPECT_EQ(env_or("BGPSIM_TEST_ENV_KNOB", 3), 3u);
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_ENV_KNOB", 3), 3u);
   ::unsetenv("BGPSIM_TEST_ENV_KNOB");
-  EXPECT_EQ(env_or("BGPSIM_TEST_ENV_KNOB", 3), 3u);
+  EXPECT_EQ(sim::env_u64_or("BGPSIM_TEST_ENV_KNOB", 3), 3u);
 }
 
 }  // namespace

@@ -305,13 +305,7 @@ TEST(Simulator, ArmExternalTakesOnlyDrawnSeqs) {
   EXPECT_EQ(order, expected);
 }
 
-// ---- Silent deadlines (the MRAI ledger), on both queue backends ----------
-
-constexpr QueueBackend kBackends[] = {QueueBackend::kWheel, QueueBackend::kHeap};
-
-const char* backend_name(QueueBackend b) {
-  return b == QueueBackend::kWheel ? "wheel" : "heap";
-}
+// ---- Silent deadlines (the MRAI ledger) ----------------------------------
 
 /// Record a silent deadline `delay` from now; returns its seq.
 std::uint64_t add_silent(Simulator& sim, SimTime delay) {
@@ -321,143 +315,125 @@ std::uint64_t add_silent(Simulator& sim, SimTime delay) {
 }
 
 TEST(SimulatorDeadlines, StepFiresASilentDeadlineWhenGloballyNext) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Simulator sim{backend};
-    std::vector<std::string> order;
-    sim.schedule_at(SimTime::millis(5), [&] { order.push_back("a"); });
-    add_silent(sim, SimTime::millis(3));
-    add_silent(sim, SimTime::millis(5));  // same µs as "a", newer seq
-    sim.schedule_at(SimTime::millis(5), [&] { order.push_back("b"); });
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule_at(SimTime::millis(5), [&] { order.push_back("a"); });
+  add_silent(sim, SimTime::millis(3));
+  add_silent(sim, SimTime::millis(5));  // same µs as "a", newer seq
+  sim.schedule_at(SimTime::millis(5), [&] { order.push_back("b"); });
 
-    ASSERT_TRUE(sim.step());  // the 3 ms deadline
-    EXPECT_EQ(sim.now(), SimTime::millis(3));
-    EXPECT_TRUE(order.empty());
-    EXPECT_EQ(sim.events_fired(), 1u);
-    EXPECT_EQ(sim.pending(), 3u);
-    ASSERT_TRUE(sim.step());  // "a"
-    EXPECT_EQ(order, std::vector<std::string>{"a"});
-    ASSERT_TRUE(sim.step());  // the 5 ms deadline, between "a" and "b"
-    EXPECT_EQ(order, std::vector<std::string>{"a"});
-    EXPECT_EQ(sim.events_fired(), 3u);
-    ASSERT_TRUE(sim.step());  // "b"
-    EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
-    EXPECT_FALSE(sim.step());
-    EXPECT_EQ(sim.events_fired(), 4u);
-    EXPECT_EQ(sim.deadlines_passed(), 2u);
-    EXPECT_EQ(sim.pending(), 0u);
-  }
+  ASSERT_TRUE(sim.step());  // the 3 ms deadline
+  EXPECT_EQ(sim.now(), SimTime::millis(3));
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.pending(), 3u);
+  ASSERT_TRUE(sim.step());  // "a"
+  EXPECT_EQ(order, std::vector<std::string>{"a"});
+  ASSERT_TRUE(sim.step());  // the 5 ms deadline, between "a" and "b"
+  EXPECT_EQ(order, std::vector<std::string>{"a"});
+  EXPECT_EQ(sim.events_fired(), 3u);
+  ASSERT_TRUE(sim.step());  // "b"
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.events_fired(), 4u);
+  EXPECT_EQ(sim.deadlines_passed(), 2u);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(SimulatorDeadlines, RunUntilCreditsDeadlinesUpToTheLimit) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    for (const std::int64_t limit_ms : {9, 10, 11}) {
-      SCOPED_TRACE("limit " + std::to_string(limit_ms) + " ms");
-      Simulator sim{backend};
-      sim.schedule_at(SimTime::millis(4), [] {});
-      add_silent(sim, SimTime::millis(10));
-      const std::uint64_t fired = sim.run_until(SimTime::millis(limit_ms));
-      const bool passed = limit_ms >= 10;
-      EXPECT_EQ(fired, passed ? 2u : 1u);
-      EXPECT_EQ(sim.events_fired(), fired);
-      EXPECT_EQ(sim.pending(), passed ? 0u : 1u);
-      // The clock moves to a passed deadline as it would to an event.
-      EXPECT_EQ(sim.now(), SimTime::millis(passed ? 10 : 4));
-      EXPECT_EQ(sim.deadlines_passed(), passed ? 1u : 0u);
-    }
+  for (const std::int64_t limit_ms : {9, 10, 11}) {
+    SCOPED_TRACE("limit " + std::to_string(limit_ms) + " ms");
+    Simulator sim;
+    sim.schedule_at(SimTime::millis(4), [] {});
+    add_silent(sim, SimTime::millis(10));
+    const std::uint64_t fired = sim.run_until(SimTime::millis(limit_ms));
+    const bool passed = limit_ms >= 10;
+    EXPECT_EQ(fired, passed ? 2u : 1u);
+    EXPECT_EQ(sim.events_fired(), fired);
+    EXPECT_EQ(sim.pending(), passed ? 0u : 1u);
+    // The clock moves to a passed deadline as it would to an event.
+    EXPECT_EQ(sim.now(), SimTime::millis(passed ? 10 : 4));
+    EXPECT_EQ(sim.deadlines_passed(), passed ? 1u : 0u);
   }
 }
 
 TEST(SimulatorDeadlines, ClockEndsAtATrailingSilentDeadline) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Simulator sim{backend};
-    sim.schedule_at(SimTime::millis(2), [&] {
-      add_silent(sim, SimTime::seconds(30));  // outlives every event
-      add_silent(sim, SimTime::seconds(25));
-    });
-    sim.schedule_at(SimTime::millis(8), [] {});
-    EXPECT_EQ(sim.run(), 4u);
-    EXPECT_EQ(sim.now(), SimTime::millis(2) + SimTime::seconds(30));
-    // A later schedule at the new clock is not in the past.
-    EXPECT_NO_THROW(sim.schedule_at(sim.now(), [] {}));
-  }
+  Simulator sim;
+  sim.schedule_at(SimTime::millis(2), [&] {
+    add_silent(sim, SimTime::seconds(30));  // outlives every event
+    add_silent(sim, SimTime::seconds(25));
+  });
+  sim.schedule_at(SimTime::millis(8), [] {});
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(sim.now(), SimTime::millis(2) + SimTime::seconds(30));
+  // A later schedule at the new clock is not in the past.
+  EXPECT_NO_THROW(sim.schedule_at(sim.now(), [] {}));
 }
 
 TEST(SimulatorDeadlines, PendingCountsOutstandingDeadlines) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Simulator sim{backend};
-    const std::uint64_t s1 = add_silent(sim, SimTime::millis(7));
-    sim.schedule_at(SimTime::millis(3), [] {});  // seq 2
-    const std::uint64_t s3 = add_silent(sim, SimTime::millis(3));
-    const std::uint64_t s4 = add_silent(sim, SimTime::millis(9));
-    using Entries = std::vector<std::pair<std::int64_t, std::uint64_t>>;
-    EXPECT_EQ(sim.pending(), 4u);
-    EXPECT_EQ(sim.pending_entries(),
-              (Entries{{3000, 2}, {3000, s3}, {7000, s1}, {9000, s4}}));
-    EXPECT_TRUE(sim.withdraw_deadline(SimTime::millis(9), s4));
-    EXPECT_FALSE(sim.withdraw_deadline(SimTime::millis(9), s4));
-    EXPECT_EQ(sim.pending(), 3u);
-    sim.schedule_at(SimTime::millis(5), [&] {
-      // Inside an event: the 3 ms items have passed, the 7 ms one has not.
-      EXPECT_EQ(sim.pending(), 1u);
-      EXPECT_EQ(sim.pending_entries(), (Entries{{7000, s1}}));
-      EXPECT_EQ(sim.events_fired(), 3u);  // this event counts as fired
-      EXPECT_FALSE(sim.withdraw_deadline(SimTime::millis(3), s3));
-    });
-    sim.run();
-    EXPECT_EQ(sim.pending(), 0u);
-    EXPECT_TRUE(sim.pending_entries().empty());
-    EXPECT_EQ(sim.events_fired(), 4u);
-  }
+  Simulator sim;
+  const std::uint64_t s1 = add_silent(sim, SimTime::millis(7));
+  sim.schedule_at(SimTime::millis(3), [] {});  // seq 2
+  const std::uint64_t s3 = add_silent(sim, SimTime::millis(3));
+  const std::uint64_t s4 = add_silent(sim, SimTime::millis(9));
+  using Entries = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.pending_entries(),
+            (Entries{{3000, 2}, {3000, s3}, {7000, s1}, {9000, s4}}));
+  EXPECT_TRUE(sim.withdraw_deadline(SimTime::millis(9), s4));
+  EXPECT_FALSE(sim.withdraw_deadline(SimTime::millis(9), s4));
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.schedule_at(SimTime::millis(5), [&] {
+    // Inside an event: the 3 ms items have passed, the 7 ms one has not.
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.pending_entries(), (Entries{{7000, s1}}));
+    EXPECT_EQ(sim.events_fired(), 3u);  // this event counts as fired
+    EXPECT_FALSE(sim.withdraw_deadline(SimTime::millis(3), s3));
+  });
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.pending_entries().empty());
+  EXPECT_EQ(sim.events_fired(), 4u);
 }
 
 TEST(SimulatorDeadlines, ClearPendingInsideAnEventKeepsPassedDeadlines) {
-  for (const QueueBackend backend : kBackends) {
-    for (const bool deadline_first : {true, false}) {
-      SCOPED_TRACE(std::string{backend_name(backend)} +
-                   (deadline_first ? ", deadline first" : ", event first"));
-      Simulator sim{backend};
-      const SimTime t = SimTime::millis(6);
-      if (deadline_first) add_silent(sim, t);
-      sim.schedule_at(t, [&] { sim.clear_pending(); });
-      if (!deadline_first) add_silent(sim, t);
-      add_silent(sim, SimTime::millis(2));
-      add_silent(sim, SimTime::millis(9));  // dropped in every order
-      sim.run();
-      // The clearing event, the 2 ms deadline, and the 6 ms deadline iff
-      // its seq came first; the rest never fire.
-      EXPECT_EQ(sim.events_fired(), deadline_first ? 3u : 2u);
-      EXPECT_EQ(sim.deadlines_passed(), deadline_first ? 2u : 1u);
-      EXPECT_EQ(sim.pending(), 0u);
-      EXPECT_EQ(sim.now(), t);
-    }
+  for (const bool deadline_first : {true, false}) {
+    SCOPED_TRACE(deadline_first ? "deadline first" : "event first");
+    Simulator sim;
+    const SimTime t = SimTime::millis(6);
+    if (deadline_first) add_silent(sim, t);
+    sim.schedule_at(t, [&] { sim.clear_pending(); });
+    if (!deadline_first) add_silent(sim, t);
+    add_silent(sim, SimTime::millis(2));
+    add_silent(sim, SimTime::millis(9));  // dropped in every order
+    sim.run();
+    // The clearing event, the 2 ms deadline, and the 6 ms deadline iff
+    // its seq came first; the rest never fire.
+    EXPECT_EQ(sim.events_fired(), deadline_first ? 3u : 2u);
+    EXPECT_EQ(sim.deadlines_passed(), deadline_first ? 2u : 1u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.now(), t);
   }
 }
 
 TEST(SimulatorDeadlines, PromotionFiresAtTheOriginalSeqAheadOfAMemoizedFront) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Simulator sim{backend};
-    std::vector<std::string> order;
-    const SimTime t = SimTime::millis(4);
-    add_silent(sim, SimTime::millis(1));
-    const std::uint64_t seq = add_silent(sim, t);
-    sim.schedule_at(t, [&] { order.push_back("queued"); });
-    // Stepping over the 1 ms deadline observes (and memoizes) the queue
-    // front: "queued", at the promoted deadline's µs with a newer seq.
-    ASSERT_TRUE(sim.step());
-    EXPECT_EQ(sim.now(), SimTime::millis(1));
-    sim.promote_deadline(t, seq, [&] { order.push_back("promoted"); });
-    EXPECT_THROW(sim.promote_deadline(t, seq, [] {}), std::logic_error);
-    EXPECT_EQ(sim.pending(), 2u);
-    EXPECT_EQ(sim.run(), 2u);
-    EXPECT_EQ(order, (std::vector<std::string>{"promoted", "queued"}));
-    EXPECT_EQ(sim.events_fired(), 3u);
-    EXPECT_EQ(sim.deadlines_passed(), 1u);
-  }
+  Simulator sim;
+  std::vector<std::string> order;
+  const SimTime t = SimTime::millis(4);
+  add_silent(sim, SimTime::millis(1));
+  const std::uint64_t seq = add_silent(sim, t);
+  sim.schedule_at(t, [&] { order.push_back("queued"); });
+  // Stepping over the 1 ms deadline observes (and memoizes) the queue
+  // front: "queued", at the promoted deadline's µs with a newer seq.
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), SimTime::millis(1));
+  sim.promote_deadline(t, seq, [&] { order.push_back("promoted"); });
+  EXPECT_THROW(sim.promote_deadline(t, seq, [] {}), std::logic_error);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<std::string>{"promoted", "queued"}));
+  EXPECT_EQ(sim.events_fired(), 3u);
+  EXPECT_EQ(sim.deadlines_passed(), 1u);
 }
 
 TEST(SimulatorDeadlines, LedgerCompactsToUnexpiredDeadlines) {

@@ -1,22 +1,23 @@
-// Differential property suite: the timer-wheel backend must be
-// observationally identical to the binary-heap backend — same pop order,
-// same EventIds, same cancel semantics, same pending set — for arbitrary
-// interleavings of push/cancel/pop and pushes at pre-drawn seqs, including
-// same-timestamp bursts, cancel-after-fire, and far-future times that
-// exercise every cascade level and the overflow horizon.
+// Differential property suite: the wheel-backed EventQueue must be
+// observationally identical to a plain ordered (time, seq) model — same
+// pop order, same seqs, same cancel verdicts, same pending set, and
+// never-reused EventIds — for arbitrary interleavings of push/cancel/pop
+// and pushes at pre-drawn seqs, including same-timestamp bursts,
+// cancel-after-fire, and far-future times that exercise every cascade
+// level and the overflow horizon.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace bgpsim::sim {
@@ -31,63 +32,91 @@ constexpr std::int64_t kLevelSpanUs[] = {
 };
 constexpr std::int64_t kHorizonUs = kLevelSpanUs[5];
 
-/// The two backends driven through identical operation histories. Every
-/// operation is applied to both queues and its observable results —
-/// returned ids, cancel verdicts, front observations — asserted equal.
-struct QueuePair {
-  EventQueue heap{QueueBackend::kHeap};
-  EventQueue wheel{QueueBackend::kWheel};
+/// The queue under test driven in lockstep with its reference model: the
+/// pending set as a std::map keyed by (time µs, seq) — exactly the order
+/// the queue must pop in — plus the seq counter and every handle ever
+/// issued. Every operation's observable results are asserted against the
+/// model.
+struct ModelledQueue {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+
+  EventQueue queue;
+  std::map<Key, std::uint64_t> pending;      // (time, seq) -> EventId
+  std::map<std::uint64_t, Key> live;         // EventId -> (time, seq)
+  std::set<std::uint64_t> issued;            // every EventId ever returned
+  std::uint64_t next_seq = 1;
 
   EventId push(SimTime when) {
-    const EventId predicted_h = heap.next_push_id();
-    const EventId predicted_w = wheel.next_push_id();
-    EXPECT_EQ(predicted_h.value, predicted_w.value);
-    const EventId h = heap.push(when, [] {});
-    const EventId w = wheel.push(when, [] {});
-    EXPECT_EQ(h.value, w.value);
-    EXPECT_EQ(predicted_h.value, h.value);
-    return h;
+    const EventId predicted = queue.next_push_id();
+    const EventId id = queue.push(when, [] {});
+    EXPECT_EQ(predicted.value, id.value);
+    admit(when, next_seq++, id);
+    return id;
   }
 
   bool cancel(EventId id) {
-    const bool h = heap.cancel(id);
-    const bool w = wheel.cancel(id);
-    EXPECT_EQ(h, w);
-    return h;
+    const bool cancelled = queue.cancel(id);
+    const auto it = live.find(id.value);
+    EXPECT_EQ(cancelled, it != live.end());
+    if (it != live.end()) {
+      pending.erase(it->second);
+      live.erase(it);
+    }
+    return cancelled;
   }
 
-  /// Pop one event from both; returns its (time, id) after asserting the
-  /// two backends agree on every front observation.
+  /// Pop one event; returns its (time, id) after asserting every front
+  /// observation against the model's minimum.
   std::pair<SimTime, EventId> pop() {
-    EXPECT_EQ(heap.next_time(), wheel.next_time());
-    EXPECT_EQ(heap.next_event_seq(), wheel.next_event_seq());
-    EXPECT_EQ(heap.next_event_id().value, wheel.next_event_id().value);
-    EventQueue::Fired h = heap.pop();
-    EventQueue::Fired w = wheel.pop();
-    EXPECT_EQ(h.time, w.time);
-    EXPECT_EQ(h.id.value, w.id.value);
-    return {h.time, h.id};
+    EXPECT_FALSE(pending.empty());
+    const auto [key, id] = *pending.begin();
+    EXPECT_EQ(queue.next_time().as_micros(), key.first);
+    EXPECT_EQ(queue.next_event_seq(), key.second);
+    EXPECT_EQ(queue.next_event_id().value, id);
+    EventQueue::Fired fired = queue.pop();
+    EXPECT_EQ(fired.time.as_micros(), key.first);
+    EXPECT_EQ(fired.id.value, id);
+    pending.erase(pending.begin());
+    live.erase(id);
+    return {fired.time, fired.id};
   }
 
-  /// Draw a seq on both queues for a later push_drawn.
+  /// Draw a seq for a later push_drawn.
   std::uint64_t take_seq() {
-    const std::uint64_t h = heap.take_seq();
-    EXPECT_EQ(h, wheel.take_seq());
-    return h;
+    const std::uint64_t seq = queue.take_seq();
+    EXPECT_EQ(seq, next_seq);
+    return next_seq++;
   }
 
   EventId push_drawn(SimTime when, std::uint64_t seq) {
-    const EventId h = heap.push_drawn(when, seq, [] {});
-    const EventId w = wheel.push_drawn(when, seq, [] {});
-    EXPECT_EQ(h.value, w.value);
-    return h;
+    const EventId id = queue.push_drawn(when, seq, [] {});
+    admit(when, seq, id);
+    return id;
   }
 
+  void clear() {
+    queue.clear();
+    pending.clear();
+    live.clear();
+  }
+
+  [[nodiscard]] bool empty() const { return pending.empty(); }
+
   void expect_same_state() const {
-    EXPECT_EQ(heap.size(), wheel.size());
-    EXPECT_EQ(heap.empty(), wheel.empty());
-    EXPECT_EQ(heap.next_seq(), wheel.next_seq());
-    EXPECT_EQ(heap.pending_entries(), wheel.pending_entries());
+    EXPECT_EQ(queue.size(), pending.size());
+    EXPECT_EQ(queue.empty(), pending.empty());
+    EXPECT_EQ(queue.next_seq(), next_seq);
+    std::vector<Key> keys;
+    for (const auto& entry : pending) keys.push_back(entry.first);
+    EXPECT_EQ(queue.pending_entries(), keys);
+  }
+
+ private:
+  void admit(SimTime when, std::uint64_t seq, EventId id) {
+    EXPECT_TRUE(issued.insert(id.value).second) << "EventId reused";
+    const Key key{when.as_micros(), seq};
+    EXPECT_TRUE(pending.emplace(key, id.value).second);
+    live.emplace(id.value, key);
   }
 };
 
@@ -122,7 +151,7 @@ SimTime interesting_time(Rng& rng, std::int64_t base_us) {
 TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
   for (std::uint64_t round = 0; round < 8; ++round) {
     Rng rng = Rng{41}.child("wheel-diff", round);
-    QueuePair q;
+    ModelledQueue q;
     std::vector<EventId> ids;  // live and dead — cancels may target both
     std::vector<std::pair<SimTime, std::uint64_t>> drawn;  // seqs not pushed
     std::int64_t base_us = 0;
@@ -144,7 +173,7 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
           break;
         }
         case 4: {
-          if (q.heap.empty()) break;
+          if (q.empty()) break;
           const SimTime time = q.pop().first;
           if (!time.is_infinite()) base_us = time.as_micros();
           break;
@@ -158,12 +187,11 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
           }
           const std::size_t pick =
               static_cast<std::size_t>(rng.next_below(drawn.size()));
-          if (!q.heap.empty()) (void)q.heap.next_time();  // memoize fronts
-          if (!q.wheel.empty()) (void)q.wheel.next_time();
+          if (!q.empty()) (void)q.queue.next_time();  // memoize the front
           // Never behind the clock: the simulator only promotes deadlines
           // that have not passed.
           SimTime when = std::max(drawn[pick].first, SimTime::micros(base_us));
-          if (!q.heap.empty() && rng.chance(0.5)) when = q.heap.next_time();
+          if (!q.empty() && rng.chance(0.5)) when = q.queue.next_time();
           ids.push_back(q.push_drawn(when, drawn[pick].second));
           drawn.erase(drawn.begin() + static_cast<std::ptrdiff_t>(pick));
           break;
@@ -174,7 +202,7 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
 
     // Drain: the full residual order must match exactly.
     SimTime prev = SimTime::zero();
-    while (!q.heap.empty()) {
+    while (!q.empty()) {
       const SimTime time = q.pop().first;
       EXPECT_LE(prev, time);
       prev = time;
@@ -184,16 +212,16 @@ TEST(TimerWheelDifferential, RandomArmCancelPopHistories) {
 }
 
 TEST(TimerWheelDifferential, SameTimestampBurstsPopFifoAcrossBackends) {
-  QueuePair q;
+  ModelledQueue q;
   const SimTime t = SimTime::millis(7);
   std::vector<EventId> ids;
   for (int i = 0; i < 64; ++i) ids.push_back(q.push(t));
   // Cancel a scattering mid-burst; survivors must still pop FIFO.
   for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
   std::uint64_t prev_seq = 0;
-  while (!q.heap.empty()) {
-    EXPECT_EQ(q.heap.next_time(), t);
-    const std::uint64_t seq = q.heap.next_event_seq();
+  while (!q.empty()) {
+    EXPECT_EQ(q.queue.next_time(), t);
+    const std::uint64_t seq = q.queue.next_event_seq();
     EXPECT_LT(prev_seq, seq);
     prev_seq = seq;
     q.pop();
@@ -201,7 +229,7 @@ TEST(TimerWheelDifferential, SameTimestampBurstsPopFifoAcrossBackends) {
 }
 
 TEST(TimerWheelDifferential, CancelAfterFireFailsOnBothBackends) {
-  QueuePair q;
+  ModelledQueue q;
   const EventId id = q.push(SimTime::millis(1));
   q.push(SimTime::millis(2));
   q.pop();  // fires `id`
@@ -214,7 +242,7 @@ TEST(TimerWheelDifferential, CancelAfterFireFailsOnBothBackends) {
 }
 
 TEST(TimerWheelDifferential, FarFutureCascadeEdges) {
-  QueuePair q;
+  ModelledQueue q;
   // One event per cascade level, plus overflow and infinity, pushed in
   // reverse time order so every pop crosses a level boundary.
   std::vector<std::int64_t> times;
@@ -225,7 +253,7 @@ TEST(TimerWheelDifferential, FarFutureCascadeEdges) {
 
   SimTime prev = SimTime::zero();
   std::size_t popped = 0;
-  while (!q.heap.empty()) {
+  while (!q.empty()) {
     const SimTime time = q.pop().first;
     EXPECT_LT(prev, time);
     prev = time;
@@ -236,13 +264,12 @@ TEST(TimerWheelDifferential, FarFutureCascadeEdges) {
 }
 
 TEST(TimerWheelDifferential, ClearKeepsGenerationsOnBothBackends) {
-  QueuePair q;
+  ModelledQueue q;
   const EventId id = q.push(SimTime::millis(1));
   q.push(SimTime::millis(2));
-  q.heap.clear();
-  q.wheel.clear();
+  q.clear();
   q.expect_same_state();
-  EXPECT_TRUE(q.heap.empty());
+  EXPECT_TRUE(q.queue.empty());
   EXPECT_FALSE(q.cancel(id));  // stale handle must not alias new events
   const EventId next = q.push(SimTime::millis(3));
   EXPECT_NE(next.value, id.value);
@@ -252,61 +279,15 @@ TEST(TimerWheelDifferential, ClearKeepsGenerationsOnBothBackends) {
 }
 
 TEST(TimerWheelDifferential, EmptyQueueThrowsOnBothBackends) {
-  for (const QueueBackend backend : {QueueBackend::kHeap, QueueBackend::kWheel}) {
-    EventQueue q{backend};
-    EXPECT_THROW((void)q.next_time(), std::logic_error);
-    EXPECT_THROW(q.pop(), std::logic_error);
-    EXPECT_TRUE(q.pending_entries().empty());
-  }
-}
-
-// ---- Simulator-level differential ---------------------------------------
-
-/// Run the same self-extending schedule on both backends: event k records
-/// its firing time, schedules up to two children at pseudo-random offsets
-/// (same-instant children included), and sometimes cancels a remembered
-/// event. The recorded (time, marker) streams must match exactly.
-TEST(TimerWheelDifferential, SimulatorExecutionsMatchEventForEvent) {
-  const auto run = [](QueueBackend backend) {
-    Simulator simulator{backend};
-    std::vector<std::pair<std::int64_t, int>> fired;
-    std::vector<EventId> cancellable;
-    int next_marker = 0;
-
-    std::function<void(int)> spawn = [&](int depth) {
-      if (next_marker >= 600) return;
-      const int marker = next_marker++;
-      Rng rng = Rng{977}.child("sim-diff", static_cast<std::uint64_t>(marker));
-      constexpr std::int64_t kOffsets[] = {
-          0, 1, kTickUs - 1, kTickUs, kLevelSpanUs[0] + 3, 250'000};
-      const SimTime delay =
-          SimTime::micros(kOffsets[rng.next_below(std::size(kOffsets))]);
-      const EventId id =
-          simulator.schedule_after(delay, [&, depth, marker, rng] {
-            fired.emplace_back(simulator.now().as_micros(), marker);
-            Rng r = rng;  // per-event deterministic decisions
-            if (depth < 40) {
-              spawn(depth + 1);
-              if (r.chance(0.5)) spawn(depth + 1);
-            }
-            if (r.chance(0.3) && !cancellable.empty()) {
-              simulator.cancel(cancellable.back());
-              cancellable.pop_back();
-            }
-          });
-      if (marker % 5 == 0) cancellable.push_back(id);
-    };
-    for (int i = 0; i < 4; ++i) spawn(0);
-    simulator.run();
-    return std::pair{fired, simulator.events_fired()};
-  };
-
-  const auto heap = run(QueueBackend::kHeap);
-  const auto wheel = run(QueueBackend::kWheel);
-  EXPECT_EQ(heap.second, wheel.second);
-  ASSERT_EQ(heap.first.size(), wheel.first.size());
-  EXPECT_EQ(heap.first, wheel.first);
-  EXPECT_GT(heap.first.size(), 100u);
+  EventQueue q;
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
+  EXPECT_THROW(q.pop(), std::logic_error);
+  EXPECT_TRUE(q.pending_entries().empty());
+  // Draining through cancellation alone leaves only stale wheel entries.
+  const EventId id = q.push(SimTime::millis(4), [] {});
+  ASSERT_TRUE(q.cancel(id));
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
+  EXPECT_TRUE(q.pending_entries().empty());
 }
 
 }  // namespace
