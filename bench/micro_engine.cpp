@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bgp/decision.hpp"
-#include "bgp/path_store.hpp"
+#include "bgp/path_arena.hpp"
 #include "bgp/rib.hpp"
 #include "common.hpp"
 #include "fwd/engine.hpp"
@@ -68,12 +68,13 @@ BENCHMARK(BM_RngUniform);
 void BM_DecisionProcess(benchmark::State& state) {
   // Adj-RIB-In with `n` candidate routes of mixed lengths.
   const auto n = static_cast<net::NodeId>(state.range(0));
+  bgp::PathArena paths;
   bgp::AdjRibIn rib;
   for (net::NodeId peer = 1; peer <= n; ++peer) {
     std::vector<net::NodeId> hops{peer};
     for (net::NodeId h = 0; h < peer % 5; ++h) hops.push_back(100 + h);
     hops.push_back(0);
-    rib.set(0, peer, bgp::AsPath{std::move(hops)});
+    rib.set(0, peer, paths.make(hops));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(bgp::select_best(rib, 0, 50));
@@ -102,17 +103,14 @@ BENCHMARK(BM_LoopDetectorRecompute)->Arg(110);
 
 void BM_AsPathPrepended(benchmark::State& state) {
   // The per-update operation of the convergence hot loop: adopting a
-  // neighbor's path is one cons. range(0) toggles interning.
-  const bool interned = state.range(0) != 0;
-  bgp::PathStore store;
-  std::optional<bgp::PathStore::Scope> scope;
-  if (interned) scope.emplace(store);
-  const bgp::AsPath base{4, 3, 2, 1, 0};
+  // neighbor's path is one arena intern, a hit after the first.
+  bgp::PathArena paths;
+  const bgp::AsPath base = paths.make({4, 3, 2, 1, 0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(base.prepended(5));
+    benchmark::DoNotOptimize(paths.prepend(5, base));
   }
 }
-BENCHMARK(BM_AsPathPrepended)->Arg(0)->Arg(1);
+BENCHMARK(BM_AsPathPrepended);
 
 void BM_ConvergenceHotLoop(benchmark::State& state) {
   // End to end: cold convergence + Tdown churn + packet draining on a

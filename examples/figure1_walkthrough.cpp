@@ -30,9 +30,10 @@ int main() {
 
   sim::Simulator simulator;
   bgp::BgpConfig config;  // MRAI 30 s with jitter, as in the study
+  bgp::PathArena paths;
   bgp::BgpNetwork network{simulator, topo, config,
                           net::ProcessingDelay{},  // U[0.1 s, 0.5 s]
-                          sim::Rng{7}};
+                          sim::Rng{7}, paths};
 
   metrics::LoopDetector detector{topo.node_count()};
   metrics::LoopDetector::attach(simulator, network.fibs(), {&detector, 1});

@@ -4,46 +4,7 @@
 
 namespace bgpsim::bgp {
 
-AsPath::AsPath(const net::NodeId* hops, std::size_t n) {
-  // Cons from the back so the list reads front -> origin.
-  const detail::PathNode* node = nullptr;
-  for (std::size_t i = n; i > 0; --i) {
-    const detail::PathNode* next = detail::cons(hops[i - 1], node);
-    detail::release(node);
-    node = next;
-  }
-  node_ = node;
-}
-
-bool AsPath::contains(net::NodeId node) const {
-  for (const detail::PathNode* n = node_; n != nullptr; n = n->parent) {
-    if (n->head == node) return true;
-  }
-  return false;
-}
-
-AsPath AsPath::suffix_from(net::NodeId node) const {
-  for (const detail::PathNode* n = node_; n != nullptr; n = n->parent) {
-    if (n->head == node) return AsPath{detail::retain(n)};
-  }
-  return AsPath{};
-}
-
-bool AsPath::equal_slow(const AsPath& other) const {
-  const detail::PathNode* a = node_;
-  const detail::PathNode* b = other.node_;
-  if (length() != other.length()) return false;
-  // Shared suffixes (common under structural sharing even across stores)
-  // end the walk at the first pointer match.
-  while (a != b) {
-    if (a == nullptr || b == nullptr || a->head != b->head) return false;
-    a = a->parent;
-    b = b->parent;
-  }
-  return true;
-}
-
-std::strong_ordering operator<=>(const AsPath& a, const AsPath& b) {
+std::strong_ordering operator<=>(AsPath a, AsPath b) {
   const auto ah = a.hops();
   const auto bh = b.hops();
   return std::lexicographical_compare_three_way(ah.begin(), ah.end(),

@@ -6,27 +6,51 @@
 // advertised verbatim — the receiver sees a path whose first hop is the
 // sender — and a receiver adopting a neighbor's path P stores (self)·P.
 //
-// Representation: an AsPath is a pointer to an immutable, refcounted,
-// structurally-shared cons list (see path_store.hpp). prepended() is an
-// O(1) cons, copies are refcount bumps, and under a PathStore scope
-// structurally-equal paths are pointer-equal. The public surface — and in
-// particular the save()/load() codec bytes — is unchanged from the vector
-// representation.
+// Representation: an AsPath is an 8-byte handle to an immutable node of a
+// trial's PathArena (see path_arena.hpp). A node is the front hop plus a
+// pointer to the rest of the path, so every speaker holding "(self)·P"
+// shares P's node with the neighbor that advertised P. Handles are
+// trivially copyable: no refcount, no destructor. Every path is built by
+// one arena, which interns nodes, so structurally-equal paths are the same
+// node and operator== is a pointer comparison. Reads stay on AsPath; only
+// construction (prepend, from hops, load) goes through the arena.
 #pragma once
 
 #include <compare>
 #include <cstddef>
-#include <initializer_list>
+#include <cstdint>
 #include <iterator>
 #include <string>
-#include <utility>
-#include <vector>
+#include <type_traits>
 
-#include "bgp/path_store.hpp"
 #include "net/types.hpp"
 #include "snap/codec.hpp"
 
 namespace bgpsim::bgp {
+
+class PathArena;
+
+namespace detail {
+
+/// One immutable arena node: the front hop and the rest of the path.
+/// `origin`, `length` and `members` are denormalized so AsPath::origin(),
+/// length() and the negative half of contains() are O(1).
+struct PathNode {
+  const PathNode* parent;
+  /// Union of member_bit() over every hop of the path.
+  std::uint64_t members;
+  net::NodeId head;
+  net::NodeId origin;
+  std::uint32_t length;
+};
+
+/// The bit a hop contributes to PathNode::members. Distinct nodes may share
+/// a bit, so a set bit only says "maybe present".
+[[nodiscard]] constexpr std::uint64_t member_bit(net::NodeId node) {
+  return std::uint64_t{1} << (node & 63U);
+}
+
+}  // namespace detail
 
 /// Lightweight forward range over a path's hops, front (advertising AS) to
 /// back (origin). Iteration is O(1) per hop; operator[] is O(i) — fine for
@@ -83,31 +107,11 @@ class HopView {
   const detail::PathNode* node_ = nullptr;
 };
 
+/// A handle to an arena path. Valid only while the arena that built it
+/// lives; the empty (default) path needs no arena.
 class AsPath {
  public:
   AsPath() = default;
-  explicit AsPath(const std::vector<net::NodeId>& hops)
-      : AsPath(hops.data(), hops.size()) {}
-  AsPath(std::initializer_list<net::NodeId> hops)
-      : AsPath(hops.begin(), hops.size()) {}
-
-  AsPath(const AsPath& other) : node_{detail::retain(other.node_)} {}
-  AsPath(AsPath&& other) noexcept : node_{std::exchange(other.node_, nullptr)} {}
-  AsPath& operator=(const AsPath& other) {
-    if (this != &other) {
-      detail::release(node_);
-      node_ = detail::retain(other.node_);
-    }
-    return *this;
-  }
-  AsPath& operator=(AsPath&& other) noexcept {
-    if (this != &other) {
-      detail::release(node_);
-      node_ = std::exchange(other.node_, nullptr);
-    }
-    return *this;
-  }
-  ~AsPath() { detail::release(node_); }
 
   [[nodiscard]] std::size_t length() const {
     return node_ != nullptr ? node_->length : 0;
@@ -115,8 +119,11 @@ class AsPath {
   [[nodiscard]] bool empty() const { return node_ == nullptr; }
 
   /// True if `node` appears anywhere in the path — the path-based
-  /// poison-reverse test.
-  [[nodiscard]] bool contains(net::NodeId node) const;
+  /// poison-reverse test. The member mask answers most misses without a
+  /// walk; a set bit is confirmed hop by hop.
+  [[nodiscard]] bool contains(net::NodeId node) const {
+    return find(node) != nullptr;
+  }
 
   /// The advertising AS (front of the path). Requires !empty().
   [[nodiscard]] net::NodeId first_hop() const { return node_->head; }
@@ -124,58 +131,57 @@ class AsPath {
   /// The origin AS (back of the path). Requires !empty().
   [[nodiscard]] net::NodeId origin() const { return node_->origin; }
 
-  /// A copy with `node` prepended: (node)·this. O(1): a cons onto this
-  /// path's (shared) storage.
-  [[nodiscard]] AsPath prepended(net::NodeId node) const {
-    return AsPath{detail::cons(node, node_)};
-  }
-
   /// The sub-path starting at the first occurrence of `node` (inclusive),
   /// or an empty path if `node` is absent. Used by the Assertion check to
-  /// compare what another route claims about `node`'s route. O(position),
-  /// and the result shares this path's storage.
-  [[nodiscard]] AsPath suffix_from(net::NodeId node) const;
+  /// compare what another route claims about `node`'s route. O(position);
+  /// the result is this path's own interior node.
+  [[nodiscard]] AsPath suffix_from(net::NodeId node) const {
+    return AsPath{find(node)};
+  }
 
   [[nodiscard]] HopView hops() const { return HopView{node_}; }
 
   /// "(6 4 0)" — the paper's notation.
   [[nodiscard]] std::string to_string() const;
 
-  /// Checkpoint codec: hop count followed by the hops. Byte-identical to
-  /// the historical vector representation.
+  /// Checkpoint codec: hop count followed by the hops, front first.
+  /// PathArena::load reads it back.
   void save(snap::Writer& w) const {
     w.u64(length());
     for (const detail::PathNode* n = node_; n != nullptr; n = n->parent) {
       w.u32(n->head);
     }
   }
-  [[nodiscard]] static AsPath load(snap::Reader& r) {
-    const std::uint64_t n = r.u64();
-    std::vector<net::NodeId> hops;
-    hops.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) hops.push_back(r.u32());
-    return AsPath{hops};
-  }
 
-  /// Structural equality on the hop sequence. Pointer comparison when both
-  /// sides were interned by the same PathStore (the hot path).
-  friend bool operator==(const AsPath& a, const AsPath& b) {
-    if (a.node_ == b.node_) return true;
-    return a.equal_slow(b);
-  }
+  /// Structural equality on the hop sequence. A pointer comparison, exact
+  /// because one arena interns every path it builds.
+  friend bool operator==(AsPath a, AsPath b) { return a.node_ == b.node_; }
 
   /// Lexicographic order on the hop sequence (not a preference order; see
   /// decision.hpp for route preference).
-  friend std::strong_ordering operator<=>(const AsPath& a, const AsPath& b);
+  friend std::strong_ordering operator<=>(AsPath a, AsPath b);
 
  private:
-  AsPath(const net::NodeId* hops, std::size_t n);
-  /// Adopts `owned` (a reference the caller already holds).
-  explicit AsPath(const detail::PathNode* owned) : node_{owned} {}
+  friend class PathArena;
 
-  [[nodiscard]] bool equal_slow(const AsPath& other) const;
+  explicit AsPath(const detail::PathNode* node) : node_{node} {}
+
+  /// The first node whose head is `node`, or nullptr. A clear mask bit
+  /// rules `node` out without a walk.
+  [[nodiscard]] const detail::PathNode* find(net::NodeId node) const {
+    if (node_ == nullptr || (node_->members & detail::member_bit(node)) == 0) {
+      return nullptr;
+    }
+    for (const detail::PathNode* n = node_; n != nullptr; n = n->parent) {
+      if (n->head == node) return n;
+    }
+    return nullptr;
+  }
 
   const detail::PathNode* node_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<AsPath>);
+static_assert(sizeof(AsPath) == sizeof(void*));
 
 }  // namespace bgpsim::bgp

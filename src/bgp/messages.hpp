@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bgp/as_path.hpp"
@@ -31,6 +32,9 @@ struct UpdateMsg {
     return "announce p" + std::to_string(prefix) + " " + path->to_string();
   }
 };
+
+// net::Payload relocates a trivially copyable message with a memcpy.
+static_assert(std::is_trivially_copyable_v<UpdateMsg>);
 
 /// Several UPDATEs to one peer carried in a single transport message —
 /// the NLRI-packing analogue for multi-prefix scenarios. One batch costs

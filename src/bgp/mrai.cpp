@@ -5,33 +5,34 @@
 namespace bgpsim::bgp {
 
 bool MraiTimers::running(net::NodeId peer, net::Prefix prefix) const {
-  return is_running(timers_.find(peer, prefix));
+  const OutboundCell* cell = plane_.find(peer, prefix);
+  return cell != nullptr && running(*cell);
 }
 
 bool MraiTimers::pending(net::NodeId peer, net::Prefix prefix) const {
-  const State* st = timers_.find(peer, prefix);
-  return is_running(st) && st->pending;
+  const OutboundCell* cell = plane_.find(peer, prefix);
+  return cell != nullptr && running(*cell) && cell->mrai.pending;
 }
 
 void MraiTimers::set_pending(net::NodeId peer, net::Prefix prefix,
-                             bool pending) {
-  State* st = timers_.find(peer, prefix);
-  if (!is_running(st) || st->pending == pending) return;
-  st->pending = pending;
+                             OutboundCell& cell, bool pending) {
+  MraiState& st = cell.mrai;
+  if (!running(cell) || st.pending == pending) return;
+  st.pending = pending;
   if (pending) {
     ++pending_count_;
-    if (st->ev.value == 0) promote(peer, prefix, *st);
+    if (st.ev.value == 0) promote(peer, prefix, st);
   } else {
     --pending_count_;
   }
 }
 
 void MraiTimers::start(net::NodeId peer, net::Prefix prefix,
-                       sim::SimTime duration) {
-  State& st = timers_.at(peer, prefix);
-  assert(!is_running(&st));
+                       OutboundCell& cell, sim::SimTime duration) {
+  assert(!running(cell));
+  MraiState& st = cell.mrai;
   if (st.pending) --pending_count_;  // dropped by clear_pending, never fired
-  st = State{};
+  st = MraiState{};
   st.deadline = sim_.now() + duration;
   if (every_expiry_) {
     // The seq schedule_at draws, read before it draws it.
@@ -44,60 +45,64 @@ void MraiTimers::start(net::NodeId peer, net::Prefix prefix,
   }
 }
 
-void MraiTimers::promote(net::NodeId peer, net::Prefix prefix, State& st) {
+void MraiTimers::promote(net::NodeId peer, net::Prefix prefix, MraiState& st) {
   st.ev = sim_.promote_deadline(st.deadline, st.seq,
                                 [this, peer, prefix] { fire(peer, prefix); });
 }
 
 void MraiTimers::fire(net::NodeId peer, net::Prefix prefix) {
-  State* st = timers_.find(peer, prefix);
-  assert(st != nullptr && st->ev.value != 0);
-  const bool was_pending = st->pending;
+  OutboundCell* cell = plane_.find(peer, prefix);
+  assert(cell != nullptr && cell->mrai.ev.value != 0);
+  const bool was_pending = cell->mrai.pending;
   if (was_pending) --pending_count_;
-  *st = State{};
-  if (on_expiry_) on_expiry_(peer, prefix, was_pending);
+  cell->mrai = MraiState{};
+  if (on_expiry_) on_expiry_(peer, prefix, *cell, was_pending);
 }
 
 void MraiTimers::cancel_peer(net::NodeId peer) {
-  auto* row = timers_.find_row(peer);
+  PeerPlane::Row* row = plane_.find_row(peer);
   if (row == nullptr) return;
-  for (State& st : row->cells) {
+  for (OutboundCell& cell : row->cells) {
+    MraiState& st = cell.mrai;
     if (st.pending) --pending_count_;
-    if (!is_running(&st)) continue;
-    if (st.ev.value != 0) {
-      sim_.cancel(st.ev);
-    } else {
-      sim_.withdraw_deadline(st.deadline, st.seq);
+    if (running(cell)) {
+      if (st.ev.value != 0) {
+        sim_.cancel(st.ev);
+      } else {
+        sim_.withdraw_deadline(st.deadline, st.seq);
+      }
     }
+    st = MraiState{};
   }
-  timers_.drop(peer);
 }
 
 std::size_t MraiTimers::running_count() const {
   std::size_t n = 0;
-  for (const auto& row : timers_.rows()) {
-    for (const State& st : row.cells) n += is_running(&st) ? 1 : 0;
+  for (const auto& row : plane_.rows()) {
+    for (const OutboundCell& cell : row.cells) n += running(cell) ? 1 : 0;
   }
   return n;
 }
 
 void MraiTimers::save_state(snap::Writer& w) const {
   w.u64(running_count());
-  for (const auto& row : timers_.rows()) {
+  for (const auto& row : plane_.rows()) {
     for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
-      const State& st = row.cells[prefix];
-      if (!is_running(&st)) continue;
+      const OutboundCell& cell = row.cells[prefix];
+      if (!running(cell)) continue;
       w.u32(row.peer);
       w.u32(prefix);
-      w.i64(st.deadline.as_micros());
-      w.u64(st.seq);
-      w.b(st.pending);
+      w.i64(cell.mrai.deadline.as_micros());
+      w.u64(cell.mrai.seq);
+      w.b(cell.mrai.pending);
     }
   }
 }
 
 void MraiTimers::restore_state(snap::Reader& r) {
-  PeerPlane<State> restored;
+  // Decoded into a temporary plane first, so a rejected record leaves the
+  // live cells as they were.
+  PeerPlane restored;
   std::size_t pending_count = 0;
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -112,7 +117,7 @@ void MraiTimers::restore_state(snap::Reader& r) {
     if (sim_.has_passed(deadline, seq)) {
       throw snap::FormatError{"MRAI timer deadline before the recorded clock"};
     }
-    State& st = restored.at(peer, prefix);
+    MraiState& st = restored.at(peer, prefix).mrai;
     if (st.seq != 0) {
       throw snap::FormatError{"MRAI timer key repeated"};
     }
@@ -120,9 +125,10 @@ void MraiTimers::restore_state(snap::Reader& r) {
     st.seq = seq;
     st.pending = pending;
     // An in-place restore finds its promoted closure still queued.
-    if (const State* live = timers_.find(peer, prefix);
-        live != nullptr && live->seq == seq && live->deadline == deadline) {
-      st.ev = live->ev;
+    if (const OutboundCell* live = plane_.find(peer, prefix);
+        live != nullptr && live->mrai.seq == seq &&
+        live->mrai.deadline == deadline) {
+      st.ev = live->mrai.ev;
     }
     if (pending) {
       if (st.ev.value == 0) {
@@ -132,7 +138,15 @@ void MraiTimers::restore_state(snap::Reader& r) {
       ++pending_count;
     }
   }
-  timers_ = std::move(restored);
+  for (auto& row : plane_.rows()) {
+    for (OutboundCell& cell : row.cells) cell.mrai = MraiState{};
+  }
+  for (const auto& row : restored.rows()) {
+    for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
+      const MraiState& st = row.cells[prefix].mrai;
+      if (st.seq != 0) plane_.at(row.peer, prefix).mrai = st;
+    }
+  }
   pending_count_ = pending_count;
 }
 

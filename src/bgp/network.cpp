@@ -9,9 +9,10 @@ namespace bgpsim::bgp {
 BgpNetwork::BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
                        const BgpConfig& config,
                        const net::ProcessingDelay& processing,
-                       const sim::Rng& root_rng)
+                       const sim::Rng& root_rng, PathArena& paths)
     : sim_{simulator},
       topo_{topology},
+      paths_{paths},
       transport_{simulator, topology},
       store_{static_cast<rib::SpeakerId>(topology.node_count())} {
   const std::size_t n = topo_.node_count();
@@ -24,7 +25,7 @@ BgpNetwork::BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
         simulator, root_rng.child("proc", node), processing));
     speakers_.push_back(std::make_unique<Speaker>(
         node, config, simulator, transport_, fibs_[node],
-        root_rng.child("bgp", node), &store_,
+        root_rng.child("bgp", node), paths_, &store_,
         static_cast<rib::SpeakerId>(node)));
     speakers_.back()->set_peers(topo_.up_neighbors(node));
   }
@@ -91,10 +92,10 @@ void save_update_msg(snap::Writer& w, const UpdateMsg& msg) {
   if (msg.path) msg.path->save(w);
 }
 
-UpdateMsg load_update_msg(snap::Reader& r) {
+UpdateMsg load_update_msg(snap::Reader& r, PathArena& paths) {
   UpdateMsg msg;
   msg.prefix = snap::read_prefix(r);
-  if (r.b()) msg.path = AsPath::load(r);
+  if (r.b()) msg.path = paths.load(r);
   return msg;
 }
 
@@ -112,17 +113,17 @@ void save_update_payload(snap::Writer& w, const net::Payload& payload) {
   }
 }
 
-net::Payload load_update_payload(snap::Reader& r) {
+net::Payload load_update_payload(snap::Reader& r, PathArena& paths) {
   if (r.u8() != 0) {
     UpdateBatch batch;
     const std::uint64_t n = r.u64();
     batch.updates.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      batch.updates.push_back(load_update_msg(r));
+      batch.updates.push_back(load_update_msg(r, paths));
     }
     return net::Payload{std::move(batch)};
   }
-  return net::Payload{load_update_msg(r)};
+  return net::Payload{load_update_msg(r, paths)};
 }
 
 }  // namespace
@@ -143,7 +144,9 @@ void BgpNetwork::restore_state(snap::Reader& r) {
   transport_.restore_state(r);
   store_.restore_table(r);
   for (std::size_t node = 0; node < speakers_.size(); ++node) {
-    queues_[node]->restore_state(r, load_update_payload);
+    queues_[node]->restore_state(r, [this](snap::Reader& in) {
+      return load_update_payload(in, paths_);
+    });
     speakers_[node]->restore_state(r);
     fibs_[node].restore_state(r);
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bgp/config.hpp"
+#include "bgp/path_arena.hpp"
 #include "bgp/speaker.hpp"
 #include "fwd/fib.hpp"
 #include "rib/local_ribs.hpp"
@@ -18,12 +19,13 @@ namespace bgpsim::bgp {
 
 /// One speaker per topology node, each behind its own serialized
 /// processing queue, all sharing one Transport. This is the object the
-/// experiment driver manipulates.
+/// experiment runner manipulates. Every path the network builds, receives
+/// or restores lives in `paths`, which must outlive the network.
 class BgpNetwork {
  public:
   BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
              const BgpConfig& config, const net::ProcessingDelay& processing,
-             const sim::Rng& root_rng);
+             const sim::Rng& root_rng, PathArena& paths);
 
   [[nodiscard]] Speaker& speaker(net::NodeId n) { return *speakers_.at(n); }
   [[nodiscard]] const Speaker& speaker(net::NodeId n) const {
@@ -92,6 +94,7 @@ class BgpNetwork {
  private:
   sim::Simulator& sim_;
   net::Topology& topo_;
+  PathArena& paths_;
   net::Transport transport_;
   rib::LocalRibs store_;  // shared by every speaker (declared before them)
   std::vector<fwd::Fib> fibs_;

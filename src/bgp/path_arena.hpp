@@ -1,0 +1,81 @@
+// The trial-owned store every AS path of one run lives in.
+//
+// An AS path is an immutable cons list of arena nodes: (head)·parent.
+// prepend() — the operation the convergence loop performs once per adopted
+// route — is an O(1) intern of (parent, head), so every speaker holding
+// "(self)·P" shares P's nodes with the neighbor that advertised P.
+//
+// Nodes are appended to fixed-size chunks and never move or die before the
+// arena does, so an AsPath is a plain pointer: copying one costs nothing
+// and no refcount is kept. Interning goes through a flat open-addressing
+// table keyed by (parent, head): structurally-equal paths built through any
+// sequence of operations are the same node, which makes AsPath::operator==
+// a pointer comparison. The arena never frees a node before it is
+// destroyed; a trial interns a few thousand (fulltable-512) to a few tens
+// of thousands (policy-10k) distinct nodes, so no compaction is needed.
+//
+// Lifetime: run_experiment declares one arena per trial, passes it to the
+// network it builds, and drops it at trial end. No AsPath may outlive its
+// arena: nothing that lives across trials (check::Oracle, the report
+// structs) holds one. An arena is not thread-safe; a trial runs on one
+// thread.
+//
+// Determinism: the arena changes only where a path lives, never its hop
+// sequence, so decision order, codec bytes and digests do not depend on it.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "bgp/as_path.hpp"
+#include "net/types.hpp"
+#include "snap/codec.hpp"
+
+namespace bgpsim::bgp {
+
+class PathArena {
+ public:
+  PathArena();
+  PathArena(const PathArena&) = delete;
+  PathArena& operator=(const PathArena&) = delete;
+
+  /// (head)·rest.
+  [[nodiscard]] AsPath prepend(net::NodeId head, AsPath rest);
+
+  /// The path with these hops, front (advertising AS) first.
+  [[nodiscard]] AsPath make(std::span<const net::NodeId> hops);
+  [[nodiscard]] AsPath make(std::initializer_list<net::NodeId> hops) {
+    return make(std::span<const net::NodeId>{hops.begin(), hops.size()});
+  }
+
+  /// Decode a path written by AsPath::save into this arena. Throws
+  /// snap::FormatError when the hop count exceeds the bytes left.
+  [[nodiscard]] AsPath load(snap::Reader& r);
+
+  /// Distinct nodes interned so far.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  /// Nodes per chunk: 16 KiB at 32 bytes a node.
+  static constexpr std::size_t kChunkNodes = 512;
+
+  [[nodiscard]] const detail::PathNode* intern(net::NodeId head,
+                                               const detail::PathNode* parent);
+  [[nodiscard]] std::size_t home(net::NodeId head,
+                                 const detail::PathNode* parent) const;
+  void grow_table();
+
+  std::vector<std::unique_ptr<detail::PathNode[]>> chunks_;
+  std::size_t size_ = 0;
+  /// Open addressing with linear probing; nullptr marks a free slot. The
+  /// capacity is a power of two, kept at least twice the node count.
+  std::vector<const detail::PathNode*> table_;
+  std::size_t mask_ = 0;
+  std::vector<net::NodeId> load_hops_;  // load()'s hops, reused
+};
+
+}  // namespace bgpsim::bgp

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bgp/as_path.hpp"
+#include "bgp/path_arena.hpp"
 #include "net/types.hpp"
 #include "rib/local_ribs.hpp"
 
@@ -37,7 +38,7 @@ class AdjRibIn {
 
   /// Record an announcement from `peer`. Replaces any previous entry.
   void set(net::Prefix prefix, net::NodeId peer, AsPath path) {
-    store_->adj_set(row_, prefix, peer, std::move(path));
+    store_->adj_set(row_, prefix, peer, path);
   }
 
   /// Remove `peer`'s route for `prefix` (withdrawal or poison-reverse
@@ -69,8 +70,11 @@ class AdjRibIn {
   }
 
   /// Checkpoint codec (prefixes sorted; peers already deterministic).
+  /// Restored paths land in `paths`.
   void save_state(snap::Writer& w) const { store_->save_adj(row_, w); }
-  void restore_state(snap::Reader& r) { store_->restore_adj(row_, r); }
+  void restore_state(snap::Reader& r, PathArena& paths) {
+    store_->restore_adj(row_, r, paths);
+  }
 
   /// Erase entries for `prefix` that satisfy `pred(peer, path)`; returns
   /// the number erased. Used by the Assertion enhancement.
@@ -96,7 +100,7 @@ class LocRib {
   /// Install the selected path (or disengage on nullopt). Returns true if
   /// the stored value changed.
   bool set(net::Prefix prefix, std::optional<AsPath> path) {
-    return store_->set_best(row_, prefix, std::move(path));
+    return store_->set_best(row_, prefix, path);
   }
 
   [[nodiscard]] const AsPath* get(net::Prefix prefix) const {
@@ -107,9 +111,12 @@ class LocRib {
     return store_->best_prefixes(row_);
   }
 
-  /// Checkpoint codec (prefixes sorted for deterministic bytes).
+  /// Checkpoint codec (prefixes sorted for deterministic bytes). Restored
+  /// paths land in `paths`.
   void save_state(snap::Writer& w) const { store_->save_best(row_, w); }
-  void restore_state(snap::Reader& r) { store_->restore_best(row_, r); }
+  void restore_state(snap::Reader& r, PathArena& paths) {
+    store_->restore_best(row_, r, paths);
+  }
 
  private:
   std::unique_ptr<rib::LocalRibs> owned_;  // engaged when unbound

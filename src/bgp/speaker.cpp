@@ -10,24 +10,27 @@ namespace bgpsim::bgp {
 
 Speaker::Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
                  net::Transport& transport, fwd::Fib& fib, sim::Rng rng,
-                 rib::LocalRibs* store, rib::SpeakerId row)
+                 PathArena& paths, rib::LocalRibs* store, rib::SpeakerId row)
     : self_{self},
       config_{config},
       sim_{simulator},
       transport_{transport},
       fib_{fib},
       rng_{std::move(rng)},
+      paths_{paths},
       adj_rib_in_{store, row},
       loc_rib_{store, row},
-      mrai_{simulator} {
-  mrai_.set_expiry_handler(
-      [this](net::NodeId peer, net::Prefix prefix, bool was_pending) {
-        on_mrai_expired(peer, prefix, was_pending);
-      });
+      mrai_{simulator, out_} {
+  mrai_.set_expiry_handler([this](net::NodeId peer, net::Prefix prefix,
+                                  OutboundCell& cell, bool was_pending) {
+    on_mrai_expired(peer, prefix, cell, was_pending);
+  });
 }
 
 void Speaker::set_peers(const std::vector<net::NodeId>& peers) {
-  peers_ = std::set<net::NodeId>(peers.begin(), peers.end());
+  peers_ = peers;
+  std::sort(peers_.begin(), peers_.end());
+  peers_.erase(std::unique(peers_.begin(), peers_.end()), peers_.end());
 }
 
 void Speaker::originate(net::Prefix prefix) {
@@ -60,7 +63,7 @@ void Speaker::handle_update(net::NodeId from, const UpdateMsg& update) {
   ++counters_.updates_received;
   // A message can race a session drop (in-flight when the link died is
   // already lost, but a restore/re-drop can interleave); ignore strays.
-  if (!peers_.contains(from)) return;
+  if (!is_peer(from)) return;
   if (hooks_.on_update_received) hooks_.on_update_received(self_, from, update);
   apply_update(from, update);
   run_decision(update.prefix);
@@ -68,22 +71,30 @@ void Speaker::handle_update(net::NodeId from, const UpdateMsg& update) {
 
 void Speaker::handle_update_batch(net::NodeId from, const UpdateBatch& batch) {
   StagingScope staging{*this};
-  std::vector<net::Prefix> touched;  // first-touch order
+  touched_.clear();  // first-touch order
+  if (++batch_stamp_ == 0) {  // wrapped: forget every older stamp
+    std::fill(touch_stamp_.begin(), touch_stamp_.end(), 0);
+    batch_stamp_ = 1;
+  }
+  const bool from_peer = is_peer(from);
   for (const UpdateMsg& update : batch.updates) {
     ++counters_.updates_received;
-    if (!peers_.contains(from)) continue;  // stray (see handle_update)
+    if (!from_peer) continue;  // stray (see handle_update)
     if (hooks_.on_update_received) {
       hooks_.on_update_received(self_, from, update);
     }
     apply_update(from, update);
-    if (std::find(touched.begin(), touched.end(), update.prefix) ==
-        touched.end()) {
-      touched.push_back(update.prefix);
+    if (update.prefix >= touch_stamp_.size()) {
+      touch_stamp_.resize(update.prefix + std::size_t{1}, 0);
+    }
+    if (touch_stamp_[update.prefix] != batch_stamp_) {
+      touch_stamp_[update.prefix] = batch_stamp_;
+      touched_.push_back(update.prefix);
     }
   }
   // One decision pass per touched prefix, however many updates arrived —
   // the batched decision processing over the shared column block.
-  for (const net::Prefix prefix : touched) run_decision(prefix);
+  for (const net::Prefix prefix : touched_) run_decision(prefix);
 }
 
 void Speaker::apply_update(net::NodeId from, const UpdateMsg& update) {
@@ -118,16 +129,20 @@ void Speaker::apply_update(net::NodeId from, const UpdateMsg& update) {
 void Speaker::handle_session(net::NodeId peer, bool up) {
   StagingScope staging{*this};
   if (hooks_.on_session_changed) hooks_.on_session_changed(self_, peer, up);
+  const auto pos = std::lower_bound(peers_.begin(), peers_.end(), peer);
   if (up) {
-    peers_.insert(peer);
+    if (pos == peers_.end() || *pos != peer) peers_.insert(pos, peer);
     // Session (re-)established: offer our current table to the new peer.
-    for (net::Prefix prefix : loc_rib_.prefixes()) consider_send(peer, prefix);
+    for (net::Prefix prefix : loc_rib_.prefixes()) {
+      consider_send(peer, prefix, out_.at(peer, prefix),
+                    loc_rib_.get(prefix));
+    }
     return;
   }
 
-  peers_.erase(peer);
+  if (pos != peers_.end() && *pos == peer) peers_.erase(pos);
   mrai_.cancel_peer(peer);
-  advertised_.drop(peer);
+  out_.drop(peer);
 
   // Gather every prefix that might be affected before mutating the RIB.
   std::set<net::Prefix> prefixes;
@@ -150,10 +165,10 @@ void Speaker::handle_session(net::NodeId peer, bool up) {
 void Speaker::run_decision(net::Prefix prefix) {
   std::optional<AsPath> new_loc;
   if (originated_.contains(prefix)) {
-    new_loc = AsPath{self_};
+    new_loc = paths_.make({self_});
   } else if (auto best =
                  select_best(adj_rib_in_, prefix, self_, config_.policy)) {
-    new_loc = best->prepended(self_);
+    new_loc = paths_.prepend(self_, *best);
   }
 
   // Backup caution (§3.3 future work): don't jump onto a *worse* backup
@@ -207,7 +222,10 @@ void Speaker::run_decision(net::Prefix prefix) {
 }
 
 void Speaker::advertise_to_all(net::Prefix prefix) {
-  for (net::NodeId peer : peers_) consider_send(peer, prefix);
+  const AsPath* loc = loc_rib_.get(prefix);
+  for (net::NodeId peer : peers_) {
+    consider_send(peer, prefix, out_.at(peer, prefix), loc);
+  }
 }
 
 UpdateMsg Speaker::desired_update(net::NodeId peer, net::Prefix prefix,
@@ -227,46 +245,43 @@ UpdateMsg Speaker::desired_update(net::NodeId peer, net::Prefix prefix,
   return UpdateMsg::announce(prefix, *loc);
 }
 
-bool Speaker::already_advertised(net::NodeId peer, net::Prefix prefix,
-                                 const UpdateMsg& desired) const {
-  const Advertised* adv = advertised_.find(peer, prefix);
-  const bool announced =
-      adv != nullptr && adv->kind == Advertised::Kind::kAnnounced;
+bool Speaker::already_advertised(const OutboundCell& cell,
+                                 const UpdateMsg& desired) {
+  const bool announced = cell.sent == OutboundCell::Sent::kAnnounced;
   if (desired.is_withdrawal()) {
     // Nothing to retract if the peer never heard an announcement from us.
     return !announced;
   }
-  return announced && adv->path == *desired.path;
+  return announced && cell.path == *desired.path;
 }
 
-void Speaker::consider_send(net::NodeId peer, net::Prefix prefix) {
-  const AsPath* loc = loc_rib_.get(prefix);
+void Speaker::consider_send(net::NodeId peer, net::Prefix prefix,
+                            OutboundCell& cell, const AsPath* loc) {
   const UpdateMsg desired = desired_update(peer, prefix, loc);
-  const bool same = already_advertised(peer, prefix, desired);
+  const bool same = already_advertised(cell, desired);
   const bool rate_limited = !desired.is_withdrawal() || config_.wrate;
-  if (rate_limited && mrai_.running(peer, prefix)) {
+  if (rate_limited && mrai_.running(cell)) {
     // Hold the decision; the expiry handler re-derives the then-current
     // desired update (intermediate flaps are never transmitted).
-    mrai_.set_pending(peer, prefix, !same);
+    mrai_.set_pending(peer, prefix, cell, !same);
     return;
   }
   if (same) return;
   if (config_.ssld && desired.is_withdrawal() && loc && loc->contains(peer)) {
     ++counters_.ssld_conversions;
   }
-  send_update(peer, prefix, desired);
+  send_update(peer, prefix, cell, desired);
 }
 
 void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
-                          UpdateMsg update) {
-  Advertised& adv = advertised_.at(peer, prefix);
+                          OutboundCell& cell, UpdateMsg update) {
   if (update.is_withdrawal()) {
-    adv.kind = Advertised::Kind::kWithdrawn;
-    adv.path = AsPath{};
+    cell.sent = OutboundCell::Sent::kWithdrawn;
+    cell.path = AsPath{};
     ++counters_.withdrawals_sent;
   } else {
-    adv.kind = Advertised::Kind::kAnnounced;
-    adv.path = *update.path;
+    cell.sent = OutboundCell::Sent::kAnnounced;
+    cell.path = *update.path;
     ++counters_.announcements_sent;
   }
 
@@ -274,9 +289,9 @@ void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
       << "node " << self_ << " send to " << peer << ": " << update.to_string();
 
   const bool start_timer =
-      (!update.is_withdrawal() || config_.wrate) && !mrai_.running(peer, prefix);
+      (!update.is_withdrawal() || config_.wrate) && !mrai_.running(cell);
   // A bypassing withdrawal supersedes any decision held behind the timer.
-  mrai_.set_pending(peer, prefix, false);
+  mrai_.set_pending(peer, prefix, cell, false);
 
   if (staging_) {
     // Multiprefix batching: defer the wire hop to the enclosing scope's
@@ -289,43 +304,59 @@ void Speaker::send_update(net::NodeId peer, net::Prefix prefix,
   }
   if (hooks_.on_update_sent) hooks_.on_update_sent(self_, peer, update);
 
-  if (start_timer) mrai_.start(peer, prefix, jittered_mrai());
+  if (start_timer) mrai_.start(peer, prefix, cell, jittered_mrai());
 }
 
 void Speaker::flush_staged() {
   if (staged_.empty()) return;
-  // Group per peer (ascending), preserving each peer's message order.
-  std::map<net::NodeId, std::vector<UpdateMsg>> by_peer;
-  for (auto& [peer, msg] : staged_) {
-    by_peer[peer].push_back(std::move(msg));
+  // Group per peer (ascending), preserving each peer's message order: a
+  // counting sort of the staging positions by the peer's rank in peers_.
+  // Every staged send went to a session peer, so each has a rank.
+  flush_start_.assign(peers_.size() + 1, 0);
+  for (const auto& [peer, msg] : staged_) ++flush_start_[peer_rank(peer) + 1];
+  for (std::size_t r = 1; r < flush_start_.size(); ++r) {
+    flush_start_[r] += flush_start_[r - 1];
+  }
+  flush_order_.resize(staged_.size());
+  for (std::uint32_t i = 0; i < staged_.size(); ++i) {
+    flush_order_[flush_start_[peer_rank(staged_[i].first)]++] = i;
+  }
+  // flush_start_[r] is now the end of rank r's run.
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
+    const std::size_t end = flush_start_[r];
+    if (end - begin == 1) {
+      transport_.send(self_, peers_[r], staged_[flush_order_[begin]].second);
+    } else if (end - begin > 1) {
+      UpdateBatch batch;
+      batch.updates.reserve(end - begin);
+      for (std::size_t i = begin; i < end; ++i) {
+        batch.updates.push_back(staged_[flush_order_[i]].second);
+      }
+      transport_.send(self_, peers_[r], std::move(batch));
+    }
+    begin = end;
   }
   staged_.clear();
-  for (auto& [peer, msgs] : by_peer) {
-    if (msgs.size() == 1) {
-      transport_.send(self_, peer, std::move(msgs.front()));
-    } else {
-      transport_.send(self_, peer, UpdateBatch{std::move(msgs)});
-    }
-  }
 }
 
 void Speaker::on_mrai_expired(net::NodeId peer, net::Prefix prefix,
-                              bool was_pending) {
+                              OutboundCell& cell, bool was_pending) {
   if (hooks_.on_mrai_expired) {
     hooks_.on_mrai_expired(self_, peer, prefix, was_pending);
   }
-  if (was_pending) consider_send(peer, prefix);
+  if (was_pending) consider_send(peer, prefix, cell, loc_rib_.get(prefix));
 }
 
 void Speaker::ghost_flush(net::Prefix prefix) {
   for (net::NodeId peer : peers_) {
-    if (!mrai_.running(peer, prefix)) continue;  // announce not delayed
-    const Advertised* adv = advertised_.find(peer, prefix);
-    if (adv == nullptr || adv->kind != Advertised::Kind::kAnnounced) continue;
+    OutboundCell* cell = out_.find(peer, prefix);
+    if (cell == nullptr || !mrai_.running(*cell)) continue;  // not delayed
+    if (cell->sent != OutboundCell::Sent::kAnnounced) continue;
     ++counters_.ghost_flushes;
-    send_update(peer, prefix, UpdateMsg::withdraw(prefix));
+    send_update(peer, prefix, *cell, UpdateMsg::withdraw(prefix));
     // The (longer) replacement path follows at MRAI expiry.
-    mrai_.set_pending(peer, prefix, true);
+    mrai_.set_pending(peer, prefix, *cell, true);
   }
 }
 
@@ -345,20 +376,20 @@ void Speaker::save_state(snap::Writer& w) const {
   }
   // Sent cells in ascending (peer, prefix) order, count first.
   std::uint64_t sent = 0;
-  for (const auto& row : advertised_.rows()) {
-    for (const Advertised& adv : row.cells) {
-      if (adv.kind != Advertised::Kind::kNotSent) ++sent;
+  for (const auto& row : out_.rows()) {
+    for (const OutboundCell& cell : row.cells) {
+      if (cell.sent != OutboundCell::Sent::kNotSent) ++sent;
     }
   }
   w.u64(sent);
-  for (const auto& row : advertised_.rows()) {
+  for (const auto& row : out_.rows()) {
     for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
-      const Advertised& adv = row.cells[prefix];
-      if (adv.kind == Advertised::Kind::kNotSent) continue;
+      const OutboundCell& cell = row.cells[prefix];
+      if (cell.sent == OutboundCell::Sent::kNotSent) continue;
       w.u32(row.peer);
       w.u32(prefix);
-      w.u8(static_cast<std::uint8_t>(adv.kind));
-      adv.path.save(w);
+      w.u8(static_cast<std::uint8_t>(cell.sent));
+      cell.path.save(w);
     }
   }
   w.u64(counters_.announcements_sent);
@@ -374,16 +405,17 @@ void Speaker::save_state(snap::Writer& w) const {
 
 void Speaker::restore_state(snap::Reader& r) {
   snap::read_rng(r, rng_);
-  peers_.clear();
+  std::vector<net::NodeId> peers;
   const std::uint64_t n_peers = r.u64();
-  for (std::uint64_t i = 0; i < n_peers; ++i) peers_.insert(r.u32());
+  for (std::uint64_t i = 0; i < n_peers; ++i) peers.push_back(r.u32());
+  set_peers(peers);
   originated_.clear();
   const std::uint64_t n_origins = r.u64();
   for (std::uint64_t i = 0; i < n_origins; ++i) {
     originated_.insert(snap::read_prefix(r));
   }
-  adj_rib_in_.restore_state(r);
-  loc_rib_.restore_state(r);
+  adj_rib_in_.restore_state(r, paths_);
+  loc_rib_.restore_state(r, paths_);
   mrai_.restore_state(r);
   caution_lost_length_.clear();
   const std::uint64_t n_caution = r.u64();
@@ -393,22 +425,27 @@ void Speaker::restore_state(snap::Reader& r) {
     caution_lost_length_.emplace(prefix,
                                  static_cast<std::size_t>(lost_length));
   }
-  advertised_.clear();
+  for (auto& row : out_.rows()) {
+    for (OutboundCell& cell : row.cells) {
+      cell.sent = OutboundCell::Sent::kNotSent;
+      cell.path = AsPath{};
+    }
+  }
   const std::uint64_t n_adv = r.u64();
   for (std::uint64_t i = 0; i < n_adv; ++i) {
     const net::NodeId peer = r.u32();
     const net::Prefix prefix = snap::read_prefix(r);
     const std::uint8_t kind = r.u8();
-    if (kind != static_cast<std::uint8_t>(Advertised::Kind::kAnnounced) &&
-        kind != static_cast<std::uint8_t>(Advertised::Kind::kWithdrawn)) {
+    if (kind != static_cast<std::uint8_t>(OutboundCell::Sent::kAnnounced) &&
+        kind != static_cast<std::uint8_t>(OutboundCell::Sent::kWithdrawn)) {
       throw snap::FormatError{"advertised entry with unknown kind " +
                               std::to_string(kind)};
     }
-    AsPath path = AsPath::load(r);
-    Advertised& adv = advertised_.at(peer, prefix);
-    if (adv.kind != Advertised::Kind::kNotSent) continue;  // first one wins
-    adv.kind = static_cast<Advertised::Kind>(kind);
-    adv.path = std::move(path);
+    const AsPath path = paths_.load(r);
+    OutboundCell& cell = out_.at(peer, prefix);
+    if (cell.sent != OutboundCell::Sent::kNotSent) continue;  // first wins
+    cell.sent = static_cast<OutboundCell::Sent>(kind);
+    cell.path = path;
   }
   counters_.announcements_sent = r.u64();
   counters_.withdrawals_sent = r.u64();

@@ -1,15 +1,18 @@
 // One BGP speaker (one AS / router in the study).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "bgp/as_path.hpp"
+#include "bgp/path_arena.hpp"
 #include "bgp/config.hpp"
 #include "bgp/decision.hpp"
 #include "bgp/messages.hpp"
@@ -59,12 +62,14 @@ class Speaker {
     bool every_mrai_expiry = true;
   };
 
-  /// `store` binds this speaker's RIB facades to the network's shared SoA
-  /// store (row `row`); nullptr (the default) keeps a private store, for
-  /// standalone construction in tests.
+  /// `paths` is the trial's path arena: every path this speaker builds or
+  /// restores lands there. `store` binds this speaker's RIB facades to the
+  /// network's shared SoA store (row `row`); nullptr (the default) keeps a
+  /// private store, for standalone construction in tests.
   Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
           net::Transport& transport, fwd::Fib& fib, sim::Rng rng,
-          rib::LocalRibs* store = nullptr, rib::SpeakerId row = 0);
+          PathArena& paths, rib::LocalRibs* store = nullptr,
+          rib::SpeakerId row = 0);
 
   /// Establish sessions with the given peers (initially up neighbors).
   void set_peers(const std::vector<net::NodeId>& peers);
@@ -108,7 +113,8 @@ class Speaker {
   [[nodiscard]] const BgpConfig& config() const { return config_; }
   [[nodiscard]] const AdjRibIn& adj_rib_in() const { return adj_rib_in_; }
   [[nodiscard]] const LocRib& loc_rib() const { return loc_rib_; }
-  [[nodiscard]] const std::set<net::NodeId>& peers() const { return peers_; }
+  /// Peers with an established session, ascending.
+  [[nodiscard]] const std::vector<net::NodeId>& peers() const { return peers_; }
   [[nodiscard]] bool originates(net::Prefix prefix) const {
     return originated_.contains(prefix);
   }
@@ -139,18 +145,12 @@ class Speaker {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// Checkpoint codec: every mutable protocol field (RNG, session set,
-  /// origins, RIBs, MRAI bookkeeping, caution holds, advertised mirror,
+  /// origins, RIBs, MRAI bookkeeping, caution holds, Adj-RIB-Out,
   /// counters) in a fixed deterministic order.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
  private:
-  /// What a peer currently believes we advertised.
-  struct Advertised {
-    enum class Kind { kNotSent, kAnnounced, kWithdrawn } kind = Kind::kNotSent;
-    AsPath path;  // valid when kind == kAnnounced
-  };
-
   /// Stages outbound updates for the enclosing handler in multiprefix
   /// mode; the destructor flushes them grouped per peer. A no-op when
   /// multiprefix is off or a scope is already active, so single-prefix
@@ -183,11 +183,29 @@ class Speaker {
   /// UpdateMsg, so wire shapes only change when batching actually packs.
   void flush_staged();
 
+  [[nodiscard]] bool is_peer(net::NodeId peer) const {
+    return std::binary_search(peers_.begin(), peers_.end(), peer);
+  }
+  /// The position of session peer `peer` in peers_.
+  [[nodiscard]] std::size_t peer_rank(net::NodeId peer) const {
+    const auto it = std::lower_bound(peers_.begin(), peers_.end(), peer);
+    if (it == peers_.end() || *it != peer) {
+      throw std::logic_error{"update staged for a peer without a session"};
+    }
+    return static_cast<std::size_t>(it - peers_.begin());
+  }
+
   void run_decision(net::Prefix prefix);
   void advertise_to_all(net::Prefix prefix);
-  void consider_send(net::NodeId peer, net::Prefix prefix);
-  void send_update(net::NodeId peer, net::Prefix prefix, UpdateMsg update);
-  void on_mrai_expired(net::NodeId peer, net::Prefix prefix, bool was_pending);
+  /// The send decision for (peer, prefix); `cell` is the plane's cell for
+  /// that pair and `loc` the Loc-RIB path for `prefix` (nullptr: none),
+  /// both found once by the caller.
+  void consider_send(net::NodeId peer, net::Prefix prefix, OutboundCell& cell,
+                     const AsPath* loc);
+  void send_update(net::NodeId peer, net::Prefix prefix, OutboundCell& cell,
+                   UpdateMsg update);
+  void on_mrai_expired(net::NodeId peer, net::Prefix prefix,
+                       OutboundCell& cell, bool was_pending);
   void ghost_flush(net::Prefix prefix);
   [[nodiscard]] sim::SimTime jittered_mrai();
 
@@ -195,8 +213,8 @@ class Speaker {
   /// the caller's Loc-RIB lookup for `prefix`.
   [[nodiscard]] UpdateMsg desired_update(net::NodeId peer, net::Prefix prefix,
                                          const AsPath* loc);
-  [[nodiscard]] bool already_advertised(net::NodeId peer, net::Prefix prefix,
-                                        const UpdateMsg& desired) const;
+  [[nodiscard]] static bool already_advertised(const OutboundCell& cell,
+                                               const UpdateMsg& desired);
 
   net::NodeId self_;
   BgpConfig config_;
@@ -204,24 +222,36 @@ class Speaker {
   net::Transport& transport_;
   fwd::Fib& fib_;
   sim::Rng rng_;
+  PathArena& paths_;
   Hooks hooks_;
 
-  std::set<net::NodeId> peers_;
+  std::vector<net::NodeId> peers_;  // ascending
   std::set<net::Prefix> originated_;
   AdjRibIn adj_rib_in_;
   LocRib loc_rib_;
+  /// Outbound state per (peer, prefix): the Adj-RIB-Out entry and the MRAI
+  /// timer in one cell (declared before the timers that drive it).
+  PeerPlane out_;
   MraiTimers mrai_;
   /// Prefixes under backup caution: adoption of paths longer than the
   /// recorded lost length is suppressed until the caution timer fires.
   std::map<net::Prefix, std::size_t> caution_lost_length_;
-  /// Adj-RIB-Out mirror; an unsent cell is kNotSent.
-  PeerPlane<Advertised> advertised_;
   Counters counters_;
   /// Multiprefix staging state: while a StagingScope is active, send_update
   /// appends here instead of hitting the transport. Always empty between
   /// scheduler events, so it never enters the checkpoint codec.
   bool staging_ = false;
   std::vector<std::pair<net::NodeId, UpdateMsg>> staged_;
+  /// flush_staged's grouping buffers, reused across flushes: staging
+  /// positions ordered by peer, and each peer rank's run bounds.
+  std::vector<std::uint32_t> flush_order_;
+  std::vector<std::uint32_t> flush_start_;
+  /// handle_update_batch's first-touch dedup: touch_stamp_[prefix] ==
+  /// batch_stamp_ marks a prefix already in touched_. Working state only,
+  /// never checkpointed.
+  std::vector<std::uint32_t> touch_stamp_;
+  std::uint32_t batch_stamp_ = 0;
+  std::vector<net::Prefix> touched_;
 };
 
 }  // namespace bgpsim::bgp

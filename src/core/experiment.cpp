@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bgp/network.hpp"
-#include "bgp/path_store.hpp"
+#include "bgp/path_arena.hpp"
 #include "check/oracle.hpp"
 #include "core/snap_support.hpp"
 #include "fwd/engine.hpp"
@@ -121,12 +121,12 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
         "Scenario: settle_margin must exceed traffic_lead"};
   }
 
-  // Per-experiment AS-path interning: every path this run conses —
-  // including ones decoded from a warm-start snapshot — lands in one
-  // store, so structurally-equal paths are pointer-equal for the run's
-  // whole lifetime.
-  bgp::PathStore path_store;
-  const bgp::PathStore::Scope path_scope{path_store};
+  // The trial's path arena: every path this run builds — including ones
+  // decoded from a warm-start snapshot — lands here, so structurally-equal
+  // paths are pointer-equal for the run's whole lifetime. Declared first
+  // so it outlives everything that holds a path; nothing that outlives the
+  // trial (the caller's oracle, the outcome) keeps one.
+  bgp::PathArena paths;
 
   net::Topology topo;
   net::RelationshipTable relationships;
@@ -196,7 +196,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   if (scenario.policy_routing) bgp_config.policy = &relationships;
   if (multi) bgp_config.multiprefix = true;
   bgp::BgpNetwork network{simulator, topo, bgp_config, scenario.processing,
-                          root};
+                          root, paths};
   metrics::Collector collector;
   if (multi) collector.enable_prefix_lanes(prefix_count);
   metrics::TraceRecorder* trace = scenario.trace;

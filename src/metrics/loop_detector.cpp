@@ -64,11 +64,11 @@ void LoopDetector::on_next_hop_change(net::NodeId node,
     std::ranges::fill(mark_, 0);
     epoch_ = 1;
   }
-  std::vector<net::NodeId> walk;
+  walk_.clear();
   net::NodeId u = node;
   while (true) {
     mark_[u] = epoch_;
-    walk.push_back(u);
+    walk_.push_back(u);
     const auto& nh = next_hop_[u];
     if (!nh || *nh >= n) return;  // dead end: no route (or the destination)
     u = *nh;
@@ -83,7 +83,7 @@ void LoopDetector::on_next_hop_change(net::NodeId node,
   }
 
   records_.push_back(
-      LoopRecord{canonicalize(std::move(walk)), when, std::nullopt});
+      LoopRecord{canonicalize(walk_), when, std::nullopt});
   const std::size_t idx = records_.size() - 1;
   active_.emplace(records_.back().members, idx);
   for (net::NodeId m : records_.back().members) active_idx_[m] = idx;

@@ -100,6 +100,8 @@ class LoopDetector {
   // walk stamps for the incremental cycle search (epoch = one walk)
   std::vector<std::uint32_t> mark_;
   std::uint32_t epoch_ = 0;
+  // the incremental search's walk, a buffer reused across changes
+  std::vector<net::NodeId> walk_;
   std::vector<LoopRecord> records_;
 };
 

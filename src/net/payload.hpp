@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <typeinfo>
@@ -16,9 +17,11 @@ namespace bgpsim::net {
 /// on the wire. A message is moved along the delivery chain and read once,
 /// so copyability buys nothing: this type is move-only and stores any
 /// payload up to kInlineSize bytes with a noexcept move constructor inline
-/// in the envelope itself. bgp::UpdateMsg (24 bytes now that AsPath is one
-/// interned-node pointer) and dv::DvUpdate fit; oversized payloads (e.g.
-/// the ~64-byte ls::LsaMsg) transparently fall back to one heap node.
+/// in the envelope itself. bgp::UpdateMsg (24 bytes: a prefix and an
+/// optional 8-byte AsPath handle) and dv::DvUpdate fit; oversized payloads
+/// (e.g. the ~64-byte ls::LsaMsg) transparently fall back to one heap node.
+/// A trivially copyable inline payload (bgp::UpdateMsg is one) moves and
+/// dies without an indirect call: a memcpy of the buffer, no destructor.
 class Payload {
  public:
   /// Sized to bgp::UpdateMsg, the only payload on the hot path.
@@ -34,7 +37,8 @@ class Payload {
     using D = std::decay_t<T>;
     if constexpr (fits_inline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<T>(value));
-      vt_ = &inline_vtable<D>;
+      vt_ = std::is_trivially_copyable_v<D> ? &trivial_vtable<D>
+                                            : &inline_vtable<D>;
     } else {
       ::new (static_cast<void*>(buf_)) (D*){new D(std::forward<T>(value))};
       vt_ = &heap_vtable<D>;
@@ -82,7 +86,8 @@ class Payload {
     /// Move-construct dst from src, then destroy src (heap payloads just
     /// steal the pointer). noexcept is what lets Envelope — and therefore
     /// the delivery closure holding one — stay inside sim::Callback's
-    /// inline buffer.
+    /// inline buffer. Both are null for a trivially copyable inline
+    /// payload: its bytes are the value.
     void (*relocate)(std::byte* dst, std::byte* src) noexcept;
     void (*destroy)(std::byte* p) noexcept;
   };
@@ -105,6 +110,9 @@ class Payload {
       }};
 
   template <typename T>
+  static constexpr VTable trivial_vtable{&typeid(T), nullptr, nullptr};
+
+  template <typename T>
   static constexpr VTable heap_vtable{
       &typeid(T),
       [](std::byte* dst, std::byte* src) noexcept {
@@ -118,14 +126,18 @@ class Payload {
   void move_from(Payload& other) noexcept {
     vt_ = other.vt_;
     if (vt_ != nullptr) {
-      vt_->relocate(buf_, other.buf_);
+      if (vt_->relocate != nullptr) {
+        vt_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineSize);
+      }
       other.vt_ = nullptr;
     }
   }
 
   void reset() noexcept {
     if (vt_ != nullptr) {
-      vt_->destroy(buf_);
+      if (vt_->destroy != nullptr) vt_->destroy(buf_);
       vt_ = nullptr;
     }
   }

@@ -30,8 +30,7 @@ void LocalRibs::regrow(std::uint32_t new_stride) {
                               new_stride);
   for (SpeakerId s = 0; s < speakers_; ++s) {
     for (std::uint32_t id = 0; id < stride_; ++id) {
-      best[static_cast<std::size_t>(s) * new_stride + id] =
-          std::move(best_[slot(s, id)]);
+      best[static_cast<std::size_t>(s) * new_stride + id] = best_[slot(s, id)];
       adj[static_cast<std::size_t>(s) * new_stride + id] =
           std::move(adj_[slot(s, id)]);
     }
@@ -47,13 +46,10 @@ bool LocalRibs::set_best(SpeakerId s, net::Prefix prefix,
                          std::optional<bgp::AsPath> path) {
   const PrefixId id = ensure_column(prefix);
   bgp::AsPath& cell = best_[slot(s, id)];
-  if (!path) {
-    if (cell.empty()) return false;
-    cell = bgp::AsPath{};
-    return true;
-  }
-  if (!cell.empty() && cell == *path) return false;
-  cell = std::move(*path);
+  // An installed path is never empty, so an empty cell equals nullopt.
+  const bgp::AsPath next = path.value_or(bgp::AsPath{});
+  if (cell == next) return false;
+  cell = next;
   return true;
 }
 
@@ -84,7 +80,8 @@ void LocalRibs::save_best(SpeakerId s, snap::Writer& w) const {
   }
 }
 
-void LocalRibs::restore_best(SpeakerId s, snap::Reader& r) {
+void LocalRibs::restore_best(SpeakerId s, snap::Reader& r,
+                             bgp::PathArena& paths) {
   const std::uint32_t columns =
       std::min<std::uint32_t>(stride_, static_cast<std::uint32_t>(table_.size()));
   for (std::uint32_t id = 0; id < columns; ++id) {
@@ -93,7 +90,7 @@ void LocalRibs::restore_best(SpeakerId s, snap::Reader& r) {
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::Prefix prefix = snap::read_prefix(r);
-    best_[slot(s, ensure_column(prefix))] = bgp::AsPath::load(r);
+    best_[slot(s, ensure_column(prefix))] = paths.load(r);
   }
 }
 
@@ -106,9 +103,9 @@ void LocalRibs::adj_set(SpeakerId s, net::Prefix prefix, net::NodeId peer,
       column.begin(), column.end(), peer,
       [](const PeerRoute& e, net::NodeId p) { return e.first < p; });
   if (it != column.end() && it->first == peer) {
-    it->second = std::move(path);
+    it->second = path;
   } else {
-    column.insert(it, PeerRoute{peer, std::move(path)});
+    column.insert(it, PeerRoute{peer, path});
   }
 }
 
@@ -183,7 +180,8 @@ void LocalRibs::save_adj(SpeakerId s, snap::Writer& w) const {
   }
 }
 
-void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r) {
+void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r,
+                            bgp::PathArena& paths) {
   const std::uint32_t columns =
       std::min<std::uint32_t>(stride_, static_cast<std::uint32_t>(table_.size()));
   for (std::uint32_t id = 0; id < columns; ++id) {
@@ -199,7 +197,7 @@ void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r) {
     for (std::uint64_t j = 0; j < entries; ++j) {
       const net::NodeId peer = r.u32();
       // Saved sorted by peer ascending; loading in order keeps it sorted.
-      column.emplace_back(peer, bgp::AsPath::load(r));
+      column.emplace_back(peer, paths.load(r));
     }
   }
 }

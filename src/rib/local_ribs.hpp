@@ -14,7 +14,9 @@
 //
 // Prefix values are interned to dense ids by the embedded PrefixTable, so
 // a multi-prefix scenario's whole table is two contiguous allocations and
-// a batched decision pass walks one cache-friendly column block. The
+// a batched decision pass walks one cache-friendly column block. Cells
+// hold AsPath handles into the trial's bgp::PathArena, so moving a route
+// between cells copies 8 bytes. The
 // bgp::AdjRibIn / bgp::LocRib facades preserve the old per-speaker API on
 // top of this store; single-prefix behavior is bit-identical.
 #pragma once
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "bgp/as_path.hpp"
+#include "bgp/path_arena.hpp"
 #include "net/types.hpp"
 #include "rib/prefix_table.hpp"
 #include "snap/codec.hpp"
@@ -66,7 +69,8 @@ class LocalRibs {
   [[nodiscard]] std::vector<net::Prefix> best_prefixes(SpeakerId s) const;
 
   void save_best(SpeakerId s, snap::Writer& w) const;
-  void restore_best(SpeakerId s, snap::Reader& r);
+  /// Restored paths land in `paths`.
+  void restore_best(SpeakerId s, snap::Reader& r, bgp::PathArena& paths);
 
   // ---- Adj-RIB-In plane -------------------------------------------------
 
@@ -102,7 +106,8 @@ class LocalRibs {
   }
 
   void save_adj(SpeakerId s, snap::Writer& w) const;
-  void restore_adj(SpeakerId s, snap::Reader& r);
+  /// Restored paths land in `paths`.
+  void restore_adj(SpeakerId s, snap::Reader& r, bgp::PathArena& paths);
 
   // ---- whole-store codec ------------------------------------------------
 

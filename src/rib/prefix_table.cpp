@@ -1,20 +1,24 @@
 #include "rib/prefix_table.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace bgpsim::rib {
 
 PrefixId PrefixTable::intern(net::Prefix prefix) {
-  auto it = ids_.find(prefix);
-  if (it != ids_.end()) return it->second;
+  if (const PrefixId id = id_of(prefix); id != kInvalidPrefixId) return id;
+  if (prefix >= net::kMaxPrefixes) {
+    throw std::out_of_range{"prefix " + std::to_string(prefix) +
+                            " is at or above the prefix limit"};
+  }
   const PrefixId id = static_cast<PrefixId>(prefixes_.size());
   prefixes_.push_back(prefix);
   origins_.push_back(net::kInvalidNode);
-  ids_.emplace(prefix, id);
+  if (prefix >= ids_.size()) {
+    ids_.resize(prefix + std::size_t{1}, kInvalidPrefixId);
+  }
+  ids_[prefix] = id;
   return id;
-}
-
-PrefixId PrefixTable::id_of(net::Prefix prefix) const {
-  auto it = ids_.find(prefix);
-  return it == ids_.end() ? kInvalidPrefixId : it->second;
 }
 
 void PrefixTable::set_origin(net::Prefix prefix, net::NodeId origin) {

@@ -7,11 +7,14 @@
 // table at once. PrefixTable is the id side of that layout: it interns
 // net::Prefix values into dense PrefixIds (insertion order) and records
 // each prefix's origin AS for per-prefix oracle checks and metrics lanes.
+//
+// Prefix values are themselves dense (below net::kMaxPrefixes), so the
+// prefix -> id direction is a vector indexed by the value: id_of() on the
+// Loc-RIB and Adj-RIB-In hot path is one bounds check and one load.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/types.hpp"
@@ -27,10 +30,13 @@ inline constexpr PrefixId kInvalidPrefixId = 0xFFFFFFFFu;
 class PrefixTable {
  public:
   /// Intern `prefix`, returning its dense id (existing id if present).
+  /// Throws std::out_of_range at or above net::kMaxPrefixes.
   PrefixId intern(net::Prefix prefix);
 
   /// The dense id of `prefix`, or kInvalidPrefixId if never interned.
-  [[nodiscard]] PrefixId id_of(net::Prefix prefix) const;
+  [[nodiscard]] PrefixId id_of(net::Prefix prefix) const {
+    return prefix < ids_.size() ? ids_[prefix] : kInvalidPrefixId;
+  }
 
   /// The prefix behind a dense id (id must be < size()).
   [[nodiscard]] net::Prefix prefix_of(PrefixId id) const {
@@ -58,7 +64,7 @@ class PrefixTable {
  private:
   std::vector<net::Prefix> prefixes_;  // id -> prefix
   std::vector<net::NodeId> origins_;   // id -> origin (kInvalidNode default)
-  std::unordered_map<net::Prefix, PrefixId> ids_;
+  std::vector<PrefixId> ids_;  // prefix -> id (kInvalidPrefixId: none)
 };
 
 }  // namespace bgpsim::rib

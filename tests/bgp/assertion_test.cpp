@@ -1,4 +1,5 @@
 #include "bgp/assertion.hpp"
+#include "support/paths.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@ TEST(AssertOnWithdraw, RemovesPathsThroughWithdrawingPeer) {
   // must also remove backup (5's stored) path (6 4 0) from node 6, since it
   // goes through node 4.
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  rib.set(0, 7, AsPath{7, 3, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  rib.set(0, 7, test::path_of({7, 3, 0}));
   const auto removed = assert_on_withdraw(rib, 0, 4);
   EXPECT_EQ(removed, 1u);
   EXPECT_EQ(rib.get(0, 6), nullptr);
@@ -23,9 +24,9 @@ TEST(AssertOnWithdraw, OriginWithdrawalFlushesEverything) {
   // origin's withdrawal invalidates all of them at once — the paper's
   // "immediate convergence after receiving the withdrawal from node 0".
   AdjRibIn rib;
-  rib.set(0, 2, AsPath{2, 0});
-  rib.set(0, 3, AsPath{3, 0});
-  rib.set(0, 4, AsPath{4, 2, 0});
+  rib.set(0, 2, test::path_of({2, 0}));
+  rib.set(0, 3, test::path_of({3, 0}));
+  rib.set(0, 4, test::path_of({4, 2, 0}));
   const auto removed = assert_on_withdraw(rib, 0, 0);
   EXPECT_EQ(removed, 3u);
   EXPECT_TRUE(rib.entries(0).empty());
@@ -33,8 +34,8 @@ TEST(AssertOnWithdraw, OriginWithdrawalFlushesEverything) {
 
 TEST(AssertOnWithdraw, DoesNotTouchOtherPrefixes) {
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  rib.set(1, 6, AsPath{6, 4, 1});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  rib.set(1, 6, test::path_of({6, 4, 1}));
   assert_on_withdraw(rib, 0, 4);
   EXPECT_EQ(rib.get(0, 6), nullptr);
   EXPECT_NE(rib.get(1, 6), nullptr);
@@ -44,7 +45,7 @@ TEST(AssertOnWithdraw, KeepsEntryFromTheWithdrawingPeerItself) {
   // The withdrawing peer's own entry is handled by the caller (it was just
   // withdrawn); the assertion only prunes *other* peers' entries.
   AdjRibIn rib;
-  rib.set(0, 4, AsPath{4, 0});
+  rib.set(0, 4, test::path_of({4, 0}));
   const auto removed = assert_on_withdraw(rib, 0, 4);
   EXPECT_EQ(removed, 0u);
   EXPECT_NE(rib.get(0, 4), nullptr);
@@ -54,8 +55,8 @@ TEST(AssertOnAnnounce, RemovesInconsistentSubPaths) {
   // Peer 4 announces (4 3 0); peer 6's stored (6 4 0) claims 4 reaches 0
   // directly — suffix (4 0) != (4 3 0), so it is provably obsolete.
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 3, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 3, 0}));
   EXPECT_EQ(removed, 1u);
   EXPECT_EQ(rib.get(0, 6), nullptr);
 }
@@ -63,43 +64,43 @@ TEST(AssertOnAnnounce, RemovesInconsistentSubPaths) {
 TEST(AssertOnAnnounce, KeepsConsistentSubPaths) {
   // Peer 4 announces (4 0); peer 6's (6 4 0) agrees with it.
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 0}));
   EXPECT_EQ(removed, 0u);
   EXPECT_NE(rib.get(0, 6), nullptr);
 }
 
 TEST(AssertOnAnnounce, IgnoresPathsNotThroughAnnouncer) {
   AdjRibIn rib;
-  rib.set(0, 7, AsPath{7, 3, 0});
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 9, 0});
+  rib.set(0, 7, test::path_of({7, 3, 0}));
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 9, 0}));
   EXPECT_EQ(removed, 0u);
   EXPECT_NE(rib.get(0, 7), nullptr);
 }
 
 TEST(AssertOnAnnounce, NeverRemovesTheAnnouncersOwnEntry) {
   AdjRibIn rib;
-  rib.set(0, 4, AsPath{4, 9, 0});
+  rib.set(0, 4, test::path_of({4, 9, 0}));
   // Even if the stored entry from 4 differs from the new announcement
   // (caller updates it), assertion must not erase it.
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 0});
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 0}));
   EXPECT_EQ(removed, 0u);
 }
 
 TEST(AssertOnAnnounce, RemovesDeepInconsistencies) {
   // (8 7 4 9 0) traverses 4 with suffix (4 9 0); 4 now announces (4 0).
   AdjRibIn rib;
-  rib.set(0, 8, AsPath{8, 7, 4, 9, 0});
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 0});
+  rib.set(0, 8, test::path_of({8, 7, 4, 9, 0}));
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 0}));
   EXPECT_EQ(removed, 1u);
 }
 
 TEST(AssertOnAnnounce, MultipleEntriesPruned) {
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  rib.set(0, 7, AsPath{7, 4, 0});
-  rib.set(0, 8, AsPath{8, 4, 2, 0});
-  const auto removed = assert_on_announce(rib, 0, 4, AsPath{4, 2, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  rib.set(0, 7, test::path_of({7, 4, 0}));
+  rib.set(0, 8, test::path_of({8, 4, 2, 0}));
+  const auto removed = assert_on_announce(rib, 0, 4, test::path_of({4, 2, 0}));
   // 6's and 7's suffix (4 0) disagrees; 8's suffix (4 2 0) agrees.
   EXPECT_EQ(removed, 2u);
   EXPECT_NE(rib.get(0, 8), nullptr);

@@ -1,4 +1,5 @@
 #include "bgp/decision.hpp"
+#include "support/paths.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,24 +7,24 @@ namespace bgpsim::bgp {
 namespace {
 
 TEST(Preference, ShorterPathWins) {
-  EXPECT_TRUE(preferred(AsPath{4, 0}, AsPath{5, 4, 0}));
-  EXPECT_FALSE(preferred(AsPath{5, 4, 0}, AsPath{4, 0}));
+  EXPECT_TRUE(preferred(test::path_of({4, 0}), test::path_of({5, 4, 0})));
+  EXPECT_FALSE(preferred(test::path_of({5, 4, 0}), test::path_of({4, 0})));
 }
 
 TEST(Preference, EqualLengthSmallerNextHopWins) {
   // The paper: "the smaller node ID is used for tie-breaking between equal
   // length paths."
-  EXPECT_TRUE(preferred(AsPath{3, 0}, AsPath{7, 0}));
-  EXPECT_FALSE(preferred(AsPath{7, 0}, AsPath{3, 0}));
+  EXPECT_TRUE(preferred(test::path_of({3, 0}), test::path_of({7, 0})));
+  EXPECT_FALSE(preferred(test::path_of({7, 0}), test::path_of({3, 0})));
 }
 
 TEST(Preference, FullLexicographicFallback) {
-  EXPECT_TRUE(preferred(AsPath{3, 1, 0}, AsPath{3, 2, 0}));
-  EXPECT_FALSE(preferred(AsPath{3, 2, 0}, AsPath{3, 1, 0}));
+  EXPECT_TRUE(preferred(test::path_of({3, 1, 0}), test::path_of({3, 2, 0})));
+  EXPECT_FALSE(preferred(test::path_of({3, 2, 0}), test::path_of({3, 1, 0})));
 }
 
 TEST(Preference, IsAStrictOrder) {
-  const AsPath p{3, 1, 0};
+  const AsPath p = test::path_of({3, 1, 0});
   EXPECT_FALSE(preferred(p, p));
 }
 
@@ -34,41 +35,41 @@ TEST(SelectBest, EmptyRibYieldsNothing) {
 
 TEST(SelectBest, PicksShortest) {
   AdjRibIn rib;
-  rib.set(0, 4, AsPath{4, 0});
-  rib.set(0, 6, AsPath{6, 4, 0});
+  rib.set(0, 4, test::path_of({4, 0}));
+  rib.set(0, 6, test::path_of({6, 4, 0}));
   const auto best = select_best(rib, 0, 5);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(*best, (AsPath{4, 0}));
+  EXPECT_EQ(*best, test::path_of({4, 0}));
 }
 
 TEST(SelectBest, PoisonReverseSkipsSelf) {
   // Node 4 must not adopt (6 4 0) or (5 4 0): they contain node 4.
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
-  rib.set(0, 5, AsPath{5, 4, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
+  rib.set(0, 5, test::path_of({5, 4, 0}));
   EXPECT_FALSE(select_best(rib, 0, 4).has_value());
 }
 
 TEST(SelectBest, PoisonReverseDetectsArbitrarilyLongLoops) {
   AdjRibIn rib;
-  rib.set(0, 9, AsPath{9, 8, 7, 6, 5, 4, 3, 0});
+  rib.set(0, 9, test::path_of({9, 8, 7, 6, 5, 4, 3, 0}));
   EXPECT_FALSE(select_best(rib, 0, 4).has_value());
   EXPECT_TRUE(select_best(rib, 0, 2).has_value());
 }
 
 TEST(SelectBest, SkipsPoisonedButKeepsOthers) {
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 5, 0});  // contains 5 -> unusable for node 5
-  rib.set(0, 7, AsPath{7, 3, 0});
+  rib.set(0, 6, test::path_of({6, 5, 0}));  // contains 5 -> unusable for node 5
+  rib.set(0, 7, test::path_of({7, 3, 0}));
   const auto best = select_best(rib, 0, 5);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(*best, (AsPath{7, 3, 0}));
+  EXPECT_EQ(*best, test::path_of({7, 3, 0}));
 }
 
 TEST(SelectBest, TieBreakAcrossNeighbors) {
   AdjRibIn rib;
-  rib.set(0, 7, AsPath{7, 0});
-  rib.set(0, 3, AsPath{3, 0});
+  rib.set(0, 7, test::path_of({7, 0}));
+  rib.set(0, 3, test::path_of({3, 0}));
   const auto best = select_best(rib, 0, 5);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 3u);
@@ -76,8 +77,8 @@ TEST(SelectBest, TieBreakAcrossNeighbors) {
 
 TEST(SelectBest, PrefixIsolation) {
   AdjRibIn rib;
-  rib.set(0, 4, AsPath{4, 0});
-  rib.set(1, 6, AsPath{6, 1});
+  rib.set(0, 4, test::path_of({4, 0}));
+  rib.set(1, 6, test::path_of({6, 1}));
   const auto best0 = select_best(rib, 0, 5);
   const auto best1 = select_best(rib, 1, 5);
   ASSERT_TRUE(best0 && best1);
@@ -89,8 +90,8 @@ TEST(SelectBest, Figure1aSelection) {
   // Figure 1(a): node 5 knows (4 0) from 4 and (6 4 0) from 6; best is via
   // node 4.
   AdjRibIn rib;
-  rib.set(0, 4, AsPath{4, 0});
-  rib.set(0, 6, AsPath{6, 4, 0});
+  rib.set(0, 4, test::path_of({4, 0}));
+  rib.set(0, 6, test::path_of({6, 4, 0}));
   const auto best = select_best(rib, 0, 5);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 4u);
@@ -100,10 +101,10 @@ TEST(SelectBest, Figure1bBackupAfterWithdrawal) {
   // After node 4's withdrawal, node 5's only remaining entry is the
   // (obsolete) (6 4 0) from node 6 — exactly the loop-forming pick.
   AdjRibIn rib;
-  rib.set(0, 6, AsPath{6, 4, 0});
+  rib.set(0, 6, test::path_of({6, 4, 0}));
   const auto best = select_best(rib, 0, 5);
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(*best, (AsPath{6, 4, 0}));
+  EXPECT_EQ(*best, test::path_of({6, 4, 0}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "bgp/speaker.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -25,7 +26,7 @@ class EnhancementTest : public ::testing::Test {
     c.jitter_lo = 1.0;
     c.jitter_hi = 1.0;
     c = c.with(e);
-    speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1});
+    speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
     speaker_->set_peers({1, 2, 3, 4});
     speaker_->set_hooks(Speaker::Hooks{
         .on_update_sent =
@@ -58,13 +59,13 @@ TEST_F(EnhancementTest, SsldConvertsLoopingAnnounceToWithdrawal) {
   build(Enhancement::kSsld);
   // Establish an advertised route first (not through peer 1), and let the
   // MRAI timers drain.
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   sim_.run();
   sent_.clear();
   // Switch to a better path through peer 1. Peer 1 appears in our new path
   // (0 1 9): it would discard the announce, so SSLD retracts the old route
   // with a withdrawal instead...
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   const auto msgs1 = to(1);
   ASSERT_EQ(msgs1.size(), 1u);
   EXPECT_TRUE(msgs1[0].msg.is_withdrawal());
@@ -79,7 +80,7 @@ TEST_F(EnhancementTest, SsldSkipsWithdrawalWhenNothingAdvertised) {
   build(Enhancement::kSsld);
   // Nothing was ever advertised to peer 1; adopting a path through peer 1
   // must not produce a spurious withdrawal to it.
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   EXPECT_TRUE(to(1).empty());
   const auto msgs2 = to(2);
   ASSERT_EQ(msgs2.size(), 1u);
@@ -88,14 +89,14 @@ TEST_F(EnhancementTest, SsldSkipsWithdrawalWhenNothingAdvertised) {
 
 TEST_F(EnhancementTest, SsldWithdrawalIsNotMraiDelayed) {
   build(Enhancement::kSsld);
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 9}));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 9})));
   sent_.clear();
   // Switch to a path through peer 1 while peer 1's timer is running.
   sim_.schedule_at(sim::SimTime::seconds(1), [&] {
     speaker_->handle_update(2, UpdateMsg::withdraw(kP));
   });
   sim_.schedule_at(sim::SimTime::seconds(2), [&] {
-    speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+    speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   });
   sim_.run();
   // Peer 1 got a plain withdrawal at t=1 (no route); at t=2 the new path
@@ -108,7 +109,7 @@ TEST_F(EnhancementTest, SsldWithdrawalIsNotMraiDelayed) {
 
 TEST_F(EnhancementTest, StandardBgpSendsLoopingAnnounce) {
   build(Enhancement::kStandard);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   const auto msgs1 = to(1);
   ASSERT_EQ(msgs1.size(), 1u);
   EXPECT_FALSE(msgs1[0].msg.is_withdrawal());  // receiver will poison-reverse
@@ -118,7 +119,7 @@ TEST_F(EnhancementTest, StandardBgpSendsLoopingAnnounce) {
 
 TEST_F(EnhancementTest, WrateDelaysWithdrawal) {
   build(Enhancement::kWrate);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sent_.clear();
   sim_.schedule_at(sim::SimTime::seconds(1), [&] {
     speaker_->handle_update(1, UpdateMsg::withdraw(kP));
@@ -133,13 +134,14 @@ TEST_F(EnhancementTest, WrateDelaysWithdrawal) {
 TEST_F(EnhancementTest, WrateWithdrawalStartsTimer) {
   build(Enhancement::kWrate);
   // No prior announce: the withdrawal-side timer still spaces updates.
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sim_.schedule_at(sim::SimTime::seconds(40), [&] {  // timers expired
     speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   });
   sent_.clear();
   sim_.schedule_at(sim::SimTime::seconds(41), [&] {
-    speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 8, 9}));
+    speaker_->handle_update(
+        1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
   });
   sim_.run();
   const auto msgs = to(3);
@@ -153,7 +155,7 @@ TEST_F(EnhancementTest, WrateWithdrawalStartsTimer) {
 
 TEST_F(EnhancementTest, WrateSuppressesWithdrawAnnounceFlap) {
   build(Enhancement::kWrate);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sent_.clear();
   // Lose the route and regain an identical one within the MRAI window:
   // nothing is ever sent.
@@ -161,7 +163,7 @@ TEST_F(EnhancementTest, WrateSuppressesWithdrawAnnounceFlap) {
     speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   });
   sim_.schedule_at(sim::SimTime::seconds(2), [&] {
-    speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+    speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   });
   sim_.run();
   EXPECT_TRUE(to(3).empty());
@@ -171,13 +173,14 @@ TEST_F(EnhancementTest, WrateSuppressesWithdrawAnnounceFlap) {
 
 TEST_F(EnhancementTest, GhostFlushOnPathWorsening) {
   build(Enhancement::kGhostFlushing);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sent_.clear();
   // The path worsens ((0 1 9) -> (0 2 8 9)) while announce timers run:
   // an immediate withdrawal must flush the ghost, and the (longer) new
   // path follows at MRAI expiry.
   sim_.schedule_at(sim::SimTime::seconds(1), [&] {
-    speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+    speaker_->handle_update(
+        2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
     speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   });
   sim_.run();
@@ -186,17 +189,17 @@ TEST_F(EnhancementTest, GhostFlushOnPathWorsening) {
   EXPECT_TRUE(msgs[0].msg.is_withdrawal());
   EXPECT_EQ(msgs[0].at, sim::SimTime::seconds(1));
   EXPECT_FALSE(msgs[1].msg.is_withdrawal());
-  EXPECT_EQ(*msgs[1].msg.path, (AsPath{0, 2, 8, 9}));
+  EXPECT_EQ(*msgs[1].msg.path, test::path_of({0, 2, 8, 9}));
   EXPECT_EQ(msgs[1].at, sim::SimTime::seconds(30));
   EXPECT_GT(speaker_->counters().ghost_flushes, 0u);
 }
 
 TEST_F(EnhancementTest, NoGhostFlushOnImprovement) {
   build(Enhancement::kGhostFlushing);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 8, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
   sent_.clear();
   sim_.schedule_at(sim::SimTime::seconds(1), [&] {
-    speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 9}));
+    speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 9})));
   });
   sim_.run();
   // Improvement: no flush; just the held announce at expiry.
@@ -208,10 +211,10 @@ TEST_F(EnhancementTest, NoGhostFlushOnImprovement) {
 
 TEST_F(EnhancementTest, NoGhostFlushWhenTimerIdle) {
   build(Enhancement::kGhostFlushing);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sim_.run();  // let all timers expire
   sent_.clear();
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 8, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
   // Timer idle: the longer path is announced immediately; no flush needed.
   const auto msgs = to(3);
   ASSERT_EQ(msgs.size(), 1u);
@@ -221,10 +224,11 @@ TEST_F(EnhancementTest, NoGhostFlushWhenTimerIdle) {
 
 TEST_F(EnhancementTest, StandardBgpDoesNotFlush) {
   build(Enhancement::kStandard);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sent_.clear();
   sim_.schedule_at(sim::SimTime::seconds(1), [&] {
-    speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+    speaker_->handle_update(
+        2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
     speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   });
   sim_.run();
@@ -244,12 +248,12 @@ TEST_F(EnhancementTest, CautionDefersWorseBackup) {
   c.jitter_lo = 1.0;
   c.jitter_hi = 1.0;
   c.backup_caution = sim::SimTime::seconds(10);
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1});
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
   speaker_->set_peers({1, 2, 3, 4});
 
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
-  ASSERT_EQ(*speaker_->loc_rib().get(kP), (AsPath{0, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
+  ASSERT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 1, 9}));
 
   // The good path dies at t=0; the longer backup is NOT adopted yet.
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
@@ -260,7 +264,7 @@ TEST_F(EnhancementTest, CautionDefersWorseBackup) {
   // After the caution window it is adopted.
   sim_.run_until(sim::SimTime::seconds(10));
   ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), (AsPath{0, 2, 8, 9}));
+  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 8, 9}));
 }
 
 TEST_F(EnhancementTest, CautionAcceptsEqualOrBetterReplacementImmediately) {
@@ -269,30 +273,30 @@ TEST_F(EnhancementTest, CautionAcceptsEqualOrBetterReplacementImmediately) {
   c.jitter_lo = 1.0;
   c.jitter_hi = 1.0;
   c.backup_caution = sim::SimTime::seconds(10);
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1});
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
   speaker_->set_peers({1, 2, 3, 4});
 
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);  // holding
 
   // A same-length replacement arrives mid-window: adopted at once.
   sim_.schedule_at(sim::SimTime::seconds(2), [&] {
-    speaker_->handle_update(3, UpdateMsg::announce(kP, AsPath{3, 9}));
+    speaker_->handle_update(3, UpdateMsg::announce(kP, test::path_of({3, 9})));
   });
   sim_.run_until(sim::SimTime::seconds(2));
   ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), (AsPath{0, 3, 9}));
+  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 3, 9}));
 }
 
 TEST_F(EnhancementTest, ZeroCautionSwitchesImmediately) {
   build(Enhancement::kStandard);  // backup_caution defaults to zero
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), (AsPath{0, 2, 8, 9}));
+  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 8, 9}));
   EXPECT_EQ(speaker_->counters().caution_holds, 0u);
 }
 
@@ -308,7 +312,7 @@ TEST_F(EnhancementTest, CombinedFlagsCoexist) {
   c.jitter_hi = 1.0;
   c.ssld = true;
   c.wrate = true;
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1});
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
   speaker_->set_peers({1, 2, 3, 4});
   speaker_->set_hooks(Speaker::Hooks{
       .on_update_sent =
@@ -318,12 +322,12 @@ TEST_F(EnhancementTest, CombinedFlagsCoexist) {
       .on_best_changed = nullptr,
   });
 
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 8, 9}));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   sim_.run();
   sent_.clear();
   // Switch to a path through peer 1: SSLD converts the announce to a
   // withdrawal, and WRATE rate-limits that withdrawal like any update.
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   const auto now_msgs = to(1);
   ASSERT_EQ(now_msgs.size(), 1u);
   EXPECT_TRUE(now_msgs[0].msg.is_withdrawal());  // timers idle: sent now
@@ -331,7 +335,7 @@ TEST_F(EnhancementTest, CombinedFlagsCoexist) {
   // A second change within the window is held even though it is a
   // withdrawal (WRATE) — and resolves to nothing once the route returns.
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   sim_.run();
   EXPECT_TRUE(to(1).empty());
 }
@@ -340,8 +344,8 @@ TEST_F(EnhancementTest, CombinedFlagsCoexist) {
 
 TEST_F(EnhancementTest, AssertionPrunesOnWithdrawal) {
   build(Enhancement::kAssertion);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Withdrawal from 1 invalidates 2's path through 1: no backup remains.
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);
@@ -351,41 +355,41 @@ TEST_F(EnhancementTest, AssertionPrunesOnWithdrawal) {
 
 TEST_F(EnhancementTest, StandardBgpPicksObsoleteBackup) {
   build(Enhancement::kStandard);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   // Standard BGP happily selects the obsolete (2 1 9) — the paper's loop
   // formation mechanism.
   const AsPath* loc = speaker_->loc_rib().get(kP);
   ASSERT_NE(loc, nullptr);
-  EXPECT_EQ(*loc, (AsPath{0, 2, 1, 9}));
+  EXPECT_EQ(*loc, test::path_of({0, 2, 1, 9}));
 }
 
 TEST_F(EnhancementTest, AssertionPrunesInconsistentAnnounce) {
   build(Enhancement::kAssertion);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Peer 1 moves to a different (longer) route: 2's entry contradicts it.
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 3, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 3, 9})));
   EXPECT_EQ(speaker_->adj_rib_in().get(kP, 2), nullptr);
   const AsPath* loc = speaker_->loc_rib().get(kP);
   ASSERT_NE(loc, nullptr);
-  EXPECT_EQ(*loc, (AsPath{0, 1, 3, 9}));
+  EXPECT_EQ(*loc, test::path_of({0, 1, 3, 9}));
 }
 
 TEST_F(EnhancementTest, AssertionKeepsConsistentEntries) {
   build(Enhancement::kAssertion);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Re-announcing the same route prunes nothing.
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   EXPECT_NE(speaker_->adj_rib_in().get(kP, 2), nullptr);
 }
 
 TEST_F(EnhancementTest, AssertionAppliesOnSessionDown) {
   build(Enhancement::kAssertion);
-  speaker_->handle_update(1, UpdateMsg::announce(kP, AsPath{1, 9}));
-  speaker_->handle_update(2, UpdateMsg::announce(kP, AsPath{2, 1, 9}));
+  speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
+  speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   speaker_->handle_session(1, false);
   EXPECT_EQ(speaker_->adj_rib_in().get(kP, 2), nullptr);
   EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);

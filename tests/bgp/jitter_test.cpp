@@ -6,6 +6,7 @@
 
 #include "bgp/speaker.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -22,7 +23,7 @@ TEST(MraiJitter, HeldSendWithinJitterWindow) {
     c.mrai = sim::SimTime::seconds(30);
     c.jitter_lo = 0.75;
     c.jitter_hi = 1.0;
-    Speaker speaker{0, c, sim, transport, fib, sim::Rng{seed}};
+    Speaker speaker{0, c, sim, transport, fib, sim::Rng{seed}, test::paths()};
     speaker.set_peers({1, 2});
 
     std::vector<std::pair<net::NodeId, sim::SimTime>> sends;
@@ -36,9 +37,9 @@ TEST(MraiJitter, HeldSendWithinJitterWindow) {
 
     // First announce at t=0 starts the timers; an improvement at t=1 is
     // held and must go out within [0.75, 1.0] x 30 s of the first send.
-    speaker.handle_update(1, UpdateMsg::announce(kP, AsPath{1, 8, 9}));
+    speaker.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
     sim.schedule_at(sim::SimTime::seconds(1), [&] {
-      speaker.handle_update(2, UpdateMsg::announce(kP, AsPath{2, 9}));
+      speaker.handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 9})));
     });
     sim.run();
 
@@ -65,7 +66,7 @@ TEST(MraiJitter, TimersDifferAcrossPeers) {
   fwd::Fib fib;
   BgpConfig c;
   c.mrai = sim::SimTime::seconds(30);
-  Speaker speaker{0, c, sim, transport, fib, sim::Rng{4}};
+  Speaker speaker{0, c, sim, transport, fib, sim::Rng{4}, test::paths()};
   speaker.set_peers({1, 2});
 
   std::vector<std::pair<net::NodeId, sim::SimTime>> sends;
@@ -76,9 +77,9 @@ TEST(MraiJitter, TimersDifferAcrossPeers) {
           },
       .on_best_changed = nullptr,
   });
-  speaker.handle_update(1, UpdateMsg::announce(kP, AsPath{1, 8, 9}));
+  speaker.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
   sim.schedule_at(sim::SimTime::seconds(1), [&] {
-    speaker.handle_update(2, UpdateMsg::announce(kP, AsPath{2, 9}));
+    speaker.handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 9})));
   });
   sim.run();
 

@@ -1,4 +1,5 @@
 #include "bgp/messages.hpp"
+#include "support/paths.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,11 +7,11 @@ namespace bgpsim::bgp {
 namespace {
 
 TEST(UpdateMsg, AnnounceFactory) {
-  const auto msg = UpdateMsg::announce(3, AsPath{5, 4, 0});
+  const auto msg = UpdateMsg::announce(3, test::path_of({5, 4, 0}));
   EXPECT_EQ(msg.prefix, 3u);
   EXPECT_FALSE(msg.is_withdrawal());
   ASSERT_TRUE(msg.path.has_value());
-  EXPECT_EQ(*msg.path, (AsPath{5, 4, 0}));
+  EXPECT_EQ(*msg.path, test::path_of({5, 4, 0}));
 }
 
 TEST(UpdateMsg, WithdrawFactory) {
@@ -21,7 +22,7 @@ TEST(UpdateMsg, WithdrawFactory) {
 }
 
 TEST(UpdateMsg, ToStringForms) {
-  EXPECT_EQ(UpdateMsg::announce(0, AsPath{6, 4, 0}).to_string(),
+  EXPECT_EQ(UpdateMsg::announce(0, test::path_of({6, 4, 0})).to_string(),
             "announce p0 (6 4 0)");
   EXPECT_EQ(UpdateMsg::withdraw(2).to_string(), "withdraw p2");
 }

@@ -31,19 +31,20 @@ class MraiTest : public ::testing::Test {
  protected:
   MraiTest() {
     timers_.set_every_expiry(true);
-    timers_.set_expiry_handler(
-        [this](net::NodeId peer, net::Prefix prefix, bool was_pending) {
-          expiries_.push_back(Expiry{peer, prefix, was_pending, sim_.now()});
-        });
+    timers_.set_expiry_handler([this](net::NodeId peer, net::Prefix prefix,
+                                      OutboundCell&, bool was_pending) {
+      expiries_.push_back(Expiry{peer, prefix, was_pending, sim_.now()});
+    });
   }
 
   sim::Simulator sim_;
-  MraiTimers timers_{sim_};
+  PeerPlane plane_;
+  MraiTimers timers_{sim_, plane_};
   std::vector<Expiry> expiries_;
 };
 
 TEST_F(MraiTest, StartThenExpire) {
-  timers_.start(3, 0, sim::SimTime::seconds(30));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(30));
   EXPECT_TRUE(timers_.running(3, 0));
   sim_.run();
   EXPECT_FALSE(timers_.running(3, 0));
@@ -54,8 +55,8 @@ TEST_F(MraiTest, StartThenExpire) {
 }
 
 TEST_F(MraiTest, PendingFlagReportedAtExpiry) {
-  timers_.start(3, 0, sim::SimTime::seconds(30));
-  timers_.set_pending(3, 0, true);
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(30));
+  timers_.set_pending(3, 0, plane_.at(3, 0), true);
   EXPECT_TRUE(timers_.pending(3, 0));
   sim_.run();
   ASSERT_EQ(expiries_.size(), 1u);
@@ -63,24 +64,24 @@ TEST_F(MraiTest, PendingFlagReportedAtExpiry) {
 }
 
 TEST_F(MraiTest, PendingCanBeOverwritten) {
-  timers_.start(3, 0, sim::SimTime::seconds(30));
-  timers_.set_pending(3, 0, true);
-  timers_.set_pending(3, 0, false);
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(30));
+  timers_.set_pending(3, 0, plane_.at(3, 0), true);
+  timers_.set_pending(3, 0, plane_.at(3, 0), false);
   sim_.run();
   ASSERT_EQ(expiries_.size(), 1u);
   EXPECT_FALSE(expiries_[0].was_pending);
 }
 
 TEST_F(MraiTest, SetPendingOnIdleTimerIsNoop) {
-  timers_.set_pending(3, 0, true);
+  timers_.set_pending(3, 0, plane_.at(3, 0), true);
   EXPECT_FALSE(timers_.pending(3, 0));
   EXPECT_FALSE(timers_.any_pending());
 }
 
 TEST_F(MraiTest, TimersAreKeyedPerPeerAndPrefix) {
-  timers_.start(3, 0, sim::SimTime::seconds(10));
-  timers_.start(3, 1, sim::SimTime::seconds(20));
-  timers_.start(4, 0, sim::SimTime::seconds(30));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(10));
+  timers_.start(3, 1, plane_.at(3, 1), sim::SimTime::seconds(20));
+  timers_.start(4, 0, plane_.at(4, 0), sim::SimTime::seconds(30));
   EXPECT_EQ(timers_.running_count(), 3u);
   EXPECT_TRUE(timers_.running(3, 1));
   EXPECT_FALSE(timers_.running(4, 1));
@@ -90,9 +91,9 @@ TEST_F(MraiTest, TimersAreKeyedPerPeerAndPrefix) {
 }
 
 TEST_F(MraiTest, CancelPeerDropsOnlyThatPeer) {
-  timers_.start(3, 0, sim::SimTime::seconds(10));
-  timers_.start(3, 1, sim::SimTime::seconds(10));
-  timers_.start(4, 0, sim::SimTime::seconds(10));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(10));
+  timers_.start(3, 1, plane_.at(3, 1), sim::SimTime::seconds(10));
+  timers_.start(4, 0, plane_.at(4, 0), sim::SimTime::seconds(10));
   timers_.cancel_peer(3);
   EXPECT_EQ(timers_.running_count(), 1u);
   sim_.run();
@@ -101,18 +102,18 @@ TEST_F(MraiTest, CancelPeerDropsOnlyThatPeer) {
 }
 
 TEST_F(MraiTest, AnyPendingReflectsHeldWork) {
-  timers_.start(3, 0, sim::SimTime::seconds(10));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(10));
   EXPECT_FALSE(timers_.any_pending());
-  timers_.set_pending(3, 0, true);
+  timers_.set_pending(3, 0, plane_.at(3, 0), true);
   EXPECT_TRUE(timers_.any_pending());
   sim_.run();
   EXPECT_FALSE(timers_.any_pending());
 }
 
 TEST_F(MraiTest, RestartAfterExpiryAllowed) {
-  timers_.start(3, 0, sim::SimTime::seconds(10));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(10));
   sim_.run();
-  timers_.start(3, 0, sim::SimTime::seconds(10));
+  timers_.start(3, 0, plane_.at(3, 0), sim::SimTime::seconds(10));
   EXPECT_TRUE(timers_.running(3, 0));
   sim_.run();
   EXPECT_EQ(expiries_.size(), 2u);
@@ -121,10 +122,12 @@ TEST_F(MraiTest, RestartAfterExpiryAllowed) {
 
 TEST(MraiSilent, ExpiryWithoutDecisionRunsNoClosure) {
   sim::Simulator simulator;
-  MraiTimers timers{simulator};
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
   int calls = 0;
-  timers.set_expiry_handler([&](net::NodeId, net::Prefix, bool) { ++calls; });
-  timers.start(3, 0, sim::SimTime::seconds(30));
+  timers.set_expiry_handler(
+      [&](net::NodeId, net::Prefix, OutboundCell&, bool) { ++calls; });
+  timers.start(3, 0, plane.at(3, 0), sim::SimTime::seconds(30));
   EXPECT_TRUE(timers.running(3, 0));
   EXPECT_EQ(simulator.pending(), 1u);
   EXPECT_EQ(simulator.run(), 1u);  // the deadline counts as an event
@@ -137,18 +140,21 @@ TEST(MraiSilent, ExpiryWithoutDecisionRunsNoClosure) {
 
 TEST(MraiSilent, HeldDecisionPromotesTheTimerInPlace) {
   sim::Simulator simulator;
-  MraiTimers timers{simulator};
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
   std::vector<std::string> log;
-  timers.set_expiry_handler([&](net::NodeId peer, net::Prefix, bool pending) {
-    log.push_back("mrai " + std::to_string(peer) + (pending ? " held" : ""));
-  });
+  timers.set_expiry_handler(
+      [&](net::NodeId peer, net::Prefix, OutboundCell&, bool pending) {
+        log.push_back("mrai " + std::to_string(peer) +
+                      (pending ? " held" : ""));
+      });
   const auto t = sim::SimTime::seconds(5);
-  timers.start(1, 0, t);                                       // seq 1
+  timers.start(1, 0, plane.at(1, 0), t);                        // seq 1
   simulator.schedule_at(t, [&] { log.push_back("between"); });  // seq 2
-  timers.start(2, 0, t);                                       // seq 3
+  timers.start(2, 0, plane.at(2, 0), t);                        // seq 3
   // Promoting the later timer queues it at its original seq 3: after the
   // closure drawn in between, not at the back of the queue.
-  timers.set_pending(2, 0, true);
+  timers.set_pending(2, 0, plane.at(2, 0), true);
   simulator.schedule_at(t, [&] { log.push_back("after"); });  // seq 4
   EXPECT_EQ(simulator.run(), 4u);
   EXPECT_EQ(log, (std::vector<std::string>{"between", "mrai 2 held", "after"}));
@@ -158,13 +164,15 @@ TEST(MraiSilent, HeldDecisionPromotesTheTimerInPlace) {
 
 TEST(MraiSilent, CancelPeerWithdrawsSilentAndPromotedTimers) {
   sim::Simulator simulator;
-  MraiTimers timers{simulator};
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
   int calls = 0;
-  timers.set_expiry_handler([&](net::NodeId, net::Prefix, bool) { ++calls; });
-  timers.start(3, 0, sim::SimTime::seconds(10));
-  timers.start(3, 1, sim::SimTime::seconds(10));
-  timers.set_pending(3, 1, true);
-  timers.start(4, 0, sim::SimTime::seconds(10));
+  timers.set_expiry_handler(
+      [&](net::NodeId, net::Prefix, OutboundCell&, bool) { ++calls; });
+  timers.start(3, 0, plane.at(3, 0), sim::SimTime::seconds(10));
+  timers.start(3, 1, plane.at(3, 1), sim::SimTime::seconds(10));
+  timers.set_pending(3, 1, plane.at(3, 1), true);
+  timers.start(4, 0, plane.at(4, 0), sim::SimTime::seconds(10));
   EXPECT_EQ(simulator.pending(), 3u);
   timers.cancel_peer(3);
   EXPECT_EQ(simulator.pending(), 1u);
@@ -260,7 +268,8 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
   for (const bool every : {false, true}) {
     SCOPED_TRACE(every ? "every expiry" : "silent");
     sim::Simulator simulator;
-    MraiTimers timers{simulator};
+    PeerPlane plane;
+    MraiTimers timers{simulator, plane};
     timers.set_every_expiry(every);
     ReferenceTimers ref;
     std::uint64_t expired = 0;
@@ -272,7 +281,8 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
     // The timer the next step must expire through the handler, if any.
     std::optional<std::pair<std::pair<net::NodeId, net::Prefix>, bool>> due;
     timers.set_expiry_handler(
-        [&](net::NodeId peer, net::Prefix prefix, bool was_pending) {
+        [&](net::NodeId peer, net::Prefix prefix, OutboundCell&,
+            bool was_pending) {
           ASSERT_TRUE(due.has_value());
           EXPECT_EQ(due->first, (std::pair{peer, prefix}));
           EXPECT_EQ(due->second, was_pending);
@@ -315,14 +325,14 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
       if (op < 4) {
         if (timers.running(peer, prefix)) continue;
         const std::uint64_t seq = simulator.event_seq();
-        timers.start(peer, prefix, delay);
+        timers.start(peer, prefix, plane.at(peer, prefix), delay);
         const std::int64_t at = (simulator.now() + delay).as_micros();
         ref.timers[{peer, prefix}] =
             ReferenceTimers::State{at, seq, false, every};
         ref.order[{at, seq}] = {peer, prefix};
       } else if (op < 7) {
         const bool pending = rng.next_below(2) == 1;
-        timers.set_pending(peer, prefix, pending);
+        timers.set_pending(peer, prefix, plane.at(peer, prefix), pending);
         const auto it = ref.timers.find({peer, prefix});
         if (it != ref.timers.end() && it->second.pending != pending) {
           it->second.pending = pending;
@@ -382,29 +392,31 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
 
 TEST(MraiPlanes, SessionDownThenUpReaddsThePeerRow) {
   sim::Simulator simulator;
-  MraiTimers timers{simulator};
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
   timers.set_every_expiry(true);
   std::vector<std::pair<net::NodeId, net::Prefix>> expired;
-  timers.set_expiry_handler([&](net::NodeId peer, net::Prefix prefix, bool) {
-    expired.emplace_back(peer, prefix);
-  });
+  timers.set_expiry_handler(
+      [&](net::NodeId peer, net::Prefix prefix, OutboundCell&, bool) {
+        expired.emplace_back(peer, prefix);
+      });
   const auto t = sim::SimTime::seconds(5);
   for (const net::NodeId peer : {3u, 5u, 7u}) {
     for (net::Prefix prefix = 0; prefix < 4; ++prefix) {
-      timers.start(peer, prefix, t);
+      timers.start(peer, prefix, plane.at(peer, prefix), t);
     }
   }
-  timers.set_pending(5, 2, true);
+  timers.set_pending(5, 2, plane.at(5, 2), true);
   ASSERT_TRUE(timers.any_pending());
 
-  timers.cancel_peer(5);  // session down: the row goes
+  timers.cancel_peer(5);  // session down: the peer's timers stop
   EXPECT_EQ(timers.running_count(), 8u);
   EXPECT_FALSE(timers.running(5, 2));
   EXPECT_FALSE(timers.any_pending());
 
   // Session up: a fresh row for peer 5 lands between 3 and 7.
   const std::uint64_t seq = simulator.event_seq();
-  timers.start(5, 9, t);
+  timers.start(5, 9, plane.at(5, 9), t);
   EXPECT_TRUE(timers.running(5, 9));
   EXPECT_FALSE(timers.running(5, 0));
   // Read the live records back through the checkpoint, then check the order.
@@ -462,7 +474,8 @@ TEST(MraiPlanes, RestoreRejectsOutOfRangePrefixAndNullEvent) {
   ASSERT_EQ(simulator.event_seq(), 2u);
   const std::int64_t later = sim::SimTime::seconds(20).as_micros();
   const std::int64_t earlier = sim::SimTime::seconds(5).as_micros();
-  MraiTimers timers{simulator};
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
   const auto restore = [&](const std::vector<std::uint8_t>& bytes) {
     snap::Reader r{bytes};
     timers.restore_state(r);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/decision.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -52,7 +53,7 @@ TEST(PolicyLocalPref, PrefersCustomerRoutes) {
 
 TEST(PolicyExport, SelfOriginatedGoesEverywhere) {
   const auto rel = sample_table();
-  const AsPath self_route{3};
+  const AsPath self_route = test::path_of({3});
   EXPECT_TRUE(policy_exportable(rel, 3, self_route, 1));  // to provider
   EXPECT_TRUE(policy_exportable(rel, 3, self_route, 6));  // to customer
 }
@@ -60,14 +61,14 @@ TEST(PolicyExport, SelfOriginatedGoesEverywhere) {
 TEST(PolicyExport, CustomerRoutesGoEverywhere) {
   const auto rel = sample_table();
   // Node 3's route learned from customer 6.
-  const AsPath via_customer{3, 6};
+  const AsPath via_customer = test::path_of({3, 6});
   EXPECT_TRUE(policy_exportable(rel, 3, via_customer, 1));  // up to provider
 }
 
 TEST(PolicyExport, ProviderRoutesOnlyToCustomers) {
   const auto rel = sample_table();
   // Node 3's route learned from provider 1.
-  const AsPath via_provider{3, 1, 4};
+  const AsPath via_provider = test::path_of({3, 1, 4});
   EXPECT_TRUE(policy_exportable(rel, 3, via_provider, 6));   // down: ok
   EXPECT_FALSE(policy_exportable(rel, 3, via_provider, 1));  // back up: no
 }
@@ -75,7 +76,7 @@ TEST(PolicyExport, ProviderRoutesOnlyToCustomers) {
 TEST(PolicyExport, PeerRoutesOnlyToCustomers) {
   const auto rel = sample_table();
   // Node 1's route learned from peer 2.
-  const AsPath via_peer{1, 2, 5};
+  const AsPath via_peer = test::path_of({1, 2, 5});
   EXPECT_TRUE(policy_exportable(rel, 1, via_peer, 3));   // to customer: ok
   EXPECT_FALSE(policy_exportable(rel, 1, via_peer, 2));  // to peer: no
 }
@@ -83,17 +84,17 @@ TEST(PolicyExport, PeerRoutesOnlyToCustomers) {
 TEST(ValleyFree, AcceptsUpPeerDown) {
   const auto rel = sample_table();
   // 6 -> 3 -> 1 -> 2 -> 5: climb, climb, peer, descend.
-  EXPECT_TRUE(valley_free(rel, AsPath{6, 3, 1, 2, 5}));
+  EXPECT_TRUE(valley_free(rel, test::path_of({6, 3, 1, 2, 5})));
   // Pure descent: 1 -> 3 -> 6.
-  EXPECT_TRUE(valley_free(rel, AsPath{1, 3, 6}));
+  EXPECT_TRUE(valley_free(rel, test::path_of({1, 3, 6})));
   // Pure climb: 6 -> 3 -> 1.
-  EXPECT_TRUE(valley_free(rel, AsPath{6, 3, 1}));
+  EXPECT_TRUE(valley_free(rel, test::path_of({6, 3, 1})));
 }
 
 TEST(ValleyFree, RejectsValleys) {
   const auto rel = sample_table();
   // 3 -> 1 -> 4: down after... wait, 3->1 climbs, 1->4 descends: fine.
-  EXPECT_TRUE(valley_free(rel, AsPath{3, 1, 4}));
+  EXPECT_TRUE(valley_free(rel, test::path_of({3, 1, 4})));
   // 4 -> 1 -> 3 -> 6 then back up 6 has no uplink; construct real valley:
   // 1 -> 3 (down) then 3 -> 1? contains duplicate; use: 4 -> 1 (up),
   // 1 -> 3 (down), 3 -> 6 (down) fine; a valley = down then up:
@@ -101,7 +102,7 @@ TEST(ValleyFree, RejectsValleys) {
   auto rel2 = rel;
   rel2.set_provider_customer(2, 4);  // 4 is multi-homed to 1 and 2
   // 3 -> 1 -> 4 -> 2: down to 4 then up to 2 — a valley (free transit).
-  EXPECT_FALSE(valley_free(rel2, AsPath{3, 1, 4, 2}));
+  EXPECT_FALSE(valley_free(rel2, test::path_of({3, 1, 4, 2})));
 }
 
 TEST(ValleyFree, RejectsDoublePeering) {
@@ -109,22 +110,22 @@ TEST(ValleyFree, RejectsDoublePeering) {
   rel.set_peering(3, 4);
   // 6 -> 3 (up) -> 4 (peer) ... -> via another peer edge 4 -> 1? 1 is 4's
   // provider (up after peer): invalid.
-  EXPECT_FALSE(valley_free(rel, AsPath{6, 3, 4, 1}));
+  EXPECT_FALSE(valley_free(rel, test::path_of({6, 3, 4, 1})));
   // Two peer steps in a row: 5 -> 2 (up), 2 -> 1 (peer), 1 -> ... peer
   // again is impossible here; use 3 - 4 peering plus 1 - 2:
   // 3 -> 4 (peer) then 4 -> 1 (up) invalid already covered; construct
   // peer-peer: 1 -> 2 (peer) then 2 -> ... need second peer at 2.
   auto rel2 = rel;
   rel2.set_peering(2, 4);
-  EXPECT_FALSE(valley_free(rel2, AsPath{1, 2, 4, 6}));
+  EXPECT_FALSE(valley_free(rel2, test::path_of({1, 2, 4, 6})));
 }
 
 TEST(SelectBestWithPolicy, LocalPrefBeatsPathLength) {
   const auto rel = sample_table();
   AdjRibIn rib;
   // At node 1: a short route via peer 2 and a longer route via customer 3.
-  rib.set(0, 2, AsPath{2, 9});
-  rib.set(0, 3, AsPath{3, 6, 9});
+  rib.set(0, 2, test::path_of({2, 9}));
+  rib.set(0, 3, test::path_of({3, 6, 9}));
   const auto best = select_best(rib, 0, 1, &rel);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 3u);  // customer wins despite longer path
@@ -138,8 +139,8 @@ TEST(SelectBestWithPolicy, EqualPrefFallsBackToLength) {
   const auto rel = sample_table();
   AdjRibIn rib;
   // At node 1: two customer routes (3 and 4).
-  rib.set(0, 3, AsPath{3, 6, 9});
-  rib.set(0, 4, AsPath{4, 9});
+  rib.set(0, 3, test::path_of({3, 6, 9}));
+  rib.set(0, 4, test::path_of({4, 9}));
   const auto best = select_best(rib, 0, 1, &rel);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 4u);
@@ -148,7 +149,7 @@ TEST(SelectBestWithPolicy, EqualPrefFallsBackToLength) {
 TEST(SelectBestWithPolicy, PoisonReverseStillApplies) {
   const auto rel = sample_table();
   AdjRibIn rib;
-  rib.set(0, 3, AsPath{3, 1, 9});  // contains node 1
+  rib.set(0, 3, test::path_of({3, 1, 9}));  // contains node 1
   EXPECT_FALSE(select_best(rib, 0, 1, &rel).has_value());
 }
 

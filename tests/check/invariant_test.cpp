@@ -11,6 +11,7 @@
 #include "bgp/messages.hpp"
 #include "net/topology.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::check {
 namespace {
@@ -46,15 +47,16 @@ class Harness {
 
 TEST(PathSanity, AcceptsProperPaths) {
   Harness<PathSanityInvariant> h;
-  h.inv().on_route_installed(2, 0, bgp::AsPath{2, 1, 0}, SimTime::seconds(1));
+  h.inv().on_route_installed(2, 0, test::path_of({2, 1, 0}),
+                             SimTime::seconds(1));
   h.inv().on_route_installed(2, 0, std::nullopt, SimTime::seconds(2));
-  h.inv().on_route_installed(0, 0, bgp::AsPath{0}, SimTime::seconds(3));
+  h.inv().on_route_installed(0, 0, test::path_of({0}), SimTime::seconds(3));
   EXPECT_TRUE(h.violations().empty());
 }
 
 TEST(PathSanity, RejectsRepeatedAs) {
   Harness<PathSanityInvariant> h;
-  h.inv().on_route_installed(2, 0, bgp::AsPath{2, 1, 2, 0},
+  h.inv().on_route_installed(2, 0, test::path_of({2, 1, 2, 0}),
                              SimTime::seconds(1));
   ASSERT_EQ(h.violations().size(), 1u);
   EXPECT_NE(h.violations()[0].detail.find("poison-reverse"),
@@ -63,13 +65,13 @@ TEST(PathSanity, RejectsRepeatedAs) {
 
 TEST(PathSanity, RejectsPathNotStartingAtAdopter) {
   Harness<PathSanityInvariant> h;
-  h.inv().on_route_installed(2, 0, bgp::AsPath{1, 0}, SimTime::seconds(1));
+  h.inv().on_route_installed(2, 0, test::path_of({1, 0}), SimTime::seconds(1));
   EXPECT_EQ(h.violations().size(), 1u);
 }
 
 TEST(PathSanity, RejectsWrongOrigin) {
   Harness<PathSanityInvariant> h;
-  h.inv().on_route_installed(2, 0, bgp::AsPath{2, 3, 1},
+  h.inv().on_route_installed(2, 0, test::path_of({2, 3, 1}),
                              SimTime::seconds(1));
   EXPECT_EQ(h.violations().size(), 1u);
 }
@@ -90,7 +92,7 @@ TEST(PathSanity, RejectsNonEdgeHop) {
   std::vector<Violation> violations;
   inv.set_report_sink([&](Violation v) { violations.push_back(std::move(v)); });
   inv.arm(Context{&topo, {}, 0, 0, false});
-  inv.on_route_installed(3, 0, bgp::AsPath{3, 1, 0}, SimTime::seconds(1));
+  inv.on_route_installed(3, 0, test::path_of({3, 1, 0}), SimTime::seconds(1));
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].detail.find("non-edge"), std::string::npos);
 }
@@ -100,11 +102,11 @@ TEST(PathSanity, RejectsNonEdgeHop) {
 TEST(RibFib, ConsistentSequenceIsClean) {
   Harness<RibFibConsistencyInvariant> h;
   h.inv().on_fib_changed(1, 0, std::nullopt, 0, SimTime::seconds(1));
-  h.inv().on_route_installed(1, 0, bgp::AsPath{1, 0}, SimTime::seconds(1));
+  h.inv().on_route_installed(1, 0, test::path_of({1, 0}), SimTime::seconds(1));
   h.inv().on_fib_changed(1, 0, 0, std::nullopt, SimTime::seconds(2));
   h.inv().on_route_installed(1, 0, std::nullopt, SimTime::seconds(2));
   // The origin selects its own one-hop path with no FIB route at all.
-  h.inv().on_route_installed(0, 0, bgp::AsPath{0}, SimTime::seconds(3));
+  h.inv().on_route_installed(0, 0, test::path_of({0}), SimTime::seconds(3));
   EXPECT_TRUE(h.violations().empty());
 }
 
@@ -112,13 +114,14 @@ TEST(RibFib, CatchesFibLaggingTheRib) {
   Harness<RibFibConsistencyInvariant> h;
   h.inv().on_fib_changed(1, 0, std::nullopt, 3, SimTime::seconds(1));
   // Loc-RIB says the next hop is 2, but the FIB still forwards to 3.
-  h.inv().on_route_installed(1, 0, bgp::AsPath{1, 2, 0}, SimTime::seconds(1));
+  h.inv().on_route_installed(1, 0, test::path_of({1, 2, 0}),
+                             SimTime::seconds(1));
   EXPECT_EQ(h.violations().size(), 1u);
 }
 
 TEST(RibFib, CatchesRouteWithoutFibEntry) {
   Harness<RibFibConsistencyInvariant> h;
-  h.inv().on_route_installed(1, 0, bgp::AsPath{1, 0}, SimTime::seconds(1));
+  h.inv().on_route_installed(1, 0, test::path_of({1, 0}), SimTime::seconds(1));
   EXPECT_EQ(h.violations().size(), 1u);
 }
 
@@ -150,7 +153,7 @@ class MraiLegalityTest : public ::testing::Test {
   }
 
   Harness<MraiLegalityInvariant> h_;
-  bgp::AsPath path_{1, 0};
+  bgp::AsPath path_ = test::path_of({1, 0});
 };
 
 TEST_F(MraiLegalityTest, SpacedAnnouncementsAreLegal) {

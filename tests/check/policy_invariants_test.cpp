@@ -10,6 +10,7 @@
 #include "check/invariants.hpp"
 #include "net/relationships.hpp"
 #include "net/topology.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::check {
 namespace {
@@ -50,8 +51,8 @@ class ValleyFixture : public ::testing::Test {
 TEST_F(ValleyFixture, ValleyFreePathsAreClean) {
   ValleyFreeInvariant inv;
   wire(inv, ctx());
-  inv.on_route_installed(0, kP, bgp::AsPath{0, 2}, SimTime::seconds(1));
-  inv.on_route_installed(1, kP, bgp::AsPath{1, 2}, SimTime::seconds(1));
+  inv.on_route_installed(0, kP, test::path_of({0, 2}), SimTime::seconds(1));
+  inv.on_route_installed(1, kP, test::path_of({1, 2}), SimTime::seconds(1));
   inv.on_route_installed(0, kP, std::nullopt, SimTime::seconds(2));
   EXPECT_TRUE(violations_.empty());
 }
@@ -59,7 +60,7 @@ TEST_F(ValleyFixture, ValleyFreePathsAreClean) {
 TEST_F(ValleyFixture, ValleyPathIsReported) {
   ValleyFreeInvariant inv;
   wire(inv, ctx());
-  inv.on_route_installed(0, kP, bgp::AsPath{0, 2, 1}, SimTime::seconds(1));
+  inv.on_route_installed(0, kP, test::path_of({0, 2, 1}), SimTime::seconds(1));
   ASSERT_EQ(violations_.size(), 1u);
   EXPECT_EQ(violations_[0].node, 0u);
   EXPECT_NE(violations_[0].detail.find("valley"), std::string::npos);
@@ -68,7 +69,7 @@ TEST_F(ValleyFixture, ValleyPathIsReported) {
 TEST_F(ValleyFixture, OtherPrefixesAreIgnored) {
   ValleyFreeInvariant inv;
   wire(inv, ctx());
-  inv.on_route_installed(0, kP + 1, bgp::AsPath{0, 2, 1},
+  inv.on_route_installed(0, kP + 1, test::path_of({0, 2, 1}),
                          SimTime::seconds(1));
   EXPECT_TRUE(violations_.empty());
 }
@@ -78,7 +79,7 @@ TEST_F(ValleyFixture, NoRelationshipTableMeansNoOp) {
   Context context = ctx();
   context.relationships = nullptr;
   wire(inv, context);
-  inv.on_route_installed(0, kP, bgp::AsPath{0, 2, 1}, SimTime::seconds(1));
+  inv.on_route_installed(0, kP, test::path_of({0, 2, 1}), SimTime::seconds(1));
   EXPECT_TRUE(violations_.empty());
 }
 
@@ -87,7 +88,7 @@ TEST_F(ValleyFixture, QuiescentSweepCatchesRestoredValley) {
   // at_quiescence sweep must still see the valley.
   ValleyFreeInvariant inv;
   wire(inv, ctx());
-  const bgp::AsPath valley{0, 2, 1};
+  const bgp::AsPath valley = test::path_of({0, 2, 1});
   QuiescentView view;
   view.loc_path = [&](net::NodeId n) -> const bgp::AsPath* {
     return n == 0 ? &valley : nullptr;
@@ -102,7 +103,7 @@ TEST_F(ValleyFixture, OscillationReportsOncePastBudget) {
   wire(inv, ctx());
   inv.set_flip_budget(3);
   for (int i = 0; i < 6; ++i) {
-    inv.on_route_installed(1, kP, bgp::AsPath{1, 2},
+    inv.on_route_installed(1, kP, test::path_of({1, 2}),
                            SimTime::seconds(1 + i));
   }
   // Flips 4, 5, and 6 all exceed the budget; only the first reports.
@@ -116,10 +117,10 @@ TEST_F(ValleyFixture, OscillationBudgetIsPerNode) {
   wire(inv, ctx());
   inv.set_flip_budget(3);
   for (int i = 0; i < 3; ++i) {
-    inv.on_route_installed(0, kP, bgp::AsPath{0, 2}, SimTime::seconds(i));
-    inv.on_route_installed(1, kP, bgp::AsPath{1, 2}, SimTime::seconds(i));
+    inv.on_route_installed(0, kP, test::path_of({0, 2}), SimTime::seconds(i));
+    inv.on_route_installed(1, kP, test::path_of({1, 2}), SimTime::seconds(i));
     // Other prefixes are outside the armed run and never counted.
-    inv.on_route_installed(0, kP + 1, bgp::AsPath{0, 2},
+    inv.on_route_installed(0, kP + 1, test::path_of({0, 2}),
                            SimTime::seconds(i));
   }
   // Three flips each: nobody exceeded the budget of 3.
@@ -131,17 +132,17 @@ TEST_F(ValleyFixture, QuiescenceResetsTheFlipBudget) {
   wire(inv, ctx());
   inv.set_flip_budget(2);
   for (int i = 0; i < 2; ++i) {
-    inv.on_route_installed(0, kP, bgp::AsPath{0, 2}, SimTime::seconds(i));
+    inv.on_route_installed(0, kP, test::path_of({0, 2}), SimTime::seconds(i));
   }
   inv.at_quiescence(QuiescentView{}, SimTime::seconds(10));
   // The event's own exploration gets a fresh window...
   for (int i = 0; i < 2; ++i) {
-    inv.on_route_installed(0, kP, bgp::AsPath{0, 2},
+    inv.on_route_installed(0, kP, test::path_of({0, 2}),
                            SimTime::seconds(20 + i));
   }
   EXPECT_TRUE(violations_.empty());
   // ...and still reports when that window is blown too.
-  inv.on_route_installed(0, kP, bgp::AsPath{0, 2}, SimTime::seconds(30));
+  inv.on_route_installed(0, kP, test::path_of({0, 2}), SimTime::seconds(30));
   EXPECT_EQ(violations_.size(), 1u);
 }
 

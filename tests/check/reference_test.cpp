@@ -10,6 +10,7 @@
 #include "bgp/as_path.hpp"
 #include "net/topology.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::check {
 namespace {
@@ -101,9 +102,9 @@ struct FakeNetwork {
 /// The converged state of a 4-clique routing to destination 0.
 FakeNetwork converged_clique4() {
   FakeNetwork net;
-  net.paths[0] = bgp::AsPath{0};
+  net.paths[0] = test::path_of({0});
   for (net::NodeId n = 1; n < 4; ++n) {
-    net.paths[n] = bgp::AsPath{n, 0};
+    net.paths[n] = test::path_of({n, 0});
     net.hops[n] = 0;
   }
   return net;
@@ -132,7 +133,7 @@ TEST_F(DiffReferenceTest, CatchesForwardingLoop) {
 
 TEST_F(DiffReferenceTest, CatchesNonShortestPath) {
   FakeNetwork net = converged_clique4();
-  net.paths[3] = bgp::AsPath{3, 2, 0};  // length 3, shortest is 2
+  net.paths[3] = test::path_of({3, 2, 0});  // length 3, shortest is 2
   net.hops[3] = 2;
   const auto diffs =
       diff_against_reference(ctx_, net.view(), sim::SimTime::zero());
@@ -176,7 +177,7 @@ TEST_F(DiffReferenceTest, PolicyRoutingChecksOnlyLoopFreedom) {
 
   // A longer-than-shortest (valley-free-style) fixed point is acceptable...
   FakeNetwork longer = converged_clique4();
-  longer.paths[3] = bgp::AsPath{3, 2, 0};
+  longer.paths[3] = test::path_of({3, 2, 0});
   longer.hops[3] = 2;
   EXPECT_TRUE(
       diff_against_reference(policy_ctx, longer.view(), sim::SimTime::zero())

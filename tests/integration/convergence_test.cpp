@@ -3,6 +3,7 @@
 
 #include "bgp/network.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -16,7 +17,7 @@ struct Harness {
       : topo{std::move(topology)},
         network{sim, topo, config, net::ProcessingDelay{sim::SimTime::millis(1),
                                                         sim::SimTime::millis(1)},
-                sim::Rng{42}} {}
+                sim::Rng{42}, test::paths()} {}
 
   static BgpConfig quick_config() {
     BgpConfig c;
@@ -45,8 +46,8 @@ TEST(Convergence, ChainConvergesToShortestPaths) {
   Harness h{topo::make_chain(5)};
   h.converge(0);
   ASSERT_NE(h.loc(4), nullptr);
-  EXPECT_EQ(*h.loc(4), (AsPath{4, 3, 2, 1, 0}));
-  EXPECT_EQ(*h.loc(1), (AsPath{1, 0}));
+  EXPECT_EQ(*h.loc(4), test::path_of({4, 3, 2, 1, 0}));
+  EXPECT_EQ(*h.loc(1), test::path_of({1, 0}));
   EXPECT_EQ(h.network.fibs()[4].next_hop(kP), 3u);
 }
 
@@ -55,7 +56,7 @@ TEST(Convergence, CliqueConvergesToDirectPaths) {
   h.converge(0);
   for (net::NodeId n = 1; n < 6; ++n) {
     ASSERT_NE(h.loc(n), nullptr) << "node " << n;
-    EXPECT_EQ(*h.loc(n), (AsPath{n, 0})) << "node " << n;
+    EXPECT_EQ(*h.loc(n), test::path_of({n, 0})) << "node " << n;
     EXPECT_EQ(h.network.fibs()[n].next_hop(kP), 0u);
   }
 }
@@ -63,11 +64,11 @@ TEST(Convergence, CliqueConvergesToDirectPaths) {
 TEST(Convergence, RingUsesShorterSide) {
   Harness h{topo::make_ring(6)};
   h.converge(0);
-  EXPECT_EQ(*h.loc(1), (AsPath{1, 0}));
-  EXPECT_EQ(*h.loc(5), (AsPath{5, 0}));
-  EXPECT_EQ(*h.loc(2), (AsPath{2, 1, 0}));
+  EXPECT_EQ(*h.loc(1), test::path_of({1, 0}));
+  EXPECT_EQ(*h.loc(5), test::path_of({5, 0}));
+  EXPECT_EQ(*h.loc(2), test::path_of({2, 1, 0}));
   // Node 3 is equidistant; tie-break picks the smaller next hop (2).
-  EXPECT_EQ(*h.loc(3), (AsPath{3, 2, 1, 0}));
+  EXPECT_EQ(*h.loc(3), test::path_of({3, 2, 1, 0}));
 }
 
 TEST(Convergence, BCliqueInitialRoutesUseDirectAttachment) {
@@ -75,12 +76,12 @@ TEST(Convergence, BCliqueInitialRoutesUseDirectAttachment) {
   Harness h{topo::make_bclique(n)};
   h.converge(0);
   // Clique node n reaches 0 directly; other clique nodes go through n.
-  EXPECT_EQ(*h.loc(5), (AsPath{5, 0}));
-  EXPECT_EQ(*h.loc(7), (AsPath{7, 5, 0}));
+  EXPECT_EQ(*h.loc(5), test::path_of({5, 0}));
+  EXPECT_EQ(*h.loc(7), test::path_of({7, 5, 0}));
   // Chain node 4 goes down the chain (4 hops) rather than through the
   // clique (4 -> 9 -> 5 -> 0 is 3 hops!). Check actual shortest: via 9 it
   // is (4 9 5 0), length 4 == chain path (4 3 2 1 0) length 5 -> clique.
-  EXPECT_EQ(*h.loc(4), (AsPath{4, 9, 5, 0}));
+  EXPECT_EQ(*h.loc(4), test::path_of({4, 9, 5, 0}));
 }
 
 TEST(Convergence, TdownLeavesEveryoneUnreachable) {
@@ -113,7 +114,7 @@ TEST(Convergence, TlongRespondsWithLongerPaths) {
     EXPECT_EQ(h.loc(v)->origin(), 0u);
   }
   // Node n (=4) must now route via the clique to the chain tail.
-  EXPECT_EQ(*h.loc(4), (AsPath{4, 7, 3, 2, 1, 0}));
+  EXPECT_EQ(*h.loc(4), test::path_of({4, 7, 3, 2, 1, 0}));
 }
 
 TEST(Convergence, FinalPathsMatchBfsDistances) {
@@ -142,9 +143,10 @@ TEST(Convergence, SecondPrefixIndependent) {
                     [&] { h.network.originate(3, 1); });
   h.sim.run();
   ASSERT_NE(h.network.speaker(0).loc_rib().get(1), nullptr);
-  EXPECT_EQ(*h.network.speaker(0).loc_rib().get(1), (AsPath{0, 1, 2, 3}));
+  EXPECT_EQ(*h.network.speaker(0).loc_rib().get(1),
+            test::path_of({0, 1, 2, 3}));
   // Prefix 0 unchanged.
-  EXPECT_EQ(*h.loc(3), (AsPath{3, 2, 1, 0}));
+  EXPECT_EQ(*h.loc(3), test::path_of({3, 2, 1, 0}));
 }
 
 TEST(Convergence, LinkRestoreReconverges) {
@@ -160,7 +162,7 @@ TEST(Convergence, LinkRestoreReconverges) {
   h.sim.run();
   EXPECT_FALSE(h.network.busy());
   // Direct path restored.
-  EXPECT_EQ(*h.loc(4), (AsPath{4, 0}));
+  EXPECT_EQ(*h.loc(4), test::path_of({4, 0}));
 }
 
 }  // namespace

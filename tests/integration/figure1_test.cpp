@@ -6,6 +6,7 @@
 #include "bgp/network.hpp"
 #include "metrics/loop_detector.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -35,7 +36,7 @@ class Figure1Test : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(100),
                                             sim::SimTime::millis(500)},
-                 sim::Rng{7}},
+                 sim::Rng{7}, test::paths()},
         detector_{topo_.node_count()} {
     metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
   }
@@ -67,16 +68,16 @@ TEST_F(Figure1Test, InitialStateMatchesFigure1a) {
   converge_initially();
   // Figure 1(a): starred best paths.
   ASSERT_NE(loc(4), nullptr);
-  EXPECT_EQ(*loc(4), (AsPath{4, 0}));
-  EXPECT_EQ(*loc(5), (AsPath{5, 4, 0}));
-  EXPECT_EQ(*loc(6), (AsPath{6, 4, 0}));
+  EXPECT_EQ(*loc(4), test::path_of({4, 0}));
+  EXPECT_EQ(*loc(5), test::path_of({5, 4, 0}));
+  EXPECT_EQ(*loc(6), test::path_of({6, 4, 0}));
   // And the backups listed in the figure sit in the Adj-RIB-Ins.
   const AsPath* five_via_six = network_.speaker(5).adj_rib_in().get(kP, 6);
   ASSERT_NE(five_via_six, nullptr);
-  EXPECT_EQ(*five_via_six, (AsPath{6, 4, 0}));
+  EXPECT_EQ(*five_via_six, test::path_of({6, 4, 0}));
   const AsPath* six_via_three = network_.speaker(6).adj_rib_in().get(kP, 3);
   ASSERT_NE(six_via_three, nullptr);
-  EXPECT_EQ(*six_via_three, (AsPath{3, 2, 1, 0}));
+  EXPECT_EQ(*six_via_three, test::path_of({3, 2, 1, 0}));
   // No loops during/after initial convergence in this topology run.
   detector_.finalize(sim_.now());
   EXPECT_EQ(detector_.active_count(), 0u);
@@ -104,11 +105,11 @@ TEST_F(Figure1Test, TransientLoopFormsAndResolves) {
   // ...and Figure 1(c): it resolved — final routes use the long path.
   EXPECT_EQ(detector_.active_count(), 0u);
   ASSERT_NE(loc(6), nullptr);
-  EXPECT_EQ(*loc(6), (AsPath{6, 3, 2, 1, 0}));
+  EXPECT_EQ(*loc(6), test::path_of({6, 3, 2, 1, 0}));
   ASSERT_NE(loc(5), nullptr);
-  EXPECT_EQ(*loc(5), (AsPath{5, 6, 3, 2, 1, 0}));
+  EXPECT_EQ(*loc(5), test::path_of({5, 6, 3, 2, 1, 0}));
   ASSERT_NE(loc(4), nullptr);
-  EXPECT_EQ(*loc(4), (AsPath{4, 6, 3, 2, 1, 0}));
+  EXPECT_EQ(*loc(4), test::path_of({4, 6, 3, 2, 1, 0}));
 }
 
 TEST_F(Figure1Test, LoopMembersPickedObsoletePaths) {
@@ -125,7 +126,7 @@ TEST_F(Figure1Test, LoopMembersPickedObsoletePaths) {
       .on_update_sent = nullptr,
       .on_best_changed =
           [&](net::NodeId node, net::Prefix, const std::optional<AsPath>& best) {
-            if (node == 5 && best && *best == AsPath{5, 6, 4, 0}) {
+            if (node == 5 && best && *best == test::path_of({5, 6, 4, 0})) {
               five_adopted_obsolete = true;
             }
           },
@@ -145,7 +146,7 @@ TEST_F(Figure1Test, SsldShortensTheLoop) {
   BgpNetwork net2{sim2, topo2, config().with(Enhancement::kSsld),
                   net::ProcessingDelay{sim::SimTime::millis(100),
                                        sim::SimTime::millis(500)},
-                  sim::Rng{7}};
+                  sim::Rng{7}, test::paths()};
   sim2.schedule_at(sim::SimTime::zero(), [&] { net2.originate(0, kP); });
   sim2.run();
   const auto link40 = topo2.link_between(4, 0);
@@ -155,7 +156,7 @@ TEST_F(Figure1Test, SsldShortensTheLoop) {
   EXPECT_GT(net2.total_counters().ssld_conversions, 0u);
   // Network still converges to the same final routes.
   ASSERT_NE(net2.speaker(6).loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*net2.speaker(6).loc_rib().get(kP), (AsPath{6, 3, 2, 1, 0}));
+  EXPECT_EQ(*net2.speaker(6).loc_rib().get(kP), test::path_of({6, 3, 2, 1, 0}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "bgp/network.hpp"
 #include "metrics/loop_detector.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -17,7 +18,7 @@ class FlapTest : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(100),
                                             sim::SimTime::millis(500)},
-                 sim::Rng{3}},
+                 sim::Rng{3}, test::paths()},
         detector_{topo_.node_count()} {
     metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
     direct_ = topo::bclique_tlong_link(topo_, 4);

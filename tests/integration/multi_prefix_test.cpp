@@ -7,6 +7,7 @@
 #include "fwd/engine.hpp"
 #include "metrics/loop_detector.hpp"
 #include "topo/generators.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim {
 namespace {
@@ -18,7 +19,7 @@ class MultiPrefixTest : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(1),
                                             sim::SimTime::millis(1)},
-                 sim::Rng{9}},
+                 sim::Rng{9}, test::paths()},
         // prefix 0 lives at node 0, prefix 1 at node 3
         plane_{sim_, topo_, network_.fibs(),
                fwd::DataPlaneOptions{.destinations = {0, 3}}} {}
@@ -48,8 +49,8 @@ class MultiPrefixTest : public ::testing::Test {
 TEST_F(MultiPrefixTest, BothPrefixesConvergeIndependently) {
   converge_both();
   // Node 1: prefix 0 direct, prefix 1 via 2.
-  EXPECT_EQ(*network_.speaker(1).loc_rib().get(0), (bgp::AsPath{1, 0}));
-  EXPECT_EQ(*network_.speaker(1).loc_rib().get(1), (bgp::AsPath{1, 2, 3}));
+  EXPECT_EQ(*network_.speaker(1).loc_rib().get(0), test::path_of({1, 0}));
+  EXPECT_EQ(*network_.speaker(1).loc_rib().get(1), test::path_of({1, 2, 3}));
   EXPECT_EQ(network_.fibs()[1].next_hop(0), 0u);
   EXPECT_EQ(network_.fibs()[1].next_hop(1), 2u);
 }

@@ -5,6 +5,7 @@
 #include "bgp/policy.hpp"
 #include "core/experiment.hpp"
 #include "topo/internet.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim {
 namespace {
@@ -55,7 +56,7 @@ TEST(PolicyRouting, ConvergedPathsAreValleyFree) {
   bgp::BgpNetwork network{simulator, ann.topology, config,
                           net::ProcessingDelay{sim::SimTime::millis(1),
                                                sim::SimTime::millis(1)},
-                          sim::Rng{5}};
+                          sim::Rng{5}, test::paths()};
   // Destination: a stub (highest ids are stubs).
   const net::NodeId dest =
       static_cast<net::NodeId>(ann.topology.node_count() - 1);
@@ -96,7 +97,7 @@ TEST(PolicyRouting, PolicyPathsCanBeLongerThanShortest) {
     bgp::BgpNetwork network{simulator, ann.topology, config,
                             net::ProcessingDelay{sim::SimTime::millis(1),
                                                  sim::SimTime::millis(1)},
-                            sim::Rng{5}};
+                            sim::Rng{5}, test::paths()};
     simulator.schedule_at(sim::SimTime::zero(),
                           [&] { network.originate(dest, kP); });
     simulator.run();

@@ -13,6 +13,7 @@
 #include "core/sweep.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/protocol.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim {
 namespace {
@@ -30,7 +31,7 @@ std::vector<bgp::AsPath> converge(net::Topology& topo,
   bgp::BgpNetwork network{simulator, topo, config,
                           net::ProcessingDelay{sim::SimTime::millis(1),
                                                sim::SimTime::millis(1)},
-                          sim::Rng{5}};
+                          sim::Rng{5}, test::paths()};
   simulator.schedule_at(sim::SimTime::zero(),
                         [&] { network.originate(dest, kP); });
   simulator.run();
@@ -71,10 +72,10 @@ TEST(PolicyFixture, FiveAsFixtureConvergesToTheKnownRibs) {
   // 1 hears [1,0,2,4] from its peer 0 too, but the customer route through
   // 2 wins on local preference despite equal or longer competition never
   // arising; 3 only ever hears its provider 1.
-  EXPECT_EQ(best[0], (bgp::AsPath{0, 2, 4}));
-  EXPECT_EQ(best[1], (bgp::AsPath{1, 2, 4}));
-  EXPECT_EQ(best[2], (bgp::AsPath{2, 4}));
-  EXPECT_EQ(best[3], (bgp::AsPath{3, 1, 2, 4}));
+  EXPECT_EQ(best[0], test::path_of({0, 2, 4}));
+  EXPECT_EQ(best[1], test::path_of({1, 2, 4}));
+  EXPECT_EQ(best[2], test::path_of({2, 4}));
+  EXPECT_EQ(best[3], test::path_of({3, 1, 2, 4}));
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
     if (v == 4 || best[v].length() == 0) continue;
     EXPECT_TRUE(bgp::valley_free(rel, best[v])) << "node " << v;
@@ -96,8 +97,8 @@ TEST(PolicyFixture, NoFreeTransitHidesPeerRoutesFromProviders) {
   rel.set_provider_customer(2, 3);
 
   const auto best = converge(topo, rel, 3);
-  EXPECT_EQ(best[2], (bgp::AsPath{2, 3}));
-  EXPECT_EQ(best[1], (bgp::AsPath{1, 2, 3}));
+  EXPECT_EQ(best[2], test::path_of({2, 3}));
+  EXPECT_EQ(best[1], test::path_of({1, 2, 3}));
   EXPECT_EQ(best[0].length(), 0u) << "peer-learned route leaked upstream: "
                                   << best[0].to_string();
 }

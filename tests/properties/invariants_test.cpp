@@ -11,6 +11,7 @@
 #include "metrics/loop_detector.hpp"
 #include "topo/generators.hpp"
 #include "topo/internet.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::bgp {
 namespace {
@@ -72,7 +73,7 @@ class InvariantTest : public ::testing::TestWithParam<Param> {
     network_.emplace(sim_, topo_, config,
                      net::ProcessingDelay{sim::SimTime::millis(100),
                                           sim::SimTime::millis(500)},
-                     sim::Rng{seed});
+                     sim::Rng{seed}, test::paths());
 
     // P2 (no node ever installs a path containing itself twice / through
     // itself) and P3 (announced paths follow topology edges) are asserted

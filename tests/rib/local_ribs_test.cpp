@@ -12,6 +12,7 @@
 #include "net/types.hpp"
 #include "rib/local_ribs.hpp"
 #include "snap/codec.hpp"
+#include "support/paths.hpp"
 
 namespace bgpsim::rib {
 namespace {
@@ -20,29 +21,29 @@ TEST(LocalRibs, SetBestReportsChangesLikeTheOldLocRib) {
   LocalRibs ribs{2};
   EXPECT_EQ(ribs.best(0, 9), nullptr);
 
-  EXPECT_TRUE(ribs.set_best(0, 9, bgp::AsPath{1, 2}));
+  EXPECT_TRUE(ribs.set_best(0, 9, test::path_of({1, 2})));
   ASSERT_NE(ribs.best(0, 9), nullptr);
-  EXPECT_EQ(*ribs.best(0, 9), (bgp::AsPath{1, 2}));
+  EXPECT_EQ(*ribs.best(0, 9), test::path_of({1, 2}));
 
   // Same value again: no change.
-  EXPECT_FALSE(ribs.set_best(0, 9, bgp::AsPath{1, 2}));
+  EXPECT_FALSE(ribs.set_best(0, 9, test::path_of({1, 2})));
   // Different value: change.
-  EXPECT_TRUE(ribs.set_best(0, 9, bgp::AsPath{1, 3, 2}));
+  EXPECT_TRUE(ribs.set_best(0, 9, test::path_of({1, 3, 2})));
   // Disengage: change once, then a no-op.
   EXPECT_TRUE(ribs.set_best(0, 9, std::nullopt));
   EXPECT_EQ(ribs.best(0, 9), nullptr);
   EXPECT_FALSE(ribs.set_best(0, 9, std::nullopt));
 
   // Speaker rows are independent.
-  EXPECT_TRUE(ribs.set_best(1, 9, bgp::AsPath{4}));
+  EXPECT_TRUE(ribs.set_best(1, 9, test::path_of({4})));
   EXPECT_EQ(ribs.best(0, 9), nullptr);
 }
 
 TEST(LocalRibs, BestPrefixesAscendingRegardlessOfInterningOrder) {
   LocalRibs ribs{1};
-  ribs.set_best(0, 30, bgp::AsPath{1});
-  ribs.set_best(0, 10, bgp::AsPath{1});
-  ribs.set_best(0, 20, bgp::AsPath{1});
+  ribs.set_best(0, 30, test::path_of({1}));
+  ribs.set_best(0, 10, test::path_of({1}));
+  ribs.set_best(0, 20, test::path_of({1}));
   EXPECT_EQ(ribs.best_prefixes(0), (std::vector<net::Prefix>{10, 20, 30}));
   ribs.set_best(0, 20, std::nullopt);
   EXPECT_EQ(ribs.best_prefixes(0), (std::vector<net::Prefix>{10, 30}));
@@ -51,9 +52,9 @@ TEST(LocalRibs, BestPrefixesAscendingRegardlessOfInterningOrder) {
 TEST(LocalRibs, AdjColumnsStaySortedByPeerAscending) {
   LocalRibs ribs{1};
   // Insert peers out of order; iteration must match the old std::map.
-  ribs.adj_set(0, 5, /*peer=*/9, bgp::AsPath{9, 1});
-  ribs.adj_set(0, 5, /*peer=*/2, bgp::AsPath{2, 1});
-  ribs.adj_set(0, 5, /*peer=*/7, bgp::AsPath{7, 1});
+  ribs.adj_set(0, 5, /*peer=*/9, test::path_of({9, 1}));
+  ribs.adj_set(0, 5, /*peer=*/2, test::path_of({2, 1}));
+  ribs.adj_set(0, 5, /*peer=*/7, test::path_of({7, 1}));
 
   const PeerColumn& column = ribs.adj_entries(0, 5);
   ASSERT_EQ(column.size(), 3u);
@@ -62,17 +63,17 @@ TEST(LocalRibs, AdjColumnsStaySortedByPeerAscending) {
   EXPECT_EQ(column[2].first, 9u);
 
   // Replacing an existing peer's route keeps one entry.
-  ribs.adj_set(0, 5, /*peer=*/7, bgp::AsPath{7, 3, 1});
+  ribs.adj_set(0, 5, /*peer=*/7, test::path_of({7, 3, 1}));
   ASSERT_EQ(ribs.adj_entries(0, 5).size(), 3u);
   ASSERT_NE(ribs.adj_get(0, 5, 7), nullptr);
-  EXPECT_EQ(*ribs.adj_get(0, 5, 7), (bgp::AsPath{7, 3, 1}));
+  EXPECT_EQ(*ribs.adj_get(0, 5, 7), test::path_of({7, 3, 1}));
 }
 
 TEST(LocalRibs, AdjWithdrawAndDropPeer) {
   LocalRibs ribs{1};
-  ribs.adj_set(0, 1, 4, bgp::AsPath{4});
-  ribs.adj_set(0, 2, 4, bgp::AsPath{4});
-  ribs.adj_set(0, 2, 5, bgp::AsPath{5});
+  ribs.adj_set(0, 1, 4, test::path_of({4}));
+  ribs.adj_set(0, 2, 4, test::path_of({4}));
+  ribs.adj_set(0, 2, 5, test::path_of({5}));
 
   EXPECT_TRUE(ribs.adj_withdraw(0, 1, 4));
   EXPECT_FALSE(ribs.adj_withdraw(0, 1, 4));  // already gone
@@ -88,9 +89,9 @@ TEST(LocalRibs, AdjWithdrawAndDropPeer) {
 
 TEST(LocalRibs, AdjEraseIfCountsAndFilters) {
   LocalRibs ribs{1};
-  ribs.adj_set(0, 3, 1, bgp::AsPath{1, 8});
-  ribs.adj_set(0, 3, 2, bgp::AsPath{2, 9});
-  ribs.adj_set(0, 3, 6, bgp::AsPath{6, 8});
+  ribs.adj_set(0, 3, 1, test::path_of({1, 8}));
+  ribs.adj_set(0, 3, 2, test::path_of({2, 9}));
+  ribs.adj_set(0, 3, 6, test::path_of({6, 8}));
 
   // The Assertion enhancement's primitive: drop every column entry whose
   // path crosses node 8.
@@ -110,13 +111,13 @@ TEST(LocalRibs, AdjEraseIfCountsAndFilters) {
 
 TEST(LocalRibs, EnsureSpeakersPreservesExistingRows) {
   LocalRibs ribs{1};
-  ribs.set_best(0, 7, bgp::AsPath{1, 2});
-  ribs.adj_set(0, 7, 3, bgp::AsPath{3, 2});
+  ribs.set_best(0, 7, test::path_of({1, 2}));
+  ribs.adj_set(0, 7, 3, test::path_of({3, 2}));
 
   ribs.ensure_speakers(4);
   EXPECT_EQ(ribs.speaker_count(), 4u);
   ASSERT_NE(ribs.best(0, 7), nullptr);
-  EXPECT_EQ(*ribs.best(0, 7), (bgp::AsPath{1, 2}));
+  EXPECT_EQ(*ribs.best(0, 7), test::path_of({1, 2}));
   ASSERT_NE(ribs.adj_get(0, 7, 3), nullptr);
   EXPECT_EQ(ribs.best(3, 7), nullptr);
 
@@ -127,11 +128,11 @@ TEST(LocalRibs, EnsureSpeakersPreservesExistingRows) {
 
 TEST(LocalRibs, PerSpeakerCodecRoundTripsBothPlanes) {
   LocalRibs ribs{2};
-  ribs.set_best(0, 11, bgp::AsPath{1, 5});
-  ribs.set_best(0, 22, bgp::AsPath{1, 6, 5});
-  ribs.adj_set(0, 11, 6, bgp::AsPath{6, 5});
-  ribs.adj_set(0, 11, 2, bgp::AsPath{2, 5});
-  ribs.set_best(1, 11, bgp::AsPath{9});
+  ribs.set_best(0, 11, test::path_of({1, 5}));
+  ribs.set_best(0, 22, test::path_of({1, 6, 5}));
+  ribs.adj_set(0, 11, 6, test::path_of({6, 5}));
+  ribs.adj_set(0, 11, 2, test::path_of({2, 5}));
+  ribs.set_best(1, 11, test::path_of({9}));
 
   snap::Writer table_w;
   ribs.save_table(table_w);
@@ -143,20 +144,20 @@ TEST(LocalRibs, PerSpeakerCodecRoundTripsBothPlanes) {
   // Restore into a store with different contents; the table restore resets
   // both planes, then per-speaker restores reload row 0.
   LocalRibs other{2};
-  other.set_best(0, 99, bgp::AsPath{4});
-  other.set_best(1, 99, bgp::AsPath{4});
+  other.set_best(0, 99, test::path_of({4}));
+  other.set_best(1, 99, test::path_of({4}));
   snap::Reader table_r{table_w.bytes()};
   other.restore_table(table_r);
   EXPECT_EQ(other.best(0, 99), nullptr);
   EXPECT_EQ(other.best(1, 99), nullptr);
 
   snap::Reader best_r{best_w.bytes()};
-  other.restore_best(0, best_r);
+  other.restore_best(0, best_r, test::paths());
   snap::Reader adj_r{adj_w.bytes()};
-  other.restore_adj(0, adj_r);
+  other.restore_adj(0, adj_r, test::paths());
 
   ASSERT_NE(other.best(0, 11), nullptr);
-  EXPECT_EQ(*other.best(0, 11), (bgp::AsPath{1, 5}));
+  EXPECT_EQ(*other.best(0, 11), test::path_of({1, 5}));
   ASSERT_NE(other.best(0, 22), nullptr);
   const PeerColumn& column = other.adj_entries(0, 11);
   ASSERT_EQ(column.size(), 2u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "net/types.hpp"
 #include "rib/prefix_table.hpp"
@@ -80,6 +81,21 @@ TEST(PrefixTable, SaveRestoreReproducesIdAssignmentAndOrigins) {
   snap::Writer w2;
   restored.save_state(w2);
   EXPECT_EQ(w.bytes(), w2.bytes());
+}
+
+TEST(PrefixTable, IndexCoversEveryPrefixBelowTheLimitAndNoMore) {
+  // The prefix -> id index is a vector indexed by the prefix value: the
+  // last valid prefix interns, the limit itself is refused, and a lookup
+  // past the index is simply unknown.
+  PrefixTable table;
+  const net::Prefix last = net::kMaxPrefixes - 1;
+  EXPECT_EQ(table.intern(last), 0u);
+  EXPECT_EQ(table.intern(2), 1u);
+  EXPECT_EQ(table.id_of(last), 0u);
+  EXPECT_EQ(table.id_of(3), kInvalidPrefixId);
+  EXPECT_THROW((void)table.intern(net::kMaxPrefixes), std::out_of_range);
+  EXPECT_EQ(table.id_of(net::kMaxPrefixes), kInvalidPrefixId);
+  EXPECT_EQ(table.size(), 2u);
 }
 
 }  // namespace
