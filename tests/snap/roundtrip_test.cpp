@@ -6,7 +6,6 @@
 // (SnapRoundtrip::kVerify — the driver itself throws if the re-encode
 // differs byte-for-byte). Both passes must then finish with identical
 // outcomes: a snapshot round-trip is invisible to the simulation.
-#include <bit>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -17,29 +16,12 @@
 #include "core/experiment.hpp"
 #include "core/ls_experiment.hpp"
 #include "core/scenario.hpp"
-#include "snap/codec.hpp"
+#include "support/outcome_digest.hpp"
 
 namespace bgpsim {
 namespace {
 
-std::uint64_t outcome_digest(const core::ExperimentOutcome& out) {
-  snap::Hasher h;
-  h.mix(out.events_fired);
-  h.mix(out.destination);
-  h.mix(std::bit_cast<std::uint64_t>(out.initial_convergence_s));
-  const metrics::RunMetrics& m = out.metrics;
-  h.mix(std::bit_cast<std::uint64_t>(m.convergence_time_s));
-  h.mix(std::bit_cast<std::uint64_t>(m.looping_duration_s));
-  h.mix(m.ttl_exhaustions);
-  h.mix(m.loops_formed);
-  h.mix(std::bit_cast<std::uint64_t>(m.looping_ratio));
-  h.mix(std::bit_cast<std::uint64_t>(m.max_loop_duration_s));
-  h.mix(m.updates_sent_total);
-  h.mix(m.packets_sent_total);
-  h.mix(m.packets_delivered);
-  h.mix(m.packets_no_route);
-  return h.value();
-}
+using test::outcome_digest;
 
 TEST(SnapRoundtrip, BgpEveryEnhancementEveryEvent) {
   for (const bgp::Enhancement enh : bgp::kAllEnhancements) {

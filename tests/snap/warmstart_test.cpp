@@ -2,7 +2,6 @@
 // must be bit-identical to the cold run that produced the snapshot — same
 // metrics, same event totals — whether the snapshot travels through
 // memory, the prelude cache, or a file on disk.
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -16,29 +15,13 @@
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "snap/cache.hpp"
-#include "snap/codec.hpp"
+#include "support/outcome_digest.hpp"
 #include "snap/snapshot.hpp"
 
 namespace bgpsim {
 namespace {
 
-std::uint64_t outcome_digest(const core::ExperimentOutcome& out) {
-  snap::Hasher h;
-  h.mix(out.events_fired);
-  h.mix(out.destination);
-  h.mix(std::bit_cast<std::uint64_t>(out.initial_convergence_s));
-  const metrics::RunMetrics& m = out.metrics;
-  h.mix(std::bit_cast<std::uint64_t>(m.convergence_time_s));
-  h.mix(std::bit_cast<std::uint64_t>(m.looping_duration_s));
-  h.mix(m.ttl_exhaustions);
-  h.mix(m.loops_formed);
-  h.mix(std::bit_cast<std::uint64_t>(m.looping_ratio));
-  h.mix(std::bit_cast<std::uint64_t>(m.max_loop_duration_s));
-  h.mix(m.updates_sent_total);
-  h.mix(m.packets_sent_total);
-  h.mix(m.packets_delivered);
-  return h.value();
-}
+using test::outcome_digest;
 
 core::Scenario bgp_scenario(core::EventKind event = core::EventKind::kTdown) {
   core::Scenario s;
