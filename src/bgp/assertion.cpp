@@ -18,15 +18,4 @@ std::size_t assert_on_withdraw(AdjRibIn& rib, net::Prefix prefix,
   });
 }
 
-std::size_t assert_on_session_loss(AdjRibIn& rib, net::Prefix prefix,
-                                   net::NodeId from_peer) {
-  return rib.erase_if(prefix, [&](net::NodeId peer, const AsPath& stored) {
-    // A loop-free path contains each AS once, so origin()==u means u only
-    // appears terminally — the path ends at u and does not rely on u's
-    // route.
-    return peer != from_peer && stored.contains(from_peer) &&
-           stored.origin() != from_peer;
-  });
-}
-
 }  // namespace bgpsim::bgp

@@ -15,14 +15,14 @@
 //    origin.)
 //
 //  - When the session to u drops, the only information gained is that the
-//    local link died — u's own route is not in question. Stored routes
-//    that *transit* u are still pruned (they depend on reaching the
-//    destination through u's forwarding state, which is now stale from our
-//    vantage), but routes that merely *terminate* at u survive: u is the
-//    destination there, and its reachability via other neighbors is
-//    untouched by our link loss. Without this distinction a node adjacent
-//    to the destination would discard every backup on a Tlong failure and
-//    stay unreachable forever (no peer re-announces an unchanged route).
+//    local link died; u's own routes are not in question. The loss
+//    withdraws exactly what u advertised (Adj-RIB-In drop_peer) and
+//    Assertion prunes nothing else. A stored route from another peer that
+//    transits u still describes u's forwarding state, which the lost link
+//    does not change. Pruning it strands destinations that no peer will
+//    re-announce: with several origins, a Tlong at the destination would
+//    drop, at the link's other end, every route to the other origins that
+//    transits the destination, and nothing announces them again.
 //
 // Removing these entries prevents a node from selecting an obsolete backup
 // path — the loop-formation mechanism identified in §3 of the paper.
@@ -45,10 +45,5 @@ std::size_t assert_on_announce(AdjRibIn& rib, net::Prefix prefix,
 /// explicit withdrawal. Returns the number of entries removed.
 std::size_t assert_on_withdraw(AdjRibIn& rib, net::Prefix prefix,
                                net::NodeId from_peer);
-
-/// Session-loss variant: prune only routes that transit u (u appears
-/// before the terminal AS). Routes terminating at u remain usable.
-std::size_t assert_on_session_loss(AdjRibIn& rib, net::Prefix prefix,
-                                   net::NodeId from_peer);
 
 }  // namespace bgpsim::bgp

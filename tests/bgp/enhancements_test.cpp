@@ -386,13 +386,18 @@ TEST_F(EnhancementTest, AssertionKeepsConsistentEntries) {
   EXPECT_NE(speaker_->adj_rib_in().get(kP, 2), nullptr);
 }
 
-TEST_F(EnhancementTest, AssertionAppliesOnSessionDown) {
+TEST_F(EnhancementTest, AssertionKeepsTransitRoutesOnSessionDown) {
+  // A lost session withdraws the peer's own route and nothing else: the
+  // route through 2 that transits 1 still describes 1's forwarding state.
   build(Enhancement::kAssertion);
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   speaker_->handle_session(1, false);
-  EXPECT_EQ(speaker_->adj_rib_in().get(kP, 2), nullptr);
-  EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);
+  EXPECT_EQ(speaker_->adj_rib_in().get(kP, 1), nullptr);
+  ASSERT_NE(speaker_->adj_rib_in().get(kP, 2), nullptr);
+  ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
+  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 1, 9}));
+  EXPECT_EQ(speaker_->counters().assertion_removals, 0u);
 }
 
 }  // namespace

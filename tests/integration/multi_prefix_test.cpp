@@ -127,5 +127,45 @@ TEST_F(MultiPrefixTest, LoopDetectorsTrackPrefixesSeparately) {
   EXPECT_TRUE(dets[1].records().empty());
 }
 
+TEST(MultiPrefixAssertion, TlongKeepsAnotherOriginsRouteThroughTheDestination) {
+  // Origin 3 hangs off the destination 0, which also reaches 1 and 2; 1
+  // and 2 are linked. Node 1 learns prefix 1 as (0 3) from 0 and as
+  // (2 0 3) from 2. Failing link 0-1 (a Tlong at the destination) withdraws
+  // 0's routes at 1. The route from 2 transits 0 but is still valid, and 2
+  // never re-announces it, so Assertion must keep it.
+  net::Topology topo{4};
+  topo.add_link(0, 3);
+  const net::LinkId failed = topo.add_link(0, 1);
+  topo.add_link(0, 2);
+  topo.add_link(1, 2);
+  bgp::BgpConfig config;
+  config.jitter_lo = 1.0;
+  config.jitter_hi = 1.0;
+  config.assertion = true;
+  config.multiprefix = true;
+  sim::Simulator sim;
+  bgp::BgpNetwork network{sim, topo, config,
+                          net::ProcessingDelay{sim::SimTime::millis(1),
+                                               sim::SimTime::millis(1)},
+                          sim::Rng{9}, test::paths()};
+  sim.schedule_at(sim::SimTime::zero(), [&] {
+    network.originate(0, 0);
+    network.originate(3, 1);
+  });
+  sim.run();
+  ASSERT_EQ(*network.speaker(1).loc_rib().get(1), test::path_of({1, 0, 3}));
+  ASSERT_NE(network.speaker(1).adj_rib_in().get(1, 2), nullptr);
+
+  sim.schedule_at(sim.now() + sim::SimTime::seconds(5),
+                  [&] { network.inject_link_failure(failed); });
+  sim.run();
+  ASSERT_FALSE(network.busy());
+  ASSERT_NE(network.speaker(1).loc_rib().get(1), nullptr);
+  EXPECT_EQ(*network.speaker(1).loc_rib().get(1), test::path_of({1, 2, 0, 3}));
+  ASSERT_NE(network.speaker(1).loc_rib().get(0), nullptr);
+  EXPECT_EQ(*network.speaker(1).loc_rib().get(0), test::path_of({1, 2, 0}));
+  EXPECT_EQ(network.fibs()[1].next_hop(1), 2u);
+}
+
 }  // namespace
 }  // namespace bgpsim
