@@ -1,12 +1,7 @@
-// Experiment driver for the distance-vector baseline (same flow and
-// metrics as run_experiment, with a DvNetwork in place of BgpNetwork).
-//
-// Because periodic refresh keeps the event queue non-empty forever, the
-// DV driver detects convergence by *route-table stability* (no table
-// change anywhere for two refresh cycles) rather than queue drain, and its
-// convergence clock is "event -> last route-table change" (for the BGP
-// driver the clock is "event -> last update sent"; for triggered updates
-// the two differ by at most one triggered delay).
+// Experiment driver for the distance-vector baseline: the same trial and
+// metrics as run_experiment, with a DvNetwork in place of BgpNetwork. Its
+// convergence test and clock (route-table stability, last table change)
+// are explained with the DV trait in dv_experiment.cpp.
 #pragma once
 
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "core/experiment.hpp"
@@ -105,6 +106,17 @@ TEST(TraceIntegration, ExperimentPopulatesTrace) {
   for (std::size_t i = 1; i < trace.events().size(); ++i) {
     EXPECT_GE(trace.events()[i].at, trace.events()[i - 1].at);
   }
+
+  // A multi-prefix run traces every prefix's loops under its own prefix.
+  TraceRecorder table_trace;
+  s.prefixes = 4;
+  s.trace = &table_trace;
+  const auto table_out = core::run_experiment(s);
+  const auto formed = table_trace.of_kind(TraceEventKind::kLoopFormed);
+  EXPECT_EQ(formed.size(), table_out.metrics.loops_formed);
+  std::set<net::Prefix> prefixes;
+  for (const auto& e : formed) prefixes.insert(e.prefix);
+  EXPECT_EQ(prefixes, (std::set<net::Prefix>{0, 1, 2, 3}));
 }
 
 TEST(TraceIntegration, UpdateCountMatchesCollector) {
