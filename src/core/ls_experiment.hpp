@@ -32,7 +32,10 @@ struct LsScenario {
   snap::Snapshot* save_converged = nullptr;
   const snap::Snapshot* warm_start = nullptr;
   SnapRoundtrip snap_roundtrip = SnapRoundtrip::kOff;
-  sim::SimTime snap_roundtrip_after = sim::SimTime::seconds(5);
+  /// An LS run is quiet by the first or second 1-s poll after the event,
+  /// and the drain cancels anything still queued, so the probe must come
+  /// well inside the first second to fire at all.
+  sim::SimTime snap_roundtrip_after = sim::SimTime::millis(500);
 };
 
 /// Run the link-state baseline end to end; metrics use the same

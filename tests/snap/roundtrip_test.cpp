@@ -134,5 +134,69 @@ TEST(SnapRoundtrip, LsLinkAndRouteEvents) {
   }
 }
 
+// A probe at the default offset must fire before the run drains: a kNoop
+// run fires exactly one event more than a run without the probe. A default
+// later than the run's quiet point would leave kVerify checking nothing.
+template <typename S>
+void expect_default_probe_fires(
+    S s, core::ExperimentOutcome (*run)(const S&), const char* what) {
+  s.snap_roundtrip = core::SnapRoundtrip::kOff;
+  const std::uint64_t off = run(s).events_fired;
+  s.snap_roundtrip = core::SnapRoundtrip::kNoop;
+  EXPECT_EQ(run(s).events_fired, off + 1) << what;
+}
+
+TEST(SnapRoundtrip, LsDefaultOffsetProbeFires) {
+  core::LsScenario ring;
+  ring.topology.kind = core::TopologyKind::kRing;
+  ring.topology.size = 6;
+  ring.seed = 11;
+  for (const core::EventKind event :
+       {core::EventKind::kTdown, core::EventKind::kTlong}) {
+    ring.event = event;
+    expect_default_probe_fires(ring, core::run_ls_experiment, "ring-6");
+  }
+
+  core::LsScenario clique;
+  clique.topology.kind = core::TopologyKind::kClique;
+  clique.topology.size = 6;
+  clique.event = core::EventKind::kTdown;
+  clique.seed = 6;
+  expect_default_probe_fires(clique, core::run_ls_experiment, "clique-6");
+
+  core::LsScenario internet;
+  internet.topology.kind = core::TopologyKind::kInternet;
+  internet.topology.size = 30;
+  internet.topology.topo_seed = 2;
+  internet.event = core::EventKind::kTlong;
+  internet.seed = 5;
+  expect_default_probe_fires(internet, core::run_ls_experiment,
+                             "internet-30");
+}
+
+TEST(SnapRoundtrip, DvDefaultOffsetProbeFires) {
+  for (const bool periodic : {false, true}) {
+    core::DvScenario clique;
+    clique.topology.kind = core::TopologyKind::kClique;
+    clique.topology.size = 6;
+    clique.event = core::EventKind::kTdown;
+    if (!periodic) clique.dv.periodic = sim::SimTime::zero();
+    clique.seed = 3;
+    expect_default_probe_fires(clique, core::run_dv_experiment,
+                               periodic ? "clique-6 periodic" : "clique-6");
+
+    core::DvScenario internet;
+    internet.topology.kind = core::TopologyKind::kInternet;
+    internet.topology.size = 30;
+    internet.topology.topo_seed = 2;
+    internet.event = core::EventKind::kTlong;
+    if (!periodic) internet.dv.periodic = sim::SimTime::zero();
+    internet.seed = 4;
+    expect_default_probe_fires(internet, core::run_dv_experiment,
+                               periodic ? "internet-30 periodic"
+                                        : "internet-30");
+  }
+}
+
 }  // namespace
 }  // namespace bgpsim
