@@ -1,398 +1,37 @@
 #include "svc/coordinator.hpp"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <fcntl.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
-
-#include "sim/logging.hpp"
-#include "svc/worker.hpp"
 
 namespace bgpsim::svc {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-void log_svc(const std::string& message) {
-  sim::LogLine{sim::LogLevel::kInfo, "svc", sim::SimTime::zero()} << message;
-}
-
-void reap(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+svcd::DaemonOptions one_campaign(CampaignOptions options, Coordinator& self) {
+  svcd::DaemonOptions d;
+  d.deadline_s = options.deadline_s;
+  d.max_attempts = options.max_attempts;
+  d.exit_when_idle = true;
+  if (options.on_unit_done) {
+    d.on_unit_done = [&self, hook = std::move(options.on_unit_done)](
+                         svcd::Daemon&, std::uint64_t, std::size_t done) {
+      hook(self, done);
+    };
   }
+  return d;
 }
 
 }  // namespace
 
-struct Coordinator::Worker {
-  Connection conn;
-  int stderr_fd = -1;
-  pid_t pid = -1;          // fork-known pid; the only pid this process kills
-  std::uint64_t id = 0;
-  bool alive = true;
-  // Unit index in flight on this worker, or npos.
-  std::size_t inflight = npos;
-  Clock::time_point deadline{};
-  std::string stderr_partial;  // unterminated tail of relayed stderr
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-};
-
 Coordinator::Coordinator(CampaignSpec spec, CampaignOptions options)
-    : options_{std::move(options)},
-      ledger_{std::move(spec), options_.max_attempts} {}
-
-Coordinator::~Coordinator() { shutdown_workers(); }
-
-void Coordinator::spawn_fork_worker() {
-  SocketPair pair = make_socketpair();
-  const std::uint64_t id = workers_.size();
-  const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error{"svc: fork failed"};
-  if (pid == 0) {
-    // Child: drop every coordinator-side fd (ours and earlier workers'),
-    // serve the socketpair, and leave without running atexit handlers.
-    pair.coordinator.close();
-    for (Worker& w : workers_) {
-      w.conn.close();
-      if (w.stderr_fd >= 0) ::close(w.stderr_fd);
-    }
-    ::_exit(worker_loop(std::move(pair.worker), id));
-  }
-  pair.worker.close();
-  add_worker(std::move(pair.coordinator), pid, -1);
-}
-
-void Coordinator::spawn_exec_worker(const std::string& worker_bin) {
-  SocketPair pair = make_socketpair();
-  int errpipe[2];
-  if (::pipe(errpipe) < 0) throw std::runtime_error{"svc: pipe failed"};
-  const std::uint64_t id = workers_.size();
-  const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error{"svc: fork failed"};
-  if (pid == 0) {
-    ::dup2(pair.worker.fd(), 0);
-    ::dup2(errpipe[1], 2);
-    pair.worker.close();
-    pair.coordinator.close();
-    ::close(errpipe[0]);
-    ::close(errpipe[1]);
-    for (Worker& w : workers_) {
-      w.conn.close();
-      if (w.stderr_fd >= 0) ::close(w.stderr_fd);
-    }
-    const std::string id_str = std::to_string(id);
-    ::execl(worker_bin.c_str(), "bgpsim_worker", "--fd", "0", "--id",
-            id_str.c_str(), static_cast<char*>(nullptr));
-    std::fprintf(stderr, "svc: exec %s failed: %s\n", worker_bin.c_str(),
-                 std::strerror(errno));
-    ::_exit(127);
-  }
-  pair.worker.close();
-  ::close(errpipe[1]);
-  add_worker(std::move(pair.coordinator), pid, errpipe[0]);
-}
-
-pid_t Coordinator::spawn_exec_worker_tcp(const std::string& worker_bin,
-                                         std::uint16_t port) {
-  const std::uint64_t id = workers_.size();
-  const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error{"svc: fork failed"};
-  if (pid == 0) {
-    for (Worker& w : workers_) {
-      w.conn.close();
-      if (w.stderr_fd >= 0) ::close(w.stderr_fd);
-    }
-    const std::string addr = "127.0.0.1:" + std::to_string(port);
-    const std::string id_str = std::to_string(id);
-    ::execl(worker_bin.c_str(), "bgpsim_worker", "--connect", addr.c_str(),
-            "--id", id_str.c_str(), static_cast<char*>(nullptr));
-    std::fprintf(stderr, "svc: exec %s failed: %s\n", worker_bin.c_str(),
-                 std::strerror(errno));
-    ::_exit(127);
-  }
-  return pid;
-}
-
-void Coordinator::add_worker(Connection conn, pid_t pid, int stderr_fd) {
-  conn.set_nonblocking();
-  if (stderr_fd >= 0) {
-    // The relay must never block on a live child's open pipe.
-    const int flags = ::fcntl(stderr_fd, F_GETFL, 0);
-    (void)::fcntl(stderr_fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  Worker w;
-  w.conn = std::move(conn);
-  w.pid = pid;
-  w.stderr_fd = stderr_fd;
-  w.id = workers_.size();
-  workers_.push_back(std::move(w));
-}
-
-std::size_t Coordinator::worker_count() const { return workers_.size(); }
-
-pid_t Coordinator::worker_pid(std::size_t index) const {
-  if (index >= workers_.size() || !workers_[index].alive) return -1;
-  return workers_[index].pid;
-}
-
-std::size_t Coordinator::live_workers() const {
-  std::size_t n = 0;
-  for (const Worker& w : workers_) {
-    if (w.alive) ++n;
-  }
-  return n;
-}
-
-void Coordinator::dispatch_idle_workers() {
-  for (std::size_t widx = 0; widx < workers_.size(); ++widx) {
-    Worker& w = workers_[widx];
-    if (!w.alive || w.inflight != Worker::npos) continue;
-    std::optional<WorkUnit> wire = ledger_.acquire(widx);
-    if (!wire) continue;
-    // Mark the unit in flight before sending so a failed send releases it
-    // through the normal fail_worker path (the attempt is already counted;
-    // a worker whose socket rejects a send is a dead worker).
-    w.inflight = static_cast<std::size_t>(wire->unit_id);
-    if (options_.deadline_s > 0) {
-      w.deadline = Clock::now() + std::chrono::microseconds(static_cast<long long>(
-                                      options_.deadline_s * 1e6));
-    }
-    if (!w.conn.send_frame(encode_work(*wire))) {
-      fail_worker(widx, "send failed (worker gone)");
-    }
-  }
-}
-
-void Coordinator::fail_worker(std::size_t widx, const std::string& why) {
-  Worker& w = workers_[widx];
-  if (!w.alive) return;
-  w.alive = false;
-  log_svc("worker " + std::to_string(w.id) + " lost: " + why);
-  if (w.stderr_fd >= 0) {
-    relay_stderr_bytes(widx);
-    ::close(w.stderr_fd);
-    w.stderr_fd = -1;
-  }
-  w.conn.close();
-  if (w.pid > 0) {
-    ::kill(w.pid, SIGKILL);  // no-op if it is already dead
-    reap(w.pid);
-    w.pid = -1;
-  }
-  ++stats_.workers_lost;
-  if (w.inflight != Worker::npos) {
-    const std::size_t unit_idx = std::exchange(w.inflight, Worker::npos);
-    (void)ledger_.release(unit_idx, widx, why);
-  }
-}
-
-void Coordinator::relay_stderr_bytes(std::size_t widx) {
-  Worker& w = workers_[widx];
-  if (w.stderr_fd < 0) return;
-  char buf[4096];
-  for (;;) {
-    const ssize_t r = ::read(w.stderr_fd, buf, sizeof buf);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      break;  // EAGAIN, EOF, or error: relay whatever we have so far
-    }
-    w.stderr_partial.append(buf, static_cast<std::size_t>(r));
-    std::size_t nl;
-    while ((nl = w.stderr_partial.find('\n')) != std::string::npos) {
-      if (options_.relay_stderr) {
-        std::fprintf(stderr, "[worker %llu] %.*s\n",
-                     static_cast<unsigned long long>(w.id),
-                     static_cast<int>(nl), w.stderr_partial.data());
-      }
-      w.stderr_partial.erase(0, nl + 1);
-    }
-    if (static_cast<std::size_t>(r) < sizeof buf) break;
-  }
-}
-
-void Coordinator::handle_frame(std::size_t widx, const Frame& frame) {
-  Worker& w = workers_[widx];
-  switch (frame.type) {
-    case FrameType::kHello: {
-      const Hello hello = decode_hello(frame);
-      log_svc("worker " + std::to_string(hello.worker_id) + " up (pid " +
-              std::to_string(hello.pid) + ")");
-      return;
-    }
-    case FrameType::kResult: {
-      const UnitResult result = decode_result(frame);
-      // accept() throws FormatError on an unknown unit or shape mismatch;
-      // w.inflight stays set so fail_worker requeues the real unit.
-      const UnitLedger::Accept accepted = ledger_.accept(result);
-      w.inflight = Worker::npos;
-      if (accepted == UnitLedger::Accept::kDuplicate) {
-        // A late answer to a unit that was requeued after a deadline and
-        // completed elsewhere. Determinism makes both answers identical;
-        // the slot is already filled, so drop it.
-        log_svc("dropping duplicate result for unit " +
-                std::to_string(result.unit_id));
-        return;
-      }
-      if (options_.on_unit_done) options_.on_unit_done(*this, ledger_.done());
-      return;
-    }
-    case FrameType::kError: {
-      const UnitError err = decode_error(frame);
-      w.inflight = Worker::npos;
-      // Experiment drivers are deterministic: a throw inside a trial would
-      // recur on every worker, so fail the campaign with the worker's
-      // message instead of burning retries (serial-runner semantics).
-      ledger_.fail_deterministic(err.unit_id, "worker " + std::to_string(w.id) +
-                                                  " reported: " + err.message);
-      return;
-    }
-    default:
-      throw snap::FormatError{"svc: unexpected frame type " +
-                              std::to_string(static_cast<int>(frame.type)) +
-                              " from worker"};
-  }
-}
+    : daemon_{one_campaign(std::move(options), *this)},
+      campaign_id_{daemon_.submit(std::move(spec))} {}
 
 CampaignResult Coordinator::run() {
-  if (workers_.empty()) {
+  if (worker_count() == 0) {
     throw std::invalid_argument{"svc: campaign has no workers"};
   }
-
-  while (!ledger_.complete() && ledger_.failures().empty()) {
-    dispatch_idle_workers();
-    if (ledger_.complete() || !ledger_.failures().empty()) break;
-    if (live_workers() == 0) {
-      shutdown_workers();
-      throw std::runtime_error{
-          "svc: campaign failed — every worker died with " +
-          std::to_string(ledger_.unit_count() - ledger_.done()) +
-          " unit(s) outstanding"};
-    }
-
-    std::vector<struct pollfd> fds;
-    std::vector<std::pair<std::size_t, bool>> owners;  // (widx, is_stderr)
-    for (std::size_t widx = 0; widx < workers_.size(); ++widx) {
-      const Worker& w = workers_[widx];
-      if (!w.alive) continue;
-      fds.push_back({w.conn.fd(), POLLIN, 0});
-      owners.emplace_back(widx, false);
-      if (w.stderr_fd >= 0) {
-        fds.push_back({w.stderr_fd, POLLIN, 0});
-        owners.emplace_back(widx, true);
-      }
-    }
-
-    int timeout_ms = -1;
-    if (options_.deadline_s > 0) {
-      const Clock::time_point now = Clock::now();
-      for (const Worker& w : workers_) {
-        if (!w.alive || w.inflight == Worker::npos) continue;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(w.deadline -
-                                                                  now)
-                .count();
-        const int ms = left <= 0 ? 0 : static_cast<int>(std::min<long long>(
-                                           left + 1, 60'000));
-        timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
-      }
-    }
-
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error{"svc: poll failed"};
-    }
-
-    // Blown deadlines first: a wedged worker must not hold its unit while
-    // the queue drains around it.
-    if (options_.deadline_s > 0) {
-      const Clock::time_point now = Clock::now();
-      for (std::size_t widx = 0; widx < workers_.size(); ++widx) {
-        Worker& w = workers_[widx];
-        if (w.alive && w.inflight != Worker::npos && now >= w.deadline) {
-          fail_worker(widx, "unit deadline (" +
-                                std::to_string(options_.deadline_s) +
-                                " s) exceeded");
-        }
-      }
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const auto [widx, is_stderr] = owners[i];
-      Worker& w = workers_[widx];
-      if (!w.alive) continue;
-      if (is_stderr) {
-        relay_stderr_bytes(widx);
-        continue;
-      }
-      const Connection::Pump status = w.conn.pump();
-      try {
-        for (;;) {
-          std::optional<Frame> frame = w.conn.next_frame();
-          if (!frame) break;
-          handle_frame(widx, *frame);
-        }
-      } catch (const snap::FormatError& e) {
-        // A corrupt stream cannot be resynchronized; drop the worker and
-        // let the requeue machinery recover its unit.
-        fail_worker(widx, std::string{"protocol violation: "} + e.what());
-        continue;
-      }
-      if (status == Connection::Pump::kEof) {
-        fail_worker(widx, "connection closed (worker died?)");
-      }
-    }
-  }
-
-  shutdown_workers();
-  if (!ledger_.failures().empty()) {
-    throw CampaignError{
-        "svc: campaign failed — " + std::to_string(ledger_.failures().size()) +
-            " unit(s) failed permanently",
-        ledger_.failures()};
-  }
-
-  stats_.sets = ledger_.assemble();
-  stats_.digest = campaign_digest(stats_.sets);
-  stats_.units_dispatched = ledger_.dispatched();
-  stats_.requeues = ledger_.requeues();
-  return std::move(stats_);
-}
-
-void Coordinator::shutdown_workers() {
-  for (Worker& w : workers_) {
-    if (!w.alive) continue;
-    (void)w.conn.send_frame(encode_shutdown());
-    if (w.stderr_fd >= 0) {
-      relay_stderr_bytes(w.id);
-    }
-    w.conn.close();
-  }
-  for (Worker& w : workers_) {
-    if (!w.alive) continue;
-    w.alive = false;
-    if (w.stderr_fd >= 0) {
-      ::close(w.stderr_fd);
-      w.stderr_fd = -1;
-    }
-    if (w.pid > 0) {
-      reap(w.pid);
-      w.pid = -1;
-    }
-  }
+  daemon_.run();
+  return daemon_.take_result(campaign_id_);
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec, std::size_t workers,

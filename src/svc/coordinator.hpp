@@ -1,9 +1,11 @@
 // Campaign coordinator: decompose a sweep into work units, dispatch them
 // to worker processes, survive worker failure, merge bit-identically.
 //
-// Execution model — a single-threaded poll() loop:
-//   - Decompose every (scenario, trials) pair into (scenario, trial-range)
-//     units via core::decompose_trials.
+// A Coordinator is one svcd::Daemon running a single campaign, with no
+// journal, admin socket or TCP listener, in exit_when_idle mode; the
+// daemon's epoll loop does all the work:
+//   - Every (scenario, trials) pair is decomposed into (scenario,
+//     trial-range) units via core::decompose_trials.
 //   - Dispatch is pull-based work stealing: whenever a worker is idle, it
 //     is handed the oldest pending unit it is not excluded from, so fast
 //     workers naturally take more units and a straggler never stalls the
@@ -26,23 +28,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "core/scenario.hpp"
-#include "core/sweep.hpp"
-#include "svc/protocol.hpp"
 #include "svc/transport.hpp"
 #include "svc/units.hpp"
+#include "svcd/daemon.hpp"
 
 namespace bgpsim::svc {
-
-struct CampaignResult {
-  std::vector<core::TrialSet> sets;  // one per spec scenario, in order
-  std::uint64_t digest = 0;          // svc::campaign_digest(sets)
-  std::size_t units_dispatched = 0;  // includes requeues
-  std::size_t requeues = 0;
-  std::size_t workers_lost = 0;
-};
 
 class Coordinator;
 
@@ -56,11 +48,6 @@ struct CampaignOptions {
   /// a unit that deterministically kills workers from cycling forever.
   std::size_t max_attempts = 3;
 
-  /// Relay worker stderr through the coordinator's stderr, each line
-  /// prefixed with "[worker N] " (only for exec-spawned workers, which
-  /// get a stderr pipe).
-  bool relay_stderr = true;
-
   /// Test/progress hook: called after every completed unit with the
   /// coordinator and the number of units completed so far. Fault-tolerance
   /// tests use it to kill workers at a deterministic point mid-campaign.
@@ -69,61 +56,63 @@ struct CampaignOptions {
 
 class Coordinator {
  public:
+  /// Throws std::invalid_argument for a spec the ledger rejects (no
+  /// scenarios, or a scenario carrying observer hooks).
   Coordinator(CampaignSpec spec, CampaignOptions options = {});
-  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Spawn a worker by fork(): the child runs svc::worker_loop in-process
   /// over one end of a socketpair and _exits. No binary path needed —
   /// this is the library/test path.
-  void spawn_fork_worker();
+  void spawn_fork_worker() { daemon_.spawn_fork_worker(); }
 
   /// Spawn a worker by fork()+exec of `worker_bin` (the examples/
-  /// bgpsim_worker binary), talking over a socketpair on fd 0, stderr
-  /// captured through a relay pipe.
-  void spawn_exec_worker(const std::string& worker_bin);
+  /// bgpsim_worker binary), talking over a socketpair on fd 0. Its stderr
+  /// is relayed through this process's stderr, each line prefixed
+  /// "[worker N] ".
+  void spawn_exec_worker(const std::string& worker_bin) {
+    daemon_.spawn_exec_worker(worker_bin);
+  }
 
   /// Spawn a worker by fork()+exec of `worker_bin` told to connect back
   /// over localhost TCP to `port` (exercises the TCP transport end to
   /// end); the connection must then be handed in via accept + add_worker.
+  /// The worker's `--id` is its index among these TCP spawns.
   pid_t spawn_exec_worker_tcp(const std::string& worker_bin,
-                              std::uint16_t port);
+                              std::uint16_t port) {
+    return daemon_.spawn_exec_worker_tcp(worker_bin, port);
+  }
 
   /// Attach an already-connected worker (e.g. accepted from a
   /// TcpListener). pid < 0 marks a worker this process cannot signal;
   /// stderr_fd < 0 means no stderr relay.
-  void add_worker(Connection conn, pid_t pid, int stderr_fd);
+  void add_worker(Connection conn, pid_t pid, int stderr_fd) {
+    daemon_.add_worker(std::move(conn), pid, stderr_fd);
+  }
 
-  [[nodiscard]] std::size_t worker_count() const;
+  /// Workers spawned or added so far, dead ones included.
+  [[nodiscard]] std::size_t worker_count() const {
+    return daemon_.worker_count();
+  }
 
-  /// pid of the i-th *live* worker, or -1 (TCP-attached / already gone).
-  [[nodiscard]] pid_t worker_pid(std::size_t index) const;
+  /// pid of the i-th worker (spawn/add order), or -1 (TCP-attached /
+  /// already gone).
+  [[nodiscard]] pid_t worker_pid(std::size_t index) const {
+    return daemon_.worker_pid(index);
+  }
 
-  /// Run the campaign to completion. Throws std::runtime_error if every
-  /// worker dies; throws CampaignError (a runtime_error carrying
-  /// structured per-unit records) when any unit exhausts max_attempts or
-  /// fails with a deterministic in-driver error. Workers are shut down and
-  /// reaped before returning or throwing.
+  /// Run the campaign to completion. Throws std::invalid_argument if no
+  /// worker was ever added and std::runtime_error if every worker dies;
+  /// throws CampaignError (a runtime_error carrying structured per-unit
+  /// records) when any unit exhausts max_attempts or fails with a
+  /// deterministic in-driver error. Workers are shut down and reaped
+  /// before returning or throwing.
   [[nodiscard]] CampaignResult run();
 
  private:
-  struct Worker;
-
-  void dispatch_idle_workers();
-  void handle_frame(std::size_t widx, const Frame& frame);
-  void fail_worker(std::size_t widx, const std::string& why);
-  void relay_stderr_bytes(std::size_t widx);
-  void shutdown_workers();
-  [[nodiscard]] std::size_t live_workers() const;
-
-  CampaignOptions options_;
-  // Unit dispatch/merge state machine, shared with the svcd daemon. The
-  // coordinator's worker slots are stable, so the slot index doubles as
-  // the ledger's worker key.
-  UnitLedger ledger_;
-  std::vector<Worker> workers_;
-  CampaignResult stats_;
+  svcd::Daemon daemon_;
+  std::uint64_t campaign_id_;
 };
 
 /// Convenience entry point: spawn `workers` fork-workers (default:

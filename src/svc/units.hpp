@@ -1,15 +1,12 @@
 // The campaign unit ledger: one campaign's (scenario, trial-range) work
 // units as a dispatchable, fault-tolerant, resumable state machine.
 //
-// PR 4's coordinator carried this logic inline (pending queue, in-flight
-// bookkeeping, requeue-on-different-worker, trial-slot merge). The always-on
-// daemon (src/svcd/) needs the same machinery under a different event loop
-// and with worker *churn* — workers joining and dying mid-campaign, each
-// incarnation distinct — so the ledger is factored out here and keyed by
-// opaque 64-bit worker keys instead of coordinator slot indices. A key is
-// one worker incarnation: a worker that dies and a worker that joins later
-// never share a key, which is what makes the exclusion sets (a unit never
-// retries on a worker that already failed it) churn-tolerant.
+// The svcd daemon (src/svcd/) drives one ledger per campaign through
+// worker *churn* — workers joining and dying mid-campaign — so the ledger
+// is keyed by opaque 64-bit worker keys. A key is one worker incarnation:
+// a worker that dies and a worker that joins later never share a key,
+// which is what makes the exclusion sets (a unit never retries on a
+// worker that already failed it) churn-tolerant.
 //
 // Determinism contract: the ledger only routes and merges. Trial outcomes
 // land in per-trial slots keyed by (scenario index, trial index), and
@@ -83,6 +80,15 @@ class CampaignError : public std::runtime_error {
   static std::string render(const std::string& headline,
                             const std::vector<UnitFailure>& failures);
   std::vector<UnitFailure> failures_;
+};
+
+/// What a completed campaign hands back.
+struct CampaignResult {
+  std::vector<core::TrialSet> sets;  // one per spec scenario, in order
+  std::uint64_t digest = 0;          // svc::campaign_digest(sets)
+  std::size_t units_dispatched = 0;  // includes requeues
+  std::size_t requeues = 0;
+  std::size_t workers_lost = 0;  // workers failed while the campaign ran
 };
 
 class UnitLedger {

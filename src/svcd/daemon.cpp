@@ -1,5 +1,6 @@
 #include "svcd/daemon.hpp"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -44,6 +46,17 @@ constexpr std::uint64_t kLocalUnitMask = 0xFFFF'FFFFULL;
 
 std::uint64_t wire_unit_id(std::uint64_t campaign_id, std::uint64_t local) {
   return (campaign_id << 32) | (local & kLocalUnitMask);
+}
+
+// Post-fork, in the child: become `worker_bin`, or exit 127.
+[[noreturn]] void exec_worker(const std::string& worker_bin, const char* flag,
+                              const std::string& value,
+                              const std::string& id) {
+  ::execl(worker_bin.c_str(), "bgpsim_worker", flag, value.c_str(), "--id",
+          id.c_str(), static_cast<char*>(nullptr));
+  std::fprintf(stderr, "svcd: exec %s failed: %s\n", worker_bin.c_str(),
+               std::strerror(errno));
+  ::_exit(127);
 }
 
 const char* state_name(Daemon::CampaignState s) {
@@ -82,7 +95,7 @@ Daemon::Daemon(DaemonOptions options) : options_{std::move(options)} {
       svc::Connection conn = tcp_listener_->accept_one(0);
       if (!conn.valid()) return;
       log_svcd("TCP worker joined");
-      attach_worker(std::move(conn), -1, -1);
+      add_worker(std::move(conn), -1, -1);
       dispatch();
     });
   }
@@ -239,6 +252,7 @@ void Daemon::seal_campaign(Campaign& c) {
   result.digest = svc::campaign_digest(result.sets);
   result.units_dispatched = c.ledger.dispatched();
   result.requeues = c.ledger.requeues();
+  result.workers_lost = c.workers_lost;
   if (journal_) {
     journal_->campaign_sealed(c.id, result.digest, c.ledger.done());
     journal_->sync();
@@ -262,7 +276,7 @@ void Daemon::finish_failed(Campaign& c) {
 
 void Daemon::spawn_fork_worker() {
   svc::SocketPair pair = svc::make_socketpair();
-  const std::uint64_t key = next_worker_key_++;
+  const std::uint64_t key = next_worker_key_;  // the key add_worker issues
   const pid_t pid = ::fork();
   if (pid < 0) throw std::runtime_error{"svcd: fork failed"};
   if (pid == 0) {
@@ -271,8 +285,42 @@ void Daemon::spawn_fork_worker() {
     ::_exit(svc::worker_loop(std::move(pair.worker), key));
   }
   pair.worker.close();
-  next_worker_key_ = key;  // attach_worker re-issues the same key
-  attach_worker(std::move(pair.coordinator), pid, -1);
+  add_worker(std::move(pair.coordinator), pid, -1);
+}
+
+void Daemon::spawn_exec_worker(const std::string& worker_bin) {
+  svc::SocketPair pair = svc::make_socketpair();
+  int errpipe[2];
+  if (::pipe(errpipe) < 0) throw std::runtime_error{"svcd: pipe failed"};
+  const std::string id = std::to_string(next_worker_key_);
+  const pid_t pid = ::fork();
+  if (pid < 0) throw std::runtime_error{"svcd: fork failed"};
+  if (pid == 0) {
+    ::dup2(pair.worker.fd(), 0);
+    ::dup2(errpipe[1], 2);
+    pair.worker.close();
+    pair.coordinator.close();
+    ::close(errpipe[0]);
+    ::close(errpipe[1]);
+    close_all_in_forked_child();
+    exec_worker(worker_bin, "--fd", "0", id);
+  }
+  pair.worker.close();
+  ::close(errpipe[1]);
+  add_worker(std::move(pair.coordinator), pid, errpipe[0]);
+}
+
+pid_t Daemon::spawn_exec_worker_tcp(const std::string& worker_bin,
+                                    std::uint16_t port) {
+  const std::string addr = "127.0.0.1:" + std::to_string(port);
+  const std::string id = std::to_string(tcp_spawns_++);
+  const pid_t pid = ::fork();
+  if (pid < 0) throw std::runtime_error{"svcd: fork failed"};
+  if (pid == 0) {
+    close_all_in_forked_child();
+    exec_worker(worker_bin, "--connect", addr, id);
+  }
+  return pid;
 }
 
 void Daemon::close_all_in_forked_child() {
@@ -291,25 +339,35 @@ void Daemon::close_all_in_forked_child() {
   for (auto& [fd, client] : admin_clients_) ::close(fd);
 }
 
-void Daemon::attach_worker(svc::Connection conn, pid_t pid, int stderr_fd) {
+void Daemon::add_worker(svc::Connection conn, pid_t pid, int stderr_fd) {
   conn.set_nonblocking();
   const std::uint64_t key = next_worker_key_++;
-  Worker w;
+  Worker& w = workers_[key];
   w.key = key;
   w.conn = std::move(conn);
   w.pid = pid;
-  w.stderr_fd = stderr_fd;
-  const int fd = w.conn.fd();
-  auto [it, inserted] = workers_.emplace(key, std::move(w));
-  it->second.conn_token = loop_.watch(
-      fd, EPOLLIN, [this, key](std::uint32_t) { on_worker_readable(key); });
+  w.conn_token = loop_.watch(
+      w.conn.fd(), EPOLLIN,
+      [this, key](std::uint32_t) { on_worker_readable(key); });
+  if (stderr_fd >= 0) {
+    // The relay must never block on a live worker's open pipe.
+    (void)::fcntl(stderr_fd, F_SETFL, ::fcntl(stderr_fd, F_GETFL) | O_NONBLOCK);
+    w.stderr_fd = stderr_fd;
+    w.stderr_token = loop_.watch(stderr_fd, EPOLLIN, [this, key](std::uint32_t) {
+      const auto it = workers_.find(key);
+      if (it != workers_.end()) relay_stderr(it->second, /*closing=*/false);
+    });
+  }
 }
 
 std::uint16_t Daemon::tcp_port() const {
   return tcp_listener_ ? tcp_listener_->port() : 0;
 }
 
-std::size_t Daemon::live_workers() const { return workers_.size(); }
+pid_t Daemon::worker_pid(std::uint64_t key) const {
+  const auto it = workers_.find(key);
+  return it == workers_.end() ? -1 : it->second.pid;
+}
 
 std::vector<pid_t> Daemon::worker_pids() const {
   std::vector<pid_t> pids;
@@ -467,14 +525,16 @@ void Daemon::fail_worker(std::uint64_t key, const std::string& why) {
   if (it == workers_.end()) return;
   Worker& w = it->second;
   log_svcd("worker key " + std::to_string(key) + " lost: " + why);
+  if (Campaign* c = active_campaign()) ++c->workers_lost;
   if (w.lease_timer != 0) loop_.cancel_timer(w.lease_timer);
   loop_.unwatch(w.conn_token);
   w.conn.close();
-  if (w.stderr_fd >= 0) ::close(w.stderr_fd);
   if (w.pid > 0) {
     ::kill(w.pid, SIGKILL);  // no-op if already dead
     reap(w.pid);
   }
+  // After the reap, so the relay gets all the worker wrote before dying.
+  if (w.stderr_fd >= 0) relay_stderr(w, /*closing=*/true);
   const bool had_inflight = w.inflight;
   const std::uint64_t campaign_id = w.inflight_campaign;
   const std::uint64_t local = w.inflight_unit;
@@ -489,13 +549,47 @@ void Daemon::fail_worker(std::uint64_t key, const std::string& why) {
   check_progress_possible();
 }
 
+void Daemon::relay_stderr(Worker& w, bool closing) {
+  char buf[4096];
+  bool eof = false;
+  for (;;) {
+    const ssize_t r = ::read(w.stderr_fd, buf, sizeof buf);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) {
+      eof = r == 0;
+      break;  // EAGAIN, EOF or error: relay what has arrived
+    }
+    w.stderr_partial.append(buf, static_cast<std::size_t>(r));
+    if (!closing && static_cast<std::size_t>(r) < sizeof buf) break;
+  }
+  const auto key = static_cast<unsigned long long>(w.key);
+  std::size_t begin = 0;
+  for (std::size_t nl; (nl = w.stderr_partial.find('\n', begin)) !=
+                       std::string::npos;
+       begin = nl + 1) {
+    std::fprintf(stderr, "[worker %llu] %.*s\n", key,
+                 static_cast<int>(nl - begin), w.stderr_partial.data() + begin);
+  }
+  w.stderr_partial.erase(0, begin);
+  if (!eof && !closing) return;
+  if (!w.stderr_partial.empty()) {
+    std::fprintf(stderr, "[worker %llu] %s\n", key, w.stderr_partial.c_str());
+    w.stderr_partial.clear();
+  }
+  loop_.unwatch(w.stderr_token);
+  ::close(w.stderr_fd);
+  w.stderr_fd = -1;
+}
+
 void Daemon::check_progress_possible() {
   if (!workers_.empty() || tcp_listener_) return;
-  if (active_campaign() == nullptr) return;
+  const Campaign* c = active_campaign();
+  if (c == nullptr) return;
   // No worker left and no way for one to join: the queue can never drain.
-  fatal_error_ =
-      "svcd: campaign failed — every worker died with work outstanding and "
-      "no TCP listener for replacements";
+  fatal_error_ = "svcd: campaign " + std::to_string(c->id) +
+                 " failed — every worker died with " +
+                 std::to_string(c->ledger.unit_count() - c->ledger.done()) +
+                 " unit(s) outstanding and no TCP listener for replacements";
   loop_.stop();
 }
 
@@ -689,13 +783,16 @@ void Daemon::run() {
 }
 
 void Daemon::shutdown_workers() {
+  // Tell every worker first, so they exit in parallel, then reap each.
   for (auto& [key, w] : workers_) {
     (void)w.conn.send_frame(svc::encode_shutdown());
     if (w.lease_timer != 0) loop_.cancel_timer(w.lease_timer);
     loop_.unwatch(w.conn_token);
     w.conn.close();
-    if (w.stderr_fd >= 0) ::close(w.stderr_fd);
+  }
+  for (auto& [key, w] : workers_) {
     if (w.pid > 0) reap(w.pid);
+    if (w.stderr_fd >= 0) relay_stderr(w, /*closing=*/true);
   }
   workers_.clear();
 }

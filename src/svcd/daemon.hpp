@@ -1,8 +1,7 @@
-// svcd::Daemon — the always-on campaign service.
-//
-// Where the PR 4 Coordinator runs exactly one campaign over a fixed
-// worker set and returns, the daemon is a persistent process built on
-// svcd::EventLoop that:
+// svcd::Daemon — the campaign service: one single-threaded epoll loop
+// (svcd::EventLoop) that spawns or accepts worker processes, hands them
+// (scenario, trial-range) units from each campaign's svc::UnitLedger, and
+// merges their results. It:
 //
 //   - queues multiple campaigns (FIFO) submitted programmatically or over
 //     a line-oriented unix admin socket (STATUS / SUBMIT / CANCEL);
@@ -19,7 +18,14 @@
 //     requeue-on-different-worker exclusion logic survives arbitrary
 //     join/leave sequences. Per-unit leases are EventLoop timers: a
 //     worker that holds a unit past the deadline is failed and its unit
-//     requeued elsewhere.
+//     requeued elsewhere;
+//   - relays exec-spawned workers' stderr line by line, each line
+//     prefixed "[worker N] " (N = the worker key), including what a
+//     worker wrote just before it died.
+//
+// Every piece is optional. bgpsimd turns them on; svc::Coordinator runs
+// one campaign with none of them (no journal, admin socket or TCP
+// listener) in exit_when_idle mode.
 //
 // The determinism contract is inherited from svc: trial i of scenario s
 // is seeded from (s.seed + i) no matter which worker runs it, so any
@@ -39,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "svc/coordinator.hpp"
 #include "svc/transport.hpp"
 #include "svc/units.hpp"
 #include "svcd/event_loop.hpp"
@@ -81,9 +86,6 @@ struct DaemonOptions {
   /// One-shot mode: stop run() once at least one campaign was submitted
   /// and every submitted campaign reached a terminal state.
   bool exit_when_idle = false;
-
-  /// Relay exec-workers' stderr with a "[worker N]" prefix.
-  bool relay_stderr = true;
 
   /// Install SIGINT/SIGTERM handling (signalfd): a signal stops the loop
   /// gracefully. Off by default so embedding in tests leaves signal
@@ -128,11 +130,33 @@ class Daemon {
   /// otherwise.
   [[nodiscard]] svc::CampaignResult take_result(std::uint64_t campaign_id);
 
-  /// Fork an in-process worker over a socketpair (library/test path).
+  /// Fork a worker that runs svc::worker_loop in-process over a
+  /// socketpair and _exits (library/test path; no binary needed).
   void spawn_fork_worker();
 
+  /// Fork+exec `worker_bin` (examples/bgpsim_worker) talking over a
+  /// socketpair on its fd 0; its stderr is relayed.
+  void spawn_exec_worker(const std::string& worker_bin);
+
+  /// Fork+exec `worker_bin` told to connect back over localhost TCP to
+  /// `port`, with `--id` its index among this daemon's TCP spawns (0, 1,
+  /// ...), so a caller can map the worker's Hello back to the returned
+  /// pid. The connection arrives on the caller's listener; hand it in
+  /// with add_worker.
+  pid_t spawn_exec_worker_tcp(const std::string& worker_bin,
+                              std::uint16_t port);
+
+  /// Attach a connected worker; it takes work from the next dispatch.
+  /// pid < 0 marks a worker this process cannot signal; stderr_fd >= 0 is
+  /// a pipe from the worker's stderr to relay (the daemon owns it).
+  void add_worker(svc::Connection conn, pid_t pid, int stderr_fd);
+
   [[nodiscard]] std::uint16_t tcp_port() const;
-  [[nodiscard]] std::size_t live_workers() const;
+  /// Workers ever attached, dead ones included. Keys are issued densely
+  /// from 0 in attach order, so they double as indices.
+  [[nodiscard]] std::size_t worker_count() const { return next_worker_key_; }
+  /// pid of worker `key`, or -1 once it is gone (or was never local).
+  [[nodiscard]] pid_t worker_pid(std::uint64_t key) const;
   /// pids of live fork-spawned workers (tests kill these to drill churn).
   [[nodiscard]] std::vector<pid_t> worker_pids() const;
 
@@ -142,14 +166,13 @@ class Daemon {
   void run();
   void stop() { loop_.stop(); }
 
-  [[nodiscard]] EventLoop& loop() { return loop_; }
-
  private:
   struct Campaign {
     std::uint64_t id = 0;
     svc::UnitLedger ledger;
     CampaignState state = CampaignState::kQueued;
     std::optional<svc::CampaignResult> result;
+    std::size_t workers_lost = 0;
     Campaign(std::uint64_t id_, svc::UnitLedger ledger_)
         : id{id_}, ledger{std::move(ledger_)} {}
   };
@@ -179,12 +202,12 @@ class Daemon {
   void restore_from_journal(const std::string& path);
   void seal_campaign(Campaign& c);
   void finish_failed(Campaign& c);
-  void attach_worker(svc::Connection conn, pid_t pid, int stderr_fd);
   void dispatch();
   void on_worker_readable(std::uint64_t key);
   void handle_worker_frame(Worker& w, const svc::Frame& frame);
   void clear_inflight(Worker& w);
   void fail_worker(std::uint64_t key, const std::string& why);
+  void relay_stderr(Worker& w, bool closing);
   void check_progress_possible();
   void maybe_exit_idle();
   void stream_unit_line(const Campaign& c, const svc::UnitResult& result);
@@ -202,7 +225,8 @@ class Daemon {
   std::vector<std::unique_ptr<Campaign>> campaigns_;
   std::uint64_t next_campaign_id_ = 1;
   std::map<std::uint64_t, Worker> workers_;
-  std::uint64_t next_worker_key_ = 1;
+  std::uint64_t next_worker_key_ = 0;
+  std::uint64_t tcp_spawns_ = 0;
   std::optional<svc::TcpListener> tcp_listener_;
   int admin_fd_ = -1;  // listening unix socket
   std::map<int, AdminClient> admin_clients_;

@@ -1,14 +1,11 @@
 // svcd::EventLoop — the daemon's single-threaded epoll reactor.
 //
-// The PR 4 coordinator rebuilt a pollfd array on every iteration and
-// computed deadline timeouts by hand; fine for a one-shot campaign over a
-// handful of fds, wrong for a long-lived daemon where worker connections,
-// admin clients, and per-unit lease deadlines come and go continuously.
-// This loop keeps interest registered in the kernel (epoll), multiplexes
-// any number of one-shot timers through a single timerfd armed to the
-// earliest deadline, and turns SIGINT/SIGTERM into an ordinary readable
-// fd via signalfd so shutdown is a callback, not an async-signal-unsafe
-// handler.
+// Worker connections, worker stderr pipes, admin clients, and per-unit
+// lease deadlines come and go continuously, so this loop keeps interest
+// registered in the kernel (epoll), multiplexes any number of one-shot
+// timers through a single timerfd armed to the earliest deadline, and
+// turns SIGINT/SIGTERM into an ordinary readable fd via signalfd so
+// shutdown is a callback, not an async-signal-unsafe handler.
 //
 // Reentrancy: watches and timers are addressed by opaque tokens, never by
 // fd or array index. A callback may unwatch any token (including its own)
