@@ -59,10 +59,7 @@ bool DvNetwork::busy() const {
   return false;
 }
 
-namespace {
-
-void save_dv_payload(snap::Writer& w, const net::Payload& payload) {
-  const auto& msg = payload.get<DvUpdate>();
+void save_dv_update(snap::Writer& w, const DvUpdate& msg) {
   w.u64(msg.routes.size());
   for (const auto& [prefix, metric] : msg.routes) {
     w.u32(prefix);
@@ -70,15 +67,25 @@ void save_dv_payload(snap::Writer& w, const net::Payload& payload) {
   }
 }
 
-net::Payload load_dv_payload(snap::Reader& r) {
+DvUpdate load_dv_update(snap::Reader& r) {
   DvUpdate msg;
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(4 + 8);  // a prefix and a metric each
   msg.routes.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::Prefix prefix = snap::read_prefix(r);
     msg.routes.emplace_back(prefix, static_cast<int>(r.i64()));
   }
-  return net::Payload{std::move(msg)};
+  return msg;
+}
+
+namespace {
+
+void save_dv_payload(snap::Writer& w, const net::Payload& payload) {
+  save_dv_update(w, payload.get<DvUpdate>());
+}
+
+net::Payload load_dv_payload(snap::Reader& r) {
+  return net::Payload{load_dv_update(r)};
 }
 
 }  // namespace

@@ -63,4 +63,9 @@ class DvNetwork {
   std::vector<std::unique_ptr<DvSpeaker>> speakers_;
 };
 
+/// The snapshot codec of one queued update. A route count the remaining
+/// bytes cannot hold ends in snap::FormatError.
+void save_dv_update(snap::Writer& w, const DvUpdate& msg);
+[[nodiscard]] DvUpdate load_dv_update(snap::Reader& r);
+
 }  // namespace bgpsim::dv

@@ -39,6 +39,14 @@ constexpr int kSpeculateEvery = 8;
 /// Walk arena size (nodes) past which the plane reclaims it.
 constexpr std::size_t kWalkArenaLimit = std::size_t{1} << 20;
 
+/// Bytes save_state writes per in-flight hop event.
+constexpr std::size_t kEventBytes = 60;
+
+template <typename Tick>
+bool tick_before(const Tick& a, const Tick& b) {
+  return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+}
+
 }  // namespace
 
 DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
@@ -116,29 +124,31 @@ const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
   return e.d;
 }
 
-void DataPlane::arrive(net::NodeId node, Packet packet, bool spec) {
+void DataPlane::arrive(net::NodeId node, const Packet& packet, bool spec) {
   const Decision& d = cached_decide(node, packet.prefix);
   if (d.kind != Decision::Kind::kForward) {
-    finish(packet, d.fate(), node, spec, sim_.now());
+    finish(packet, packet.ttl, packet.hops_taken, d.fate(), node, spec,
+           sim_.now());
     return;
   }
   // One TTL decrement per AS hop (the study's loop indicator).
-  if (--packet.ttl <= 0) {
-    finish(packet, PacketFate::kTtlExhausted, node, spec, sim_.now());
+  const int ttl = packet.ttl - 1;
+  if (ttl <= 0) {
+    finish(packet, ttl, packet.hops_taken, PacketFate::kTtlExhausted, node,
+           spec, sim_.now());
     return;
   }
-  ++packet.hops_taken;
+  const int hops = packet.hops_taken + 1;
   ++counters_.hops;
   if (!spec && backend_ == PlaneBackend::kRings &&
-      (packet.hops_taken == 1 ||
-       (packet.hops_taken & (kSpeculateEvery - 1)) == 0)) {
+      (hops == 1 || (hops & (kSpeculateEvery - 1)) == 0)) {
     spec = speculate(d.next_hop, packet.prefix);
   }
-  push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet), spec);
+  push_hop(sim_.now() + d.delay, d.next_hop, packet, ttl, hops, spec);
 }
 
-void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where,
-                       bool spec, sim::SimTime when) {
+void DataPlane::finish(const Packet& p, int ttl, int hops, PacketFate fate,
+                       net::NodeId where, bool spec, sim::SimTime when) {
   assert(in_flight_ > 0);
   --in_flight_;
   if (spec) count_spec(p.prefix, false);
@@ -157,7 +167,13 @@ void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where,
       break;
   }
   if (sink_ != nullptr) {
-    batch_.push_back(FateRecord{p, fate, where, when});
+    FateRecord& r = batch_.emplace_back();
+    r.packet = p;
+    r.packet.ttl = ttl;
+    r.packet.hops_taken = hops;
+    r.fate = fate;
+    r.where = where;
+    r.when = when;
   }
 }
 
@@ -218,29 +234,36 @@ void DataPlane::save_state(snap::Writer& w) const {
 }
 
 void DataPlane::restore_state(snap::Reader& r) {
-  next_seq_ = r.u64();
-  next_packet_id_ = r.u64();
-  in_flight_ = static_cast<std::size_t>(r.u64());
-  counters_.injected = r.u64();
-  counters_.delivered = r.u64();
-  counters_.ttl_exhausted = r.u64();
-  counters_.no_route = r.u64();
-  counters_.link_down = r.u64();
-  counters_.hops = r.u64();
-  bridge_armed_ = r.b();
-  bridge_time_ = r.time();
-  if (bridge_armed_) {
-    bridge_seq_ = r.u64();
-    if (bridge_time_ < sim_.now() || bridge_seq_ >= sim_.event_seq()) {
-      throw snap::FormatError{
-          "data plane: bridge armed before now or with an undrawn seq"};
+  const auto fail = [](const std::string& what) {
+    throw snap::FormatError{"data plane: " + what};
+  };
+  const std::uint64_t next_seq = r.u64();
+  const std::uint64_t next_packet_id = r.u64();
+  const std::uint64_t in_flight = r.u64();
+  Counters counters;
+  counters.injected = r.u64();
+  counters.delivered = r.u64();
+  counters.ttl_exhausted = r.u64();
+  counters.no_route = r.u64();
+  counters.link_down = r.u64();
+  counters.hops = r.u64();
+  const bool armed = r.b();
+  const sim::SimTime bridge_time = r.time();
+  std::uint64_t bridge_seq = 0;
+  if (armed) {
+    bridge_seq = r.u64();
+    if (bridge_time < sim_.now() || bridge_seq >= sim_.event_seq()) {
+      fail("bridge armed before now or with an undrawn seq");
     }
   }
-  heap_ = {};
-  rings_.clear();
-  spec_items_ = 0;
-  std::ranges::fill(spec_per_prefix_, 0);
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kEventBytes);
+  if (n != in_flight) {
+    fail("in-flight count " + std::to_string(in_flight) + " differs from the " +
+         std::to_string(n) + " stored event(s)");
+  }
+  if (n != 0 && !armed) fail("events stored with the bridge disarmed");
+  std::vector<HopEvent> events;
+  events.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     HopEvent ev;
     ev.at = r.time();
@@ -249,11 +272,43 @@ void DataPlane::restore_state(snap::Reader& r) {
     ev.packet.id = r.u64();
     ev.packet.source = r.u32();
     ev.packet.prefix = snap::read_prefix(r);
-    ev.packet.ttl = static_cast<int>(r.i64());
+    const std::int64_t ttl = r.i64();
+    ev.packet.ttl = static_cast<int>(ttl);
     ev.packet.sent_at = r.time();
     ev.packet.hops_taken = static_cast<int>(r.i64());
+    if (ev.node >= topo_.node_count()) {
+      fail("event at unknown node " + std::to_string(ev.node));
+    }
+    if (ev.packet.prefix >= destinations_.size() ||
+        destinations_[ev.packet.prefix] == net::kInvalidNode) {
+      fail("event for prefix " + std::to_string(ev.packet.prefix) +
+           " without a destination");
+    }
+    if (ev.at < sim_.now()) fail("event before now");
+    if (ev.seq >= next_seq) fail("event seq not yet drawn");
+    if (!events.empty() && !tick_before(events.back(), ev)) {
+      fail("events out of (at, seq) order");
+    }
+    if (ttl < 1 || ttl > std::numeric_limits<int>::max()) {
+      fail("event TTL " + std::to_string(ttl) + " out of range");
+    }
+    events.push_back(std::move(ev));
+  }
+  next_seq_ = next_seq;
+  next_packet_id_ = next_packet_id;
+  in_flight_ = static_cast<std::size_t>(in_flight);
+  counters_ = counters;
+  bridge_armed_ = armed;
+  bridge_time_ = bridge_time;
+  if (armed) bridge_seq_ = bridge_seq;
+  heap_ = {};
+  rings_.clear();
+  spec_items_ = 0;
+  std::ranges::fill(spec_per_prefix_, 0);
+  for (HopEvent& ev : events) {
     if (backend_ == PlaneBackend::kRings) {
-      enqueue(std::move(ev));
+      admit(cohort_at(ev.at), ev.seq, ev.node, /*spec=*/false, ev.packet,
+            ev.packet.ttl, ev.packet.hops_taken);
     } else {
       heap_.push(std::move(ev));
     }
@@ -261,41 +316,51 @@ void DataPlane::restore_state(snap::Reader& r) {
   sync_slot();
 }
 
-void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet,
-                         bool spec) {
+void DataPlane::push_hop(sim::SimTime at, net::NodeId node,
+                         const Packet& packet, int ttl, int hops, bool spec) {
   if (backend_ == PlaneBackend::kRings) {
-    enqueue(HopEvent{at, next_seq_++, node, spec, std::move(packet)});
+    admit(cohort_at(at), next_seq_++, node, spec, packet, ttl, hops);
   } else {
-    heap_.push(HopEvent{at, next_seq_++, node, false, std::move(packet)});
+    HopEvent ev{at, next_seq_++, node, false, packet};
+    ev.packet.ttl = ttl;
+    ev.packet.hops_taken = hops;
+    heap_.push(ev);
   }
   rearm();
 }
 
-void DataPlane::enqueue(HopEvent ev) {
+std::size_t DataPlane::cohort_at(sim::SimTime at) {
   // Uniform link delays make the back cohort the overwhelmingly common
   // target; anything else walks back from the end (heterogeneous delays
   // stay correct, they just pay a short scan).
   std::size_t t = rings_.size();
-  if (t != 0 && ev.at == rings_.hot(t - 1).at) {
-    --t;
-  } else {
-    while (t != 0 && rings_.hot(t - 1).at > ev.at) --t;
-    if (t != 0 && rings_.hot(t - 1).at == ev.at) {
-      --t;
-    } else {
-      rings_.open(t, ev.at);
-    }
-  }
-  admit(t, ev.spec).items.push_back(std::move(ev));
+  if (t != 0 && at == rings_.hot(t - 1).at) return t - 1;
+  while (t != 0 && rings_.hot(t - 1).at > at) --t;
+  if (t != 0 && rings_.hot(t - 1).at == at) return t - 1;
+  rings_.open(t, at);
+  return t;
 }
 
-DataPlane::TickRing& DataPlane::admit(std::size_t t, bool spec) {
+void DataPlane::admit(std::size_t t, std::uint64_t seq, net::NodeId node,
+                      bool spec, const Packet& packet, int ttl, int hops) {
   Hot& hot = rings_.hot(t);
-  if (hot.lag != 0) settle(t);
-  hot.left = -1;
   TickRing& ring = rings_[t];
+  settle(hot, ring);
+  join(hot, ring.items.empty(), node, packet.prefix, ttl, spec);
   ring.spec_count += spec ? 1 : 0;
-  return ring;
+  // Built in place, field by field: copying a packet right after narrow
+  // stores to it would stall on store forwarding.
+  HopEvent& ev = ring.items.emplace_back();
+  ev.at = hot.at;
+  ev.seq = seq;
+  ev.node = node;
+  ev.spec = spec;
+  ev.packet.id = packet.id;
+  ev.packet.source = packet.source;
+  ev.packet.prefix = packet.prefix;
+  ev.packet.ttl = ttl;
+  ev.packet.sent_at = packet.sent_at;
+  ev.packet.hops_taken = hops;
 }
 
 void DataPlane::TickQueue::open(std::size_t i, sim::SimTime at) {
@@ -378,11 +443,8 @@ void DataPlane::on_slot() {
     } else {
       fire_source();
     }
+    if (spec_items_ != 0) skip_ahead();
     bridge = bridge_next();
-    if (bridge && spec_items_ != 0) {
-      skip_ahead();
-      bridge = bridge_next();
-    }
     if (!bridge && src_live_ == 0) break;
     const SourceTick* tick = bridge ? nullptr : &src_[src_head_];
     if (!sim_.fire_external_inline(bridge ? bridge_time_ : tick->at,
@@ -401,76 +463,141 @@ void DataPlane::fire_bridge() {
 }
 
 void DataPlane::skip_ahead() {
-  // Replay the bridge's next firings inline while nothing else can come
-  // between them: each moves a cohort that forwards whole, or is the
-  // re-armed firing of its tick that finds nothing due. Every seq drawn
-  // here is newer than the next source tick's and the next queued
-  // event's, so a firing at exactly their time would come after them —
-  // hence the strict time bound.
-  sim::SimTime horizon = sim_.external_horizon();
-  if (src_live_ != 0) horizon = std::min(horizon, src_[src_head_].at);
-  if (!bridge_armed_ || !(bridge_time_ < horizon) || rings_[0].head != 0) {
-    return;
-  }
-  std::uint64_t firings = 0;
-  sim::SimTime last;
-  if (rings_.hot(0).at != bridge_time_) {
-    ++firings;  // the re-armed firing finds nothing due
-    last = bridge_time_;
-  }
+  // Replay the plane's next items inline while no control event can come
+  // between them: the bridge's firings of promoted cohorts, its re-armed
+  // firings that find nothing due, and the source ticks in between. Every
+  // seq the bridge draws here is newer than the next queued event's, so a
+  // firing at exactly that event's time would come after it — hence the
+  // strict bound, which the source ticks keep too.
+  const sim::SimTime horizon = sim_.external_horizon();
   for (;;) {
-    // Windows of whole-cohort skips, each stopped by a cohort that needs a
-    // closer look: one whose packets are not yet known to move together
-    // (promote), or whose skip lands on or before the back cohort. Most
-    // replays on non-looping traffic stop at once, so the front is tested
-    // before a window is set up.
-    if (rings_.hot(0).left >= 1) firings += fire_window(horizon, last);
-    const sim::SimTime tick = rings_.hot(0).at;
-    if (!(tick < horizon) || rings_[0].spec_count == 0 || !skippable()) {
-      break;  // a tick to drain, or packets dying here: fire for real
+    if (!bridge_next()) {
+      if (src_live_ == 0 || !(src_[src_head_].at < horizon)) break;
+      // The tick draws seqs (its injection's arming, then its own), so the
+      // firings replayed before it draw theirs first.
+      credit_replay();
+      const SourceTick& tick = src_[src_head_];
+      [[maybe_unused]] const bool fired =
+          sim_.fire_external_inline(tick.at, tick.seq);
+      assert(fired);
+      fire_source();
+      continue;
     }
-    // Several forwarding packets make the tick fire twice: the first of
-    // them re-arms the bridge at now.
-    firings += skip_hop() > 1 ? 2 : 1;
-    last = tick;
+    if (!(bridge_time_ < horizon) || rings_.empty() || rings_[0].head != 0) {
+      break;
+    }
+    const sim::SimTime tick = rings_.hot(0).at;
+    if (tick != bridge_time_) {
+      replay_firing(bridge_time_, &tick);  // the re-armed firing: none due
+      continue;
+    }
+    // Before the next source tick nothing comes between the bridge's
+    // firings: fire a window up to it. At the tick's time exactly, the
+    // bridge fires first (by seq) and the tick may come between that
+    // firing and its re-armed second one.
+    if (src_live_ == 0 || tick < src_[src_head_].at) {
+      const sim::SimTime bound =
+          src_live_ == 0 ? horizon : std::min(horizon, src_[src_head_].at);
+      if (!fire_window(bound)) break;
+    } else if (!fire_front(/*fold=*/false)) {
+      break;
+    }
   }
-  if (firings != 0) {
-    // Each firing drew one seq: the re-arm for the next firing (a tick
-    // that fires twice draws its re-arm at now first). Nothing else draws
-    // during the replay, so they are drawn together here.
-    bridge_time_ = rings_.hot(0).at;
-    bridge_seq_ = sim_.take_seqs(firings);
-    sim_.credit_external(firings, last);
+  credit_replay();
+}
+
+bool DataPlane::fire_window(sim::SimTime bound) {
+  // While the front cohorts move whole and each lands behind the back
+  // one, the queue only turns: firing j of them is rotating it by j. Each
+  // cohort's effect is closed-form (one more lag, one delay later, its
+  // seqs the next k of a running sum), and its packets stay untouched
+  // until something settles the cohort. A cohort that merges or retires
+  // packets takes one step (fire_front), and the turning goes on.
+  std::uint64_t seq = next_seq_;
+  std::uint64_t firings = 0;
+  bool stopped = false;
+  rings_.turn(
+      [&](Hot& hot, sim::SimTime back) {
+        if (!(hot.at < bound) || hot.left < 1 ||
+            !(back < hot.at + hot.delay())) {
+          return false;
+        }
+        // A cohort of several forwarding packets fires its tick twice
+        // (the first of them re-arms at now); each firing draws one seq.
+        firings += hot.k > 1 ? 2 : 1;
+        hot.skip(seq);
+        seq += hot.k;
+        return true;
+      },
+      [&] {
+        if (firings != 0) {
+          const Hot& fired = rings_.hot(rings_.size() - 1);  // the last
+          const std::uint64_t hops = seq - next_seq_;
+          next_seq_ = seq;
+          counters_.hops += hops;
+          speculative_hops_ += hops;
+          replay_firings_ += firings;
+          replay_draws_ += firings;
+          replay_last_ = fired.at - fired.delay();
+          bridge_time_ = rings_.hot(0).at;
+          bridge_seq_ = sim_.event_seq() + replay_draws_ - 1;
+          firings = 0;
+        }
+        if (rings_.empty() || !(rings_.hot(0).at < bound)) return false;
+        stopped = !fire_front(/*fold=*/true);
+        seq = next_seq_;
+        return !stopped;
+      });
+  return !stopped;
+}
+
+bool DataPlane::fire_front(bool fold) {
+  if (rings_.hot(0).left < 0 &&
+      (rings_[0].spec_count == 0 || !promote())) {
+    return false;  // a packet that does not speculate: drain for real
+  }
+  const sim::SimTime tick = rings_.hot(0).at;
+  const bool twice = step_front(tick);
+  const sim::SimTime next = rings_.empty() ? tick : rings_.hot(0).at;
+  const sim::SimTime* rearm = rings_.empty() ? nullptr : &next;
+  replay_firing(tick, twice ? &tick : rearm);
+  if (!batch_.empty()) {
+    // The sink runs after the tick's first firing, the clock at the tick.
+    credit_replay();
+    flush_fates();
+  }
+  if (twice && fold) replay_firing(tick, rearm);
+  return true;
+}
+
+bool DataPlane::step_front(sim::SimTime when) {
+  const Hot& front = rings_.hot(0);
+  if (front.left < 1) return retire_ending(when);
+  const std::uint32_t k = front.k;
+  move_front(k, front.left);
+  return k > 1;
+}
+
+void DataPlane::replay_firing(sim::SimTime at, const sim::SimTime* rearm) {
+  ++replay_firings_;
+  replay_last_ = at;
+  bridge_armed_ = rearm != nullptr;
+  if (rearm != nullptr) {
+    bridge_time_ = *rearm;
+    bridge_seq_ = sim_.event_seq() + replay_draws_++;
   }
 }
 
-std::uint64_t DataPlane::fire_window(sim::SimTime horizon, sim::SimTime& last) {
-  // While the front cohorts move whole and each lands behind the back
-  // one, the queue only turns: firing j of them is rotating it by j. The
-  // window is the longest such run due before the horizon, at most one
-  // lap; each cohort's effect is closed-form (one more lag, one delay
-  // later, its seqs the next k of a running sum), and its packets stay
-  // untouched until something settles the cohort.
-  sim::SimTime back = rings_.hot(rings_.size() - 1).at;
-  std::uint64_t seq = next_seq_;
-  std::uint64_t twice = 0;
-  const std::size_t j = rings_.turn([&](Hot& hot) {
-    const sim::SimTime next = hot.at + hot.delay();
-    if (!(hot.at < horizon) || hot.left < 1 || !(back < next)) return false;
-    twice += hot.k > 1 ? 1 : 0;
-    hot.skip(seq);
-    seq += hot.k;
-    back = next;
-    return true;
-  });
-  if (j == 0) return 0;
-  const Hot& fired = rings_.hot(rings_.size() - 1);  // the window's last
-  last = fired.at - fired.delay();
-  const std::uint64_t hops = seq - next_seq_;
-  next_seq_ = seq;
-  counters_.hops += hops;
-  speculative_hops_ += hops;
-  return j + twice;
+void DataPlane::credit_replay() {
+  if (replay_draws_ != 0) {
+    [[maybe_unused]] const std::uint64_t last = sim_.take_seqs(replay_draws_);
+    assert(!bridge_armed_ || last == bridge_seq_);
+    replay_draws_ = 0;
+  }
+  if (replay_firings_ != 0) {
+    sim_.credit_external(replay_firings_, replay_last_);
+    replay_firings_ = 0;
+  }
 }
 
 void DataPlane::fire_source() {
@@ -504,15 +631,6 @@ void DataPlane::sync_slot() {
     sim_.disarm_external();
   }
 }
-
-namespace {
-
-template <typename Tick>
-bool tick_before(const Tick& a, const Tick& b) {
-  return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-}
-
-}  // namespace
 
 void DataPlane::start_sources(const SourcePlan& plan,
                               const std::vector<SourceStart>& starts) {
@@ -649,35 +767,27 @@ void DataPlane::drain_due() {
         rings_.pop_front();
         continue;
       }
-      if (front.head == 0 && front.spec_count != 0) {
-        if (skippable()) {
-          // Hop by hop, the first of several forwarding packets would
-          // re-arm the bridge at now; the skipped cohort arms it the same
-          // way.
-          if (skip_hop() > 1) arm_at(now);
-          continue;
-        }
-        if (rings_.hot(0).left >= 0) {
-          // All speculative, some meeting their fates here: retire those
-          // in place and move the rest as one block, arming as the drain
-          // would.
-          if (retire_ending(now)) arm_at(now);
-          continue;
-        }
+      if (front.head == 0 && front.spec_count != 0 &&
+          (rings_.hot(0).left >= 0 || promote())) {
+        // Hop by hop, the first of several forwarding packets would
+        // re-arm the bridge at now; the promoted cohort arms it the same
+        // way.
+        if (step_front(now)) arm_at(now);
+        continue;
       }
       if (rings_.hot(0).lag != 0) settle(0);
       // Copy out before advancing; arrive() may grow this cohort's vector
       // (zero-delay links) or insert new cohorts.
-      HopEvent ev = std::move(front.items[front.head++]);
-      arrive(ev.node, std::move(ev.packet), ev.spec);
+      const HopEvent ev = front.items[front.head++];
+      arrive(ev.node, ev.packet, ev.spec);
     }
     return;
   }
   while (!heap_.empty() && heap_.top().at <= now) {
     // Copy out before pop; arrive() may push new hops.
-    HopEvent ev = heap_.top();
+    const HopEvent ev = heap_.top();
     heap_.pop();
-    arrive(ev.node, std::move(ev.packet), /*spec=*/false);
+    arrive(ev.node, ev.packet, /*spec=*/false);
   }
 }
 
@@ -805,21 +915,25 @@ DataPlane::HopEvent DataPlane::settled(const Hot& hot, const TickRing& ring,
   return ev;
 }
 
-void DataPlane::settle(std::size_t t) {
-  Hot& hot = rings_.hot(t);
+void DataPlane::settle(Hot& hot, TickRing& ring) {
   if (hot.lag == 0) return;
-  TickRing& ring = rings_[t];
+  settle_items(hot, ring.items.data() + ring.head,
+               ring.items.size() - ring.head);
+  hot.lag = 0;
+}
+
+void DataPlane::settle_items(const Hot& hot, HopEvent* items,
+                             std::size_t n) const {
   const std::size_t stride = destinations_.size();
   const auto lag = static_cast<int>(hot.lag);
-  for (std::size_t i = ring.head; i < ring.items.size(); ++i) {
-    HopEvent& ev = ring.items[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    HopEvent& ev = items[i];
     ev.at = hot.at;
-    ev.seq = hot.seq_base + (i - ring.head);
+    ev.seq = hot.seq_base + i;
     ev.node = walk_node(walks_[ev.node * stride + ev.packet.prefix], hot.lag);
     ev.packet.ttl -= lag;
     ev.packet.hops_taken += lag;
   }
-  hot.lag = 0;
 }
 
 bool DataPlane::promote() {
@@ -860,6 +974,36 @@ bool DataPlane::promote() {
   return true;
 }
 
+void DataPlane::join(Hot& hot, bool fresh, net::NodeId node,
+                     net::Prefix prefix, int ttl, bool spec) const {
+  if (!spec || (!fresh && hot.left < 0)) {
+    hot.left = -1;
+    return;
+  }
+  const Walk& w = walks_[node * destinations_.size() + prefix];
+  const int reach = w.reach(ttl);
+  // A promoted cohort's delay is zero only while none of its packets
+  // moves on.
+  std::int64_t delay_us = fresh ? 0 : hot.delay_us;
+  if (reach != 0) {
+    if (delay_us != 0 && delay_us != w.delay.as_micros()) {
+      hot.left = -1;
+      return;
+    }
+    delay_us = w.delay.as_micros();
+  }
+  const int left = fresh ? reach : std::min<int>(hot.left, reach);
+  if (left > std::numeric_limits<std::int16_t>::max() ||
+      delay_us > std::numeric_limits<std::uint32_t>::max() ||
+      (!fresh && hot.k == std::numeric_limits<std::uint32_t>::max())) {
+    hot.left = -1;
+    return;
+  }
+  hot.k = fresh ? 1 : hot.k + 1;
+  hot.delay_us = static_cast<std::uint32_t>(delay_us);
+  hot.left = static_cast<std::int16_t>(left);
+}
+
 void DataPlane::relocate_front() {
   const sim::SimTime at = rings_.hot(0).at;
   std::size_t i = rings_.size();
@@ -869,50 +1013,88 @@ void DataPlane::relocate_front() {
     return;
   }
   // Packets already due at that tick were pushed earlier: they keep their
-  // lower seqs, and the moved cohort queues behind them.
-  settle(0);
-  for (HopEvent& ev : rings_[0].items) {
-    admit(i - 1, ev.spec).items.push_back(std::move(ev));
+  // lower seqs, and the moved cohort queues behind them. The moved cohort
+  // is promoted; the merged one stays so if the other was too, on walks
+  // of the same delay.
+  Hot& into = rings_.hot(i - 1);
+  const Hot& from = rings_.hot(0);
+  TickRing& target = rings_[i - 1];
+  TickRing& moved = rings_[0];
+  settle(into, target);
+  // The moved packets are settled once copied: copying them right after
+  // settling them in place would stall on store forwarding.
+  const std::size_t n = target.items.size();
+  target.items.insert(target.items.end(), moved.items.begin(),
+                      moved.items.end());
+  if (from.lag != 0) {
+    settle_items(from, target.items.data() + n, moved.items.size());
   }
+  if (into.left >= 0 &&
+      (into.delay_us == 0 || into.delay_us == from.delay_us) &&
+      into.k <= std::numeric_limits<std::uint32_t>::max() - from.k) {
+    into.k += from.k;
+    into.delay_us = from.delay_us;
+    into.left = std::min(into.left, from.left);
+  } else {
+    into.left = -1;
+  }
+  target.spec_count += moved.spec_count;
   rings_.pop_front();
 }
 
 bool DataPlane::retire_ending(sim::SimTime when) {
-  settle(0);
+  Hot& hot = rings_.hot(0);
   TickRing& ring = rings_[0];
   const std::size_t stride = destinations_.size();
+  const std::size_t n = ring.items.size();
+  const auto lag = static_cast<int>(hot.lag);
   // Hop by hop, the first forwarding packet of the cohort re-arms the
   // bridge at now unless it is the cohort's last packet.
   bool twice = false;
   std::size_t kept = 0;
   int left = 0;
-  for (std::size_t i = 0; i < ring.items.size(); ++i) {
-    HopEvent& ev = ring.items[i];
-    const Decision& d = cached_decide(ev.node, ev.packet.prefix);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Settled in the same pass, straight into the survivors' places:
+    // copying a packet right after settling it in place would stall on
+    // store forwarding.
+    const HopEvent& ev = ring.items[i];
+    const net::Prefix prefix = ev.packet.prefix;
+    const net::NodeId node =
+        lag == 0 ? ev.node
+                 : walk_node(walks_[ev.node * stride + prefix], hot.lag);
+    const int ttl = ev.packet.ttl - lag;
+    const int hops = ev.packet.hops_taken + lag;
+    const Decision& d = cached_decide(node, prefix);
     if (d.kind != Decision::Kind::kForward) {  // its walk's terminal node
-      finish(ev.packet, d.fate(), ev.node, /*spec=*/true, when);
+      finish(ev.packet, ttl, hops, d.fate(), node, /*spec=*/true, when);
       continue;
     }
-    if (ev.packet.ttl == 1) {
-      ev.packet.ttl = 0;
-      finish(ev.packet, PacketFate::kTtlExhausted, ev.node, /*spec=*/true,
-             when);
+    if (ttl == 1) {
+      finish(ev.packet, 0, hops, PacketFate::kTtlExhausted, node,
+             /*spec=*/true, when);
       continue;
     }
-    twice = twice || i + 1 < ring.items.size();
-    const int reach =
-        walks_[ev.node * stride + ev.packet.prefix].reach(ev.packet.ttl);
+    twice = twice || i + 1 < n;
+    const int reach = walks_[node * stride + prefix].reach(ttl);
     left = kept == 0 ? reach : std::min(left, reach);
-    ring.items[kept++] = std::move(ev);
+    const std::uint64_t seq = lag == 0 ? ev.seq : hot.seq_base + i;
+    HopEvent& survivor = ring.items[kept++];
+    if (&survivor != &ev) survivor.packet = ev.packet;
+    survivor.at = hot.at;
+    survivor.seq = seq;
+    survivor.node = node;
+    survivor.spec = true;
+    survivor.packet.ttl = ttl;
+    survivor.packet.hops_taken = hops;
   }
   ring.items.resize(kept);
   ring.spec_count = static_cast<std::uint32_t>(kept);
-  rings_.hot(0).k = static_cast<std::uint32_t>(kept);
-  rings_.hot(0).left = static_cast<std::int16_t>(left);
+  hot.lag = 0;
   if (kept == 0) {
     rings_.pop_front();
   } else {
-    skip_hop();
+    move_front(static_cast<std::uint32_t>(kept),
+               static_cast<std::int16_t>(left));
   }
   return twice;
 }

@@ -130,7 +130,8 @@ class DataPlane {
 
   /// Reports every source tick's injection (time-stamped packet-sent
   /// record), just before the packet enters the plane. Like the fate
-  /// sink, it runs inside the plane's drain and must not schedule events.
+  /// sink, it runs inside the plane's drain or replay and must not
+  /// schedule events.
   using SendHook = std::function<void(net::NodeId source, net::Prefix prefix,
                                       sim::SimTime when)>;
   void set_send_hook(SendHook hook) { on_send_ = std::move(hook); }
@@ -210,7 +211,12 @@ class DataPlane {
 
   /// Inverse of save_state, replacing the hop-store contents, and re-arm
   /// the simulator's slot from the restored bridge and the current
-  /// sources. Restored packets are ordinary entries.
+  /// sources. Restored packets are ordinary entries. The store is decoded
+  /// and checked in full before anything changes: an event at an unknown
+  /// node, for a prefix without a destination, before now(), out of
+  /// ascending (at, seq) order or with a seq not yet drawn; a TTL below
+  /// one; an in-flight count other than the event count; or events with
+  /// the bridge disarmed end in snap::FormatError.
   void restore_state(snap::Reader& r);
 
  private:
@@ -252,11 +258,12 @@ class DataPlane {
     std::uint32_t k = 0;         // its packets (valid while left >= 0)
     std::uint32_t delay_us = 0;  // their walks' delay (valid while left >= 0)
     std::uint16_t lag = 0;
-    /// -1 until skippable() finds every packet speculative, those that
-    /// move on sharing one delay, and again after any admission; then the
-    /// skips left before the first packet dies or reaches its walk's
-    /// terminal node: the smallest item reach (Walk::reach), less the lag.
-    /// lag + left never exceeds the bound promote() admits.
+    /// -1 until promote() finds every packet speculative, those that move
+    /// on sharing one delay, and again after a packet joins that does not
+    /// (join); then the skips left before the first packet dies or
+    /// reaches its walk's terminal node: the smallest item reach
+    /// (Walk::reach), less the lag. lag + left never exceeds the bound
+    /// promote() admits.
     std::int16_t left = -1;
 
     [[nodiscard]] sim::SimTime delay() const {
@@ -293,36 +300,38 @@ class DataPlane {
     void open(std::size_t i, sim::SimTime at);
     /// Retire the front cohort.
     void pop_front();
-    /// Move the front cohort behind the back one.
-    void rotate_front() {
-      // Full: the front's position already is the one behind the back.
-      if (count_ != ring_.size()) {
-        ring_[(first_ + count_) & mask()] = ring_[first_];
-      }
+    /// Retire the front entry and put `entry` behind the back one (its
+    /// position when the ring is full).
+    void rotate_front(const Hot& entry) {
+      ring_[(first_ + count_) & mask()] = entry;
       first_ = (first_ + 1) & mask();
     }
-    /// Offer the front entries in order, at most one lap, each as a copy
-    /// that `step` may update, until it declines one; the accepted ones,
-    /// updated, move behind the back one in order (rotate). Returns their
-    /// count.
-    template <typename Step>
-    std::size_t turn(Step&& step) {
-      Hot* const ring = ring_.data();
-      const std::size_t mask = ring_.size() - 1;
-      const std::size_t first = first_;
-      const std::size_t count = count_;
-      // Full: the fronts' positions already are the ones behind the back.
-      // Otherwise each entry lands on a free position or on one this pass
-      // has read already.
-      const std::size_t shift = count == ring_.size() ? 0 : count;
-      std::size_t j = 0;
-      for (; j < count; ++j) {
-        Hot entry = ring[(first + j) & mask];
-        if (!step(entry)) break;
-        ring[(first + shift + j) & mask] = entry;
-      }
-      first_ = (first + j) & mask;
-      return j;
+    /// Turn the queue: offer the front entry, with the back one's time,
+    /// as a copy that `skip` may update; while it accepts, the updated
+    /// entry moves behind the back one. When it declines (or the queue is
+    /// empty), call `step` on the queue as it stands, and go on turning
+    /// while that returns true.
+    template <typename Skip, typename Step>
+    void turn(Skip&& skip, Step&& step) {
+      do {
+        Hot* const ring = ring_.data();
+        const std::size_t mask = ring_.size() - 1;
+        const std::size_t count = count_;
+        std::size_t first = first_;
+        if (count != 0) {
+          sim::SimTime back = ring[(first + count - 1) & mask].at;
+          for (;;) {
+            Hot entry = ring[first];
+            if (!skip(entry, back)) break;
+            back = entry.at;
+            // Full: the front's position already is the one behind the
+            // back, and the updated entry goes back where it was.
+            ring[(first + count) & mask] = entry;
+            first = (first + 1) & mask;
+          }
+          first_ = first;
+        }
+      } while (step());
     }
     /// Move the front cohort to position i, shifting cohorts 1..i forward.
     void sink_front(std::size_t i);
@@ -395,16 +404,23 @@ class DataPlane {
     }
   };
 
-  void arrive(net::NodeId node, Packet packet, bool spec);
+  void arrive(net::NodeId node, const Packet& packet, bool spec);
   Decision decide(net::NodeId node, net::Prefix prefix) const;
   const Decision& cached_decide(net::NodeId node, net::Prefix prefix) const;
-  void finish(const Packet& p, PacketFate fate, net::NodeId where, bool spec,
-              sim::SimTime when);
+  /// Terminate packet `p`, its TTL and hop count then `ttl` and `hops`.
+  void finish(const Packet& p, int ttl, int hops, PacketFate fate,
+              net::NodeId where, bool spec, sim::SimTime when);
   void flush_fates();
-  void push_hop(sim::SimTime at, net::NodeId node, Packet packet, bool spec);
-  void enqueue(HopEvent ev);
-  /// Prepare queued cohort t for one more packet; returns its ring.
-  TickRing& admit(std::size_t t, bool spec);
+  /// Store `packet`'s next hop, to `node` at `at`, with `ttl` and `hops`
+  /// after it.
+  void push_hop(sim::SimTime at, net::NodeId node, const Packet& packet,
+                int ttl, int hops, bool spec);
+  /// The queued cohort at `at`, opened if there is none.
+  std::size_t cohort_at(sim::SimTime at);
+  /// Append one hop to queued cohort t (settled first). A speculative
+  /// packet keeps a promoted cohort promoted, and promotes an empty one.
+  void admit(std::size_t t, std::uint64_t seq, net::NodeId node, bool spec,
+             const Packet& packet, int ttl, int hops);
   [[nodiscard]] const sim::SimTime* next_pending_at() const;
   void arm_at(sim::SimTime at);
   void rearm();
@@ -441,45 +457,75 @@ class DataPlane {
   void count_spec(net::Prefix prefix, bool added);
   [[nodiscard]] HopEvent settled(const Hot& hot, const TickRing& ring,
                                  std::size_t i) const;
-  /// Apply queued cohort t's lag to its items.
-  void settle(std::size_t t);
-  /// Whether the front cohort may move to its next tick whole.
-  bool skippable() {
-    const Hot& front = rings_.hot(0);
-    return (front.left >= 0 || promote()) && front.left >= 1;
-  }
+  /// Apply a cohort's lag to its items.
+  void settle(Hot& hot, TickRing& ring);
+  /// Apply `hot`'s lag (non-zero) to `n` items copied out of its cohort.
+  void settle_items(const Hot& hot, HopEvent* items, std::size_t n) const;
+  void settle(std::size_t t) { settle(rings_.hot(t), rings_[t]); }
   bool promote();
-  /// Move the front cohort (skippable) to its next tick as one block;
-  /// returns its packet count.
-  std::size_t skip_hop() {
-    Hot& front = rings_.hot(0);
-    const std::size_t k = front.k;
+  /// What a promoted cohort's hot fields become when a packet of `prefix`
+  /// with `ttl` arriving at `node` joins it (`fresh`: the cohort is
+  /// empty): k, delay and skips left exactly as promote() would compute
+  /// them, or left = -1 when the packet does not speculate or cannot move
+  /// with the others.
+  void join(Hot& hot, bool fresh, net::NodeId node, net::Prefix prefix,
+            int ttl, bool spec) const;
+  /// Move the front cohort — promoted, its `k` packets `left` (>= 1)
+  /// skips from their first death or terminal — to its next tick as one
+  /// block. The moved entry is written field by field: a whole-entry copy
+  /// right after narrow stores to it would stall on store forwarding.
+  void move_front(std::uint32_t k, std::int16_t left) {
+    const Hot& front = rings_.hot(0);
+    Hot moved;
+    moved.at = front.at + front.delay();
+    moved.seq_base = next_seq_;
+    moved.slot = front.slot;
+    moved.k = k;
+    moved.delay_us = front.delay_us;
+    moved.lag = static_cast<std::uint16_t>(front.lag + 1);
+    moved.left = static_cast<std::int16_t>(left - 1);
     counters_.hops += k;
     speculative_hops_ += k;
-    front.skip(next_seq_);
     next_seq_ += k;
-    if (rings_.size() == 1 || front.at > rings_.hot(rings_.size() - 1).at) {
-      rings_.rotate_front();
+    if (rings_.size() == 1 || moved.at > rings_.hot(rings_.size() - 1).at) {
+      rings_.rotate_front(moved);
     } else {
+      rings_.hot(0) = moved;
       relocate_front();
     }
-    return k;
   }
-  /// skip_hop's rare case: the moved cohort lands before the back one.
+  /// move_front's other case: the moved cohort lands on or before the
+  /// back one.
   void relocate_front();
   /// The front cohort's packets at the end of their skips (left == 0):
   /// retire those that meet their fate at this tick in place, in drain
-  /// order, and move the rest as one block; returns whether the tick
-  /// fires twice.
+  /// order, and move the rest, settled and promoted, as one block;
+  /// returns whether the tick fires twice.
   bool retire_ending(sim::SimTime when);
-  /// When the bridge fires next: replay its cohort skips up to the next
-  /// source tick or control event, credited in one call.
+  /// Fire the promoted front cohort's tick at `when`: move it whole, or
+  /// retire its dying packets and move the rest; returns whether the tick
+  /// fires twice.
+  bool step_front(sim::SimTime when);
+  /// Replay the plane's items inline up to the next control event: the
+  /// bridge's firings of promoted cohorts, the re-armed firings that find
+  /// nothing due, and the source ticks between them.
   void skip_ahead();
-  /// skip_ahead's closed-form window: skip the front cohorts due before
-  /// `horizon` that move whole and land behind the back one, at most one
-  /// lap; returns how many bridge firings that stands for (none if the
-  /// front does not qualify) and sets `last` to the last one's time.
-  std::uint64_t fire_window(sim::SimTime horizon, sim::SimTime& last);
+  /// skip_ahead's window: fire the front cohorts due before `bound` (no
+  /// source tick comes between them) — in closed form while each moves
+  /// whole and lands behind the back one, one step at a time where one
+  /// merges or retires packets; returns false when it stops at a cohort
+  /// that needs a real drain.
+  bool fire_window(sim::SimTime bound);
+  /// One replayed firing of the promoted front cohort's tick; a second
+  /// firing of the tick is replayed too when `fold`, or else left to the
+  /// bridge, re-armed at now. Returns false when the front needs a real
+  /// drain.
+  bool fire_front(bool fold);
+  /// Count one replayed bridge firing at `at`, leaving the bridge armed
+  /// at *rearm with a newly drawn seq, or (null) disarmed without a draw.
+  void replay_firing(sim::SimTime at, const sim::SimTime* rearm);
+  /// Draw the replayed firings' seqs and credit them to the simulator.
+  void credit_replay();
   void on_fib_change(net::NodeId node, net::Prefix prefix);
   /// Send every packet `touched` selects back to hop by hop.
   template <typename Touched>
@@ -522,6 +568,13 @@ class DataPlane {
   bool bridge_armed_ = false;
   sim::SimTime bridge_time_;
   std::uint64_t bridge_seq_ = 0;  // tie-break drawn at the last arming
+  /// A replay's firings not yet credited to the simulator, the seqs they
+  /// drew (one each, but none where the store empties) and the last
+  /// one's time. While they are pending, bridge_seq_ holds the seq its
+  /// arming will have drawn.
+  std::uint64_t replay_firings_ = 0;
+  std::uint64_t replay_draws_ = 0;
+  sim::SimTime replay_last_;
 
   // ---- constant-rate sources ----
   /// One source's next tick. Sources with one common interval never

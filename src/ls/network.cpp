@@ -66,30 +66,11 @@ bool LsNetwork::busy() const {
 namespace {
 
 void save_lsa_payload(snap::Writer& w, const net::Payload& payload) {
-  const Lsa& lsa = payload.get<LsaMsg>().lsa;
-  w.u32(lsa.origin);
-  w.u64(lsa.seq);
-  w.u64(lsa.neighbors.size());
-  for (const net::NodeId n : lsa.neighbors) w.u32(n);
-  w.u64(lsa.prefixes.size());
-  for (const net::Prefix p : lsa.prefixes) w.u32(p);
+  save_lsa(w, payload.get<LsaMsg>().lsa);
 }
 
 net::Payload load_lsa_payload(snap::Reader& r) {
-  LsaMsg msg;
-  msg.lsa.origin = r.u32();
-  msg.lsa.seq = r.u64();
-  const std::uint64_t n_nbrs = r.u64();
-  msg.lsa.neighbors.reserve(static_cast<std::size_t>(n_nbrs));
-  for (std::uint64_t i = 0; i < n_nbrs; ++i) {
-    msg.lsa.neighbors.push_back(r.u32());
-  }
-  const std::uint64_t n_prefixes = r.u64();
-  msg.lsa.prefixes.reserve(static_cast<std::size_t>(n_prefixes));
-  for (std::uint64_t i = 0; i < n_prefixes; ++i) {
-    msg.lsa.prefixes.push_back(snap::read_prefix(r));
-  }
-  return net::Payload{std::move(msg)};
+  return net::Payload{LsaMsg{load_lsa(r)}};
 }
 
 }  // namespace

@@ -177,8 +177,6 @@ const Lsa* LsSpeaker::lsdb_entry(net::NodeId origin) const {
   return it == lsdb_.end() ? nullptr : &it->second;
 }
 
-namespace {
-
 void save_lsa(snap::Writer& w, const Lsa& lsa) {
   w.u32(lsa.origin);
   w.u64(lsa.seq);
@@ -192,18 +190,16 @@ Lsa load_lsa(snap::Reader& r) {
   Lsa lsa;
   lsa.origin = r.u32();
   lsa.seq = r.u64();
-  const std::uint64_t n_nbrs = r.u64();
+  const std::uint64_t n_nbrs = r.count(4);
   lsa.neighbors.reserve(static_cast<std::size_t>(n_nbrs));
   for (std::uint64_t i = 0; i < n_nbrs; ++i) lsa.neighbors.push_back(r.u32());
-  const std::uint64_t n_prefixes = r.u64();
+  const std::uint64_t n_prefixes = r.count(4);
   lsa.prefixes.reserve(static_cast<std::size_t>(n_prefixes));
   for (std::uint64_t i = 0; i < n_prefixes; ++i) {
     lsa.prefixes.push_back(snap::read_prefix(r));
   }
   return lsa;
 }
-
-}  // namespace
 
 void LsSpeaker::save_state(snap::Writer& w) const {
   snap::write_rng(w, rng_);

@@ -102,4 +102,10 @@ class LsSpeaker {
   Counters counters_;
 };
 
+/// The snapshot codec of one LSA, for the speaker's LSDB and the network's
+/// queued floods alike. A neighbour or prefix count the remaining bytes
+/// cannot hold ends in snap::FormatError.
+void save_lsa(snap::Writer& w, const Lsa& lsa);
+[[nodiscard]] Lsa load_lsa(snap::Reader& r);
+
 }  // namespace bgpsim::ls

@@ -119,7 +119,7 @@ void save_series(snap::Writer& w, const std::vector<sim::SimTime>& series) {
 
 void restore_series(snap::Reader& r, std::vector<sim::SimTime>& series) {
   series.clear();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   series.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) series.push_back(r.time());
 }
@@ -156,7 +156,7 @@ void Collector::restore_state(snap::Reader& r) {
   no_route_ = r.u64();
   link_down_ = r.u64();
   if (!lanes_.empty()) {
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(3 * 8);
     lanes_.assign(static_cast<std::size_t>(n), PrefixCounters{});
     for (PrefixCounters& lane : lanes_) {
       lane.sent = r.u64();

@@ -191,7 +191,8 @@ void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r,
   for (std::uint64_t i = 0; i < prefixes; ++i) {
     const net::Prefix prefix = snap::read_prefix(r);
     PeerColumn& column = adj_[slot(s, ensure_column(prefix))];
-    const std::uint64_t entries = r.u64();
+    // Each entry is a peer and an AS path's hop count, at least.
+    const std::uint64_t entries = r.count(4 + 8);
     column.clear();
     column.reserve(entries);
     for (std::uint64_t j = 0; j < entries; ++j) {

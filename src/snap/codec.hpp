@@ -135,6 +135,20 @@ class Reader {
     return s;
   }
 
+  /// Read an item count, and end in FormatError unless that many items of
+  /// at least `min_item_bytes` (>= 1) bytes each fit in the bytes left, so
+  /// a decoder may reserve for the count.
+  std::uint64_t count(std::size_t min_item_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_item_bytes) {
+      throw FormatError{"snapshot count " + std::to_string(n) + " of " +
+                        std::to_string(min_item_bytes) +
+                        "-byte items overruns the " +
+                        std::to_string(remaining()) + " byte(s) left"};
+    }
+    return n;
+  }
+
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
   /// Require that every byte was consumed.

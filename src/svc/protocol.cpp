@@ -24,6 +24,14 @@ void write_summary(Writer& w, const metrics::Summary& s) {
   w.f64(s.median);
 }
 
+// The fewest bytes one encoded item can take, for bounding decoded counts
+// (Reader::count): a loop record is its member count, formation time and
+// resolved flag; a size bucket is two counts, a Summary (n and five
+// doubles) and a double; an outcome opens with 24 fixed 8-byte fields.
+constexpr std::size_t kLoopRecordBytes = 8 + 8 + 1;
+constexpr std::size_t kBucketBytes = 8 + 8 + 6 * 8 + 8;
+constexpr std::size_t kOutcomeBytes = 24 * 8;
+
 metrics::Summary read_summary(Reader& r) {
   metrics::Summary s;
   s.n = static_cast<std::size_t>(r.u64());
@@ -45,7 +53,7 @@ void write_loop_record(Writer& w, const metrics::LoopRecord& rec) {
 
 metrics::LoopRecord read_loop_record(Reader& r) {
   metrics::LoopRecord rec;
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(4);
   rec.members.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) rec.members.push_back(r.u32());
   rec.formed_at = r.time();
@@ -79,7 +87,7 @@ metrics::LoopStats read_loop_stats(Reader& r) {
   s.mean_size = r.f64();
   s.two_node_fraction = r.f64();
   s.duration_s = read_summary(r);
-  const std::uint64_t buckets = r.u64();
+  const std::uint64_t buckets = r.count(kBucketBytes);
   s.by_size.reserve(static_cast<std::size_t>(buckets));
   for (std::uint64_t i = 0; i < buckets; ++i) {
     metrics::SizeBucket b;
@@ -100,7 +108,7 @@ void write_u64_vec(Writer& w, const std::vector<std::uint64_t>& v) {
 }
 
 std::vector<std::uint64_t> read_u64_vec(Reader& r) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   std::vector<std::uint64_t> v;
   v.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u64());
@@ -256,7 +264,7 @@ UnitResult decode_result(const Frame& frame) {
   res.unit_id = r.u64();
   res.scenario_index = r.u64();
   res.trial_begin = r.u64();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kOutcomeBytes);
   res.outcomes.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) res.outcomes.push_back(read_outcome(r));
   r.finish();
@@ -361,7 +369,7 @@ core::Scenario read_scenario(Reader& r) {
   s.snap_roundtrip = static_cast<core::SnapRoundtrip>(r.u8());
   s.snap_roundtrip_after = r.time();
   s.prefixes = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n_origins = r.u64();
+  const std::uint64_t n_origins = r.count(4);
   s.origins.reserve(static_cast<std::size_t>(n_origins));
   for (std::uint64_t i = 0; i < n_origins; ++i) s.origins.push_back(r.u32());
   return s;
@@ -459,7 +467,7 @@ core::ExperimentOutcome read_outcome(Reader& r) {
   m.max_loop_duration_s = r.f64();
   m.mean_loop_size = r.f64();
   m.max_loop_size = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n_loops = r.u64();
+  const std::uint64_t n_loops = r.count(kLoopRecordBytes);
   m.loops.reserve(static_cast<std::size_t>(n_loops));
   for (std::uint64_t i = 0; i < n_loops; ++i) {
     m.loops.push_back(read_loop_record(r));

@@ -1,5 +1,6 @@
 // Unit tests for the distance-vector baseline speaker.
 #include "dv/speaker.hpp"
+#include "dv/network.hpp"
 
 #include <gtest/gtest.h>
 
@@ -175,6 +176,19 @@ TEST_F(DvSpeakerTest, OriginIgnoresLearnedRoutes) {
   speaker_->handle_update(1, DvUpdate{{{kP, 1}}});
   EXPECT_EQ(speaker_->metric(kP), 0);
   EXPECT_FALSE(speaker_->next_hop(kP).has_value());
+}
+
+TEST(DvUpdateCodec, RoundTripsAndRejectsAHugeRouteCount) {
+  const DvUpdate in{{{0, 3}, {2, 16}}};
+  snap::Writer w;
+  save_dv_update(w, in);
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  snap::Reader r{bytes};
+  EXPECT_EQ(load_dv_update(r).routes, in.routes);
+  r.finish();
+  bytes[5] = 1;  // 2^40 routes
+  snap::Reader huge{bytes};
+  EXPECT_THROW((void)load_dv_update(huge), snap::FormatError);
 }
 
 }  // namespace

@@ -34,15 +34,37 @@ struct FateRow {
   bool operator==(const FateRow&) const = default;
 };
 
+/// What a hook saw of the simulator when it ran: its clock, the events
+/// fired and the seqs drawn so far, and how many records it got (one per
+/// fate batch, zero for a send).
+struct HookView {
+  sim::SimTime now;
+  std::uint64_t events_fired = 0;
+  std::uint64_t event_seq = 0;
+  std::size_t records = 0;
+  bool operator==(const HookView&) const = default;
+};
+
+HookView view(const sim::Simulator& sim, std::size_t records) {
+  return HookView{sim.now(), sim.events_fired(), sim.event_seq(), records};
+}
+
 class FateRecorder final : public FateSink {
  public:
+  explicit FateRecorder(const sim::Simulator& sim) : sim_{sim} {}
   void on_fates(std::span<const FateRecord> batch) override {
+    hooks.push_back(view(sim_, batch.size()));
     for (const FateRecord& r : batch) {
       rows.push_back(
           FateRow{r.packet.id, r.fate, r.where, r.when, r.packet.hops_taken});
     }
   }
   std::vector<FateRow> rows;
+  /// One entry per fate batch and per source send, in call order.
+  std::vector<HookView> hooks;
+
+ private:
+  const sim::Simulator& sim_;
 };
 
 /// One scripted control- or data-plane action, applied at `at`.
@@ -85,6 +107,7 @@ struct Observed {
   std::size_t in_flight = 0;
   std::vector<std::uint8_t> bytes;  // save_state payload at probe_at
   std::vector<Ledger> ledger;       // one entry per applied op
+  std::vector<HookView> hooks;      // every fate batch and source send
   std::uint64_t speculative_hops = 0;
 };
 
@@ -121,8 +144,12 @@ Observed execute(PlaneBackend backend, const std::vector<Op>& script,
   options.destinations = setup.destinations;
   options.backend = backend;
   DataPlane plane{sim, topo, fibs, std::move(options)};
-  FateRecorder recorder;
+  FateRecorder recorder{sim};
   plane.set_fate_sink(&recorder);
+  plane.set_send_hook([&](net::NodeId, net::Prefix, sim::SimTime when) {
+    EXPECT_EQ(when, sim.now());
+    recorder.hooks.push_back(view(sim, 0));
+  });
   if (!setup.sources.empty()) plane.start_sources(setup.plan, setup.sources);
   Observed out;
 
@@ -176,6 +203,7 @@ Observed execute(PlaneBackend backend, const std::vector<Op>& script,
 
   sim.run();
   out.fates = recorder.rows;
+  out.hooks = recorder.hooks;
   out.counters = plane.counters();
   out.events_fired = sim.events_fired();
   out.event_seq = sim.event_seq();
@@ -196,6 +224,7 @@ void expect_equal(const Observed& heap, const Observed& rings) {
   EXPECT_EQ(heap.event_seq, rings.event_seq);
   EXPECT_EQ(heap.in_flight, rings.in_flight);
   EXPECT_EQ(heap.bytes, rings.bytes);
+  EXPECT_EQ(heap.hooks, rings.hooks);
   ASSERT_EQ(heap.ledger.size(), rings.ledger.size());
   for (std::size_t i = 0; i < heap.ledger.size(); ++i) {
     EXPECT_EQ(heap.ledger[i], rings.ledger[i]) << "at control event " << i;
@@ -1092,6 +1121,226 @@ TEST(DataPlaneBackendTest, DeliverySpeculationEngagesOnAStableTable) {
   EXPECT_GT(rings.counters.delivered, 0u);
   EXPECT_GT(rings.counters.no_route, 0u);
   EXPECT_GE(2 * rings.speculative_hops, rings.counters.hops);
+}
+
+// ---- lifecycle events inside the replay ---------------------------------
+//
+// A looping packet is born (its source ticks), merges into the cohort of
+// its source's older packets on the same lattice, and dies (its TTL runs
+// out) while the replay runs from one control event to the next; each
+// case pins one way those events meet against the hop-by-hop heap.
+
+/// Ring routes plus the 3 <-> 4 loop on prefix 0, and the plane's own
+/// sources: one at node 4 from `first`, one more at node 3 a quarter lap
+/// later, every `interval` with `ttl`, stopped at `stop`.
+Graph looping_sources(sim::SimTime interval, int ttl, sim::SimTime first,
+                      sim::SimTime stop, std::vector<Op>& script) {
+  Graph setup;
+  setup.plan = DataPlane::SourcePlan{.interval = interval, .ttl = ttl};
+  setup.sources = {DataPlane::SourceStart{.at = first, .node = 4},
+                   DataPlane::SourceStart{.at = first + us(500), .node = 3}};
+  script = ring_routes();
+  script.push_back(route_at(sim::SimTime::zero(), 3, 4));
+  script.push_back(route_at(sim::SimTime::zero(), 4, 3));
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = stop});
+  return setup;
+}
+
+TEST(DataPlaneBackendTest, SourcesOnTheLinkLatticeShareAPhase) {
+  // Every interval is a multiple of the 2 ms link delay, so a source's
+  // packets land on one lattice; the TTLs keep 1 to 5 of them alive at
+  // once, so each birth merges into the cohort of the older ones and each
+  // death retires one of them, with no control event in between.
+  std::uint64_t speculated = 0;
+  for (const std::int64_t every : {2, 4, 10}) {
+    for (int alive = 1; alive <= 5; ++alive) {
+      SCOPED_TRACE("every " + std::to_string(every) + " ms, " +
+                   std::to_string(alive) + " alive");
+      std::vector<Op> script;
+      const int ttl = static_cast<int>(alive * every / 2) + 1;
+      const Graph setup =
+          looping_sources(ms(every), ttl, ms(1), ms(301), script);
+      script.push_back(idle_at(ms(150)));
+      const Observed rings = differential(script, us(200'001), setup);
+      EXPECT_GT(rings.counters.ttl_exhausted, 50u);
+      speculated += rings.speculative_hops;
+    }
+  }
+  EXPECT_GT(speculated, 0u);
+}
+
+TEST(DataPlaneBackendTest, NewcomerTickBeforeAndAfterItsCohortsFiring) {
+  // A source's packets share its lattice, so its newcomer meets its older
+  // packets' cohort at the tick it lands on.
+  {
+    // Before: on 2 ms links the bridge re-arms for the cohort's tick T
+    // after the source drew its seq for T, so the tick comes first; the
+    // newcomer opens T + 2 ms and the cohort merges behind it.
+    SCOPED_TRACE("tick before the firing");
+    std::vector<Op> script;
+    const Graph setup = looping_sources(ms(2), 9, ms(1), ms(81), script);
+    const Observed rings = differential(script, us(40'001), setup);
+    EXPECT_GT(rings.counters.ttl_exhausted, 60u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+  {
+    // After: on a 2-cycle of 12 ms links fed every 12 ms with TTL 3, each
+    // tick's cohort holds one packet that dies and one that moves on (the
+    // last, so the tick fires once). The bridge then re-arms for the next
+    // tick before the source draws its seq for it, so the cohort fires
+    // first and the newcomer joins it where it moved, tick after tick.
+    SCOPED_TRACE("tick after the firing");
+    net::Topology topo{3};
+    topo.add_link(0, 1, ms(2));
+    topo.add_link(1, 2, ms(12));
+    Graph setup{std::move(topo), {0}};
+    setup.plan = DataPlane::SourcePlan{.interval = ms(12), .ttl = 3};
+    setup.sources = {DataPlane::SourceStart{.at = ms(1), .node = 1}};
+    std::vector<Op> script;
+    add_cycle(script, {1, 2});
+    script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(301)});
+    const Observed rings = differential(script, us(150'001), setup);
+    EXPECT_EQ(rings.counters.ttl_exhausted, 25u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+}
+
+TEST(DataPlaneBackendTest, BridgeFiresAheadOfASourceTickAtItsTime) {
+  // Three packets circle a 2-cycle of 12 ms links; a source without a
+  // route ticks every 4 ms on their lattice, its packets dropped at
+  // birth. The bridge armed for their tick 12 ms earlier, before the
+  // source drew its seq for that tick, so the bridge fires first there:
+  // its first firing re-arms at now, the source tick comes next, and
+  // then the second firing.
+  net::Topology topo{4};
+  topo.add_link(0, 3, ms(2));
+  topo.add_link(1, 2, ms(12));
+  topo.add_link(1, 3, ms(2));
+  Graph setup{std::move(topo), {0}};
+  setup.plan = DataPlane::SourcePlan{.interval = ms(4)};
+  setup.sources = {DataPlane::SourceStart{.at = ms(1), .node = 3}};
+  std::vector<Op> script;
+  add_cycle(script, {1, 2});
+  for (int i = 0; i < 3; ++i) script.push_back(inject_at(ms(1), 1, 0, 30));
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(401)});
+  const Observed rings = differential(script, us(200'001), setup);
+  EXPECT_EQ(rings.counters.ttl_exhausted, 3u);
+  EXPECT_EQ(rings.counters.no_route, 100u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, DeathInMidReplay) {
+  // Three sources feed a 3-cycle with short TTLs and nothing else happens
+  // for 300 ms: births, merges and deaths all fall inside replays.
+  Graph setup{topo::make_clique(8), {0}};
+  setup.plan = DataPlane::SourcePlan{.interval = ms(6), .ttl = 7};
+  setup.sources = {DataPlane::SourceStart{.at = us(1'000), .node = 1},
+                   DataPlane::SourceStart{.at = us(1'700), .node = 2},
+                   DataPlane::SourceStart{.at = us(3'000), .node = 3}};
+  std::vector<Op> script;
+  add_cycle(script, {1, 2, 3});
+  script.push_back(Op{.kind = Op::Kind::kStopSources, .at = ms(301)});
+  const Observed rings = differential(script, us(150'001), setup);
+  EXPECT_GT(rings.counters.ttl_exhausted, 140u);
+  EXPECT_GT(rings.speculative_hops, 0u);
+}
+
+TEST(DataPlaneBackendTest, ControlEventAndFibChangeAtAMergedCohortsTick) {
+  // The node-4 source ticks at 1 + 4j ms, so its merged cohort sits at
+  // 3 + 2n ms. An idle control event and a FIB change land exactly on
+  // that tick, once ordered before the bridge's firing there and once
+  // after it.
+  for (const bool late : {false, true}) {
+    SCOPED_TRACE(late ? "after the firing" : "before the firing");
+    std::vector<Op> script;
+    const Graph setup = looping_sources(ms(4), 13, ms(1), ms(121), script);
+    Op idle = idle_at(ms(3 + 2 * 20));
+    Op exit = route_at(ms(3 + 2 * 35), 3, 2);  // the loop opens toward 0
+    Op back = route_at(ms(3 + 2 * 41), 3, 4);  // and closes again
+    if (late) {
+      idle.defer = ms(2);
+      exit.defer = ms(2);
+      back.defer = ms(2);
+    }
+    script.push_back(idle);
+    script.push_back(exit);
+    script.push_back(back);
+    const Observed rings = differential(script, us(100'001), setup);
+    EXPECT_GT(rings.counters.delivered, 0u);
+    EXPECT_GT(rings.counters.ttl_exhausted, 0u);
+    EXPECT_GT(rings.speculative_hops, 0u);
+  }
+}
+
+TEST(DataPlaneBackendTest, SaveRestoreRightAfterAnInReplayMerge) {
+  // The probe lands 1 us after a merged cohort's tick (the node-4 source
+  // ticks at 1 + 4j ms; its newcomer merges at 3 + 4j ms), so the store
+  // holds a freshly merged cohort: the bytes are the heap's and restoring
+  // them leaves the run unchanged.
+  for (const std::int64_t j : {5, 12, 19}) {
+    SCOPED_TRACE("tick " + std::to_string(j));
+    std::vector<Op> script;
+    const Graph setup = looping_sources(ms(4), 13, ms(1), ms(121), script);
+    const sim::SimTime probe = ms(3 + 4 * j) + us(1);
+    const Observed plain = differential(script, probe, setup);
+    const Observed cycled = differential(script, probe, setup, true);
+    EXPECT_EQ(plain.fates, cycled.fates);
+    EXPECT_EQ(plain.bytes, cycled.bytes);
+    EXPECT_EQ(plain.events_fired, cycled.events_fired);
+    EXPECT_GE(plain.bytes.size(), 89u + 6u * 60u);
+  }
+}
+
+TEST(DataPlaneBackendTest, RandomLifecyclesInsideTheReplay) {
+  // Seed-derived: sources on and off the link lattice with TTLs that keep
+  // a few packets per phase alive, control-event injections at source
+  // phases (some deferred behind the bridge), idle events and FIB flips
+  // on exact lattice ticks, and a probe (some round-tripped) on a tick.
+  std::uint64_t speculated = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng{seed};
+    const std::int64_t every = 2 * rng.uniform_int(1, 6);
+    const bool on_lattice = rng.chance(0.75);
+    const sim::SimTime interval =
+        ms(every) + (on_lattice ? sim::SimTime::zero() : us(300));
+    const int ttl = rng.uniform_int(3, 40);
+    std::vector<Op> script;
+    Graph setup = looping_sources(interval, ttl, us(1'000 + 100 * (seed % 7)),
+                                  ms(241), script);
+    setup.sources.push_back(DataPlane::SourceStart{
+        .at = ms(1) + us(rng.uniform_int(0, 1'999)), .node = 5});
+    const auto lattice = [&] {
+      return ms(1 + 2 * rng.uniform_int(1, 110)) +
+             (rng.chance(0.5) ? us(500) : sim::SimTime::zero());
+    };
+    for (int i = 0; i < 12; ++i) {
+      Op op;
+      switch (rng.next_below(4)) {
+        case 0:
+          op = inject_at(lattice(), rng.chance(0.5) ? 4 : 3, 0,
+                         rng.uniform_int(2, 60));
+          break;
+        case 1:
+          op = idle_at(lattice());
+          break;
+        case 2:
+          op = route_at(lattice(), 3, rng.chance(0.5) ? 2 : 4);
+          break;
+        default:
+          op = route_at(lattice(), 4, rng.chance(0.5) ? 5 : 3);
+          break;
+      }
+      if (rng.chance(0.4)) {
+        op.defer = std::min(op.at, ms(2 * rng.uniform_int(1, 3)));
+      }
+      script.push_back(op);
+    }
+    const sim::SimTime probe = lattice() + us(1);
+    const Observed rings = differential(script, probe, setup, seed % 3 == 0);
+    speculated += rings.speculative_hops;
+  }
+  EXPECT_GT(speculated, 0u);
 }
 
 }  // namespace

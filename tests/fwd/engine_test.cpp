@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "snap/codec.hpp"
 #include "topo/generators.hpp"
 
 namespace bgpsim::fwd {
@@ -191,6 +194,208 @@ TEST_P(DataPlaneTest, PacketIdsAreUnique) {
   const auto b = plane_.inject(Injection{.source = 2});
   EXPECT_NE(a, b);
 }
+
+// ---- hop-store restore: every malformed store ends in FormatError ------
+
+/// save_state's bytes, decoded into fields a test can corrupt and encoded
+/// back.
+struct PlaneBytes {
+  struct Event {
+    std::int64_t at = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t node = 0;
+    std::uint64_t id = 0;
+    std::uint32_t source = 0;
+    std::uint32_t prefix = 0;
+    std::int64_t ttl = 0;
+    std::int64_t sent_at = 0;
+    std::int64_t hops = 0;
+  };
+  std::uint64_t next_seq = 0;
+  std::uint64_t next_id = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t counters[6] = {};
+  bool armed = false;
+  std::int64_t bridge_time = 0;
+  std::uint64_t bridge_seq = 0;
+  std::uint64_t count = 0;  // the stored event count, as written
+  std::vector<Event> events;
+
+  static PlaneBytes of(const DataPlane& plane) {
+    snap::Writer w;
+    plane.save_state(w);
+    const std::vector<std::uint8_t> bytes = std::move(w).take();
+    snap::Reader r{bytes};
+    PlaneBytes b;
+    b.next_seq = r.u64();
+    b.next_id = r.u64();
+    b.in_flight = r.u64();
+    for (std::uint64_t& c : b.counters) c = r.u64();
+    b.armed = r.b();
+    b.bridge_time = r.i64();
+    if (b.armed) b.bridge_seq = r.u64();
+    b.count = r.u64();
+    for (std::uint64_t i = 0; i < b.count; ++i) {
+      Event e;
+      e.at = r.i64();
+      e.seq = r.u64();
+      e.node = r.u32();
+      e.id = r.u64();
+      e.source = r.u32();
+      e.prefix = r.u32();
+      e.ttl = r.i64();
+      e.sent_at = r.i64();
+      e.hops = r.i64();
+      b.events.push_back(e);
+    }
+    r.finish();
+    return b;
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const {
+    snap::Writer w;
+    w.u64(next_seq);
+    w.u64(next_id);
+    w.u64(in_flight);
+    for (const std::uint64_t c : counters) w.u64(c);
+    w.b(armed);
+    w.i64(bridge_time);
+    if (armed) w.u64(bridge_seq);
+    w.u64(count);
+    for (const Event& e : events) {
+      w.i64(e.at);
+      w.u64(e.seq);
+      w.u32(e.node);
+      w.u64(e.id);
+      w.u32(e.source);
+      w.u32(e.prefix);
+      w.i64(e.ttl);
+      w.i64(e.sent_at);
+      w.i64(e.hops);
+    }
+    return std::move(w).take();
+  }
+};
+
+/// Two packets in flight on a chain of 4 (prefix 0 toward node 0; prefix
+/// 1 has no destination), checkpointed mid-hop.
+class DataPlaneRestoreTest : public ::testing::TestWithParam<PlaneBackend> {
+ protected:
+  DataPlaneRestoreTest()
+      : topo_{topo::make_chain(4)},
+        fibs_(topo_.node_count()),
+        plane_{sim_, topo_, fibs_, [] {
+          DataPlaneOptions options;
+          options.destinations = {0, net::kInvalidNode};
+          options.backend = GetParam();
+          return options;
+        }()} {
+    plane_.set_fate_sink(&recorder_);
+    for (net::NodeId n = 1; n < topo_.node_count(); ++n) {
+      fibs_[n].set_next_hop(kPrefix, n - 1);
+    }
+    plane_.inject(Injection{.source = 3});
+    plane_.inject(Injection{.source = 2});
+    sim_.schedule_at(sim::SimTime::millis(1), [] {});  // the clock's 1 ms
+    sim_.run_until(sim::SimTime::millis(1));
+    live_ = PlaneBytes::of(plane_);
+  }
+
+  /// Whatever a test restored or failed to, both packets end.
+  void TearDown() override {
+    sim_.run();
+    EXPECT_EQ(recorder_.fates.size(), 2u);
+    EXPECT_EQ(plane_.in_flight(), 0u);
+  }
+
+  /// Restoring `corrupt(live bytes)` must end in FormatError and change
+  /// nothing.
+  void expect_rejected(const std::function<void(PlaneBytes&)>& corrupt) {
+    PlaneBytes bad = live_;
+    corrupt(bad);
+    const std::vector<std::uint8_t> bytes = bad.bytes();
+    snap::Reader r{bytes};
+    EXPECT_THROW(plane_.restore_state(r), snap::FormatError);
+    EXPECT_EQ(PlaneBytes::of(plane_).bytes(), live_.bytes());
+  }
+
+  sim::Simulator sim_;
+  net::Topology topo_;
+  std::vector<Fib> fibs_;
+  DataPlane plane_;
+  FateRecorder recorder_;
+  PlaneBytes live_;
+};
+
+TEST_P(DataPlaneRestoreTest, CheckpointHoldsTheInFlightPackets) {
+  ASSERT_EQ(live_.events.size(), 2u);
+  EXPECT_TRUE(live_.armed);
+}
+
+TEST_P(DataPlaneRestoreTest, AcceptsAWellFormedStore) {
+  const std::vector<std::uint8_t> bytes = live_.bytes();
+  snap::Reader r{bytes};
+  plane_.restore_state(r);
+  r.finish();
+  EXPECT_EQ(PlaneBytes::of(plane_).bytes(), bytes);
+  sim_.run();
+  ASSERT_EQ(recorder_.fates.size(), 2u);
+  EXPECT_EQ(recorder_.fates[0].fate, PacketFate::kDelivered);
+  EXPECT_EQ(recorder_.fates[1].when, sim::SimTime::millis(6));
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsAnEventAtAnUnknownNode) {
+  expect_rejected([](PlaneBytes& b) { b.events[0].node = 100'000; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsAnEventForAPrefixWithoutADestination) {
+  expect_rejected([](PlaneBytes& b) { b.events[0].prefix = 1; });  // a hole
+  expect_rejected([](PlaneBytes& b) { b.events[1].prefix = 2; });  // beyond
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsAnEventBeforeNow) {
+  expect_rejected([](PlaneBytes& b) {
+    b.events[0].at = sim::SimTime::millis(1).as_micros() - 1;
+  });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsEventsOutOfOrder) {
+  expect_rejected([](PlaneBytes& b) {
+    std::swap(b.events[0], b.events[1]);
+  });
+  expect_rejected([](PlaneBytes& b) { b.events[1].seq = b.events[0].seq; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsASeqNotYetDrawn) {
+  expect_rejected([](PlaneBytes& b) { b.events[1].seq = b.next_seq; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsATtlBelowOne) {
+  expect_rejected([](PlaneBytes& b) { b.events[0].ttl = 0; });
+  expect_rejected([](PlaneBytes& b) { b.events[1].ttl = -5; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsAnInFlightCountOtherThanTheEventCount) {
+  expect_rejected([](PlaneBytes& b) { ++b.in_flight; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsEventsWithTheBridgeDisarmed) {
+  expect_rejected([](PlaneBytes& b) { b.armed = false; });
+}
+
+TEST_P(DataPlaneRestoreTest, RejectsACountTheBytesCannotHold) {
+  expect_rejected([](PlaneBytes& b) {
+    b.count = std::uint64_t{1} << 40;
+    b.in_flight = b.count;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DataPlaneRestoreTest,
+    ::testing::Values(PlaneBackend::kHeap, PlaneBackend::kRings),
+    [](const ::testing::TestParamInfo<PlaneBackend>& info) {
+      return info.param == PlaneBackend::kHeap ? "heap" : "rings";
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, DataPlaneTest,

@@ -177,5 +177,29 @@ TEST_F(LsSpeakerTest, SpfBatchesLsdbChanges) {
   EXPECT_EQ(speaker_->counters().spf_runs, spf_before + 1);
 }
 
+TEST(LsaCodec, RoundTripsAndRejectsHugeCounts) {
+  Lsa in;
+  in.origin = 4;
+  in.seq = 9;
+  in.neighbors = {1, 2};
+  in.prefixes = {0};
+  snap::Writer w;
+  save_lsa(w, in);
+  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  snap::Reader r{bytes};
+  const Lsa out = load_lsa(r);
+  r.finish();
+  EXPECT_EQ(out.neighbors, in.neighbors);
+  EXPECT_EQ(out.prefixes, in.prefixes);
+  // origin (4), seq (8), then the neighbour count; the prefix count
+  // follows the two neighbours.
+  for (const std::size_t at : {std::size_t{12}, std::size_t{12 + 8 + 2 * 4}}) {
+    std::vector<std::uint8_t> bad = bytes;
+    bad.at(at + 5) = 1;  // 2^40
+    snap::Reader huge{bad};
+    EXPECT_THROW((void)load_lsa(huge), snap::FormatError);
+  }
+}
+
 }  // namespace
 }  // namespace bgpsim::ls

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snap/codec.hpp"
+
 namespace bgpsim::metrics {
 namespace {
 
@@ -133,6 +135,35 @@ TEST(Collector, LoopingWindowMatchesPaperDefinition) {
   const auto last = c.last_exhaustion(event);
   ASSERT_TRUE(first && last);
   EXPECT_DOUBLE_EQ((*last - *first).as_seconds(), 32.0);
+}
+
+TEST(Collector, RestoreRejectsASeriesLongerThanItsBytes) {
+  Collector c;
+  c.note_packet_sent(sim::SimTime::seconds(1));
+  snap::Writer w;
+  c.save_state(w);
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  bytes[0] = 0;
+  bytes[5] = 1;  // the update series claims 2^40 times
+  snap::Reader r{bytes};
+  Collector restored;
+  EXPECT_THROW(restored.restore_state(r), snap::FormatError);
+}
+
+TEST(Collector, RestoreRejectsMoreLanesThanItsBytes) {
+  Collector c;
+  c.enable_prefix_lanes(2);
+  snap::Writer w;
+  c.save_state(w);
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  // The lane count follows three empty series and four counters.
+  const std::size_t at = 3 * 8 + 4 * 8;
+  bytes.at(at) = 0;
+  bytes.at(at + 5) = 1;  // 2^40 lanes
+  snap::Reader r{bytes};
+  Collector restored;
+  restored.enable_prefix_lanes(2);
+  EXPECT_THROW(restored.restore_state(r), snap::FormatError);
 }
 
 }  // namespace

@@ -169,5 +169,17 @@ TEST(LocalRibs, PerSpeakerCodecRoundTripsBothPlanes) {
   EXPECT_EQ(best_w.bytes(), best_w2.bytes());
 }
 
+TEST(LocalRibs, AdjRestoreRejectsAColumnLongerThanItsBytes) {
+  snap::Writer w;
+  w.u64(1);                       // one prefix
+  w.u32(0);                       // prefix 0
+  w.u64(std::uint64_t{1} << 40);  // its column claims 2^40 entries
+  w.u32(3);
+  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  LocalRibs ribs(1);
+  snap::Reader r{bytes};
+  EXPECT_THROW(ribs.restore_adj(0, r, test::paths()), snap::FormatError);
+}
+
 }  // namespace
 }  // namespace bgpsim::rib

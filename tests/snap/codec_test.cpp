@@ -293,5 +293,23 @@ TEST_F(PreludeCacheTest, ShrinkingCapacityEvicts) {
   EXPECT_NE(cache.find(3), nullptr);  // newest survives
 }
 
+TEST(Codec, CountIsBoundedByTheBytesLeft) {
+  Writer w;
+  w.u64(3);
+  w.u32(1);
+  w.u32(2);
+  w.u32(3);
+  w.u64(4);  // four 4-byte items claimed, none follow
+  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  Reader r{bytes};
+  EXPECT_EQ(r.count(4), 3U);  // exactly fits
+  r.u32();
+  r.u32();
+  r.u32();
+  EXPECT_THROW((void)r.count(1), FormatError);
+  Reader huge{bytes};
+  EXPECT_THROW((void)huge.count(std::size_t{1} << 40), FormatError);
+}
+
 }  // namespace
 }  // namespace bgpsim::snap

@@ -381,5 +381,103 @@ TEST(SvcProtocolTest, TrialsetDigestDetectsAnyDifference) {
   EXPECT_EQ(campaign_digest({a, c}), campaign_digest({b, c}));
 }
 
+// ---- decoded counts the bytes cannot hold ----------------------------------
+//
+// Every count a decoder reserves for is checked against the bytes left:
+// a short frame claiming billions of items ends in FormatError, never in
+// std::bad_alloc, std::length_error or a huge allocation.
+
+/// `count` after `fixed` zero u64 fields, then a few spare bytes.
+std::vector<std::uint8_t> count_after(std::size_t fixed, std::uint64_t count) {
+  snap::Writer w;
+  for (std::size_t i = 0; i < fixed; ++i) w.u64(0);
+  w.u64(count);
+  w.u64(0);
+  return std::move(w).take();
+}
+
+TEST(SvcProtocolTest, ResultWithAHugeOutcomeCountIsRejected) {
+  for (const int bits : {20, 34, 62}) {
+    SCOPED_TRACE(bits);
+    Frame f;
+    f.type = FrameType::kResult;
+    f.payload = count_after(3, std::uint64_t{1} << bits);
+    EXPECT_THROW((void)decode_result(f), snap::FormatError);
+  }
+}
+
+/// A default outcome's bytes with the u64 at `offset` set to `value`.
+std::vector<std::uint8_t> outcome_with(std::size_t offset,
+                                       std::uint64_t value) {
+  snap::Writer w;
+  write_outcome(w, core::ExperimentOutcome{});
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes.at(offset + i) = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return bytes;
+}
+
+// A default outcome: 24 fixed fields, the loop count, then the loop stats
+// (3 counts, 2 doubles, a 48-byte summary, the bucket count, 2 fields)
+// and the two activity profiles' counts.
+constexpr std::size_t kLoopsAt = 24 * 8;
+constexpr std::size_t kBucketsAt = kLoopsAt + 8 + 5 * 8 + 48;
+constexpr std::size_t kUpdateActivityAt = kBucketsAt + 8 + 2 * 8;
+
+TEST(SvcProtocolTest, OutcomeOffsetsMatchTheCodec) {
+  for (const std::size_t at : {kLoopsAt, kBucketsAt, kUpdateActivityAt}) {
+    const std::vector<std::uint8_t> bytes = outcome_with(at, 0);
+    snap::Reader r{bytes};
+    (void)read_outcome(r);
+    r.finish();
+  }
+}
+
+TEST(SvcProtocolTest, OutcomeWithAHugeLoopCountIsRejected) {
+  const std::vector<std::uint8_t> bytes =
+      outcome_with(kLoopsAt, std::uint64_t{1} << 40);
+  snap::Reader r{bytes};
+  EXPECT_THROW((void)read_outcome(r), snap::FormatError);
+}
+
+TEST(SvcProtocolTest, LoopRecordWithAHugeMemberCountIsRejected) {
+  // One loop whose member count claims 2^40 members.
+  snap::Writer w;
+  for (int i = 0; i < 24; ++i) w.u64(0);
+  w.u64(1);
+  w.u64(std::uint64_t{1} << 40);
+  for (int i = 0; i < 40; ++i) w.u64(0);
+  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  snap::Reader r{bytes};
+  EXPECT_THROW((void)read_outcome(r), snap::FormatError);
+}
+
+TEST(SvcProtocolTest, LoopStatsWithAHugeBucketCountIsRejected) {
+  const std::vector<std::uint8_t> bytes =
+      outcome_with(kBucketsAt, std::uint64_t{1} << 40);
+  snap::Reader r{bytes};
+  EXPECT_THROW((void)read_outcome(r), snap::FormatError);
+}
+
+TEST(SvcProtocolTest, ActivityProfileWithAHugeLengthIsRejected) {
+  const std::vector<std::uint8_t> bytes =
+      outcome_with(kUpdateActivityAt, std::uint64_t{1} << 40);
+  snap::Reader r{bytes};
+  EXPECT_THROW((void)read_outcome(r), snap::FormatError);
+}
+
+TEST(SvcProtocolTest, ScenarioWithAHugeOriginCountIsRejected) {
+  // The origin count is the scenario's last field.
+  snap::Writer w;
+  write_scenario(w, small_clique());
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = i == 5 ? 1 : 0;  // 2^40
+  }
+  snap::Reader r{bytes};
+  EXPECT_THROW((void)read_scenario(r), snap::FormatError);
+}
+
 }  // namespace
 }  // namespace bgpsim::svc
