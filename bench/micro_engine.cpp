@@ -11,10 +11,10 @@
 
 #include "bgp/decision.hpp"
 #include "bgp/path_arena.hpp"
-#include "bgp/rib.hpp"
 #include "common.hpp"
 #include "fwd/engine.hpp"
 #include "metrics/loop_detector.hpp"
+#include "rib/local_ribs.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -66,18 +66,19 @@ void BM_RngUniform(benchmark::State& state) {
 BENCHMARK(BM_RngUniform);
 
 void BM_DecisionProcess(benchmark::State& state) {
-  // Adj-RIB-In with `n` candidate routes of mixed lengths.
+  // One Adj-RIB-In column with `n` candidate routes of mixed lengths,
+  // peers ascending.
   const auto n = static_cast<net::NodeId>(state.range(0));
   bgp::PathArena paths;
-  bgp::AdjRibIn rib;
+  rib::PeerColumn column;
   for (net::NodeId peer = 1; peer <= n; ++peer) {
     std::vector<net::NodeId> hops{peer};
     for (net::NodeId h = 0; h < peer % 5; ++h) hops.push_back(100 + h);
     hops.push_back(0);
-    rib.set(0, peer, paths.make(hops));
+    column.emplace_back(peer, paths.make(hops));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bgp::select_best(rib, 0, 50));
+    benchmark::DoNotOptimize(bgp::select_best(column, 50));
   }
 }
 BENCHMARK(BM_DecisionProcess)->Arg(8)->Arg(64);

@@ -33,7 +33,7 @@ int main() {
   bgp::PathArena paths;
   bgp::BgpNetwork network{simulator, topo, config,
                           net::ProcessingDelay{},  // U[0.1 s, 0.5 s]
-                          sim::Rng{7}, paths};
+                          sim::Rng{7}, paths, 1};
 
   metrics::LoopDetector detector{topo.node_count()};
   metrics::LoopDetector::attach(simulator, network.fibs(), {&detector, 1});
@@ -65,7 +65,7 @@ int main() {
 
   std::printf("\nconverged state:\n");
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    const bgp::AsPath* loc = network.speaker(n).loc_rib().get(kP);
+    const bgp::AsPath* loc = network.speaker(n).best_path(kP);
     std::printf("  node %u: %s\n", n,
                 loc ? loc->to_string().c_str() : "(unreachable)");
   }
@@ -81,7 +81,7 @@ int main() {
 
   std::printf("\n== resolution (Figure 1(c)) ==\n");
   for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    const bgp::AsPath* loc = network.speaker(n).loc_rib().get(kP);
+    const bgp::AsPath* loc = network.speaker(n).best_path(kP);
     std::printf("  node %u: %s\n", n,
                 loc ? loc->to_string().c_str() : "(unreachable)");
   }

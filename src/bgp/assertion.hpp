@@ -31,19 +31,19 @@
 #include <cstddef>
 
 #include "bgp/as_path.hpp"
-#include "bgp/rib.hpp"
 #include "net/types.hpp"
+#include "rib/local_ribs.hpp"
 
 namespace bgpsim::bgp {
 
-/// Apply the announce-side assertion after storing path(u,new). Returns the
-/// number of Adj-RIB-In entries removed.
-std::size_t assert_on_announce(AdjRibIn& rib, net::Prefix prefix,
-                               net::NodeId from_peer, const AsPath& new_path);
+/// Apply the announce-side assertion to the announced prefix's Adj-RIB-In
+/// column after storing path(u,new). Returns the number of entries removed.
+std::size_t assert_on_announce(rib::PeerColumn& column, net::NodeId from_peer,
+                               const AsPath& new_path);
 
-/// Apply the withdraw-side assertion after removing u's route on an
-/// explicit withdrawal. Returns the number of entries removed.
-std::size_t assert_on_withdraw(AdjRibIn& rib, net::Prefix prefix,
-                               net::NodeId from_peer);
+/// Apply the withdraw-side assertion to the withdrawn prefix's column after
+/// removing u's route on an explicit withdrawal. Returns the number of
+/// entries removed.
+std::size_t assert_on_withdraw(rib::PeerColumn& column, net::NodeId from_peer);
 
 }  // namespace bgpsim::bgp

@@ -68,14 +68,6 @@ struct BgpConfig {
   /// drops; see bench/ablation_caution.
   sim::SimTime backup_caution = sim::SimTime::zero();
 
-  /// Multi-prefix mode (set by the experiment driver when the scenario
-  /// carries more than one prefix): speakers stage outbound updates inside
-  /// a handler invocation and flush them as one batched transport message
-  /// per peer, and batched inbound delivery runs one decision pass per
-  /// touched prefix. Off (the default) executes exactly the single-prefix
-  /// code paths, keeping those digests bit-identical.
-  bool multiprefix = false;
-
   /// Returns a copy configured for exactly one enhancement.
   [[nodiscard]] BgpConfig with(Enhancement e) const {
     BgpConfig c = *this;

@@ -12,12 +12,12 @@ bool preferred(const AsPath& a, const AsPath& b) {
   return std::ranges::lexicographical_compare(a.hops(), b.hops());
 }
 
-std::optional<AsPath> select_best(const AdjRibIn& rib, net::Prefix prefix,
+std::optional<AsPath> select_best(const rib::PeerColumn& column,
                                   net::NodeId self,
                                   const net::RelationshipTable* policy) {
   const AsPath* best = nullptr;
   int best_pref = 0;
-  for (const auto& [peer, path] : rib.entries(prefix)) {
+  for (const auto& [peer, path] : column) {
     if (path.contains(self)) continue;  // poison reverse
     const int pref = policy ? policy_local_pref(*policy, self, peer) : 0;
     if (!best || pref > best_pref ||

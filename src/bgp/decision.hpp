@@ -8,9 +8,10 @@
 
 #include <optional>
 
-#include "bgp/rib.hpp"
+#include "bgp/as_path.hpp"
 #include "net/relationships.hpp"
 #include "net/types.hpp"
+#include "rib/local_ribs.hpp"
 
 namespace bgpsim::bgp {
 
@@ -18,8 +19,8 @@ namespace bgpsim::bgp {
 /// as advertised (first hop = the neighbor).
 [[nodiscard]] bool preferred(const AsPath& a, const AsPath& b);
 
-/// Select the best usable route for `self` among `rib`'s entries for
-/// `prefix`.
+/// Select the best usable route for `self` among one Adj-RIB-In column
+/// (one prefix's entries, peers ascending).
 ///
 /// A route is usable iff its path does not contain `self` (path-based
 /// poison reverse: a node never adopts a path through itself). Returns the
@@ -30,7 +31,7 @@ namespace bgpsim::bgp {
 /// peer > provider, by the advertising neighbor's relationship) is applied
 /// before path length — the "prefer customer" import rule.
 [[nodiscard]] std::optional<AsPath> select_best(
-    const AdjRibIn& rib, net::Prefix prefix, net::NodeId self,
+    const rib::PeerColumn& column, net::NodeId self,
     const net::RelationshipTable* policy = nullptr);
 
 }  // namespace bgpsim::bgp

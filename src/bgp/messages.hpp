@@ -40,9 +40,9 @@ static_assert(std::is_trivially_copyable_v<UpdateMsg>);
 /// the NLRI-packing analogue for multi-prefix scenarios. One batch costs
 /// one propagation delay and one receiver processing-queue draw; the
 /// receiver applies every contained update and then runs one decision
-/// pass per touched prefix. Only constructed in multiprefix mode (a batch
-/// of one is sent as a plain UpdateMsg), so single-prefix event streams
-/// never see it.
+/// pass per touched prefix. Only constructed by a network routing more
+/// than one prefix (a batch of one is sent as a plain UpdateMsg), so
+/// single-prefix event streams never see it.
 struct UpdateBatch {
   std::vector<UpdateMsg> updates;
 };

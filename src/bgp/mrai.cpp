@@ -1,6 +1,8 @@
 #include "bgp/mrai.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace bgpsim::bgp {
 
@@ -99,7 +101,8 @@ void MraiTimers::save_state(snap::Writer& w) const {
   }
 }
 
-void MraiTimers::restore_state(snap::Reader& r) {
+void MraiTimers::restore_state(snap::Reader& r, std::uint32_t prefixes,
+                               std::span<const net::NodeId> peers) {
   // Decoded into a temporary plane first, so a rejected record leaves the
   // live cells as they were.
   PeerPlane restored;
@@ -107,7 +110,11 @@ void MraiTimers::restore_state(snap::Reader& r) {
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::NodeId peer = r.u32();
-    const net::Prefix prefix = snap::read_prefix(r);
+    if (!std::binary_search(peers.begin(), peers.end(), peer)) {
+      throw snap::FormatError{"MRAI timer toward " + std::to_string(peer) +
+                              ", which is not a session peer"};
+    }
+    const net::Prefix prefix = snap::read_prefix(r, prefixes);
     const sim::SimTime deadline = sim::SimTime::micros(r.i64());
     const std::uint64_t seq = r.u64();
     const bool pending = r.b();

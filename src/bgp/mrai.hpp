@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "bgp/peer_plane.hpp"
@@ -86,9 +87,12 @@ class MraiTimers {
   /// with their still-queued closures by seq. Restore runs after the
   /// simulator clock, so it rejects a deadline already passed there, a seq
   /// not yet drawn, a repeated key, and a held decision with no queued
-  /// expiry. It rewrites only the cells' MRAI halves.
+  /// expiry; it also rejects a prefix at or above `prefixes` and a peer
+  /// outside `peers` (the speaker's sessions, ascending). It rewrites only
+  /// the cells' MRAI halves.
   void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void restore_state(snap::Reader& r, std::uint32_t prefixes,
+                     std::span<const net::NodeId> peers);
 
  private:
   /// Expiry of a promoted timer (its queued closure).

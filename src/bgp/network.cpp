@@ -1,5 +1,6 @@
 #include "bgp/network.hpp"
 
+#include <string>
 #include <utility>
 
 #include "bgp/messages.hpp"
@@ -9,12 +10,13 @@ namespace bgpsim::bgp {
 BgpNetwork::BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
                        const BgpConfig& config,
                        const net::ProcessingDelay& processing,
-                       const sim::Rng& root_rng, PathArena& paths)
+                       const sim::Rng& root_rng, PathArena& paths,
+                       std::uint32_t prefixes)
     : sim_{simulator},
       topo_{topology},
       paths_{paths},
       transport_{simulator, topology},
-      store_{static_cast<rib::SpeakerId>(topology.node_count())} {
+      ribs_{static_cast<rib::SpeakerId>(topology.node_count()), prefixes} {
   const std::size_t n = topo_.node_count();
   fibs_.resize(n);
   queues_.reserve(n);
@@ -25,8 +27,7 @@ BgpNetwork::BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
         simulator, root_rng.child("proc", node), processing));
     speakers_.push_back(std::make_unique<Speaker>(
         node, config, simulator, transport_, fibs_[node],
-        root_rng.child("bgp", node), paths_, &store_,
-        static_cast<rib::SpeakerId>(node)));
+        root_rng.child("bgp", node), paths_, ribs_));
     speakers_.back()->set_peers(topo_.up_neighbors(node));
   }
 
@@ -92,14 +93,15 @@ void save_update_msg(snap::Writer& w, const UpdateMsg& msg) {
   if (msg.path) msg.path->save(w);
 }
 
-UpdateMsg load_update_msg(snap::Reader& r, PathArena& paths) {
+UpdateMsg load_update_msg(snap::Reader& r, PathArena& paths,
+                          std::uint32_t prefixes) {
   UpdateMsg msg;
-  msg.prefix = snap::read_prefix(r);
+  msg.prefix = snap::read_prefix(r, prefixes);
   if (r.b()) msg.path = paths.load(r);
   return msg;
 }
 
-// In-queue payloads are tagged: 0 = a single UpdateMsg, 1 = a multiprefix
+// In-queue payloads are tagged: 0 = a single UpdateMsg, 1 = a multi-prefix
 // UpdateBatch (snapshot format v4; v3 had no tag byte).
 void save_update_payload(snap::Writer& w, const net::Payload& payload) {
   if (payload.is<UpdateBatch>()) {
@@ -113,26 +115,28 @@ void save_update_payload(snap::Writer& w, const net::Payload& payload) {
   }
 }
 
-net::Payload load_update_payload(snap::Reader& r, PathArena& paths) {
+net::Payload load_update_payload(snap::Reader& r, PathArena& paths,
+                                 std::uint32_t prefixes) {
   if (r.u8() != 0) {
     UpdateBatch batch;
-    const std::uint64_t n = r.u64();
+    // Each update is a prefix and a has-path flag, at least.
+    const std::uint64_t n = r.count(4 + 1);
     batch.updates.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      batch.updates.push_back(load_update_msg(r, paths));
+      batch.updates.push_back(load_update_msg(r, paths, prefixes));
     }
     return net::Payload{std::move(batch)};
   }
-  return net::Payload{load_update_msg(r, paths)};
+  return net::Payload{load_update_msg(r, paths, prefixes)};
 }
 
 }  // namespace
 
 void BgpNetwork::save_state(snap::Writer& w) const {
   transport_.save_state(w);
-  // v4: the shared prefix table once, ahead of the per-node sections
-  // (whose RIB rows are columns keyed by the table's ids).
-  store_.save_table(w);
+  // v7: the prefix count P, ahead of the per-node sections whose prefixes
+  // it bounds.
+  w.u64(ribs_.prefix_count());
   for (std::size_t node = 0; node < speakers_.size(); ++node) {
     queues_[node]->save_state(w, save_update_payload);
     speakers_[node]->save_state(w);
@@ -142,13 +146,18 @@ void BgpNetwork::save_state(snap::Writer& w) const {
 
 void BgpNetwork::restore_state(snap::Reader& r) {
   transport_.restore_state(r);
-  store_.restore_table(r);
+  const std::uint32_t prefixes = ribs_.prefix_count();
+  if (const std::uint64_t saved = r.u64(); saved != prefixes) {
+    throw snap::FormatError{"snapshot routes " + std::to_string(saved) +
+                            " prefixes; this network routes " +
+                            std::to_string(prefixes)};
+  }
   for (std::size_t node = 0; node < speakers_.size(); ++node) {
-    queues_[node]->restore_state(r, [this](snap::Reader& in) {
-      return load_update_payload(in, paths_);
+    queues_[node]->restore_state(r, [this, prefixes](snap::Reader& in) {
+      return load_update_payload(in, paths_, prefixes);
     });
     speakers_[node]->restore_state(r);
-    fibs_[node].restore_state(r);
+    fibs_[node].restore_state(r, prefixes);
   }
 }
 

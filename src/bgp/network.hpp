@@ -18,14 +18,17 @@
 namespace bgpsim::bgp {
 
 /// One speaker per topology node, each behind its own serialized
-/// processing queue, all sharing one Transport. This is the object the
-/// experiment runner manipulates. Every path the network builds, receives
-/// or restores lives in `paths`, which must outlive the network.
+/// processing queue, all sharing one Transport and one RIB store. This is
+/// the object the experiment runner manipulates. Every path the network
+/// builds, receives or restores lives in `paths`, which must outlive the
+/// network. The network routes prefixes 0..prefixes-1; with more than one,
+/// speakers batch their sends per peer.
 class BgpNetwork {
  public:
   BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
              const BgpConfig& config, const net::ProcessingDelay& processing,
-             const sim::Rng& root_rng, PathArena& paths);
+             const sim::Rng& root_rng, PathArena& paths,
+             std::uint32_t prefixes);
 
   [[nodiscard]] Speaker& speaker(net::NodeId n) { return *speakers_.at(n); }
   [[nodiscard]] const Speaker& speaker(net::NodeId n) const {
@@ -64,10 +67,6 @@ class BgpNetwork {
     speaker(origin).withdraw_origin_batch(prefixes);
   }
 
-  /// The network's shared SoA RIB store (prefix table + route planes).
-  [[nodiscard]] rib::LocalRibs& rib_store() { return store_; }
-  [[nodiscard]] const rib::LocalRibs& rib_store() const { return store_; }
-
   /// Tlong: a physical link fails (sessions drop, in-flight lost).
   void inject_link_failure(net::LinkId link) { transport_.fail_link(link); }
 
@@ -86,8 +85,10 @@ class BgpNetwork {
   /// Sum of per-speaker counters across the network.
   [[nodiscard]] Speaker::Counters total_counters() const;
 
-  /// Checkpoint codec: transport counters, then per node the processing
-  /// queue (with in-queue UpdateMsg payloads), speaker, and FIB.
+  /// Checkpoint codec: transport counters, the prefix count (a restore
+  /// requires it to equal this network's), then per node the processing
+  /// queue (with in-queue UpdateMsg payloads), speaker, and FIB. Every
+  /// prefix the restore reads must be below the prefix count.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 
@@ -96,7 +97,7 @@ class BgpNetwork {
   net::Topology& topo_;
   PathArena& paths_;
   net::Transport transport_;
-  rib::LocalRibs store_;  // shared by every speaker (declared before them)
+  rib::LocalRibs ribs_;  // shared by every speaker (declared before them)
   std::vector<fwd::Fib> fibs_;
   std::vector<std::unique_ptr<net::ProcessingQueue>> queues_;
   std::vector<std::unique_ptr<Speaker>> speakers_;

@@ -1,6 +1,8 @@
 #include "bgp/speaker.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "bgp/assertion.hpp"
 #include "bgp/policy.hpp"
@@ -10,7 +12,7 @@ namespace bgpsim::bgp {
 
 Speaker::Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
                  net::Transport& transport, fwd::Fib& fib, sim::Rng rng,
-                 PathArena& paths, rib::LocalRibs* store, rib::SpeakerId row)
+                 PathArena& paths, rib::LocalRibs& ribs)
     : self_{self},
       config_{config},
       sim_{simulator},
@@ -18,9 +20,9 @@ Speaker::Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
       fib_{fib},
       rng_{std::move(rng)},
       paths_{paths},
-      adj_rib_in_{store, row},
-      loc_rib_{store, row},
-      mrai_{simulator, out_} {
+      ribs_{ribs},
+      mrai_{simulator, out_},
+      touch_stamp_(ribs.prefix_count(), 0) {
   mrai_.set_expiry_handler([this](net::NodeId peer, net::Prefix prefix,
                                   OutboundCell& cell, bool was_pending) {
     on_mrai_expired(peer, prefix, cell, was_pending);
@@ -33,7 +35,20 @@ void Speaker::set_peers(const std::vector<net::NodeId>& peers) {
   peers_.erase(std::unique(peers_.begin(), peers_.end()), peers_.end());
 }
 
+namespace {
+
+void check_prefix(net::Prefix prefix, const rib::LocalRibs& ribs) {
+  if (prefix >= ribs.prefix_count()) {
+    throw std::out_of_range{"prefix " + std::to_string(prefix) +
+                            " is not below the network's prefix count " +
+                            std::to_string(ribs.prefix_count())};
+  }
+}
+
+}  // namespace
+
 void Speaker::originate(net::Prefix prefix) {
+  check_prefix(prefix, ribs_);
   originated_.insert(prefix);
   run_decision(prefix);
 }
@@ -44,6 +59,7 @@ void Speaker::withdraw_origin(net::Prefix prefix) {
 }
 
 void Speaker::originate_batch(const std::vector<net::Prefix>& prefixes) {
+  for (const net::Prefix prefix : prefixes) check_prefix(prefix, ribs_);
   StagingScope staging{*this};
   for (const net::Prefix prefix : prefixes) originated_.insert(prefix);
   for (const net::Prefix prefix : prefixes) run_decision(prefix);
@@ -84,9 +100,6 @@ void Speaker::handle_update_batch(net::NodeId from, const UpdateBatch& batch) {
       hooks_.on_update_received(self_, from, update);
     }
     apply_update(from, update);
-    if (update.prefix >= touch_stamp_.size()) {
-      touch_stamp_.resize(update.prefix + std::size_t{1}, 0);
-    }
     if (touch_stamp_[update.prefix] != batch_stamp_) {
       touch_stamp_[update.prefix] = batch_stamp_;
       touched_.push_back(update.prefix);
@@ -100,25 +113,25 @@ void Speaker::handle_update_batch(net::NodeId from, const UpdateBatch& batch) {
 void Speaker::apply_update(net::NodeId from, const UpdateMsg& update) {
   const net::Prefix prefix = update.prefix;
   if (update.is_withdrawal()) {
-    adj_rib_in_.withdraw(prefix, from);
+    ribs_.adj_withdraw(self_, prefix, from);
     if (config_.assertion) {
       counters_.assertion_removals +=
-          assert_on_withdraw(adj_rib_in_, prefix, from);
+          assert_on_withdraw(ribs_.adj_entries(self_, prefix), from);
     }
   } else {
     if (update.path->contains(self_)) {
       // Path-based poison reverse: the route is unusable here, and it
       // *replaces* whatever this peer previously advertised.
       ++counters_.poison_reverse_discards;
-      adj_rib_in_.withdraw(prefix, from);
+      ribs_.adj_withdraw(self_, prefix, from);
     } else {
-      adj_rib_in_.set(prefix, from, *update.path);
+      ribs_.adj_set(self_, prefix, from, *update.path);
     }
     // Assertion uses the announcement as ground truth about `from`'s own
     // route regardless of whether we can use the path ourselves.
     if (config_.assertion) {
-      counters_.assertion_removals +=
-          assert_on_announce(adj_rib_in_, prefix, from, *update.path);
+      counters_.assertion_removals += assert_on_announce(
+          ribs_.adj_entries(self_, prefix), from, *update.path);
     }
   }
   BGPSIM_LOG(sim::LogLevel::kTrace, "bgp", sim_.now())
@@ -133,9 +146,10 @@ void Speaker::handle_session(net::NodeId peer, bool up) {
   if (up) {
     if (pos == peers_.end() || *pos != peer) peers_.insert(pos, peer);
     // Session (re-)established: offer our current table to the new peer.
-    for (net::Prefix prefix : loc_rib_.prefixes()) {
-      consider_send(peer, prefix, out_.at(peer, prefix),
-                    loc_rib_.get(prefix));
+    for (net::Prefix prefix = 0; prefix < ribs_.prefix_count(); ++prefix) {
+      if (const AsPath* loc = ribs_.best(self_, prefix)) {
+        consider_send(peer, prefix, out_.at(peer, prefix), loc);
+      }
     }
     return;
   }
@@ -144,24 +158,27 @@ void Speaker::handle_session(net::NodeId peer, bool up) {
   mrai_.cancel_peer(peer);
   out_.drop(peer);
 
-  // Gather every prefix that might be affected before mutating the RIB.
-  std::set<net::Prefix> prefixes;
-  for (net::Prefix p : adj_rib_in_.prefixes()) prefixes.insert(p);
-  for (net::Prefix p : loc_rib_.prefixes()) prefixes.insert(p);
-
   // A session loss implicitly withdraws everything `peer` advertised. It
   // says nothing about the routes the peer itself uses, so Assertion
   // prunes nothing more here (see bgp/assertion.hpp).
-  adj_rib_in_.drop_peer(peer);
-  for (net::Prefix p : prefixes) run_decision(p);
+  ribs_.adj_drop_peer(self_, peer);
+  // Re-decide every prefix with a route or a remaining entry. A prefix the
+  // drop emptied without a route to lose decides nothing new, so skipping
+  // it equals deciding it.
+  for (net::Prefix p = 0; p < ribs_.prefix_count(); ++p) {
+    if (ribs_.best(self_, p) != nullptr ||
+        !ribs_.adj_entries(self_, p).empty()) {
+      run_decision(p);
+    }
+  }
 }
 
 void Speaker::run_decision(net::Prefix prefix) {
   std::optional<AsPath> new_loc;
   if (originated_.contains(prefix)) {
     new_loc = paths_.make({self_});
-  } else if (auto best =
-                 select_best(adj_rib_in_, prefix, self_, config_.policy)) {
+  } else if (auto best = select_best(ribs_.adj_entries(self_, prefix), self_,
+                                     config_.policy)) {
     new_loc = paths_.prepend(self_, *best);
   }
 
@@ -170,7 +187,7 @@ void Speaker::run_decision(net::Prefix prefix) {
   // that forms loops. Behave as unreachable for the caution window; any
   // equal-or-better route arriving meanwhile is adopted immediately.
   if (config_.backup_caution > sim::SimTime::zero()) {
-    const AsPath* current = loc_rib_.get(prefix);
+    const AsPath* current = ribs_.best(self_, prefix);
     auto held = caution_lost_length_.find(prefix);
     if (held != caution_lost_length_.end()) {
       if (new_loc && new_loc->length() <= held->second) {
@@ -188,10 +205,10 @@ void Speaker::run_decision(net::Prefix prefix) {
     }
   }
 
-  const AsPath* old = loc_rib_.get(prefix);
+  const AsPath* old = ribs_.best(self_, prefix);
   // 0 = no previous route (an installed path is never empty).
   const std::size_t old_len = old != nullptr ? old->length() : 0;
-  if (!loc_rib_.set(prefix, new_loc)) return;  // decision unchanged
+  if (!ribs_.set_best(self_, prefix, new_loc)) return;  // decision unchanged
   ++counters_.best_path_changes;
 
   if (new_loc && new_loc->length() >= 2) {
@@ -216,7 +233,7 @@ void Speaker::run_decision(net::Prefix prefix) {
 }
 
 void Speaker::advertise_to_all(net::Prefix prefix) {
-  const AsPath* loc = loc_rib_.get(prefix);
+  const AsPath* loc = ribs_.best(self_, prefix);
   for (net::NodeId peer : peers_) {
     consider_send(peer, prefix, out_.at(peer, prefix), loc);
   }
@@ -339,7 +356,7 @@ void Speaker::on_mrai_expired(net::NodeId peer, net::Prefix prefix,
   if (hooks_.on_mrai_expired) {
     hooks_.on_mrai_expired(self_, peer, prefix, was_pending);
   }
-  if (was_pending) consider_send(peer, prefix, cell, loc_rib_.get(prefix));
+  if (was_pending) consider_send(peer, prefix, cell, ribs_.best(self_, prefix));
 }
 
 void Speaker::ghost_flush(net::Prefix prefix) {
@@ -360,8 +377,8 @@ void Speaker::save_state(snap::Writer& w) const {
   for (const net::NodeId peer : peers_) w.u32(peer);
   w.u64(originated_.size());
   for (const net::Prefix prefix : originated_) w.u32(prefix);
-  adj_rib_in_.save_state(w);
-  loc_rib_.save_state(w);
+  ribs_.save_adj(self_, w);
+  ribs_.save_best(self_, w);
   mrai_.save_state(w);
   w.u64(caution_lost_length_.size());
   for (const auto& [prefix, lost_length] : caution_lost_length_) {
@@ -403,18 +420,21 @@ void Speaker::restore_state(snap::Reader& r) {
   const std::uint64_t n_peers = r.u64();
   for (std::uint64_t i = 0; i < n_peers; ++i) peers.push_back(r.u32());
   set_peers(peers);
+  // Every prefix below is bounded by the store's P, and every peer must
+  // be one of the sessions just restored.
+  const std::uint32_t prefixes = ribs_.prefix_count();
   originated_.clear();
   const std::uint64_t n_origins = r.u64();
   for (std::uint64_t i = 0; i < n_origins; ++i) {
-    originated_.insert(snap::read_prefix(r));
+    originated_.insert(snap::read_prefix(r, prefixes));
   }
-  adj_rib_in_.restore_state(r, paths_);
-  loc_rib_.restore_state(r, paths_);
-  mrai_.restore_state(r);
+  ribs_.restore_adj(self_, r, paths_, peers_);
+  ribs_.restore_best(self_, r, paths_);
+  mrai_.restore_state(r, prefixes, peers_);
   caution_lost_length_.clear();
   const std::uint64_t n_caution = r.u64();
   for (std::uint64_t i = 0; i < n_caution; ++i) {
-    const net::Prefix prefix = snap::read_prefix(r);
+    const net::Prefix prefix = snap::read_prefix(r, prefixes);
     const std::uint64_t lost_length = r.u64();
     caution_lost_length_.emplace(prefix,
                                  static_cast<std::size_t>(lost_length));
@@ -428,7 +448,12 @@ void Speaker::restore_state(snap::Reader& r) {
   const std::uint64_t n_adv = r.u64();
   for (std::uint64_t i = 0; i < n_adv; ++i) {
     const net::NodeId peer = r.u32();
-    const net::Prefix prefix = snap::read_prefix(r);
+    if (!is_peer(peer)) {
+      throw snap::FormatError{"Adj-RIB-Out entry toward " +
+                              std::to_string(peer) +
+                              ", which is not a session peer"};
+    }
+    const net::Prefix prefix = snap::read_prefix(r, prefixes);
     const std::uint8_t kind = r.u8();
     if (kind != static_cast<std::uint8_t>(OutboundCell::Sent::kAnnounced) &&
         kind != static_cast<std::uint8_t>(OutboundCell::Sent::kWithdrawn)) {

@@ -18,10 +18,10 @@
 #include "bgp/messages.hpp"
 #include "bgp/mrai.hpp"
 #include "bgp/peer_plane.hpp"
-#include "bgp/rib.hpp"
 #include "fwd/fib.hpp"
 #include "net/channel.hpp"
 #include "net/types.hpp"
+#include "rib/local_ribs.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -63,13 +63,12 @@ class Speaker {
   };
 
   /// `paths` is the trial's path arena: every path this speaker builds or
-  /// restores lands there. `store` binds this speaker's RIB facades to the
-  /// network's shared SoA store (row `row`); nullptr (the default) keeps a
-  /// private store, for standalone construction in tests.
+  /// restores lands there. `ribs` is the network's RIB store; the speaker's
+  /// routes live in its row `self`, and its prefixes are the store's
+  /// 0..P-1.
   Speaker(net::NodeId self, BgpConfig config, sim::Simulator& simulator,
           net::Transport& transport, fwd::Fib& fib, sim::Rng rng,
-          PathArena& paths, rib::LocalRibs* store = nullptr,
-          rib::SpeakerId row = 0);
+          PathArena& paths, rib::LocalRibs& ribs);
 
   /// Establish sessions with the given peers (initially up neighbors).
   void set_peers(const std::vector<net::NodeId>& peers);
@@ -80,15 +79,16 @@ class Speaker {
   }
 
   /// Originate `prefix` locally (the destination AS). Advertises (self) to
-  /// every peer.
+  /// every peer. Throws std::out_of_range unless `prefix` is below the
+  /// store's prefix count.
   void originate(net::Prefix prefix);
 
   /// Withdraw a locally originated prefix — the study's Tdown event.
   void withdraw_origin(net::Prefix prefix);
 
-  /// Originate several prefixes in one shot. In multiprefix mode the
-  /// resulting advertisements are staged and flushed as one batched
-  /// message per peer.
+  /// Originate several prefixes in one shot. With more than one prefix in
+  /// the store the resulting advertisements are staged and flushed as one
+  /// batched message per peer.
   void originate_batch(const std::vector<net::Prefix>& prefixes);
 
   /// Withdraw several locally originated prefixes at once — the
@@ -111,8 +111,15 @@ class Speaker {
 
   [[nodiscard]] net::NodeId id() const { return self_; }
   [[nodiscard]] const BgpConfig& config() const { return config_; }
-  [[nodiscard]] const AdjRibIn& adj_rib_in() const { return adj_rib_in_; }
-  [[nodiscard]] const LocRib& loc_rib() const { return loc_rib_; }
+  /// The Loc-RIB path for `prefix`, or nullptr when unreachable.
+  [[nodiscard]] const AsPath* best_path(net::Prefix prefix) const {
+    return ribs_.best(self_, prefix);
+  }
+  /// The Adj-RIB-In route `peer` advertised for `prefix`, or nullptr.
+  [[nodiscard]] const AsPath* adj_route(net::Prefix prefix,
+                                        net::NodeId peer) const {
+    return ribs_.adj_get(self_, prefix, peer);
+  }
   /// Peers with an established session, ascending.
   [[nodiscard]] const std::vector<net::NodeId>& peers() const { return peers_; }
   [[nodiscard]] bool originates(net::Prefix prefix) const {
@@ -151,14 +158,14 @@ class Speaker {
   void restore_state(snap::Reader& r);
 
  private:
-  /// Stages outbound updates for the enclosing handler in multiprefix
-  /// mode; the destructor flushes them grouped per peer. A no-op when
-  /// multiprefix is off or a scope is already active, so single-prefix
-  /// runs execute exactly the unbatched send path.
+  /// Stages outbound updates for the enclosing handler when the store
+  /// holds more than one prefix; the destructor flushes them grouped per
+  /// peer. A no-op at P = 1 or when a scope is already active, so
+  /// single-prefix runs execute exactly the unbatched send path.
   class StagingScope {
    public:
     explicit StagingScope(Speaker& s)
-        : s_{s}, active_{s.config_.multiprefix && !s.staging_} {
+        : s_{s}, active_{s.ribs_.prefix_count() > 1 && !s.staging_} {
       if (active_) s_.staging_ = true;
     }
     ~StagingScope() {
@@ -227,8 +234,7 @@ class Speaker {
 
   std::vector<net::NodeId> peers_;  // ascending
   std::set<net::Prefix> originated_;
-  AdjRibIn adj_rib_in_;
-  LocRib loc_rib_;
+  rib::LocalRibs& ribs_;  // this speaker's routes are row self_
   /// Outbound state per (peer, prefix): the Adj-RIB-Out entry and the MRAI
   /// timer in one cell (declared before the timers that drive it).
   PeerPlane out_;
@@ -246,9 +252,9 @@ class Speaker {
   /// positions ordered by peer, and each peer rank's run bounds.
   std::vector<std::uint32_t> flush_order_;
   std::vector<std::uint32_t> flush_start_;
-  /// handle_update_batch's first-touch dedup: touch_stamp_[prefix] ==
-  /// batch_stamp_ marks a prefix already in touched_. Working state only,
-  /// never checkpointed.
+  /// handle_update_batch's first-touch dedup, one stamp per prefix:
+  /// touch_stamp_[prefix] == batch_stamp_ marks a prefix already in
+  /// touched_. Working state only, never checkpointed.
   std::vector<std::uint32_t> touch_stamp_;
   std::uint32_t batch_stamp_ = 0;
   std::vector<net::Prefix> touched_;

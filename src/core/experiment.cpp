@@ -79,8 +79,8 @@ struct BgpProtocol : detail::ProtocolDefaults {
     }
     config = s.bgp;
     if (s.policy_routing) config.policy = &relationships;
-    if (count > 1) config.multiprefix = true;
-    return network.emplace(simulator, topo, config, s.processing, root, paths);
+    return network.emplace(simulator, topo, config, s.processing, root, paths,
+                           static_cast<std::uint32_t>(count));
   }
 
   [[nodiscard]] std::size_t prefix_count() const {
@@ -157,12 +157,12 @@ struct BgpProtocol : detail::ProtocolDefaults {
                      net::NodeId destination) const {
     const bgp::BgpNetwork& net = *network;
     view.loc_path = [&net](net::NodeId n) {
-      return net.speaker(n).loc_rib().get(kPrefix);
+      return net.speaker(n).best_path(kPrefix);
     };
     view.origin_up = net.speaker(destination).originates(kPrefix);
     if (multi()) {
       view.loc_path_for = [&net](net::NodeId n, net::Prefix p) {
-        return net.speaker(n).loc_rib().get(p);
+        return net.speaker(n).best_path(p);
       };
       view.origin_up_for = [&net, this](net::Prefix p) {
         return net.speaker(prefix_origins[p]).originates(p);

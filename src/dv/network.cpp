@@ -104,7 +104,7 @@ void DvNetwork::restore_state(snap::Reader& r) {
   for (std::size_t node = 0; node < speakers_.size(); ++node) {
     queues_[node]->restore_state(r, load_dv_payload);
     speakers_[node]->restore_state(r);
-    fibs_[node].restore_state(r);
+    fibs_[node].restore_state(r, 1);  // DV routes one prefix
   }
 }
 

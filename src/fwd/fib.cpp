@@ -41,13 +41,13 @@ void Fib::save_state(snap::Writer& w) const {
   }
 }
 
-void Fib::restore_state(snap::Reader& r) {
+void Fib::restore_state(snap::Reader& r, std::uint32_t prefixes) {
   // The checkpointed table as a dense plane (a repeated prefix keeps its
   // last hop).
   std::vector<net::NodeId> desired;
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const net::Prefix prefix = snap::read_prefix(r);
+    const net::Prefix prefix = snap::read_prefix(r, prefixes);
     const net::NodeId hop = r.u32();
     if (hop == net::kInvalidNode) {
       throw snap::FormatError{"FIB entry for prefix " +

@@ -52,8 +52,9 @@ class Fib {
   /// set_next_hop / clear_route paths so observers (loop detector, oracle)
   /// rebuild their mirrors. Restoring a state identical to the current one
   /// therefore notifies nobody — the property the in-place round-trip
-  /// probes rely on.
-  void restore_state(snap::Reader& r);
+  /// probes rely on. `prefixes` is the owning network's prefix count: a
+  /// checkpointed prefix at or above it is rejected.
+  void restore_state(snap::Reader& r, std::uint32_t prefixes);
 
  private:
   void notify(net::Prefix prefix, std::optional<net::NodeId> previous,

@@ -89,7 +89,7 @@ void LsNetwork::restore_state(snap::Reader& r) {
   for (std::size_t node = 0; node < speakers_.size(); ++node) {
     queues_[node]->restore_state(r, load_lsa_payload);
     speakers_[node]->restore_state(r);
-    fibs_[node].restore_state(r);
+    fibs_[node].restore_state(r, 1);  // LS routes one prefix
   }
 }
 

@@ -182,15 +182,17 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// A prefix value, rejected at or above net::kMaxPrefixes: per-prefix
-/// state is indexed by the value, so a corrupt prefix must fail here rather
-/// than size a plane.
-[[nodiscard]] inline net::Prefix read_prefix(Reader& r) {
+/// A prefix value, rejected at or above `limit` — the owner's prefix
+/// count where it has one, else net::kMaxPrefixes: per-prefix state is
+/// indexed by the value, so a corrupt prefix must fail here rather than
+/// size a plane.
+[[nodiscard]] inline net::Prefix read_prefix(
+    Reader& r, std::uint64_t limit = net::kMaxPrefixes) {
   const net::Prefix prefix = r.u32();
-  if (prefix >= net::kMaxPrefixes) {
+  if (prefix >= limit) {
     throw FormatError{"snapshot prefix " + std::to_string(prefix) +
-                      " is out of range (limit " +
-                      std::to_string(net::kMaxPrefixes) + ")"};
+                      " is out of range (limit " + std::to_string(limit) +
+                      ")"};
   }
   return prefix;
 }

@@ -52,7 +52,10 @@ namespace bgpsim::snap {
 /// v6: an MRAI timer record is (deadline µs, seq, pending) instead of the
 /// timer's event id — the last allocation artifact in the stream. Timers
 /// that hold no decision are silent simulator deadlines and have no id.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: the BGP payload's prefix table (interning order plus an origin per
+/// prefix) became one u64 prefix count, which a restore requires to equal
+/// the network's; every prefix in the payload is below it.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Byte offset of the format-version field inside encode() output —
 /// stable across versions (it sits directly behind the magic).

@@ -26,7 +26,8 @@ class EnhancementTest : public ::testing::Test {
     c.jitter_lo = 1.0;
     c.jitter_hi = 1.0;
     c = c.with(e);
-    speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
+    speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths(),
+                     ribs_);
     speaker_->set_peers({1, 2, 3, 4});
     speaker_->set_hooks(Speaker::Hooks{
         .on_update_sent =
@@ -49,6 +50,7 @@ class EnhancementTest : public ::testing::Test {
   net::Topology topo_ = topo::make_star(5);
   net::Transport transport_{sim_, topo_};
   fwd::Fib fib_;
+  rib::LocalRibs ribs_{1, 1};
   std::optional<Speaker> speaker_;
   std::vector<Sent> sent_;
 };
@@ -248,23 +250,24 @@ TEST_F(EnhancementTest, CautionDefersWorseBackup) {
   c.jitter_lo = 1.0;
   c.jitter_hi = 1.0;
   c.backup_caution = sim::SimTime::seconds(10);
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths(),
+                   ribs_);
   speaker_->set_peers({1, 2, 3, 4});
 
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
-  ASSERT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 1, 9}));
+  ASSERT_EQ(*speaker_->best_path(kP), test::path_of({0, 1, 9}));
 
   // The good path dies at t=0; the longer backup is NOT adopted yet.
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
-  EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);
+  EXPECT_EQ(speaker_->best_path(kP), nullptr);
   EXPECT_FALSE(fib_.next_hop(kP).has_value());
   EXPECT_EQ(speaker_->counters().caution_holds, 1u);
 
   // After the caution window it is adopted.
   sim_.run_until(sim::SimTime::seconds(10));
-  ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 8, 9}));
+  ASSERT_NE(speaker_->best_path(kP), nullptr);
+  EXPECT_EQ(*speaker_->best_path(kP), test::path_of({0, 2, 8, 9}));
 }
 
 TEST_F(EnhancementTest, CautionAcceptsEqualOrBetterReplacementImmediately) {
@@ -273,21 +276,22 @@ TEST_F(EnhancementTest, CautionAcceptsEqualOrBetterReplacementImmediately) {
   c.jitter_lo = 1.0;
   c.jitter_hi = 1.0;
   c.backup_caution = sim::SimTime::seconds(10);
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths(),
+                   ribs_);
   speaker_->set_peers({1, 2, 3, 4});
 
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
-  EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);  // holding
+  EXPECT_EQ(speaker_->best_path(kP), nullptr);  // holding
 
   // A same-length replacement arrives mid-window: adopted at once.
   sim_.schedule_at(sim::SimTime::seconds(2), [&] {
     speaker_->handle_update(3, UpdateMsg::announce(kP, test::path_of({3, 9})));
   });
   sim_.run_until(sim::SimTime::seconds(2));
-  ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 3, 9}));
+  ASSERT_NE(speaker_->best_path(kP), nullptr);
+  EXPECT_EQ(*speaker_->best_path(kP), test::path_of({0, 3, 9}));
 }
 
 TEST_F(EnhancementTest, ZeroCautionSwitchesImmediately) {
@@ -295,8 +299,8 @@ TEST_F(EnhancementTest, ZeroCautionSwitchesImmediately) {
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
-  ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 8, 9}));
+  ASSERT_NE(speaker_->best_path(kP), nullptr);
+  EXPECT_EQ(*speaker_->best_path(kP), test::path_of({0, 2, 8, 9}));
   EXPECT_EQ(speaker_->counters().caution_holds, 0u);
 }
 
@@ -312,7 +316,8 @@ TEST_F(EnhancementTest, CombinedFlagsCoexist) {
   c.jitter_hi = 1.0;
   c.ssld = true;
   c.wrate = true;
-  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths());
+  speaker_.emplace(0, c, sim_, transport_, fib_, sim::Rng{1}, test::paths(),
+                   ribs_);
   speaker_->set_peers({1, 2, 3, 4});
   speaker_->set_hooks(Speaker::Hooks{
       .on_update_sent =
@@ -348,8 +353,8 @@ TEST_F(EnhancementTest, AssertionPrunesOnWithdrawal) {
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Withdrawal from 1 invalidates 2's path through 1: no backup remains.
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
-  EXPECT_EQ(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(speaker_->adj_rib_in().get(kP, 2), nullptr);
+  EXPECT_EQ(speaker_->best_path(kP), nullptr);
+  EXPECT_EQ(speaker_->adj_route(kP, 2), nullptr);
   EXPECT_GT(speaker_->counters().assertion_removals, 0u);
 }
 
@@ -360,7 +365,7 @@ TEST_F(EnhancementTest, StandardBgpPicksObsoleteBackup) {
   speaker_->handle_update(1, UpdateMsg::withdraw(kP));
   // Standard BGP happily selects the obsolete (2 1 9) — the paper's loop
   // formation mechanism.
-  const AsPath* loc = speaker_->loc_rib().get(kP);
+  const AsPath* loc = speaker_->best_path(kP);
   ASSERT_NE(loc, nullptr);
   EXPECT_EQ(*loc, test::path_of({0, 2, 1, 9}));
 }
@@ -371,8 +376,8 @@ TEST_F(EnhancementTest, AssertionPrunesInconsistentAnnounce) {
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Peer 1 moves to a different (longer) route: 2's entry contradicts it.
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 3, 9})));
-  EXPECT_EQ(speaker_->adj_rib_in().get(kP, 2), nullptr);
-  const AsPath* loc = speaker_->loc_rib().get(kP);
+  EXPECT_EQ(speaker_->adj_route(kP, 2), nullptr);
+  const AsPath* loc = speaker_->best_path(kP);
   ASSERT_NE(loc, nullptr);
   EXPECT_EQ(*loc, test::path_of({0, 1, 3, 9}));
 }
@@ -383,7 +388,7 @@ TEST_F(EnhancementTest, AssertionKeepsConsistentEntries) {
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   // Re-announcing the same route prunes nothing.
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
-  EXPECT_NE(speaker_->adj_rib_in().get(kP, 2), nullptr);
+  EXPECT_NE(speaker_->adj_route(kP, 2), nullptr);
 }
 
 TEST_F(EnhancementTest, AssertionKeepsTransitRoutesOnSessionDown) {
@@ -393,10 +398,10 @@ TEST_F(EnhancementTest, AssertionKeepsTransitRoutesOnSessionDown) {
   speaker_->handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_->handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 1, 9})));
   speaker_->handle_session(1, false);
-  EXPECT_EQ(speaker_->adj_rib_in().get(kP, 1), nullptr);
-  ASSERT_NE(speaker_->adj_rib_in().get(kP, 2), nullptr);
-  ASSERT_NE(speaker_->loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_->loc_rib().get(kP), test::path_of({0, 2, 1, 9}));
+  EXPECT_EQ(speaker_->adj_route(kP, 1), nullptr);
+  ASSERT_NE(speaker_->adj_route(kP, 2), nullptr);
+  ASSERT_NE(speaker_->best_path(kP), nullptr);
+  EXPECT_EQ(*speaker_->best_path(kP), test::path_of({0, 2, 1, 9}));
   EXPECT_EQ(speaker_->counters().assertion_removals, 0u);
 }
 

@@ -23,7 +23,9 @@ TEST(MraiJitter, HeldSendWithinJitterWindow) {
     c.mrai = sim::SimTime::seconds(30);
     c.jitter_lo = 0.75;
     c.jitter_hi = 1.0;
-    Speaker speaker{0, c, sim, transport, fib, sim::Rng{seed}, test::paths()};
+    rib::LocalRibs ribs{1, 1};
+    Speaker speaker{0, c, sim, transport, fib, sim::Rng{seed}, test::paths(),
+                    ribs};
     speaker.set_peers({1, 2});
 
     std::vector<std::pair<net::NodeId, sim::SimTime>> sends;
@@ -66,7 +68,8 @@ TEST(MraiJitter, TimersDifferAcrossPeers) {
   fwd::Fib fib;
   BgpConfig c;
   c.mrai = sim::SimTime::seconds(30);
-  Speaker speaker{0, c, sim, transport, fib, sim::Rng{4}, test::paths()};
+  rib::LocalRibs ribs{1, 1};
+  Speaker speaker{0, c, sim, transport, fib, sim::Rng{4}, test::paths(), ribs};
   speaker.set_peers({1, 2});
 
   std::vector<std::pair<net::NodeId, sim::SimTime>> sends;

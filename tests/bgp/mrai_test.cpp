@@ -265,6 +265,7 @@ void expect_matches(const MraiTimers& timers, const ReferenceTimers& ref,
 TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
   constexpr net::NodeId kPeers = 6;
   constexpr net::Prefix kPrefixes = 12;
+  const std::vector<net::NodeId> all_peers{0, 1, 2, 3, 4, 5};
   for (const bool every : {false, true}) {
     SCOPED_TRACE(every ? "every expiry" : "silent");
     sim::Simulator simulator;
@@ -360,7 +361,7 @@ TEST(MraiPlanes, RandomHistoryMatchesMapReference) {
         // and serialize exactly as before.
         const std::vector<std::uint8_t> before = saved(timers);
         snap::Reader r{before};
-        timers.restore_state(r);
+        timers.restore_state(r, kPrefixes, all_peers);
         r.finish();
       }
       expect_matches(timers, ref, kPeers, kPrefixes,
@@ -476,9 +477,10 @@ TEST(MraiPlanes, RestoreRejectsOutOfRangePrefixAndNullEvent) {
   const std::int64_t earlier = sim::SimTime::seconds(5).as_micros();
   PeerPlane plane;
   MraiTimers timers{simulator, plane};
+  const std::vector<net::NodeId> peers{3};
   const auto restore = [&](const std::vector<std::uint8_t>& bytes) {
     snap::Reader r{bytes};
-    timers.restore_state(r);
+    timers.restore_state(r, net::kMaxPrefixes, peers);
     r.finish();
   };
   EXPECT_THROW(restore(records({{3, net::kMaxPrefixes, later, 1, false}})),
@@ -494,6 +496,40 @@ TEST(MraiPlanes, RestoreRejectsOutOfRangePrefixAndNullEvent) {
   EXPECT_THROW(restore(records({{3, 0, later, 1, true}})), snap::FormatError);
   restore(records({{3, 0, later, 1, false}}));
   EXPECT_TRUE(timers.running(3, 0));
+}
+
+/// Restores `bytes` into fresh timers on a simulator at clock 10 s with
+/// seq 1 drawn, for a speaker with sessions to peers 3 and 5 and `prefixes`
+/// prefixes.
+void restore_at_ten_seconds(const std::vector<std::uint8_t>& bytes,
+                            std::uint32_t prefixes) {
+  sim::Simulator simulator;
+  simulator.schedule_at(sim::SimTime::seconds(10), [] {});
+  simulator.run();
+  PeerPlane plane;
+  MraiTimers timers{simulator, plane};
+  const std::vector<net::NodeId> peers{3, 5};
+  snap::Reader r{bytes};
+  timers.restore_state(r, prefixes, peers);
+  r.finish();
+}
+
+TEST(MraiPlanes, RestoreRejectsAPrefixAtOrAboveP) {
+  const std::int64_t later = sim::SimTime::seconds(20).as_micros();
+  restore_at_ten_seconds(records({{3, 1, later, 1, false}}), 2);
+  for (const net::Prefix prefix : {net::Prefix{2}, net::kMaxPrefixes - 1}) {
+    EXPECT_THROW(
+        restore_at_ten_seconds(records({{3, prefix, later, 1, false}}), 2),
+        snap::FormatError)
+        << "prefix " << prefix;
+  }
+}
+
+TEST(MraiPlanes, RestoreRejectsATimerTowardANonPeer) {
+  const std::int64_t later = sim::SimTime::seconds(20).as_micros();
+  restore_at_ten_seconds(records({{5, 0, later, 1, false}}), 1);
+  EXPECT_THROW(restore_at_ten_seconds(records({{4, 0, later, 1, false}}), 1),
+               snap::FormatError);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include "bgp/as_path.hpp"
 #include "bgp/decision.hpp"
-#include "bgp/rib.hpp"
+#include "rib/local_ribs.hpp"
 #include "snap/codec.hpp"
 
 namespace bgpsim::bgp {
@@ -201,21 +201,21 @@ TEST(PathArena, SnapshotLoadedPathsLandInTheTrialArena) {
   // fresh RIB) is a node of the restoring arena: it compares equal to the
   // same hops built there, and shares their nodes.
   PathArena saving;
-  LocRib rib;
-  ASSERT_TRUE(rib.set(0, saving.make({5, 4, 0})));
+  rib::LocalRibs ribs{1, 1};
+  ASSERT_TRUE(ribs.set_best(0, 0, saving.make({5, 4, 0})));
   snap::Writer w;
-  rib.save_state(w);
+  ribs.save_best(0, w);
 
   PathArena trial;
   const AsPath built = trial.make({4, 0});
   const std::size_t before = trial.size();
-  LocRib restored;
+  rib::LocalRibs restored{1, 1};
   snap::Reader r{w.bytes()};
-  restored.restore_state(r, trial);
+  restored.restore_best(0, r, trial);
   r.finish();
-  ASSERT_NE(restored.get(0), nullptr);
-  EXPECT_EQ(*restored.get(0), trial.make({5, 4, 0}));
-  EXPECT_EQ(restored.get(0)->suffix_from(4), built);
+  ASSERT_NE(restored.best(0, 0), nullptr);
+  EXPECT_EQ(*restored.best(0, 0), trial.make({5, 4, 0}));
+  EXPECT_EQ(restored.best(0, 0)->suffix_from(4), built);
   EXPECT_EQ(trial.size(), before + 1);  // only (5) was new
 }
 

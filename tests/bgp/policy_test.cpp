@@ -122,35 +122,35 @@ TEST(ValleyFree, RejectsDoublePeering) {
 
 TEST(SelectBestWithPolicy, LocalPrefBeatsPathLength) {
   const auto rel = sample_table();
-  AdjRibIn rib;
+  rib::LocalRibs ribs{1, 2};
   // At node 1: a short route via peer 2 and a longer route via customer 3.
-  rib.set(0, 2, test::path_of({2, 9}));
-  rib.set(0, 3, test::path_of({3, 6, 9}));
-  const auto best = select_best(rib, 0, 1, &rel);
+  ribs.adj_set(0, 0, 2, test::path_of({2, 9}));
+  ribs.adj_set(0, 0, 3, test::path_of({3, 6, 9}));
+  const auto best = select_best(ribs.adj_entries(0, 0), 1, &rel);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 3u);  // customer wins despite longer path
   // Without policy, the shorter path wins.
-  const auto shortest = select_best(rib, 0, 1, nullptr);
+  const auto shortest = select_best(ribs.adj_entries(0, 0), 1, nullptr);
   ASSERT_TRUE(shortest.has_value());
   EXPECT_EQ(shortest->first_hop(), 2u);
 }
 
 TEST(SelectBestWithPolicy, EqualPrefFallsBackToLength) {
   const auto rel = sample_table();
-  AdjRibIn rib;
+  rib::LocalRibs ribs{1, 2};
   // At node 1: two customer routes (3 and 4).
-  rib.set(0, 3, test::path_of({3, 6, 9}));
-  rib.set(0, 4, test::path_of({4, 9}));
-  const auto best = select_best(rib, 0, 1, &rel);
+  ribs.adj_set(0, 0, 3, test::path_of({3, 6, 9}));
+  ribs.adj_set(0, 0, 4, test::path_of({4, 9}));
+  const auto best = select_best(ribs.adj_entries(0, 0), 1, &rel);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->first_hop(), 4u);
 }
 
 TEST(SelectBestWithPolicy, PoisonReverseStillApplies) {
   const auto rel = sample_table();
-  AdjRibIn rib;
-  rib.set(0, 3, test::path_of({3, 1, 9}));  // contains node 1
-  EXPECT_FALSE(select_best(rib, 0, 1, &rel).has_value());
+  rib::LocalRibs ribs{1, 2};
+  ribs.adj_set(0, 0, 3, test::path_of({3, 1, 9}));  // contains node 1
+  EXPECT_FALSE(select_best(ribs.adj_entries(0, 0), 1, &rel).has_value());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -30,7 +31,7 @@ class SpeakerTest : public ::testing::Test {
       : topo_{topo::make_star(5)},  // center 0, spokes 1..4
         transport_{sim_, topo_},
         speaker_{0, make_config(), sim_, transport_, fib_, sim::Rng{1},
-                 test::paths()} {
+                 test::paths(), ribs_} {
     speaker_.set_peers({1, 2, 3, 4});
     speaker_.set_hooks(Speaker::Hooks{
         .on_update_sent =
@@ -62,13 +63,14 @@ class SpeakerTest : public ::testing::Test {
   net::Topology topo_;
   net::Transport transport_;
   fwd::Fib fib_;
+  rib::LocalRibs ribs_{1, 6};  // prefixes 0..5
   Speaker speaker_;
   std::vector<Sent> sent_;
 };
 
 TEST_F(SpeakerTest, AdoptsAnnouncedRouteAndReadvertises) {
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
-  const AsPath* loc = speaker_.loc_rib().get(kP);
+  const AsPath* loc = speaker_.best_path(kP);
   ASSERT_NE(loc, nullptr);
   EXPECT_EQ(*loc, test::path_of({0, 1, 9}));
   EXPECT_EQ(fib_.next_hop(kP), 1u);
@@ -82,8 +84,8 @@ TEST_F(SpeakerTest, AdoptsAnnouncedRouteAndReadvertises) {
 
 TEST_F(SpeakerTest, PoisonReverseDiscardsPathContainingSelf) {
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 0, 9})));
-  EXPECT_EQ(speaker_.loc_rib().get(kP), nullptr);
-  EXPECT_EQ(speaker_.adj_rib_in().get(kP, 1), nullptr);
+  EXPECT_EQ(speaker_.best_path(kP), nullptr);
+  EXPECT_EQ(speaker_.adj_route(kP, 1), nullptr);
   EXPECT_EQ(speaker_.counters().poison_reverse_discards, 1u);
   EXPECT_TRUE(sent_.empty());
 }
@@ -93,7 +95,7 @@ TEST_F(SpeakerTest, PoisonedAnnounceReplacesEarlierGoodRoute) {
   sent_.clear();
   // Peer 1 now reports a path through us: acts as an implicit withdrawal.
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 0, 9})));
-  EXPECT_EQ(speaker_.loc_rib().get(kP), nullptr);
+  EXPECT_EQ(speaker_.best_path(kP), nullptr);
   // We must retract our previous advertisement (withdrawals bypass MRAI).
   ASSERT_FALSE(sent_.empty());
   for (const auto& s : sent_) EXPECT_TRUE(s.msg.is_withdrawal());
@@ -102,7 +104,7 @@ TEST_F(SpeakerTest, PoisonedAnnounceReplacesEarlierGoodRoute) {
 TEST_F(SpeakerTest, PicksBetterRouteAmongPeers) {
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 8, 9})));
   speaker_.handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 9})));
-  const AsPath* loc = speaker_.loc_rib().get(kP);
+  const AsPath* loc = speaker_.best_path(kP);
   ASSERT_NE(loc, nullptr);
   EXPECT_EQ(*loc, test::path_of({0, 2, 9}));
   EXPECT_EQ(fib_.next_hop(kP), 2u);
@@ -112,7 +114,7 @@ TEST_F(SpeakerTest, FallsBackOnWithdrawal) {
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
   speaker_.handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   speaker_.handle_update(1, UpdateMsg::withdraw(kP));
-  const AsPath* loc = speaker_.loc_rib().get(kP);
+  const AsPath* loc = speaker_.best_path(kP);
   ASSERT_NE(loc, nullptr);
   EXPECT_EQ(*loc, test::path_of({0, 2, 8, 9}));
 }
@@ -171,8 +173,8 @@ TEST_F(SpeakerTest, TimerExpiryWithoutChangeSendsNothing) {
 
 TEST_F(SpeakerTest, OriginationAnnouncesSelfPath) {
   speaker_.originate(kP);
-  ASSERT_NE(speaker_.loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*speaker_.loc_rib().get(kP), test::path_of({0}));
+  ASSERT_NE(speaker_.best_path(kP), nullptr);
+  EXPECT_EQ(*speaker_.best_path(kP), test::path_of({0}));
   EXPECT_TRUE(speaker_.originates(kP));
   EXPECT_EQ(sent_.size(), 4u);
   EXPECT_FALSE(fib_.next_hop(kP).has_value());  // local delivery
@@ -181,7 +183,7 @@ TEST_F(SpeakerTest, OriginationAnnouncesSelfPath) {
 TEST_F(SpeakerTest, OriginPrefersOwnRouteOverLearned) {
   speaker_.originate(kP);
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
-  EXPECT_EQ(*speaker_.loc_rib().get(kP), test::path_of({0}));
+  EXPECT_EQ(*speaker_.best_path(kP), test::path_of({0}));
 }
 
 TEST_F(SpeakerTest, TdownWithdrawalGoesOutImmediately) {
@@ -195,7 +197,7 @@ TEST_F(SpeakerTest, TdownWithdrawalGoesOutImmediately) {
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_TRUE(msgs[0].msg.is_withdrawal());
   EXPECT_EQ(msgs[0].at, sim::SimTime::seconds(1));
-  EXPECT_EQ(speaker_.loc_rib().get(kP), nullptr);
+  EXPECT_EQ(speaker_.best_path(kP), nullptr);
 }
 
 TEST_F(SpeakerTest, SessionDownDropsPeerRoutesAndReruns) {
@@ -203,8 +205,8 @@ TEST_F(SpeakerTest, SessionDownDropsPeerRoutesAndReruns) {
   speaker_.handle_update(2, UpdateMsg::announce(kP, test::path_of({2, 8, 9})));
   sent_.clear();
   speaker_.handle_session(1, false);
-  EXPECT_EQ(speaker_.adj_rib_in().get(kP, 1), nullptr);
-  EXPECT_EQ(*speaker_.loc_rib().get(kP), test::path_of({0, 2, 8, 9}));
+  EXPECT_EQ(speaker_.adj_route(kP, 1), nullptr);
+  EXPECT_EQ(*speaker_.best_path(kP), test::path_of({0, 2, 8, 9}));
   EXPECT_FALSE(std::ranges::binary_search(speaker_.peers(), 1u));
   // The replacement announce waits out the MRAI timers started by the
   // first advertisement, then goes to the remaining peers — never to 1.
@@ -229,7 +231,7 @@ TEST_F(SpeakerTest, SessionUpTriggersFullTable) {
 TEST_F(SpeakerTest, StrayUpdateFromNonPeerIgnored) {
   speaker_.handle_session(1, false);
   speaker_.handle_update(1, UpdateMsg::announce(kP, test::path_of({1, 9})));
-  EXPECT_EQ(speaker_.loc_rib().get(kP), nullptr);
+  EXPECT_EQ(speaker_.best_path(kP), nullptr);
 }
 
 TEST_F(SpeakerTest, NeverRetractsWhatWasNeverAnnounced) {
@@ -316,7 +318,120 @@ TEST_F(SpeakerTest, OutboundCellsRoundTripThroughTheCheckpoint) {
   EXPECT_TRUE(to(4).empty());
 }
 
-// A multiprefix batch applies every update, then runs one decision pass
+// ---- checkpoint decoding: every prefix below P, every peer a session ----
+
+/// The checkpointed sections holding per-prefix records, in stream order.
+enum class Section { kOrigins, kAdjIn, kBest, kMrai, kCaution, kAdjOut };
+
+/// A whole speaker checkpoint with sessions to peers 1..4: `bad` holds the
+/// one record `write` writes, and every other section is empty.
+std::vector<std::uint8_t> checkpoint_with(
+    Section bad, const std::function<void(snap::Writer&)>& write) {
+  snap::Writer w;
+  snap::write_rng(w, sim::Rng{1});
+  w.u64(4);
+  for (net::NodeId peer = 1; peer <= 4; ++peer) w.u32(peer);
+  for (const Section section :
+       {Section::kOrigins, Section::kAdjIn, Section::kBest, Section::kMrai,
+        Section::kCaution, Section::kAdjOut}) {
+    w.u64(section == bad ? 1 : 0);
+    if (section == bad) write(w);
+  }
+  for (int counter = 0; counter < 9; ++counter) w.u64(0);
+  return std::move(w).take();
+}
+
+TEST_F(SpeakerTest, RestoreRejectsAnOriginAtOrAboveP) {
+  for (const net::Prefix prefix : {net::Prefix{6}, net::kMaxPrefixes - 1}) {
+    const auto bytes = checkpoint_with(
+        Section::kOrigins, [&](snap::Writer& w) { w.u32(prefix); });
+    snap::Reader r{bytes};
+    EXPECT_THROW(speaker_.restore_state(r), snap::FormatError)
+        << "prefix " << prefix;
+  }
+}
+
+TEST_F(SpeakerTest, RestoreRejectsACautionHoldAtOrAboveP) {
+  for (const net::Prefix prefix : {net::Prefix{6}, net::kMaxPrefixes - 1}) {
+    const auto bytes =
+        checkpoint_with(Section::kCaution, [&](snap::Writer& w) {
+          w.u32(prefix);
+          w.u64(2);  // the lost path's length
+        });
+    snap::Reader r{bytes};
+    EXPECT_THROW(speaker_.restore_state(r), snap::FormatError)
+        << "prefix " << prefix;
+  }
+}
+
+/// One Adj-RIB-Out record: `peer` was announced (0 9) for `prefix`.
+std::function<void(snap::Writer&)> announced(net::NodeId peer,
+                                             net::Prefix prefix) {
+  return [peer, prefix](snap::Writer& w) {
+    w.u32(peer);
+    w.u32(prefix);
+    w.u8(1);
+    test::path_of({0, 9}).save(w);
+  };
+}
+
+TEST_F(SpeakerTest, RestoreRejectsAnAdjRibOutEntryAtOrAboveP) {
+  for (const net::Prefix prefix : {net::Prefix{6}, net::kMaxPrefixes - 1}) {
+    const auto bytes = checkpoint_with(Section::kAdjOut, announced(1, prefix));
+    snap::Reader r{bytes};
+    EXPECT_THROW(speaker_.restore_state(r), snap::FormatError)
+        << "prefix " << prefix;
+  }
+}
+
+TEST_F(SpeakerTest, RestoreRejectsAnAdjRibOutEntryTowardANonPeer) {
+  // Peer 1 holds a session; node 7 and the largest id do not.
+  const auto ok = checkpoint_with(Section::kAdjOut, announced(1, 5));
+  snap::Reader accepted{ok};
+  EXPECT_NO_THROW(speaker_.restore_state(accepted));
+  for (const net::NodeId peer : {net::NodeId{7}, net::kInvalidNode}) {
+    const auto bytes = checkpoint_with(Section::kAdjOut, announced(peer, 0));
+    snap::Reader r{bytes};
+    EXPECT_THROW(speaker_.restore_state(r), snap::FormatError)
+        << "peer " << peer;
+  }
+}
+
+TEST_F(SpeakerTest, RestoreChecksAdjRibInAndMraiPeersAgainstItsSessions) {
+  // The Adj-RIB-In and MRAI decoders see the restored session set: the
+  // same record restores from session peer 1 and is refused from node 7,
+  // which has none.
+  sim_.schedule_at(sim::SimTime::seconds(1), [] {});
+  sim_.run();  // seq 1 drawn, so a timer may carry it
+  using Bytes = std::function<std::vector<std::uint8_t>(net::NodeId)>;
+  const Bytes adj_in = [](net::NodeId peer) {
+    return checkpoint_with(Section::kAdjIn, [peer](snap::Writer& w) {
+      w.u32(0);  // prefix
+      w.u64(1);  // one column entry
+      w.u32(peer);
+      test::path_of({peer, 9}).save(w);
+    });
+  };
+  const Bytes mrai = [](net::NodeId peer) {
+    return checkpoint_with(Section::kMrai, [peer](snap::Writer& w) {
+      w.u32(peer);
+      w.u32(0);
+      w.i64(sim::SimTime::seconds(30).as_micros());
+      w.u64(1);
+      w.b(false);
+    });
+  };
+  for (const Bytes& bytes_from : {adj_in, mrai}) {
+    const auto ok = bytes_from(1);
+    snap::Reader accepted{ok};
+    EXPECT_NO_THROW(speaker_.restore_state(accepted));
+    const auto bad = bytes_from(7);
+    snap::Reader r{bad};
+    EXPECT_THROW(speaker_.restore_state(r), snap::FormatError);
+  }
+}
+
+// A multi-prefix batch applies every update, then runs one decision pass
 // per distinct prefix: withdrawing and re-announcing prefix 0 in one batch
 // moves its best path once, straight to the new route, and each peer gets
 // one batched wire message in first-touch prefix order.
@@ -329,8 +444,9 @@ TEST(SpeakerBatch, WithdrawAndReannounceInOneBatchDecidesOnce) {
   config.mrai = sim::SimTime::seconds(30);
   config.jitter_lo = 1.0;
   config.jitter_hi = 1.0;
-  config.multiprefix = true;
-  Speaker speaker{0, config, sim, transport, fib, sim::Rng{1}, test::paths()};
+  rib::LocalRibs ribs{1, 2};  // two prefixes: sends are staged per peer
+  Speaker speaker{0, config, sim, transport, fib, sim::Rng{1}, test::paths(),
+                  ribs};
   speaker.set_peers({1, 2});
   std::vector<std::optional<AsPath>> best_changes;
   speaker.set_hooks(Speaker::Hooks{

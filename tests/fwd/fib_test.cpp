@@ -180,7 +180,7 @@ TEST(FibPlane, RestoreNotifiesInTheSortedTablesOrder) {
     w.u32(h);
   }
   snap::Reader r{w.bytes()};
-  fib.restore_state(r);
+  fib.restore_state(r, 13);
   r.finish();
 
   ASSERT_EQ(changes.size(), 4u);
@@ -201,7 +201,7 @@ TEST(FibPlane, RestoreNotifiesInTheSortedTablesOrder) {
   changes.clear();
   const std::vector<std::uint8_t> same = saved(fib);
   snap::Reader again{same};
-  fib.restore_state(again);
+  fib.restore_state(again, 13);
   EXPECT_TRUE(changes.empty());
 }
 
@@ -216,8 +216,26 @@ TEST(FibPlane, RestoreRejectsOutOfRangeEntriesBeforeChangingAnything) {
     w.u32(prefix);
     w.u32(hop);
     snap::Reader r{w.bytes()};
-    EXPECT_THROW(fib.restore_state(r), snap::FormatError);
+    EXPECT_THROW(fib.restore_state(r, net::kMaxPrefixes), snap::FormatError);
     EXPECT_EQ(fib.next_hop(2), 5u);
+    EXPECT_EQ(fib.route_count(), 1u);
+  }
+}
+
+TEST(FibPlane, RestoreRejectsAPrefixAtOrAboveItsOwnersCount) {
+  // A FIB of a network that routes P prefixes holds none at or above P; a
+  // record there must fail before it sizes the table.
+  Fib fib;
+  fib.set_next_hop(0, 5);
+  for (const net::Prefix prefix : {net::Prefix{1}, net::kMaxPrefixes - 1}) {
+    snap::Writer w;
+    w.u64(1);
+    w.u32(prefix);
+    w.u32(3);
+    snap::Reader r{w.bytes()};
+    EXPECT_THROW(fib.restore_state(r, 1), snap::FormatError)
+        << "prefix " << prefix;
+    EXPECT_EQ(fib.next_hop(0), 5u);
     EXPECT_EQ(fib.route_count(), 1u);
   }
 }

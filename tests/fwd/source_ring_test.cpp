@@ -337,7 +337,8 @@ Observed execute(const Script& script, bool ring) {
                           sim::Rng{script.rng_seed}};
     next.set_send_hook(hook);
     snap::Reader r{*checkpoint};
-    for (Fib& f : fresh.fibs) f.restore_state(r);
+    // No owning network bounds these FIBs: accept every prefix value.
+    for (Fib& f : fresh.fibs) f.restore_state(r, net::kMaxPrefixes);
     fresh.plane->restore_state(r);
     next.restore_state(r);
     r.finish();

@@ -17,7 +17,7 @@ struct Harness {
       : topo{std::move(topology)},
         network{sim, topo, config, net::ProcessingDelay{sim::SimTime::millis(1),
                                                         sim::SimTime::millis(1)},
-                sim::Rng{42}, test::paths()} {}
+                sim::Rng{42}, test::paths(), /*prefixes=*/2} {}
 
   static BgpConfig quick_config() {
     BgpConfig c;
@@ -35,7 +35,7 @@ struct Harness {
     ASSERT_FALSE(network.busy());
   }
 
-  const AsPath* loc(net::NodeId n) { return network.speaker(n).loc_rib().get(kP); }
+  const AsPath* loc(net::NodeId n) { return network.speaker(n).best_path(kP); }
 
   sim::Simulator sim;
   net::Topology topo;
@@ -142,8 +142,8 @@ TEST(Convergence, SecondPrefixIndependent) {
   h.sim.schedule_at(h.sim.now() + sim::SimTime::seconds(60),
                     [&] { h.network.originate(3, 1); });
   h.sim.run();
-  ASSERT_NE(h.network.speaker(0).loc_rib().get(1), nullptr);
-  EXPECT_EQ(*h.network.speaker(0).loc_rib().get(1),
+  ASSERT_NE(h.network.speaker(0).best_path(1), nullptr);
+  EXPECT_EQ(*h.network.speaker(0).best_path(1),
             test::path_of({0, 1, 2, 3}));
   // Prefix 0 unchanged.
   EXPECT_EQ(*h.loc(3), test::path_of({3, 2, 1, 0}));

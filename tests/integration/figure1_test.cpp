@@ -36,7 +36,7 @@ class Figure1Test : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(100),
                                             sim::SimTime::millis(500)},
-                 sim::Rng{7}, test::paths()},
+                 sim::Rng{7}, test::paths(), 1},
         detector_{topo_.node_count()} {
     metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
   }
@@ -48,7 +48,7 @@ class Figure1Test : public ::testing::Test {
   }
 
   const AsPath* loc(net::NodeId n) {
-    return network_.speaker(n).loc_rib().get(kP);
+    return network_.speaker(n).best_path(kP);
   }
 
   void converge_initially() {
@@ -72,10 +72,10 @@ TEST_F(Figure1Test, InitialStateMatchesFigure1a) {
   EXPECT_EQ(*loc(5), test::path_of({5, 4, 0}));
   EXPECT_EQ(*loc(6), test::path_of({6, 4, 0}));
   // And the backups listed in the figure sit in the Adj-RIB-Ins.
-  const AsPath* five_via_six = network_.speaker(5).adj_rib_in().get(kP, 6);
+  const AsPath* five_via_six = network_.speaker(5).adj_route(kP, 6);
   ASSERT_NE(five_via_six, nullptr);
   EXPECT_EQ(*five_via_six, test::path_of({6, 4, 0}));
-  const AsPath* six_via_three = network_.speaker(6).adj_rib_in().get(kP, 3);
+  const AsPath* six_via_three = network_.speaker(6).adj_route(kP, 3);
   ASSERT_NE(six_via_three, nullptr);
   EXPECT_EQ(*six_via_three, test::path_of({3, 2, 1, 0}));
   // No loops during/after initial convergence in this topology run.
@@ -146,7 +146,7 @@ TEST_F(Figure1Test, SsldShortensTheLoop) {
   BgpNetwork net2{sim2, topo2, config().with(Enhancement::kSsld),
                   net::ProcessingDelay{sim::SimTime::millis(100),
                                        sim::SimTime::millis(500)},
-                  sim::Rng{7}, test::paths()};
+                  sim::Rng{7}, test::paths(), 1};
   sim2.schedule_at(sim::SimTime::zero(), [&] { net2.originate(0, kP); });
   sim2.run();
   const auto link40 = topo2.link_between(4, 0);
@@ -155,8 +155,8 @@ TEST_F(Figure1Test, SsldShortensTheLoop) {
   sim2.run();
   EXPECT_GT(net2.total_counters().ssld_conversions, 0u);
   // Network still converges to the same final routes.
-  ASSERT_NE(net2.speaker(6).loc_rib().get(kP), nullptr);
-  EXPECT_EQ(*net2.speaker(6).loc_rib().get(kP), test::path_of({6, 3, 2, 1, 0}));
+  ASSERT_NE(net2.speaker(6).best_path(kP), nullptr);
+  EXPECT_EQ(*net2.speaker(6).best_path(kP), test::path_of({6, 3, 2, 1, 0}));
 }
 
 }  // namespace

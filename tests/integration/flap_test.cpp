@@ -18,7 +18,7 @@ class FlapTest : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(100),
                                             sim::SimTime::millis(500)},
-                 sim::Rng{3}, test::paths()},
+                 sim::Rng{3}, test::paths(), 1},
         detector_{topo_.node_count()} {
     metrics::LoopDetector::attach(sim_, network_.fibs(), {&detector_, 1});
     direct_ = topo::bclique_tlong_link(topo_, 4);
@@ -45,7 +45,7 @@ class FlapTest : public ::testing::Test {
   void expect_shortest_paths() {
     const auto dist = topo_.bfs_distances(0);
     for (net::NodeId v = 1; v < topo_.node_count(); ++v) {
-      const AsPath* loc = network_.speaker(v).loc_rib().get(kP);
+      const AsPath* loc = network_.speaker(v).best_path(kP);
       ASSERT_NE(loc, nullptr) << "node " << v;
       EXPECT_EQ(loc->length(), dist[v] + 1) << "node " << v;
     }
@@ -116,11 +116,11 @@ TEST_F(FlapTest, NodeFailureIsolatesAndRecovers) {
                    [&] { network_.transport().fail_node(5); });
   drain();
   // 5 is isolated: no route. Everyone else still converges correctly.
-  EXPECT_EQ(network_.speaker(5).loc_rib().get(kP), nullptr);
+  EXPECT_EQ(network_.speaker(5).best_path(kP), nullptr);
   const auto dist = topo_.bfs_distances(0);
   for (net::NodeId v = 1; v < topo_.node_count(); ++v) {
     if (v == 5) continue;
-    const AsPath* loc = network_.speaker(v).loc_rib().get(kP);
+    const AsPath* loc = network_.speaker(v).best_path(kP);
     ASSERT_NE(loc, nullptr) << "node " << v;
     EXPECT_EQ(loc->length(), dist[v] + 1) << "node " << v;
   }
@@ -145,7 +145,7 @@ TEST_F(FlapTest, SimultaneousDualFailure) {
   const auto dist = topo_.bfs_distances(0);
   constexpr auto kUnreached = std::numeric_limits<std::size_t>::max();
   for (net::NodeId v = 1; v < topo_.node_count(); ++v) {
-    const AsPath* loc = network_.speaker(v).loc_rib().get(kP);
+    const AsPath* loc = network_.speaker(v).best_path(kP);
     if (dist[v] == kUnreached) {
       EXPECT_EQ(loc, nullptr) << "node " << v;
     } else {

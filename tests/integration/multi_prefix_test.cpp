@@ -3,9 +3,13 @@
 // not disturb another.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "bgp/network.hpp"
 #include "fwd/engine.hpp"
 #include "metrics/loop_detector.hpp"
+#include "snap/codec.hpp"
 #include "topo/generators.hpp"
 #include "support/paths.hpp"
 
@@ -19,7 +23,7 @@ class MultiPrefixTest : public ::testing::Test {
         network_{sim_, topo_, config(), net::ProcessingDelay{
                                             sim::SimTime::millis(1),
                                             sim::SimTime::millis(1)},
-                 sim::Rng{9}, test::paths()},
+                 sim::Rng{9}, test::paths(), 2},
         // prefix 0 lives at node 0, prefix 1 at node 3
         plane_{sim_, topo_, network_.fibs(),
                fwd::DataPlaneOptions{.destinations = {0, 3}}} {}
@@ -49,8 +53,8 @@ class MultiPrefixTest : public ::testing::Test {
 TEST_F(MultiPrefixTest, BothPrefixesConvergeIndependently) {
   converge_both();
   // Node 1: prefix 0 direct, prefix 1 via 2.
-  EXPECT_EQ(*network_.speaker(1).loc_rib().get(0), test::path_of({1, 0}));
-  EXPECT_EQ(*network_.speaker(1).loc_rib().get(1), test::path_of({1, 2, 3}));
+  EXPECT_EQ(*network_.speaker(1).best_path(0), test::path_of({1, 0}));
+  EXPECT_EQ(*network_.speaker(1).best_path(1), test::path_of({1, 2, 3}));
   EXPECT_EQ(network_.fibs()[1].next_hop(0), 0u);
   EXPECT_EQ(network_.fibs()[1].next_hop(1), 2u);
 }
@@ -71,11 +75,11 @@ TEST_F(MultiPrefixTest, TdownOnOnePrefixLeavesOtherIntact) {
   sim_.run();
   ASSERT_FALSE(network_.busy());
   for (net::NodeId v = 1; v < 6; ++v) {
-    EXPECT_EQ(network_.speaker(v).loc_rib().get(0), nullptr) << "node " << v;
+    EXPECT_EQ(network_.speaker(v).best_path(0), nullptr) << "node " << v;
     if (v != 3) {
-      ASSERT_NE(network_.speaker(v).loc_rib().get(1), nullptr)
+      ASSERT_NE(network_.speaker(v).best_path(1), nullptr)
           << "node " << v;
-      EXPECT_EQ(network_.speaker(v).loc_rib().get(1)->origin(), 3u);
+      EXPECT_EQ(network_.speaker(v).best_path(1)->origin(), 3u);
     }
   }
   // Data plane: prefix 0 black-holes, prefix 1 still delivers.
@@ -109,7 +113,7 @@ TEST_F(MultiPrefixTest, PerPrefixMraiTimersAreIndependent) {
   EXPECT_EQ(best_changes_p1, 0u);  // prefix 1 untouched by the flap
   // Prefix 0 is reachable again everywhere.
   for (net::NodeId v = 1; v < 6; ++v) {
-    EXPECT_NE(network_.speaker(v).loc_rib().get(0), nullptr) << "node " << v;
+    EXPECT_NE(network_.speaker(v).best_path(0), nullptr) << "node " << v;
   }
 }
 
@@ -142,29 +146,99 @@ TEST(MultiPrefixAssertion, TlongKeepsAnotherOriginsRouteThroughTheDestination) {
   config.jitter_lo = 1.0;
   config.jitter_hi = 1.0;
   config.assertion = true;
-  config.multiprefix = true;
   sim::Simulator sim;
   bgp::BgpNetwork network{sim, topo, config,
                           net::ProcessingDelay{sim::SimTime::millis(1),
                                                sim::SimTime::millis(1)},
-                          sim::Rng{9}, test::paths()};
+                          sim::Rng{9}, test::paths(), 2};
   sim.schedule_at(sim::SimTime::zero(), [&] {
     network.originate(0, 0);
     network.originate(3, 1);
   });
   sim.run();
-  ASSERT_EQ(*network.speaker(1).loc_rib().get(1), test::path_of({1, 0, 3}));
-  ASSERT_NE(network.speaker(1).adj_rib_in().get(1, 2), nullptr);
+  ASSERT_EQ(*network.speaker(1).best_path(1), test::path_of({1, 0, 3}));
+  ASSERT_NE(network.speaker(1).adj_route(1, 2), nullptr);
 
   sim.schedule_at(sim.now() + sim::SimTime::seconds(5),
                   [&] { network.inject_link_failure(failed); });
   sim.run();
   ASSERT_FALSE(network.busy());
-  ASSERT_NE(network.speaker(1).loc_rib().get(1), nullptr);
-  EXPECT_EQ(*network.speaker(1).loc_rib().get(1), test::path_of({1, 2, 0, 3}));
-  ASSERT_NE(network.speaker(1).loc_rib().get(0), nullptr);
-  EXPECT_EQ(*network.speaker(1).loc_rib().get(0), test::path_of({1, 2, 0}));
+  ASSERT_NE(network.speaker(1).best_path(1), nullptr);
+  EXPECT_EQ(*network.speaker(1).best_path(1), test::path_of({1, 2, 0, 3}));
+  ASSERT_NE(network.speaker(1).best_path(0), nullptr);
+  EXPECT_EQ(*network.speaker(1).best_path(0), test::path_of({1, 2, 0}));
   EXPECT_EQ(network.fibs()[1].next_hop(1), 2u);
+}
+
+// ---- the network checkpoint: P is part of it, and bounds every prefix ----
+
+bgp::BgpConfig quiet_config() {
+  bgp::BgpConfig c;
+  c.jitter_lo = 1.0;
+  c.jitter_hi = 1.0;
+  return c;
+}
+
+TEST(BgpNetworkCodec, RestoreRequiresTheSavedPrefixCount) {
+  sim::Simulator sim;
+  net::Topology topo = topo::make_ring(3);
+  const net::ProcessingDelay delay{sim::SimTime::millis(1),
+                                   sim::SimTime::millis(1)};
+  bgp::BgpNetwork two{sim, topo, quiet_config(), delay, sim::Rng{1},
+                      test::paths(), 2};
+  snap::Writer w;
+  two.save_state(w);
+
+  bgp::BgpNetwork also_two{sim, topo, quiet_config(), delay, sim::Rng{2},
+                           test::paths(), 2};
+  snap::Reader same{w.bytes()};
+  also_two.restore_state(same);
+  same.finish();
+
+  for (const std::uint32_t prefixes : {1u, 3u}) {
+    bgp::BgpNetwork other{sim, topo, quiet_config(), delay, sim::Rng{2},
+                          test::paths(), prefixes};
+    snap::Reader r{w.bytes()};
+    EXPECT_THROW(other.restore_state(r), snap::FormatError)
+        << prefixes << " prefixes";
+  }
+}
+
+TEST(BgpNetworkCodec, RestoreRejectsAnInQueueUpdateAtOrAboveP) {
+  // Node 0's processing queue holds one update for prefix 1 of a
+  // one-prefix network, as a single message (tag 0) and inside a batch
+  // (tag 1). The prefix must fail as it is read, before anything is sized
+  // by it.
+  sim::Simulator sim;
+  net::Topology topo = topo::make_ring(3);
+  bgp::BgpNetwork network{sim, topo, quiet_config(),
+                          net::ProcessingDelay{sim::SimTime::millis(1),
+                                               sim::SimTime::millis(1)},
+                          sim::Rng{1}, test::paths(), 1};
+  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{1}}) {
+    snap::Writer w;
+    network.transport().save_state(w);
+    w.u64(1);  // the network's prefix count
+    snap::write_rng(w, sim::Rng{1});
+    w.b(false);  // not busy
+    w.u64(1);    // one queued item
+    w.b(false);  // a message, not a session event
+    w.u32(1);    // from
+    w.u32(0);    // to
+    w.u8(tag);
+    if (tag == 1) w.u64(1);  // a batch of one
+    w.u32(1);    // prefix 1
+    w.b(false);  // a withdrawal
+    snap::Reader r{w.bytes()};
+    try {
+      network.restore_state(r);
+      ADD_FAILURE() << "tag " << int{tag} << ": restore accepted prefix 1";
+    } catch (const snap::FormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("prefix 1 is out of range (limit 1)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

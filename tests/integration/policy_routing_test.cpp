@@ -56,7 +56,7 @@ TEST(PolicyRouting, ConvergedPathsAreValleyFree) {
   bgp::BgpNetwork network{simulator, ann.topology, config,
                           net::ProcessingDelay{sim::SimTime::millis(1),
                                                sim::SimTime::millis(1)},
-                          sim::Rng{5}, test::paths()};
+                          sim::Rng{5}, test::paths(), 1};
   // Destination: a stub (highest ids are stubs).
   const net::NodeId dest =
       static_cast<net::NodeId>(ann.topology.node_count() - 1);
@@ -68,7 +68,7 @@ TEST(PolicyRouting, ConvergedPathsAreValleyFree) {
   std::size_t reached = 0;
   for (net::NodeId v = 0; v < ann.topology.node_count(); ++v) {
     if (v == dest) continue;
-    const bgp::AsPath* loc = network.speaker(v).loc_rib().get(kP);
+    const bgp::AsPath* loc = network.speaker(v).best_path(kP);
     if (!loc) continue;  // no-valley export can legitimately hide routes
     ++reached;
     EXPECT_TRUE(bgp::valley_free(ann.relationships, *loc))
@@ -97,13 +97,13 @@ TEST(PolicyRouting, PolicyPathsCanBeLongerThanShortest) {
     bgp::BgpNetwork network{simulator, ann.topology, config,
                             net::ProcessingDelay{sim::SimTime::millis(1),
                                                  sim::SimTime::millis(1)},
-                            sim::Rng{5}, test::paths()};
+                            sim::Rng{5}, test::paths(), 1};
     simulator.schedule_at(sim::SimTime::zero(),
                           [&] { network.originate(dest, kP); });
     simulator.run();
     std::vector<std::size_t> lengths(ann.topology.node_count(), 0);
     for (net::NodeId v = 0; v < ann.topology.node_count(); ++v) {
-      const bgp::AsPath* loc = network.speaker(v).loc_rib().get(kP);
+      const bgp::AsPath* loc = network.speaker(v).best_path(kP);
       lengths[v] = loc ? loc->length() : 0;
     }
     return lengths;

@@ -31,14 +31,14 @@ std::vector<bgp::AsPath> converge(net::Topology& topo,
   bgp::BgpNetwork network{simulator, topo, config,
                           net::ProcessingDelay{sim::SimTime::millis(1),
                                                sim::SimTime::millis(1)},
-                          sim::Rng{5}, test::paths()};
+                          sim::Rng{5}, test::paths(), 1};
   simulator.schedule_at(sim::SimTime::zero(),
                         [&] { network.originate(dest, kP); });
   simulator.run();
   EXPECT_FALSE(network.busy());
   std::vector<bgp::AsPath> best(topo.node_count());
   for (net::NodeId v = 0; v < topo.node_count(); ++v) {
-    const bgp::AsPath* loc = network.speaker(v).loc_rib().get(kP);
+    const bgp::AsPath* loc = network.speaker(v).best_path(kP);
     if (loc) best[v] = *loc;
   }
   return best;

@@ -73,7 +73,7 @@ class InvariantTest : public ::testing::TestWithParam<Param> {
     network_.emplace(sim_, topo_, config,
                      net::ProcessingDelay{sim::SimTime::millis(100),
                                           sim::SimTime::millis(500)},
-                     sim::Rng{seed}, test::paths());
+                     sim::Rng{seed}, test::paths(), 1);
 
     // P2 (no node ever installs a path containing itself twice / through
     // itself) and P3 (announced paths follow topology edges) are asserted
@@ -145,7 +145,7 @@ TEST_P(InvariantTest, QuiescentStateIsLoopFreeAndShortest) {
   // P1b: selected paths are shortest paths.
   const auto dist = topo_.bfs_distances(0);
   for (net::NodeId v = 1; v < topo_.node_count(); ++v) {
-    const AsPath* loc = network_->speaker(v).loc_rib().get(kP);
+    const AsPath* loc = network_->speaker(v).best_path(kP);
     ASSERT_NE(loc, nullptr) << "node " << v;
     EXPECT_EQ(loc->length(), dist[v] + 1) << "node " << v;
   }
@@ -162,14 +162,14 @@ TEST_P(InvariantTest, PostEventQuiescenceIsConsistent) {
     // Tlong: everyone reconverges to valid (longer) paths.
     const auto dist = topo_.bfs_distances(0);
     for (net::NodeId v = 1; v < topo_.node_count(); ++v) {
-      const AsPath* loc = network_->speaker(v).loc_rib().get(kP);
+      const AsPath* loc = network_->speaker(v).best_path(kP);
       ASSERT_NE(loc, nullptr) << "node " << v;
       EXPECT_EQ(loc->length(), dist[v] + 1) << "node " << v;
     }
   } else {
     // Tdown: everyone ends unreachable, FIBs empty.
     for (net::NodeId v = 0; v < topo_.node_count(); ++v) {
-      EXPECT_EQ(network_->speaker(v).loc_rib().get(kP), nullptr)
+      EXPECT_EQ(network_->speaker(v).best_path(kP), nullptr)
           << "node " << v;
       EXPECT_FALSE(network_->fibs()[v].next_hop(kP).has_value())
           << "node " << v;

@@ -132,5 +132,29 @@ TEST(MultiPrefixDigest, PreV4SnapshotBlobRejectedByVersion) {
   }
 }
 
+TEST(MultiPrefixDigest, V6SnapshotBlobRejectedByVersion) {
+  // v6 payloads carry a prefix table (interning order plus an origin per
+  // prefix) where v7 has one prefix count; the version check refuses them
+  // before any payload byte is read.
+  Scenario cold = clique_fulltable();
+  snap::Snapshot converged;
+  cold.save_converged = &converged;
+  (void)run_experiment(cold);
+
+  std::vector<std::uint8_t> blob = converged.encode();
+  static_assert(snap::kFormatVersion == 7,
+                "v6 is the last version with a prefix table");
+  blob[snap::kVersionOffset] = 6;
+  try {
+    (void)snap::Snapshot::decode(blob);
+    FAIL() << "decode accepted a v6 snapshot";
+  } catch (const snap::FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported snapshot format version 6"),
+              std::string::npos)
+        << what;
+  }
+}
+
 }  // namespace
 }  // namespace bgpsim::core
