@@ -30,9 +30,10 @@ namespace bgpsim::bgp {
 /// The path-vector protocol machine.
 ///
 /// Inbound work (updates, session events) must be fed through handle_update
-/// / handle_session *after* the node's processing delay — BgpNetwork wires a
-/// net::ProcessingQueue in front of each speaker. Outbound messages go to
-/// the Transport immediately (sending is free; receiving costs CPU).
+/// / handle_session *after* the node's processing delay — the network
+/// (fwd::ProtocolNetwork) wires a net::ProcessingQueue in front of each
+/// speaker. Outbound messages go to the Transport immediately (sending is
+/// free; receiving costs CPU).
 class Speaker {
  public:
   struct Hooks {
@@ -103,6 +104,16 @@ class Speaker {
   /// then runs ONE decision pass per touched prefix — the batched
   /// decision processing a shared SoA column block makes cheap.
   void handle_update_batch(net::NodeId from, const UpdateBatch& batch);
+
+  /// Inbound message off the processing queue: an UpdateMsg or an
+  /// UpdateBatch.
+  void handle_message(net::NodeId from, const net::Payload& payload) {
+    if (payload.is<UpdateBatch>()) {
+      handle_update_batch(from, payload.get<UpdateBatch>());
+    } else {
+      handle_update(from, payload.get<UpdateMsg>());
+    }
+  }
 
   /// Session to `peer` went down/up (call after processing delay).
   void handle_session(net::NodeId peer, bool up);

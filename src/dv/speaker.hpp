@@ -12,6 +12,7 @@
 #include "dv/config.hpp"
 #include "fwd/fib.hpp"
 #include "net/channel.hpp"
+#include "net/payload.hpp"
 #include "net/types.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -53,6 +54,10 @@ class DvSpeaker {
 
   /// Inbound update (call after processing delay).
   void handle_update(net::NodeId from, const DvUpdate& update);
+  /// Inbound message off the processing queue: a DvUpdate.
+  void handle_message(net::NodeId from, const net::Payload& payload) {
+    handle_update(from, payload.get<DvUpdate>());
+  }
 
   /// Session state change (call after processing delay).
   void handle_session(net::NodeId peer, bool up);
@@ -62,7 +67,10 @@ class DvSpeaker {
   /// Current metric for `prefix` (nullopt: no entry or at infinity).
   [[nodiscard]] std::optional<int> metric(net::Prefix prefix) const;
   [[nodiscard]] std::optional<net::NodeId> next_hop(net::Prefix prefix) const;
-  [[nodiscard]] bool trigger_pending() const { return trigger_pending_; }
+  /// True unless a triggered update is pending. (Periodic updates, if
+  /// enabled, keep firing regardless — use triggered-only mode for
+  /// quiescence-based experiments.)
+  [[nodiscard]] bool quiescent() const { return !trigger_pending_; }
 
   struct Counters {
     std::uint64_t updates_sent = 0;

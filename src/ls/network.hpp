@@ -1,66 +1,28 @@
-// Assembles a link-state network over a topology (the LS analogue of
-// BgpNetwork / DvNetwork, on the same substrate).
+// Assembles a link-state network over a topology.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "fwd/fib.hpp"
+#include "fwd/protocol_network.hpp"
 #include "ls/config.hpp"
 #include "ls/speaker.hpp"
-#include "net/channel.hpp"
-#include "net/node.hpp"
-#include "net/topology.hpp"
-#include "sim/random.hpp"
-#include "sim/scheduler.hpp"
+#include "snap/codec.hpp"
 
 namespace bgpsim::ls {
 
-class LsNetwork {
+/// One LsSpeaker per node on the shared substrate (fwd::ProtocolNetwork).
+class LsNetwork : public fwd::ProtocolNetwork<LsSpeaker> {
  public:
   LsNetwork(sim::Simulator& simulator, net::Topology& topology,
             const LsConfig& config, const net::ProcessingDelay& processing,
             const sim::Rng& root_rng);
 
-  [[nodiscard]] LsSpeaker& speaker(net::NodeId n) { return *speakers_.at(n); }
-  [[nodiscard]] std::size_t size() const { return speakers_.size(); }
-  [[nodiscard]] std::vector<fwd::Fib>& fibs() { return fibs_; }
-  [[nodiscard]] net::Transport& transport() { return transport_; }
-
-  void set_hooks(const LsSpeaker::Hooks& hooks);
-
   /// Bring every router up (initial LSA origination) — call once at t=0.
-  void start_all();
-
-  void originate(net::NodeId origin, net::Prefix prefix) {
-    speaker(origin).originate(prefix);
-  }
-  void inject_tdown(net::NodeId origin, net::Prefix prefix) {
-    speaker(origin).withdraw_origin(prefix);
-  }
-  void inject_link_failure(net::LinkId link) { transport_.fail_link(link); }
-
-  [[nodiscard]] std::uint64_t control_messages_in_flight() const {
-    return transport_.messages_sent() - transport_.messages_delivered() -
-           transport_.messages_lost();
+  void start_all() {
+    for (net::NodeId n = 0; n < size(); ++n) speaker(n).start();
   }
 
-  /// True while flooding or SPF work is outstanding anywhere.
-  [[nodiscard]] bool busy() const;
-
-  [[nodiscard]] LsSpeaker::Counters total_counters() const;
-
-  /// Checkpoint codec (same layout discipline as bgp::BgpNetwork).
+  /// Checkpoint codec (fwd::ProtocolNetwork's layout, no header).
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
-
- private:
-  sim::Simulator& sim_;
-  net::Topology& topo_;
-  net::Transport transport_;
-  std::vector<fwd::Fib> fibs_;
-  std::vector<std::unique_ptr<net::ProcessingQueue>> queues_;
-  std::vector<std::unique_ptr<LsSpeaker>> speakers_;
 };
 
 }  // namespace bgpsim::ls

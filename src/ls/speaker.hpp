@@ -12,6 +12,7 @@
 #include "ls/config.hpp"
 #include "ls/lsa.hpp"
 #include "net/channel.hpp"
+#include "net/payload.hpp"
 #include "net/types.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -49,6 +50,10 @@ class LsSpeaker {
 
   /// Inbound LSA (call after processing delay).
   void handle_lsa(net::NodeId from, const Lsa& lsa);
+  /// Inbound message off the processing queue: an LsaMsg.
+  void handle_message(net::NodeId from, const net::Payload& payload) {
+    handle_lsa(from, payload.get<LsaMsg>().lsa);
+  }
   /// Session change (call after processing delay): re-originate our LSA
   /// and, on up, exchange full databases.
   void handle_session(net::NodeId peer, bool up);
@@ -58,7 +63,8 @@ class LsSpeaker {
 
   // ---- introspection ----
   [[nodiscard]] net::NodeId id() const { return self_; }
-  [[nodiscard]] bool spf_pending() const { return spf_pending_; }
+  /// True unless an SPF run is pending.
+  [[nodiscard]] bool quiescent() const { return !spf_pending_; }
   [[nodiscard]] const Lsa* lsdb_entry(net::NodeId origin) const;
   [[nodiscard]] std::optional<net::NodeId> next_hop(net::Prefix prefix) const {
     return fib_.next_hop(prefix);

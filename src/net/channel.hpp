@@ -60,6 +60,10 @@ class Transport {
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t messages_lost() const { return lost_; }
+  /// Messages sent and neither delivered nor lost yet: still on the wire.
+  [[nodiscard]] std::uint64_t messages_in_flight() const {
+    return sent_ - delivered_ - lost_;
+  }
 
   /// Checkpoint the wire counters. Messages physically in flight live in
   /// scheduled delivery closures (which a checkpoint preserves in place,

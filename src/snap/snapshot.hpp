@@ -6,7 +6,8 @@
 // seed, and the simulation clock. The metadata is what makes restore safe:
 // a driver refuses to warm-start from a snapshot whose identity does not
 // match the scenario it is about to run, with a precise error instead of
-// silently diverging state.
+// silently diverging state. The payload's network section is laid out as
+// fwd/protocol_network.hpp states, the same for every protocol.
 //
 // On-disk layout of encode() (all little-endian):
 //   offset 0   u64  magic "bgpsnap\0"

@@ -133,7 +133,7 @@ TEST(Convergence, MessageCountsAreConsistent) {
   h.converge(0);
   const auto c = h.network.total_counters();
   EXPECT_EQ(c.announcements_sent + c.withdrawals_sent, c.updates_received);
-  EXPECT_EQ(h.network.control_messages_in_flight(), 0u);
+  EXPECT_EQ(h.network.transport().messages_in_flight(), 0u);
 }
 
 TEST(Convergence, SecondPrefixIndependent) {

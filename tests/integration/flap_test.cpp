@@ -39,7 +39,7 @@ class FlapTest : public ::testing::Test {
   void drain() {
     sim_.run();
     ASSERT_FALSE(network_.busy());
-    ASSERT_EQ(network_.control_messages_in_flight(), 0u);
+    ASSERT_EQ(network_.transport().messages_in_flight(), 0u);
   }
 
   void expect_shortest_paths() {

@@ -94,7 +94,7 @@ TEST_F(LsSpeakerTest, SpfInstallsRouteAfterDelay) {
   speaker_->start();
   // LSDB: 0-1 adjacency (two-way) and 1 hosts kP.
   speaker_->handle_lsa(1, make_lsa(1, 1, {0}, {kP}));
-  EXPECT_TRUE(speaker_->spf_pending());
+  EXPECT_FALSE(speaker_->quiescent());
   EXPECT_FALSE(fib_.next_hop(kP).has_value());  // not yet: SPF delayed
   sim_.run();
   EXPECT_EQ(fib_.next_hop(kP), 1u);

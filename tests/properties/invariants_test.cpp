@@ -176,7 +176,7 @@ TEST_P(InvariantTest, PostEventQuiescenceIsConsistent) {
     }
   }
   // No messages stuck anywhere.
-  EXPECT_EQ(network_->control_messages_in_flight(), 0u);
+  EXPECT_EQ(network_->transport().messages_in_flight(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
