@@ -14,10 +14,18 @@
 // large clique IS the bulk of each run, and every load level reuses one
 // prelude. This is where the headline speedup comes from.
 //
-// Warm trials must reproduce the cold metrics bit-for-bit in both parts —
+// Part 3 — what the capture itself costs, on the fulltable-512 shape
+// (512 prefixes over four origins on the 110-node Internet graph, the
+// bgpsim_bench workload of that name), where a cold trial pays for a
+// capture whether or not anything forks from it. Each rep runs trial 0
+// cold without a capture and cold with one, alternating; the part prints
+// the median difference and the capture's size.
+//
+// Warm trials must reproduce the cold metrics bit-for-bit in every part —
 // the cache is a pure wall-clock optimization.
 //
-//   BGPSIM_TRIALS : trials per sweep point (default 3)
+//   BGPSIM_TRIALS : trials per sweep point, and part 3's reps (default 3)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -26,7 +34,10 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/experiment.hpp"
 #include "snap/cache.hpp"
+#include "snap/snapshot.hpp"
+#include "svc/protocol.hpp"
 
 namespace {
 
@@ -105,6 +116,60 @@ SweepResult run_cold_vs_warm(const std::vector<SweepPoint>& points,
   return result;
 }
 
+core::Scenario fulltable_512() {
+  core::Scenario s;
+  s.topology.kind = core::TopologyKind::kInternet;
+  s.topology.size = 110;
+  s.topology.topo_seed = 1;
+  s.event = core::EventKind::kTdown;
+  s.bgp.mrai = sim::SimTime::seconds(30);
+  s.seed = 1;
+  s.destination = 50;
+  s.prefixes = 512;
+  s.origins = {1, 27, 55, 82};
+  return s;
+}
+
+struct CaptureCost {
+  double median_s = 0;  // cold with a capture minus cold without
+  std::size_t bytes = 0;
+  bool identical = true;  // a warm trial from the capture matches cold
+};
+
+/// `reps` alternating pairs of trial 0 of fulltable_512(), cold without
+/// and with a capture, then one warm trial from the capture.
+CaptureCost measure_capture(std::size_t reps) {
+  const core::Scenario s = fulltable_512();
+  const auto digest = [&s](const core::ExperimentOutcome& out) {
+    return svc::trialset_digest(core::assemble_trials(s, {out}));
+  };
+  CaptureCost cost;
+  std::vector<double> extra;
+  snap::Snapshot converged;
+  core::ExperimentOutcome cold;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double plain = wall_seconds([&] { cold = core::run_experiment(s); });
+    core::Scenario capturing = s;
+    capturing.save_converged = &converged;
+    core::ExperimentOutcome captured;
+    const double with_capture =
+        wall_seconds([&] { captured = core::run_experiment(capturing); });
+    extra.push_back(with_capture - plain);
+    cost.identical &= digest(captured) == digest(cold);
+  }
+  std::sort(extra.begin(), extra.end());
+  const std::size_t mid = extra.size() / 2;
+  cost.median_s = extra.size() % 2 == 1
+                      ? extra[mid]
+                      : (extra[mid - 1] + extra[mid]) / 2;
+  cost.bytes = converged.size_bytes();
+
+  core::Scenario warm = s;
+  warm.warm_start = &converged;
+  cost.identical &= digest(core::run_experiment(warm)) == digest(cold);
+  return cost;
+}
+
 void print_result(const SweepResult& r) {
   std::printf("cold %.3f s, warm %.3f s, speedup %.2fx "
               "(cache: %llu hit(s), %llu miss(es))\n",
@@ -170,8 +235,18 @@ int main() {
   print_result(load_result);
   maybe_csv(load_table);
 
+  // ---- Part 3: the capture's own cost on the fulltable-512 shape --------
+  const std::size_t reps = std::max<std::size_t>(n_trials, 1);
+  std::printf("\npart 3: fulltable-512 trial 0 cold, with and without the "
+              "prelude capture, %zu alternating rep(s)\n\n",
+              reps);
+  const CaptureCost capture = measure_capture(reps);
+  std::printf("capture: median %.2f ms per cold trial, %zu bytes\n",
+              capture.median_s * 1e3, capture.bytes);
+
   std::printf("\nchecks:\n");
-  if (!event_result.identical || !load_result.identical) {
+  if (!event_result.identical || !load_result.identical ||
+      !capture.identical) {
     std::printf("FATAL: warm-start changed a trial's outcome\n");
     return 1;
   }

@@ -7,7 +7,8 @@
 // sender — and a receiver adopting a neighbor's path P stores (self)·P.
 //
 // Representation: an AsPath is an 8-byte handle to an immutable node of a
-// trial's PathArena (see path_arena.hpp). A node is the front hop plus a
+// trial's PathArena (see path_arena.hpp). A checkpoint names a path by
+// its node's interning index (AsPath::ref). A node is the front hop plus a
 // pointer to the rest of the path, so every speaker holding "(self)·P"
 // shares P's node with the neighbor that advertised P. Handles are
 // trivially copyable: no refcount, no destructor. Every path is built by
@@ -42,7 +43,13 @@ struct PathNode {
   net::NodeId head;
   net::NodeId origin;
   std::uint32_t length;
+  /// Position in the arena's interning order: the checkpoint names the
+  /// path ending here by index + 1 (see AsPath::save).
+  std::uint32_t index;
 };
+
+// The index fills what was padding: a node stays 32 bytes.
+static_assert(sizeof(PathNode) == 32);
 
 /// The bit a hop contributes to PathNode::members. Distinct nodes may share
 /// a bit, so a set bit only says "maybe present".
@@ -144,14 +151,16 @@ class AsPath {
   /// "(6 4 0)" — the paper's notation.
   [[nodiscard]] std::string to_string() const;
 
-  /// Checkpoint codec: hop count followed by the hops, front first.
-  /// PathArena::load reads it back.
-  void save(snap::Writer& w) const {
-    w.u64(length());
-    for (const detail::PathNode* n = node_; n != nullptr; n = n->parent) {
-      w.u32(n->head);
-    }
+  /// The checkpoint's name for this path within its arena: 0 for the
+  /// empty path, i + 1 for the path ending at the arena's node i.
+  [[nodiscard]] std::uint32_t ref() const {
+    return node_ != nullptr ? node_->index + 1 : 0;
   }
+
+  /// Checkpoint codec: the path's ref() as one u32. The arena's own
+  /// section (PathArena::save) precedes every ref, and PathArena::load
+  /// reads one back.
+  void save(snap::Writer& w) const { w.u32(ref()); }
 
   /// Structural equality on the hop sequence. A pointer comparison, exact
   /// because one arena interns every path it builds.

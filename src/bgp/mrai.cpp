@@ -87,7 +87,8 @@ std::size_t MraiTimers::running_count() const {
 }
 
 void MraiTimers::save_state(snap::Writer& w) const {
-  w.u64(running_count());
+  const std::size_t count_at = w.u64_slot();
+  std::uint64_t count = 0;
   for (const auto& row : plane_.rows()) {
     for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
       const OutboundCell& cell = row.cells[prefix];
@@ -97,8 +98,10 @@ void MraiTimers::save_state(snap::Writer& w) const {
       w.i64(cell.mrai.deadline.as_micros());
       w.u64(cell.mrai.seq);
       w.b(cell.mrai.pending);
+      ++count;
     }
   }
+  w.patch_u64(count_at, count);
 }
 
 void MraiTimers::restore_state(snap::Reader& r, std::uint32_t prefixes,

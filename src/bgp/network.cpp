@@ -18,13 +18,6 @@ BgpNetwork::BgpNetwork(sim::Simulator& simulator, net::Topology& topology,
   add_speakers(config, root_rng, "bgp", paths_, ribs_);
 }
 
-bool BgpNetwork::timers_running() const {
-  for (net::NodeId n = 0; n < size(); ++n) {
-    if (speaker(n).timers_running()) return true;
-  }
-  return false;
-}
-
 namespace {
 
 void save_update_msg(snap::Writer& w, const UpdateMsg& msg) {
@@ -33,7 +26,7 @@ void save_update_msg(snap::Writer& w, const UpdateMsg& msg) {
   if (msg.path) msg.path->save(w);
 }
 
-UpdateMsg load_update_msg(snap::Reader& r, PathArena& paths,
+UpdateMsg load_update_msg(snap::Reader& r, const PathArena& paths,
                           std::uint32_t prefixes) {
   UpdateMsg msg;
   msg.prefix = snap::read_prefix(r, prefixes);
@@ -55,7 +48,7 @@ void save_update_payload(snap::Writer& w, const net::Payload& payload) {
   }
 }
 
-net::Payload load_update_payload(snap::Reader& r, PathArena& paths,
+net::Payload load_update_payload(snap::Reader& r, const PathArena& paths,
                                  std::uint32_t prefixes) {
   if (r.u8() != 0) {
     UpdateBatch batch;
@@ -73,12 +66,14 @@ net::Payload load_update_payload(snap::Reader& r, PathArena& paths,
 }  // namespace
 
 void BgpNetwork::save_state(snap::Writer& w) const {
+  paths_.save(w);
   transport().save_state(w);
   w.u64(ribs_.prefix_count());
   save_nodes(w, save_update_payload);
 }
 
 void BgpNetwork::restore_state(snap::Reader& r) {
+  paths_.restore(r);
   transport().restore_state(r);
   const std::uint32_t prefixes = ribs_.prefix_count();
   if (const std::uint64_t saved = r.u64(); saved != prefixes) {

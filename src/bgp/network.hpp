@@ -40,15 +40,14 @@ class BgpNetwork : public fwd::ProtocolNetwork<Speaker> {
     speaker(origin).withdraw_origin_batch(prefixes);
   }
 
-  /// True while any MRAI timer is running anywhere (even without pending
-  /// work). busy()==false && !timers_running() means fully drained.
-  [[nodiscard]] bool timers_running() const;
-
   /// Sum of per-speaker counters across the network.
   [[nodiscard]] Speaker::Counters total_counters() const;
 
-  /// Checkpoint codec: fwd::ProtocolNetwork's layout with the prefix count
-  /// as its header. Every prefix the restore reads must be below it.
+  /// Checkpoint codec: the path arena (PathArena::save) first, since RIB
+  /// entries and queued updates name their paths by ref into it; then
+  /// fwd::ProtocolNetwork's layout with the prefix count as its header.
+  /// Every prefix the restore reads must be below that count, and every
+  /// path ref within the arena.
   void save_state(snap::Writer& w) const;
   void restore_state(snap::Reader& r);
 

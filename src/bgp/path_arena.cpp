@@ -26,15 +26,54 @@ AsPath PathArena::make(std::span<const net::NodeId> hops) {
   return AsPath{node};
 }
 
-AsPath PathArena::load(snap::Reader& r) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / 4) {
-    throw snap::FormatError{"AS path of " + std::to_string(n) +
-                            " hops overruns the snapshot"};
+void PathArena::save(snap::Writer& w) const {
+  w.u64(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const detail::PathNode* n = node(i);
+    w.u32(AsPath{n->parent}.ref());
+    w.u32(n->head);
   }
-  load_hops_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) load_hops_.push_back(r.u32());
-  return make(load_hops_);
+}
+
+void PathArena::restore(snap::Reader& r) {
+  // Each node is a (parent ref, head) pair.
+  const std::uint64_t n = r.count(4 + 4);
+  while (table_.size() < 2 * n) grow_table();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint32_t parent_ref = r.u32();
+    const net::NodeId head = r.u32();
+    if (parent_ref > i) {
+      throw snap::FormatError{"path node " + std::to_string(i) +
+                              " names parent ref " +
+                              std::to_string(parent_ref) +
+                              ", which is not an earlier node"};
+    }
+    if (i < size_) {
+      const detail::PathNode* have = node(i);
+      if (have->head != head || AsPath{have->parent}.ref() != parent_ref) {
+        throw snap::FormatError{"path node " + std::to_string(i) +
+                                " differs from the arena's node " +
+                                std::to_string(i)};
+      }
+      continue;
+    }
+    const detail::PathNode* parent =
+        parent_ref != 0 ? node(parent_ref - 1) : nullptr;
+    if (intern(head, parent)->index != i) {
+      throw snap::FormatError{"path node " + std::to_string(i) +
+                              " repeats an earlier (parent, head) pair"};
+    }
+  }
+}
+
+AsPath PathArena::load(snap::Reader& r) const {
+  const std::uint32_t ref = r.u32();
+  if (ref > size_) {
+    throw snap::FormatError{"path ref " + std::to_string(ref) +
+                            " is beyond the arena's " + std::to_string(size_) +
+                            " node(s)"};
+  }
+  return AsPath{ref != 0 ? node(ref - 1) : nullptr};
 }
 
 std::size_t PathArena::home(net::NodeId head,
@@ -59,6 +98,7 @@ const detail::PathNode* PathArena::intern(net::NodeId head,
   detail::PathNode* node = &chunks_.back()[size_ % kChunkNodes];
   node->parent = parent;
   node->head = head;
+  node->index = static_cast<std::uint32_t>(size_);
   if (parent != nullptr) {
     node->members = parent->members | detail::member_bit(head);
     node->origin = parent->origin;

@@ -21,7 +21,12 @@
 // thread.
 //
 // Determinism: the arena changes only where a path lives, never its hop
-// sequence, so decision order, codec bytes and digests do not depend on it.
+// sequence, so decision order and digests do not depend on it.
+//
+// Checkpoints: the arena is written once, as its nodes in interning order
+// (save), and every path elsewhere in a checkpoint is one u32 ref into that
+// list (AsPath::ref, load). Interning order is deterministic for a given
+// run, so the bytes are too.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +57,25 @@ class PathArena {
     return make(std::span<const net::NodeId>{hops.begin(), hops.size()});
   }
 
-  /// Decode a path written by AsPath::save into this arena. Throws
-  /// snap::FormatError when the hop count exceeds the bytes left.
-  [[nodiscard]] AsPath load(snap::Reader& r);
+  /// Checkpoint codec: the node count (u64), then each node in interning
+  /// order as its (parent ref, head) u32 pair. A parent always precedes
+  /// its children.
+  void save(snap::Writer& w) const;
+
+  /// Inverse of save, in one pass that reads each node once and never
+  /// walks a hop list. Snapshot node i is arena node i: the arena's
+  /// existing nodes (an in-place restore, or a trial that has already
+  /// built some paths) must be the snapshot's first nodes and are checked,
+  /// not duplicated; the rest are appended. Ends in snap::FormatError on a
+  /// parent ref at or after its own node, a (parent, head) pair that
+  /// repeats an earlier node, an existing node the snapshot contradicts,
+  /// or truncation. Re-saving right after a restore into an empty arena, or
+  /// an in-place one, gives the same bytes.
+  void restore(snap::Reader& r);
+
+  /// Read one ref AsPath::save wrote. Throws snap::FormatError for a ref
+  /// beyond the arena's nodes.
+  [[nodiscard]] AsPath load(snap::Reader& r) const;
 
   /// Distinct nodes interned so far.
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -63,6 +84,9 @@ class PathArena {
   /// Nodes per chunk: 16 KiB at 32 bytes a node.
   static constexpr std::size_t kChunkNodes = 512;
 
+  [[nodiscard]] const detail::PathNode* node(std::size_t index) const {
+    return &chunks_[index / kChunkNodes][index % kChunkNodes];
+  }
   [[nodiscard]] const detail::PathNode* intern(net::NodeId head,
                                                const detail::PathNode* parent);
   [[nodiscard]] std::size_t home(net::NodeId head,
@@ -75,7 +99,6 @@ class PathArena {
   /// capacity is a power of two, kept at least twice the node count.
   std::vector<const detail::PathNode*> table_;
   std::size_t mask_ = 0;
-  std::vector<net::NodeId> load_hops_;  // load()'s hops, reused
 };
 
 }  // namespace bgpsim::bgp

@@ -386,13 +386,8 @@ void Speaker::save_state(snap::Writer& w) const {
     w.u64(lost_length);
   }
   // Sent cells in ascending (peer, prefix) order, count first.
+  const std::size_t sent_at = w.u64_slot();
   std::uint64_t sent = 0;
-  for (const auto& row : out_.rows()) {
-    for (const OutboundCell& cell : row.cells) {
-      if (cell.sent != OutboundCell::Sent::kNotSent) ++sent;
-    }
-  }
-  w.u64(sent);
   for (const auto& row : out_.rows()) {
     for (net::Prefix prefix = 0; prefix < row.cells.size(); ++prefix) {
       const OutboundCell& cell = row.cells[prefix];
@@ -401,8 +396,10 @@ void Speaker::save_state(snap::Writer& w) const {
       w.u32(prefix);
       w.u8(static_cast<std::uint8_t>(cell.sent));
       cell.path.save(w);
+      ++sent;
     }
   }
+  w.patch_u64(sent_at, sent);
   w.u64(counters_.announcements_sent);
   w.u64(counters_.withdrawals_sent);
   w.u64(counters_.updates_received);

@@ -206,8 +206,8 @@ std::optional<IterationResult> differential(const IterationResult& baseline,
   return failed;
 }
 
-IterationResult run_iteration(std::uint64_t scenario_seed,
-                              const FuzzOptions& options) {
+IterationResult run_checks(std::uint64_t scenario_seed,
+                           const FuzzOptions& options) {
   IterationResult baseline = run_checked(scenario_seed, options);
   if (baseline.failure) return baseline;
 
@@ -243,6 +243,18 @@ IterationResult run_iteration(std::uint64_t scenario_seed,
   return baseline;
 }
 
+/// Every check of one iteration. A failure carries the flags that shaped
+/// its scenario, so its replay line rebuilds the same one.
+IterationResult run_iteration(std::uint64_t scenario_seed,
+                              const FuzzOptions& options) {
+  IterationResult result = run_checks(scenario_seed, options);
+  if (result.failure) {
+    result.failure->multiprefix = options.multiprefix;
+    result.failure->policy = options.policy;
+  }
+  return result;
+}
+
 }  // namespace
 
 std::string FuzzFailure::to_string() const {
@@ -258,6 +270,8 @@ std::string FuzzFailure::to_string() const {
            " more violation(s)";
   }
   out += "\n  replay: fuzz_scenarios --replay " + std::to_string(scenario_seed);
+  if (policy) out += " --policy";
+  if (multiprefix) out += " --multiprefix";
   return out;
 }
 

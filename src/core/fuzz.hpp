@@ -81,6 +81,11 @@ struct FuzzFailure {
   std::string label;  // Scenario::label() of the failing run
   std::vector<check::Violation> violations;
   std::string error;  // exception text; empty when the run completed
+  /// The campaign's scenario-shaping flags (FuzzOptions::multiprefix and
+  /// ::policy): the scenario seed alone expands to a different scenario
+  /// without them, so the replay line repeats them.
+  bool multiprefix = false;
+  bool policy = false;
 
   [[nodiscard]] std::string to_string() const;
 };

@@ -33,11 +33,13 @@ namespace bgpsim::fwd {
 /// `originate`, `withdraw_origin`, `handle_message(from, payload)`,
 /// `handle_session(peer, up)`, `quiescent()` and its checkpoint codec.
 ///
-/// Checkpoint layout of every protocol network: the transport's wire
-/// counters, the protocol's header (BGP writes its prefix count, which a
-/// restore requires to equal its own; DV and LS write nothing), then per
-/// node, ascending, its processing queue (queued payloads in the
-/// protocol's codec), its speaker and its FIB.
+/// Checkpoint layout of every protocol network: BGP first writes its path
+/// arena (bgp::PathArena::save), which the paths in everything behind it
+/// name by ref; then the transport's wire counters, the protocol's header
+/// (BGP writes its prefix count, which a restore requires to equal its
+/// own; DV and LS write nothing), then per node, ascending, its processing
+/// queue (queued payloads in the protocol's codec), its speaker and its
+/// FIB.
 ///
 /// The transport and queue handlers hold `this`, so a network is neither
 /// copied nor moved.

@@ -110,26 +110,10 @@ std::optional<sim::SimTime> Collector::last_exhaustion(sim::SimTime from) const 
   return exhaustion_times_.back();
 }
 
-namespace {
-
-void save_series(snap::Writer& w, const std::vector<sim::SimTime>& series) {
-  w.u64(series.size());
-  for (const sim::SimTime t : series) w.time(t);
-}
-
-void restore_series(snap::Reader& r, std::vector<sim::SimTime>& series) {
-  series.clear();
-  const std::uint64_t n = r.count(8);
-  series.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) series.push_back(r.time());
-}
-
-}  // namespace
-
 void Collector::save_state(snap::Writer& w) const {
-  save_series(w, update_times_);
-  save_series(w, send_times_);
-  save_series(w, exhaustion_times_);
+  w.times(update_times_);
+  w.times(send_times_);
+  w.times(exhaustion_times_);
   w.u64(withdrawals_);
   w.u64(delivered_);
   w.u64(no_route_);
@@ -148,9 +132,9 @@ void Collector::save_state(snap::Writer& w) const {
 }
 
 void Collector::restore_state(snap::Reader& r) {
-  restore_series(r, update_times_);
-  restore_series(r, send_times_);
-  restore_series(r, exhaustion_times_);
+  r.times(update_times_);
+  r.times(send_times_);
+  r.times(exhaustion_times_);
   withdrawals_ = r.u64();
   delivered_ = r.u64();
   no_route_ = r.u64();

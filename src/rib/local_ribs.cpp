@@ -51,22 +51,31 @@ std::vector<net::Prefix> LocalRibs::best_prefixes(SpeakerId s) const {
 }
 
 void LocalRibs::save_best(SpeakerId s, snap::Writer& w) const {
-  const std::vector<net::Prefix> keys = best_prefixes(s);
-  w.u64(keys.size());
-  for (const net::Prefix prefix : keys) {
+  const std::size_t count_at = w.u64_slot();
+  std::uint64_t count = 0;
+  const bgp::AsPath* row = &best_[slot(s, 0)];
+  for (net::Prefix prefix = 0; prefix < prefixes_; ++prefix) {
+    if (row[prefix].empty()) continue;
     w.u32(prefix);
-    best(s, prefix)->save(w);
+    row[prefix].save(w);
+    ++count;
   }
+  w.patch_u64(count_at, count);
 }
 
 void LocalRibs::restore_best(SpeakerId s, snap::Reader& r,
-                             bgp::PathArena& paths) {
+                             const bgp::PathArena& paths) {
   std::fill_n(best_.begin() + static_cast<std::ptrdiff_t>(slot(s, 0)),
               prefixes_, bgp::AsPath{});
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::Prefix prefix = snap::read_prefix(r, prefixes_);
-    best_[slot(s, prefix)] = paths.load(r);
+    const bgp::AsPath path = paths.load(r);
+    if (path.empty()) {
+      throw snap::FormatError{"Loc-RIB entry for prefix " +
+                              std::to_string(prefix) + " holds no path"};
+    }
+    best_[slot(s, prefix)] = path;
   }
 }
 
@@ -118,21 +127,25 @@ std::vector<net::Prefix> LocalRibs::adj_prefixes(SpeakerId s) const {
 }
 
 void LocalRibs::save_adj(SpeakerId s, snap::Writer& w) const {
-  const std::vector<net::Prefix> keys = adj_prefixes(s);
-  w.u64(keys.size());
-  for (const net::Prefix prefix : keys) {
-    const PeerColumn& column = adj_entries(s, prefix);
+  const std::size_t count_at = w.u64_slot();
+  std::uint64_t count = 0;
+  const PeerColumn* row = &adj_[slot(s, 0)];
+  for (net::Prefix prefix = 0; prefix < prefixes_; ++prefix) {
+    const PeerColumn& column = row[prefix];
+    if (column.empty()) continue;
     w.u32(prefix);
     w.u64(column.size());
     for (const auto& [peer, path] : column) {
       w.u32(peer);
       path.save(w);
     }
+    ++count;
   }
+  w.patch_u64(count_at, count);
 }
 
 void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r,
-                            bgp::PathArena& paths,
+                            const bgp::PathArena& paths,
                             std::span<const net::NodeId> peers) {
   for (net::Prefix prefix = 0; prefix < prefixes_; ++prefix) {
     adj_[slot(s, prefix)].clear();
@@ -141,8 +154,8 @@ void LocalRibs::restore_adj(SpeakerId s, snap::Reader& r,
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::Prefix prefix = snap::read_prefix(r, prefixes_);
     PeerColumn& column = adj_[slot(s, prefix)];
-    // Each entry is a peer and an AS path's hop count, at least.
-    const std::uint64_t entries = r.count(4 + 8);
+    // Each entry is a peer and a path ref.
+    const std::uint64_t entries = r.count(4 + 4);
     column.clear();
     column.reserve(entries);
     for (std::uint64_t j = 0; j < entries; ++j) {

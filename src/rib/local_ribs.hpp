@@ -70,9 +70,13 @@ class LocalRibs {
   /// Prefixes the speaker currently has a best route for, ascending.
   [[nodiscard]] std::vector<net::Prefix> best_prefixes(SpeakerId s) const;
 
+  /// Checkpoint codec: the count of routed prefixes, then each as (prefix,
+  /// path ref), ascending.
   void save_best(SpeakerId s, snap::Writer& w) const;
-  /// Restored paths land in `paths`. Rejects a prefix at or above P.
-  void restore_best(SpeakerId s, snap::Reader& r, bgp::PathArena& paths);
+  /// Path refs resolve in `paths`, which the arena section restored.
+  /// Rejects a prefix at or above P and an entry with the empty path.
+  void restore_best(SpeakerId s, snap::Reader& r,
+                    const bgp::PathArena& paths);
 
   // ---- Adj-RIB-In plane -------------------------------------------------
 
@@ -97,11 +101,13 @@ class LocalRibs {
   /// Prefixes with at least one Adj-RIB-In entry, ascending.
   [[nodiscard]] std::vector<net::Prefix> adj_prefixes(SpeakerId s) const;
 
+  /// Checkpoint codec: the count of prefixes with a column, then each as
+  /// its prefix, entry count and (peer, path ref) entries, ascending.
   void save_adj(SpeakerId s, snap::Writer& w) const;
-  /// Restored paths land in `paths`. `peers` is the speaker's session set,
+  /// Path refs resolve in `paths`. `peers` is the speaker's session set,
   /// ascending: a column entry from any other peer, a column whose peers
   /// are not strictly ascending, or a prefix at or above P is rejected.
-  void restore_adj(SpeakerId s, snap::Reader& r, bgp::PathArena& paths,
+  void restore_adj(SpeakerId s, snap::Reader& r, const bgp::PathArena& paths,
                    std::span<const net::NodeId> peers);
 
  private:

@@ -11,12 +11,15 @@
 // the library proper (snapshot.cpp, cache.cpp) sits *above* those layers.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "net/types.hpp"
@@ -66,42 +69,79 @@ class Hasher {
   std::uint64_t h_ = kFnvOffset;
 };
 
-/// Appends little-endian fixed-width values to a byte buffer.
+// The codec copies native words: every supported host is little-endian,
+// so a value's in-memory bytes are its encoding.
+static_assert(std::endian::native == std::endian::little,
+              "snap codec writes native words as little-endian bytes");
+
+/// Appends little-endian fixed-width values to a byte buffer. Each value
+/// is one capacity check and one memcpy into a buffer grown ahead of the
+/// write position; bytes() and take() trim it to what was written.
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) { put(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) { put<4>(v); }
-  void u64(std::uint64_t v) { put<8>(v); }
-  void i64(std::int64_t v) { put<8>(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
+  void f64(double v) { put(v); }
   void time(sim::SimTime t) { i64(t.as_micros()); }
   void str(std::string_view s) {
     u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    append(s.data(), s.size());
+  }
+  /// A time series: its u64 length, then each time as time() writes it,
+  /// in one copy.
+  void times(std::span<const sim::SimTime> ts) {
+    static_assert(sizeof(sim::SimTime) == sizeof(std::int64_t) &&
+                  std::is_trivially_copyable_v<sim::SimTime>);
+    u64(ts.size());
+    append(ts.data(), ts.size_bytes());
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const& {
+  /// Write a u64 placeholder and return its offset, for a count known
+  /// only after the items behind it are written (see patch_u64).
+  [[nodiscard]] std::size_t u64_slot() {
+    const std::size_t at = size_;
+    u64(0);
+    return at;
+  }
+  /// Overwrite the u64 at `at`, an offset u64_slot() returned.
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() & {
+    buf_.resize(size_);
     return buf_;
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
-
- private:
-  /// The low N bytes of v, least significant first, appended byte by
-  /// byte: no zero-filling resize, and none of the vector range-insert
-  /// paths GCC 12's Release build misreads as -Wstringop-overflow.
-  template <std::size_t N>
-  void put(std::uint64_t v) {
-    for (std::size_t i = 0; i < N; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  [[nodiscard]] std::vector<std::uint8_t> take() && {
+    buf_.resize(size_);
+    return std::move(buf_);
   }
 
-  std::vector<std::uint8_t> buf_;
+ private:
+  template <typename T>
+  void put(T v) {
+    std::memcpy(claim(sizeof v), &v, sizeof v);
+  }
+  void append(const void* data, std::size_t n) {
+    if (n != 0) std::memcpy(claim(n), data, n);
+  }
+
+  /// The next `n` bytes of the buffer, growing it when they do not fit.
+  std::uint8_t* claim(std::size_t n) {
+    if (buf_.size() - size_ < n) grow(n);
+    std::uint8_t* at = buf_.data() + size_;
+    size_ += n;
+    return at;
+  }
+  void grow(std::size_t n) {
+    buf_.resize(std::max({2 * buf_.size(), size_ + n, std::size_t{256}}));
+  }
+
+  std::vector<std::uint8_t> buf_;  // [0, size_) written, the rest spare
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked reader over an encoded buffer. Every underrun throws
@@ -111,28 +151,32 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_{bytes} {}
 
-  std::uint8_t u8() {
-    need(1);
-    return bytes_[pos_++];
-  }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
   bool b() { return u8() != 0; }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get(8)); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
+  double f64() { return get<double>(); }
   sim::SimTime time() { return sim::SimTime::micros(i64()); }
   std::string str() {
-    const std::uint64_t n = u64();
+    const std::span<const std::uint8_t> chars = raw(u64());
+    return std::string{reinterpret_cast<const char*>(chars.data()),
+                       chars.size()};
+  }
+  /// The next `n` bytes as they are.
+  std::span<const std::uint8_t> raw(std::uint64_t n) {
     need(n);
-    std::string s{reinterpret_cast<const char*>(bytes_.data() + pos_),
-                  static_cast<std::size_t>(n)};
-    pos_ += static_cast<std::size_t>(n);
-    return s;
+    const auto out = bytes_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += out.size();
+    return out;
+  }
+  /// A series Writer::times wrote, replacing `out`'s contents.
+  void times(std::vector<sim::SimTime>& out) {
+    const std::uint64_t n = count(sizeof(sim::SimTime));
+    out.resize(static_cast<std::size_t>(n));
+    const std::size_t size = out.size() * sizeof(sim::SimTime);
+    if (size != 0) std::memcpy(out.data(), bytes_.data() + pos_, size);
+    pos_ += size;
   }
 
   /// Read an item count, and end in FormatError unless that many items of
@@ -168,13 +212,12 @@ class Reader {
                         ", have " + std::to_string(bytes_.size() - pos_)};
     }
   }
-  std::uint64_t get(int n) {
-    need(static_cast<std::uint64_t>(n));
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
+  template <typename T>
+  T get() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
     return v;
   }
 

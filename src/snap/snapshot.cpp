@@ -88,10 +88,8 @@ Snapshot Snapshot::decode(std::span<const std::uint8_t> blob) {
                       std::to_string(payload_len) + " does not match the " +
                       std::to_string(r.remaining()) + " byte(s) present"};
   }
-  std::vector<std::uint8_t> payload;
-  payload.reserve(static_cast<std::size_t>(payload_len));
-  for (std::uint64_t i = 0; i < payload_len; ++i) payload.push_back(r.u8());
-  return Snapshot{meta, std::move(payload)};
+  const std::span<const std::uint8_t> payload = r.raw(payload_len);
+  return Snapshot{meta, {payload.begin(), payload.end()}};
 }
 
 void Snapshot::save_file(const std::string& path) const {

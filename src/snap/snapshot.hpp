@@ -56,7 +56,13 @@ namespace bgpsim::snap {
 /// v7: the BGP payload's prefix table (interning order plus an origin per
 /// prefix) became one u64 prefix count, which a restore requires to equal
 /// the network's; every prefix in the payload is below it.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// v8: paths by reference. The BGP network section opens with the trial's
+/// path arena, ahead of the transport: its node count, then each node in
+/// interning order as a (parent ref, head) u32 pair, every parent ahead of
+/// its children. Every Loc-RIB, Adj-RIB-In, Adj-RIB-Out and queued
+/// UpdateMsg path, formerly a u64 hop count and its hops, is one u32 ref:
+/// 0 the empty path, i + 1 arena node i. A v7 blob is rejected.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Byte offset of the format-version field inside encode() output —
 /// stable across versions (it sits directly behind the magic).

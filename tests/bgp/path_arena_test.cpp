@@ -1,7 +1,9 @@
 // PathArena unit suite: node denormalization, interning identity, the
 // member mask (including a bit two ASes share), suffixes and ordering on
-// arena paths, codec bytes, snapshot decoding into the trial's arena, and
-// the stability of node storage as the arena grows.
+// arena paths, codec bytes (a path is a ref into the arena's node list),
+// the arena section's one-pass restore and its rejections, snapshot
+// decoding into the trial's arena, and the stability of node storage as
+// the arena grows.
 #include "bgp/path_arena.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +11,10 @@
 #include <compare>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bgp/as_path.hpp"
@@ -65,8 +70,8 @@ TEST(PathArena, InterningReturnsTheSameNode) {
 }
 
 TEST(PathArena, EveryConstructorInterns) {
-  // make(), prepend() and load() all go through the intern table: none of
-  // them adds a node the arena already holds.
+  // make() and prepend() go through the intern table, and load() names an
+  // existing node: none of them adds a node the arena already holds.
   PathArena arena;
   const AsPath made = arena.make({5, 4, 0});
   ASSERT_EQ(arena.size(), 3u);
@@ -170,40 +175,144 @@ TEST(PathArena, OrderingAndPreferenceOnArenaPaths) {
   EXPECT_NE(stored.suffix_from(6), arena.make({6, 3, 0}));
 }
 
-TEST(PathArena, SaveBytesMatchTheHopByHopForm) {
+TEST(PathArena, SaveWritesTheNodeRef) {
   PathArena arena;
-  const std::vector<std::uint8_t> bytes =
-      encode(arena.prepend(6, arena.make({4, 0})));
-  // Hop count, then each hop front first, all little-endian.
+  const AsPath path = arena.prepend(6, arena.make({4, 0}));
+  // (0) is node 0, (4 0) node 1, (6 4 0) node 2: the path's ref is 3.
+  EXPECT_EQ(path.ref(), 3u);
   snap::Writer expected;
-  expected.u64(3);
-  for (const net::NodeId hop : {6u, 4u, 0u}) expected.u32(hop);
-  EXPECT_EQ(bytes, expected.bytes());
-  EXPECT_EQ(encode(AsPath{}), std::vector<std::uint8_t>(8, 0));
+  expected.u32(3);
+  EXPECT_EQ(encode(path), expected.bytes());
+  EXPECT_EQ(encode(AsPath{}), std::vector<std::uint8_t>(4, 0));
 
+  const std::vector<std::uint8_t> bytes = encode(path);
   snap::Reader r{bytes};
   const AsPath decoded = arena.load(r);
   r.finish();
   EXPECT_EQ(decoded, arena.make({6, 4, 0}));
 }
 
-TEST(PathArena, LoadRejectsAnOverlongHopCount) {
-  snap::Writer w;
-  w.u64(1000);  // claims 1000 hops, carries one
-  w.u32(4);
+TEST(PathArena, LoadRejectsARefBeyondTheArena) {
   PathArena arena;
-  snap::Reader r{w.bytes()};
-  EXPECT_THROW((void)arena.load(r), snap::FormatError);
+  (void)arena.make({4, 0});  // two nodes: refs 0..2 are valid
+  for (const std::uint32_t ref : {3u, 1000u, 0xffffffffu}) {
+    snap::Writer w;
+    w.u32(ref);
+    snap::Reader r{w.bytes()};
+    EXPECT_THROW((void)arena.load(r), snap::FormatError) << "ref " << ref;
+  }
+  snap::Writer ok;
+  ok.u32(2);
+  snap::Reader r{ok.bytes()};
+  EXPECT_EQ(arena.load(r), arena.make({4, 0}));
+}
+
+std::vector<std::uint8_t> arena_bytes(const PathArena& arena) {
+  snap::Writer w;
+  arena.save(w);
+  return std::move(w).take();
+}
+
+/// An arena section of (parent ref, head) records.
+std::vector<std::uint8_t> arena_section(
+    std::initializer_list<std::pair<std::uint32_t, net::NodeId>> nodes) {
+  snap::Writer w;
+  w.u64(nodes.size());
+  for (const auto& [parent_ref, head] : nodes) {
+    w.u32(parent_ref);
+    w.u32(head);
+  }
+  return std::move(w).take();
+}
+
+TEST(PathArena, SectionIsNodesInInterningOrder) {
+  PathArena arena;
+  (void)arena.make({5, 4, 0});
+  (void)arena.make({6, 4, 0});
+  EXPECT_EQ(arena_bytes(arena),
+            arena_section({{0, 0}, {1, 4}, {2, 5}, {2, 6}}));
+}
+
+TEST(PathArena, RestoreRebuildsTheArenaAndResavesTheSameBytes) {
+  PathArena saving;
+  const AsPath a = saving.make({5, 4, 0});
+  const AsPath b = saving.make({6, 4, 0});
+  (void)saving.make({7});
+  const std::vector<std::uint8_t> bytes = arena_bytes(saving);
+
+  // Into an empty arena: the same nodes at the same indices.
+  PathArena fresh;
+  snap::Reader r{bytes};
+  fresh.restore(r);
+  r.finish();
+  EXPECT_EQ(fresh.size(), saving.size());
+  EXPECT_EQ(arena_bytes(fresh), bytes);
+  EXPECT_EQ(fresh.make({5, 4, 0}).ref(), a.ref());
+  EXPECT_EQ(fresh.make({6, 4, 0}).ref(), b.ref());
+  EXPECT_EQ(fresh.size(), saving.size());  // both were already there
+
+  // In place: every node is checked and none is added.
+  snap::Reader again{bytes};
+  saving.restore(again);
+  again.finish();
+  EXPECT_EQ(arena_bytes(saving), bytes);
+  EXPECT_EQ(saving.make({5, 4, 0}), a);
+}
+
+TEST(PathArena, RestoreRejectsAParentRefAtOrAfterItsNode) {
+  // Node 1 names itself (ref 2) or node 2 (ref 3) as its parent.
+  for (const std::uint32_t parent_ref : {2u, 3u, 0xffffffffu}) {
+    const auto bytes = arena_section({{0, 0}, {parent_ref, 4}, {1, 5}});
+    PathArena arena;
+    snap::Reader r{bytes};
+    EXPECT_THROW(arena.restore(r), snap::FormatError)
+        << "parent ref " << parent_ref;
+  }
+}
+
+TEST(PathArena, RestoreRejectsADuplicateNode) {
+  for (const auto& bytes :
+       {arena_section({{0, 0}, {0, 0}}),
+        arena_section({{0, 0}, {1, 4}, {1, 4}}),
+        arena_section({{0, 0}, {1, 4}, {0, 7}, {1, 4}})}) {
+    PathArena arena;
+    snap::Reader r{bytes};
+    EXPECT_THROW(arena.restore(r), snap::FormatError);
+  }
+}
+
+TEST(PathArena, RestoreRejectsANodeTheArenaContradicts) {
+  // The arena's node 1 is (4 0); the snapshot's node 1 is (5 0).
+  PathArena arena;
+  (void)arena.make({4, 0});
+  const auto bytes = arena_section({{0, 0}, {1, 5}});
+  snap::Reader r{bytes};
+  EXPECT_THROW(arena.restore(r), snap::FormatError);
+}
+
+TEST(PathArena, RestoreRejectsEveryTruncation) {
+  PathArena saving;
+  (void)saving.make({5, 4, 0});
+  (void)saving.make({6, 4, 0});
+  const std::vector<std::uint8_t> bytes = arena_bytes(saving);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    PathArena arena;
+    snap::Reader r{std::span<const std::uint8_t>{bytes}.first(cut)};
+    EXPECT_THROW(arena.restore(r), snap::FormatError) << "cut to " << cut;
+  }
 }
 
 TEST(PathArena, SnapshotLoadedPathsLandInTheTrialArena) {
   // A path decoded from a checkpoint (here a Loc-RIB row restored into a
   // fresh RIB) is a node of the restoring arena: it compares equal to the
-  // same hops built there, and shares their nodes.
+  // same hops built there, and shares their nodes. The trial had already
+  // built (4 0), the snapshot's first two nodes, so the restore checks
+  // them and adds only (5 4 0).
   PathArena saving;
   rib::LocalRibs ribs{1, 1};
   ASSERT_TRUE(ribs.set_best(0, 0, saving.make({5, 4, 0})));
   snap::Writer w;
+  saving.save(w);
   ribs.save_best(0, w);
 
   PathArena trial;
@@ -211,6 +320,7 @@ TEST(PathArena, SnapshotLoadedPathsLandInTheTrialArena) {
   const std::size_t before = trial.size();
   rib::LocalRibs restored{1, 1};
   snap::Reader r{w.bytes()};
+  trial.restore(r);
   restored.restore_best(0, r, trial);
   r.finish();
   ASSERT_NE(restored.best(0, 0), nullptr);

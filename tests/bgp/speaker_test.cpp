@@ -384,6 +384,24 @@ TEST_F(SpeakerTest, RestoreRejectsAnAdjRibOutEntryAtOrAboveP) {
   }
 }
 
+TEST_F(SpeakerTest, RestoreRejectsAnAdjRibOutRefBeyondTheArena) {
+  const auto with_ref = [](std::uint32_t ref) {
+    return checkpoint_with(Section::kAdjOut, [ref](snap::Writer& w) {
+      w.u32(1);  // peer
+      w.u32(0);  // prefix
+      w.u8(1);   // announced
+      w.u32(ref);
+    });
+  };
+  const auto nodes = static_cast<std::uint32_t>(test::paths().size());
+  const auto ok = with_ref(nodes);
+  snap::Reader accepted{ok};
+  EXPECT_NO_THROW(speaker_.restore_state(accepted));
+  const auto bad = with_ref(nodes + 1);
+  snap::Reader r{bad};
+  EXPECT_THROW(speaker_.restore_state(r), snap::FormatError);
+}
+
 TEST_F(SpeakerTest, RestoreRejectsAnAdjRibOutEntryTowardANonPeer) {
   // Peer 1 holds a session; node 7 and the largest id do not.
   const auto ok = checkpoint_with(Section::kAdjOut, announced(1, 5));

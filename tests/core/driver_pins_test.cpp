@@ -133,7 +133,7 @@ TEST(DriverPins, BgpCliqueFlap) {
   s.seed = 7;
   check_pin<Scenario>(s, run_experiment, scenario_prelude_hash(s),
                       /*capture=*/true,
-                      {0xdd2b88948da885a5ULL, 4'908ULL, 0x50fbf830c82cb998ULL,
+                      {0xdd2b88948da885a5ULL, 4'908ULL, 0x01112d2808dc84e8ULL,
                        0x94f86daa9c3129c1ULL, 0x27bcdb5982d77444ULL});
 }
 
@@ -147,7 +147,7 @@ TEST(DriverPins, BgpCliqueFourPrefixTdown) {
   s.seed = 8;
   check_pin<Scenario>(s, run_experiment, scenario_prelude_hash(s),
                       /*capture=*/true,
-                      {0x299143806afb83fdULL, 71'478ULL, 0x0ba812e3b6603ddeULL,
+                      {0x299143806afb83fdULL, 71'478ULL, 0xcec3d92d159b9687ULL,
                        0x70b9a972f571c801ULL, 0x247cd105a3d221b0ULL});
 }
 

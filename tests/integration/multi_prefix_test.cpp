@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bgp/network.hpp"
 #include "fwd/engine.hpp"
@@ -204,6 +206,42 @@ TEST(BgpNetworkCodec, RestoreRequiresTheSavedPrefixCount) {
   }
 }
 
+/// A whole one-prefix network checkpoint on the 3-ring whose only state is
+/// one update queued at node 0: `prefix`, withdrawn, or announcing the
+/// path `ref` names, as a single message (tag 0) or a batch of one (tag
+/// 1). Every other queue, speaker and FIB is empty.
+std::vector<std::uint8_t> queued_update_checkpoint(
+    bgp::BgpNetwork& network, std::uint8_t tag, net::Prefix prefix,
+    std::optional<std::uint32_t> ref) {
+  snap::Writer w;
+  test::paths().save(w);
+  network.transport().save_state(w);
+  w.u64(1);  // the network's prefix count
+  for (net::NodeId node = 0; node < 3; ++node) {
+    snap::write_rng(w, sim::Rng{1});
+    w.b(false);  // not busy
+    w.u64(node == 0 ? 1 : 0);  // queued items
+    if (node == 0) {
+      w.b(false);  // a message, not a session event
+      w.u32(1);    // from
+      w.u32(0);    // to
+      w.u8(tag);
+      if (tag == 1) w.u64(1);  // a batch of one
+      w.u32(prefix);
+      w.b(ref.has_value());
+      if (ref) w.u32(*ref);
+    }
+    snap::write_rng(w, sim::Rng{1});  // the speaker
+    w.u64(2);                         // its ring neighbours
+    w.u32((node + 1) % 3 < (node + 2) % 3 ? (node + 1) % 3 : (node + 2) % 3);
+    w.u32((node + 1) % 3 < (node + 2) % 3 ? (node + 2) % 3 : (node + 1) % 3);
+    for (int section = 0; section < 6; ++section) w.u64(0);
+    for (int counter = 0; counter < 9; ++counter) w.u64(0);
+    w.u64(0);  // an empty FIB
+  }
+  return std::move(w).take();
+}
+
 TEST(BgpNetworkCodec, RestoreRejectsAnInQueueUpdateAtOrAboveP) {
   // Node 0's processing queue holds one update for prefix 1 of a
   // one-prefix network, as a single message (tag 0) and inside a batch
@@ -216,26 +254,42 @@ TEST(BgpNetworkCodec, RestoreRejectsAnInQueueUpdateAtOrAboveP) {
                                                sim::SimTime::millis(1)},
                           sim::Rng{1}, test::paths(), 1};
   for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{1}}) {
-    snap::Writer w;
-    network.transport().save_state(w);
-    w.u64(1);  // the network's prefix count
-    snap::write_rng(w, sim::Rng{1});
-    w.b(false);  // not busy
-    w.u64(1);    // one queued item
-    w.b(false);  // a message, not a session event
-    w.u32(1);    // from
-    w.u32(0);    // to
-    w.u8(tag);
-    if (tag == 1) w.u64(1);  // a batch of one
-    w.u32(1);    // prefix 1
-    w.b(false);  // a withdrawal
-    snap::Reader r{w.bytes()};
+    const auto bytes = queued_update_checkpoint(network, tag, 1, std::nullopt);
+    snap::Reader r{bytes};
     try {
       network.restore_state(r);
       ADD_FAILURE() << "tag " << int{tag} << ": restore accepted prefix 1";
     } catch (const snap::FormatError& e) {
       EXPECT_NE(std::string{e.what()}.find("prefix 1 is out of range (limit 1)"),
                 std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(BgpNetworkCodec, RestoreRejectsAnInQueueUpdateRefBeyondTheArena) {
+  // The same queued update for prefix 0, announcing a path by ref: a ref
+  // within the arena section restores, one past its last node does not.
+  sim::Simulator sim;
+  net::Topology topo = topo::make_ring(3);
+  bgp::BgpNetwork network{sim, topo, quiet_config(),
+                          net::ProcessingDelay{sim::SimTime::millis(1),
+                                               sim::SimTime::millis(1)},
+                          sim::Rng{1}, test::paths(), 1};
+  (void)test::path_of({1, 0});
+  const auto nodes = static_cast<std::uint32_t>(test::paths().size());
+  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{1}}) {
+    const auto ok = queued_update_checkpoint(network, tag, 0, nodes);
+    snap::Reader accepted{ok};
+    EXPECT_NO_THROW(network.restore_state(accepted)) << "tag " << int{tag};
+    const auto bad = queued_update_checkpoint(network, tag, 0, nodes + 1);
+    snap::Reader r{bad};
+    try {
+      network.restore_state(r);
+      ADD_FAILURE() << "tag " << int{tag} << ": restore accepted ref "
+                    << nodes + 1;
+    } catch (const snap::FormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("path ref"), std::string::npos)
           << e.what();
     }
   }

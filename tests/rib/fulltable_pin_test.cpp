@@ -4,9 +4,11 @@
 // Trial 0 at seed 1 must keep its trial-set digest, its fired-event count
 // and the content hash of its converged prelude snapshot. The snapshot
 // hash pins the byte order of every per-(peer, prefix) control-plane plane
-// (MRAI timers, Adj-RIB-Out, FIB) as well as the routing outcome.
+// (MRAI timers, Adj-RIB-Out, FIB) and of the path arena section as well as
+// the routing outcome, and its size is bounded.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -44,7 +46,10 @@ TEST(FullTablePin, Seed1TrialZeroIsBitStable) {
   EXPECT_EQ(svc::trialset_digest(assemble_trials(fulltable_512(1), {out})),
             0x1c5dc8ffbe87859dULL);
   EXPECT_EQ(out.events_fired, 2'424'349ULL);
-  EXPECT_EQ(converged.content_hash(), 0xbb7ae35342adb058ULL);
+  EXPECT_EQ(converged.content_hash(), 0x79d449032ea8b5f8ULL);
+  // Each path is a 4-byte ref into the arena section, which writes each
+  // distinct path node once: the converged prelude stays under 8 MB.
+  EXPECT_LE(converged.size_bytes(), std::size_t{8'000'000});
 }
 
 /// Reads every MRAI expiry, so each timer runs as a queued event instead
@@ -90,7 +95,7 @@ TEST(FullTablePin, QueuedTimersReproduceTheSilentRun) {
     EXPECT_EQ(svc::trialset_digest(assemble_trials(fulltable_512(1), {outs[i]})),
               0x1c5dc8ffbe87859dULL);
     EXPECT_EQ(outs[i].events_fired, 2'424'349ULL);
-    EXPECT_EQ(hashes[i], 0xbb7ae35342adb058ULL);
+    EXPECT_EQ(hashes[i], 0x79d449032ea8b5f8ULL);
   }
   EXPECT_EQ(plain.observations(), queued.observations());
   // About one expiry in five holds a decision; only those run as events

@@ -360,5 +360,57 @@ TEST(LocalRibs, BestRestoreRejectsAPrefixAtOrAboveP) {
   }
 }
 
+// ---- path refs: every ref names a node of the restoring arena ----------
+
+TEST(LocalRibs, BestRestoreRejectsARefBeyondTheArenaAndTheEmptyPath) {
+  bgp::PathArena arena;
+  (void)arena.make({1});  // one node: ref 1 is (1)
+  LocalRibs ribs(1, 1);
+  const auto entry = [](std::uint32_t ref) {
+    snap::Writer w;
+    w.u64(1);
+    w.u32(0);  // prefix 0
+    w.u32(ref);
+    return std::move(w).take();
+  };
+  const std::vector<std::uint8_t> ok = entry(1);
+  snap::Reader accepted{ok};
+  ribs.restore_best(0, accepted, arena);
+  ASSERT_NE(ribs.best(0, 0), nullptr);
+  EXPECT_EQ(*ribs.best(0, 0), arena.make({1}));
+  for (const std::uint32_t ref : {0u, 2u, 0xffffffffu}) {
+    const std::vector<std::uint8_t> bytes = entry(ref);
+    snap::Reader r{bytes};
+    EXPECT_THROW(ribs.restore_best(0, r, arena), snap::FormatError)
+        << "ref " << ref;
+  }
+}
+
+TEST(LocalRibs, AdjRestoreRejectsARefBeyondTheArena) {
+  bgp::PathArena arena;
+  (void)arena.make({3});  // one node: ref 1 is (3)
+  LocalRibs ribs(1, 1);
+  const std::vector<net::NodeId> peers{3};
+  const auto column = [](std::uint32_t ref) {
+    snap::Writer w;
+    w.u64(1);
+    w.u32(0);  // prefix 0
+    w.u64(1);  // one entry
+    w.u32(3);
+    w.u32(ref);
+    return std::move(w).take();
+  };
+  const std::vector<std::uint8_t> ok = column(1);
+  snap::Reader accepted{ok};
+  ribs.restore_adj(0, accepted, arena, peers);
+  ASSERT_NE(ribs.adj_get(0, 0, 3), nullptr);
+  for (const std::uint32_t ref : {2u, 0xffffffffu}) {
+    const std::vector<std::uint8_t> bytes = column(ref);
+    snap::Reader r{bytes};
+    EXPECT_THROW(ribs.restore_adj(0, r, arena, peers), snap::FormatError)
+        << "ref " << ref;
+  }
+}
+
 }  // namespace
 }  // namespace bgpsim::rib

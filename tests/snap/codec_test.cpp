@@ -193,6 +193,29 @@ TEST(Snapshot, FutureFormatVersionRejectedWithClearError) {
   }
 }
 
+TEST(Snapshot, PriorFormatVersionRejected) {
+  // A well-formed v7 blob (its trailer recomputed over the older version
+  // field) names paths by hop list, not by arena ref: no reader for it
+  // remains, and decode says which version it met.
+  static_assert(kFormatVersion == 8);
+  std::vector<std::uint8_t> blob =
+      Snapshot{sample_meta(), sample_payload()}.encode();
+  blob[kVersionOffset] = 7;
+  blob.resize(blob.size() - 8);
+  Writer trailer;
+  trailer.u64(fnv1a(blob));
+  blob.insert(blob.end(), trailer.bytes().begin(), trailer.bytes().end());
+  try {
+    (void)Snapshot::decode(blob);
+    FAIL() << "decode accepted a v7 blob";
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported snapshot format version 7"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Snapshot, CorruptedPayloadFailsIntegrityCheck) {
   const Snapshot original{sample_meta(), sample_payload()};
   std::vector<std::uint8_t> blob = original.encode();
@@ -291,6 +314,54 @@ TEST_F(PreludeCacheTest, ShrinkingCapacityEvicts) {
   cache.set_capacity(1);
   EXPECT_EQ(cache.size(), 1U);
   EXPECT_NE(cache.find(3), nullptr);  // newest survives
+}
+
+TEST(Codec, BackPatchedCountsAndBulkTimeSeries) {
+  // A u64 slot patched after the items behind it reads as if the count had
+  // been written first; a time series is its u64 length and each time as
+  // time() writes it.
+  Writer w;
+  const std::size_t at = w.u64_slot();
+  w.u32(7);
+  w.u32(9);
+  w.patch_u64(at, 2);
+  const std::vector<sim::SimTime> series{sim::SimTime::micros(-3),
+                                         sim::SimTime::seconds(2)};
+  w.times(series);
+  w.times({});
+
+  Writer expected;
+  expected.u64(2);
+  expected.u32(7);
+  expected.u32(9);
+  expected.u64(series.size());
+  for (const sim::SimTime t : series) expected.time(t);
+  expected.u64(0);
+  EXPECT_EQ(w.bytes(), expected.bytes());
+
+  Reader r{w.bytes()};
+  EXPECT_EQ(r.u64(), 2U);
+  r.u32();
+  r.u32();
+  std::vector<sim::SimTime> back{sim::SimTime::seconds(9)};
+  r.times(back);
+  EXPECT_EQ(back, series);
+  r.times(back);
+  EXPECT_TRUE(back.empty());
+  r.finish();
+}
+
+TEST(Codec, WriterKeepsWritingAfterBytesIsRead) {
+  Writer w;
+  for (std::uint32_t i = 0; i < 100; ++i) w.u32(i);
+  EXPECT_EQ(w.bytes().size(), 400U);
+  w.u64(1);
+  EXPECT_EQ(w.bytes().size(), 408U);
+  const std::vector<std::uint8_t> taken = std::move(w).take();
+  Reader r{taken};
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(r.u32(), i);
+  EXPECT_EQ(r.u64(), 1U);
+  r.finish();
 }
 
 TEST(Codec, CountIsBoundedByTheBytesLeft) {

@@ -85,6 +85,37 @@ TEST(SnapRoundtrip, BgpWithSilentAndPromotedMraiTimersLive) {
   }
 }
 
+TEST(SnapRoundtrip, BgpWithQueuedUpdatesNamingArenaPaths) {
+  // A probe 600 ms after a correlated Tdown (every prefix at the
+  // destination, 5-s MRAI): the processing queues hold the withdrawals and
+  // the announcements of path hunting, single UpdateMsgs at P = 1 and
+  // UpdateBatches of eight at P = 8, each path a ref into the arena
+  // section. The in-place restore finds every arena node already present
+  // and must check them, not add them, so the re-save is byte-identical
+  // and the rest of the run does not notice.
+  for (const std::size_t prefixes : {std::size_t{1}, std::size_t{8}}) {
+    core::Scenario s;
+    s.topology.kind = core::TopologyKind::kInternet;
+    s.topology.size = 40;
+    s.event = core::EventKind::kTdown;
+    s.bgp.mrai = sim::SimTime::seconds(5);
+    s.seed = 9;
+    s.prefixes = prefixes;
+    s.snap_roundtrip_after = sim::SimTime::millis(600);
+
+    s.snap_roundtrip = core::SnapRoundtrip::kNoop;
+    const core::ExperimentOutcome baseline = core::run_experiment(s);
+    s.snap_roundtrip = core::SnapRoundtrip::kVerify;
+    check::Oracle oracle = check::Oracle::standard();
+    s.oracle = &oracle;
+    const core::ExperimentOutcome verified = core::run_experiment(s);
+
+    EXPECT_TRUE(oracle.ok()) << s.label() << "\n" << oracle.summary();
+    EXPECT_EQ(outcome_digest(baseline), outcome_digest(verified))
+        << s.label() << ": a mid-run save/restore changed the outcome";
+  }
+}
+
 TEST(SnapRoundtrip, DvTriggeredOnlyAndPeriodic) {
   struct Case {
     core::EventKind event;
